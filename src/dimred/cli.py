@@ -129,8 +129,10 @@ def cmd_manybody_evolve(args) -> int:
     amps[fock.lookup(tgt)[0]] = 1.0
     state = manybody.ManyBodyState(fock, amps)
     ham = manybody.hamiltonian(basis, fock, 0.0)
+    static = not basis.time_dependent
     traj = manybody.evolve(state, basis, env.manybody_dt, env.t_final,
-                           n_outputs=args.outputs, krylov_tol=env.krylov_tol)
+                           n_outputs=args.outputs, krylov_tol=env.krylov_tol,
+                           h=ham if static else None)
     out = _outdir(args, cfg)
     path = os.path.join(out, "manybody.csv")
     proj = projectors.basis_mode_projector(basis.n_modes, 0, basis.mode_my)
@@ -138,7 +140,8 @@ def cmd_manybody_evolve(args) -> int:
         fh.write("t,norm,energy,E_renormalized,condensate_fraction,"
                  "trace_distance_to_condensate\n")
         for s in traj.states:
-            e_ren = manybody.renormalized_energy(s, basis, s.time, h=ham)
+            ham_t = ham if static else manybody.hamiltonian(basis, fock, s.time)
+            e_ren = manybody.renormalized_energy(s, basis, s.time, h=ham_t)
             e_abs = e_ren + basis.e0_scaled
             occ = manybody.number_expectations(s)
             frac = occ[0] / fock.n_particles

@@ -110,10 +110,12 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     psi0 = manybody.ManyBodyState(fock, _condensed_amplitudes(fock), 0.0)
     ham = manybody.hamiltonian(basis, fock, 0.0)
     e_psi0 = manybody.renormalized_energy(psi0, basis, 0.0, h=ham)
-    mtraj = manybody.evolve(psi0, basis, cfg.manybody_dt, cfg.t_final,
-                            n_outputs=1, krylov_tol=cfg.krylov_tol)
+    static = not basis.time_dependent
+    mtraj = manybody.evolve(psi0, basis, cfg.manybody_dt, cfg.t_final, n_outputs=1,
+                            krylov_tol=cfg.krylov_tol, h=ham if static else None)
     psi_t = mtraj.final
-    e_psi_t = manybody.renormalized_energy(psi_t, basis, cfg.t_final, h=ham)
+    ham_t = ham if static else manybody.hamiltonian(basis, fock, cfg.t_final)
+    e_psi_t = manybody.renormalized_energy(psi_t, basis, cfg.t_final, h=ham_t)
 
     # condensate projector at time T from the evolved NLS state
     phi_coeffs = _phi_plane_wave_coefficients(phi_t, basis)

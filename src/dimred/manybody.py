@@ -13,8 +13,10 @@ common phase and <H>/N is directly the renormalized energy per particle.
 
 Two propagation paths share the same tensors: a sparse second-quantized
 Hamiltonian driven by a Lanczos exponential for general N, and dense
-momentum blocks for N = 2.  An independent position-grid split-step solver
-for two particles (``grid_oracle``) validates both.
+momentum blocks for N = 2 without an external field (a field couples
+different momenta, which the blocks cannot hold).  An independent
+position-grid split-step solver for two particles (``grid_oracle``)
+validates both.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .transverse import TransverseGrid, TransverseMode, rescale, solve_modes
 DEFAULT_DIM_CAP = 200_000
 GRID_CAP = 2**28
 MIN_POINTS_PER_RANGE = 8
+TWO_BODY_BATCH_BYTES = 1 << 23
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,10 @@ class ModeBasis:
     @property
     def m_y(self) -> int:
         return len(self.transverse.modes)
+
+    @property
+    def time_dependent(self) -> bool:
+        return self.external is not None and self.external.time_dependent
 
     def mode_index(self, kx_int: int, my: int) -> int:
         hit = np.where((self.mode_kx == kx_int) & (self.mode_my == my))[0]
@@ -531,102 +538,6 @@ def number_expectations(state: ManyBodyState) -> np.ndarray:
     return state.fock.occupations.astype(float).T @ w
 
 
-def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0,
-                flush_every: int = 2_000_000) -> sp.csr_matrix:
-    """Sparse H(t) = sum h_ab adag_a a_b + 1/2 sum W_abcd adag_a adag_b a_d a_c."""
-    h1 = one_body_operator(fock, basis.one_body(t))
-    occ = fock.occupations
-    dim, m = occ.shape
-    mode_kx, mode_my = basis.mode_kx, basis.mode_my
-    mod = basis.momentum_modulus
-    kmin, kmax = int(basis.kx.min()), int(basis.kx.max())
-    mode_of = {(int(k), int(mm)): i for i, (k, mm) in enumerate(zip(mode_kx, mode_my))}
-    inv_l = 1.0 / basis.box_length
-    cap = fock.max_excitations
-
-    blocks = [h1]
-    rows, cols, vals = [], [], []
-    pending = 0
-
-    def flush():
-        nonlocal rows, cols, vals, pending
-        if pending:
-            data = np.concatenate(vals)
-            blocks.append(sp.csr_matrix(
-                (data, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)))
-            rows, cols, vals = [], [], []
-            pending = 0
-
-    occ16 = occ.astype(np.int16)
-    for c in range(m):
-        has_c = np.where(occ[:, c] > 0)[0]
-        if len(has_c) == 0:
-            continue
-        for d in range(m):
-            need = 2 if d == c else 1
-            src = has_c[occ[has_c, d] >= need]
-            if len(src) == 0:
-                continue
-            base = occ16[src].copy()
-            amp_cd = np.sqrt(base[:, c].astype(float))
-            base[:, c] -= 1
-            amp_cd *= np.sqrt(base[:, d].astype(float))
-            base[:, d] -= 1
-            ktot = int(mode_kx[c] + mode_kx[d])
-            for a in range(m):
-                kb = ktot - int(mode_kx[a])
-                if mod is not None:
-                    kb = (kb - kmin) % mod + kmin
-                elif not (kmin <= kb <= kmax):
-                    continue
-                qi = basis.q_of_m.get((int(mode_kx[a] - mode_kx[c]) % mod) if mod is not None
-                                      else int(mode_kx[a] - mode_kx[c]))
-                if qi is None:
-                    continue
-                for mb in range(basis.m_y):
-                    b = mode_of.get((kb, mb))
-                    if b is None:
-                        continue
-                    w = basis.vq[qi, mode_my[a], mb, mode_my[c], mode_my[d]] * inv_l
-                    if w == 0.0:
-                        continue
-                    tgt = base.copy()
-                    amp = amp_cd * np.sqrt(tgt[:, b] + 1.0)
-                    tgt[:, b] += 1
-                    amp = amp * np.sqrt(tgt[:, a] + 1.0)
-                    tgt[:, a] += 1
-                    if cap is not None:
-                        keep = (fock.n_particles - tgt[:, 0]) <= cap
-                    else:
-                        keep = slice(None)
-                    tk = tgt[keep]
-                    idx = fock.lookup(tk)
-                    ok = idx >= 0
-                    rows.append(idx[ok])
-                    cols.append(src[keep][ok])
-                    vals.append((0.5 * w) * amp[keep][ok].astype(complex))
-                    pending += int(ok.sum())
-                    if pending >= flush_every:
-                        flush()
-    flush()
-    total = blocks[0]
-    for blk in blocks[1:]:
-        total = total + blk
-    total.sum_duplicates()
-    return total.tocsr()
-
-
-# ---------------------------------------------------------------------------
-# N = 2 dense momentum-block Hamiltonian
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PairBlocks:
-    pair_indices: list          # per block: (n_pairs, 2) mode indices (a <= b)
-    state_rows: list            # per block: row indices into the Fock basis
-    h_blocks: list              # per block: dense Hermitian matrix
-
-
 def _w_gather(basis: ModeBasis, a, b, c, d) -> np.ndarray:
     """Vectorized <ab|w|cd> for momentum-conserving index arrays."""
     q = basis.mode_kx[a] - basis.mode_kx[c]
@@ -640,9 +551,111 @@ def _w_gather(basis: ModeBasis, a, b, c, d) -> np.ndarray:
     return basis.vq.reshape(-1)[flat] / basis.box_length
 
 
-def pair_blocks(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> PairBlocks:
+def _interaction_terms(basis: ModeBasis):
+    """Index arrays (a, b, c, d) and weights W of every nonzero term of
+    1/2 sum W_abcd adag_a adag_b a_d a_c, with a <= b and c <= d.
+
+    adag_a adag_b and a_d a_c are symmetric in their two modes, so the weight
+    of each term is <ab|w|cd> summed over the distinct orderings of (a, b) and
+    of (c, d).  Terms come sorted by (c, d).  Momentum conservation fixes k_b
+    given (a, c, d), so m^3 m_y candidates are gathered from vq.
+    """
+    m, m_y = basis.n_modes, basis.m_y
+    mode_kx = basis.mode_kx
+    kmin, kmax = int(basis.kx.min()), int(basis.kx.max())
+    # vq may hold more transverse modes (basis.m_y) than the basis uses; -1 marks those
+    mode_at = np.full((kmax - kmin + 1, m_y), -1, dtype=np.int64)
+    mode_at[mode_kx - kmin, basis.mode_my] = np.arange(m)
+    c, d, a = (g.ravel() for g in np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
+                                              indexing="ij"))
+    kb = mode_kx[c] + mode_kx[d] - mode_kx[a]
+    if basis.momentum_modulus is not None:
+        kb = (kb - kmin) % basis.momentum_modulus + kmin
+    inside = (kb >= kmin) & (kb <= kmax)
+    a, c, d = (np.repeat(x[inside], m_y) for x in (a, c, d))
+    b = mode_at[kb[inside] - kmin].ravel()
+    a, b, c, d = a[b >= 0], b[b >= 0], c[b >= 0], d[b >= 0]
+    w = _w_gather(basis, a, b, c, d)
+    nz = w != 0.0
+    a, b, c, d, w = a[nz], b[nz], c[nz], d[nz], w[nz]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    c, d = np.minimum(c, d), np.maximum(c, d)
+    keys, pos = np.unique(((c * m + d) * m + a) * m + b, return_inverse=True)
+    weight = np.zeros(len(keys), dtype=w.dtype)
+    np.add.at(weight, pos, w)
+    keys, weight = keys[weight != 0.0], weight[weight != 0.0]
+    keys, b = np.divmod(keys, m)
+    keys, a = np.divmod(keys, m)
+    c, d = np.divmod(keys, m)
+    return a, b, c, d, weight
+
+
+def two_body_operator(basis: ModeBasis, fock: FockBasis) -> sp.csr_matrix:
+    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis.
+
+    For each (c, d) the source rows are lowered once; the creations of all the
+    terms sharing (c, d) are applied to them in batches of at most
+    TWO_BODY_BATCH_BYTES of target occupations, each resolved by one lookup.
+    """
+    a, b, c, d, weight = _interaction_terms(basis)
+    occ = fock.occupations
+    dim, m = occ.shape
+    rows, cols, vals = [], [], []
+    starts = np.flatnonzero(np.diff(c * m + d, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(c))):
+        cc, dd = c[lo], d[lo]
+        src = np.flatnonzero((occ[:, cc] >= 1) & (occ[:, dd] >= 1 + (cc == dd)))
+        if len(src) == 0:
+            continue
+        base = occ[src]
+        amp_cd = np.sqrt(base[:, cc] * (base[:, dd] - float(cc == dd)))
+        base[:, cc] -= 1
+        base[:, dd] -= 1
+        step = max(1, TWO_BODY_BATCH_BYTES // (len(src) * m))
+        for j in range(lo, hi, step):
+            stop = min(j + step, hi)
+            aa, bb = a[j:stop], b[j:stop]
+            n_b = base[:, bb].T.astype(float)
+            n_a = base[:, aa].T + (aa == bb)[:, None]
+            amp = np.sqrt((n_a + 1.0) * (n_b + 1.0)) * amp_cd
+            tgt = np.repeat(base[None], len(aa), axis=0)
+            term = np.arange(len(aa))[:, None]
+            every = np.arange(len(src))[None, :]
+            tgt[term, every, aa[:, None]] += 1
+            tgt[term, every, bb[:, None]] += 1
+            idx = fock.lookup(tgt.reshape(-1, m)).reshape(len(aa), len(src))
+            hit = idx >= 0
+            rows.append(idx[hit])
+            cols.append(np.broadcast_to(src, idx.shape)[hit])
+            vals.append((0.5 * weight[j:stop, None] * amp)[hit])
+    if not rows:
+        return sp.csr_matrix((dim, dim), dtype=complex)
+    data = np.concatenate(vals).astype(complex)
+    return sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim, dim))
+
+
+def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_matrix:
+    """Sparse H(t) = sum h_ab adag_a a_b + 1/2 sum W_abcd adag_a adag_b a_d a_c."""
+    return one_body_operator(fock, basis.one_body(t)) + two_body_operator(basis, fock)
+
+
+# ---------------------------------------------------------------------------
+# N = 2 dense momentum-block Hamiltonian
+# ---------------------------------------------------------------------------
+
+@dataclass
+class PairBlocks:
+    pair_indices: list          # per block: (n_pairs, 2) mode indices (a <= b)
+    state_rows: list            # per block: row indices into the Fock basis
+    h_blocks: list              # per block: dense Hermitian matrix
+
+
+def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
     if fock.n_particles != 2:
         raise DomainError("pair blocks require N = 2")
+    if basis.external is not None:
+        raise DomainError("pair blocks require momentum conservation: no external field")
     occ = fock.occupations
     pairs = np.zeros((fock.dim, 2), dtype=np.int64)
     for i in range(fock.dim):
@@ -651,7 +664,7 @@ def pair_blocks(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> PairBlocks
     ktot = basis.mode_kx[pairs[:, 0]] + basis.mode_kx[pairs[:, 1]]
     if basis.momentum_modulus is not None:
         ktot = ktot % basis.momentum_modulus
-    h1 = basis.one_body(t)
+    h1 = basis.one_body()
     blocks = PairBlocks([], [], [])
     for kval in np.unique(ktot):
         sel = np.where(ktot == kval)[0]
@@ -728,19 +741,28 @@ class ManyBodyTrajectory:
 
 
 def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
-           n_outputs: int = 5, krylov_tol: float = 1e-10) -> ManyBodyTrajectory:
+           n_outputs: int = 5, krylov_tol: float = 1e-10,
+           h: sp.spmatrix | None = None) -> ManyBodyTrajectory:
     """Propagate under H(t).  Time-independent Hamiltonians take Krylov steps of
-    the output interval; time-dependent ones use midpoint-frozen steps of dt."""
+    the output interval; time-dependent ones use midpoint-frozen steps of dt.
+
+    `h` is a prebuilt static H (``hamiltonian(basis, state.fock)``), so callers
+    that already hold it do not pay for a second assembly.  A time-dependent
+    field rebuilds only its one-body part per step and takes no `h`; N = 2
+    without a field runs on the dense momentum blocks and does not use it.
+    """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
-    time_dep = basis.external is not None and basis.external.time_dependent
+    time_dep = basis.time_dependent
+    if time_dep and h is not None:
+        raise DomainError("a prebuilt h needs a static field")
     traj = ManyBodyTrajectory()
     traj.record(state)
     psi = state.amplitudes.copy()
     t = state.time
     fock = state.fock
-    if fock.n_particles == 2 and not time_dep:
-        blocks = pair_blocks(basis, fock, t)
+    if fock.n_particles == 2 and basis.external is None:
+        blocks = pair_blocks(basis, fock)
         out_dt = (t_final - state.time) / n_outputs
         for _ in range(n_outputs):
             new = np.zeros_like(psi)
@@ -758,9 +780,12 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
         return traj
     if time_dep:
         steps = int(round((t_final - t) / dt))
+        if abs(steps * dt - (t_final - t)) > 1e-9 * max(1.0, t_final):
+            raise DomainError("t_final - t0 must be an integer number of steps")
         out_every = max(1, steps // n_outputs)
+        v2 = two_body_operator(basis, fock)
         for s in range(1, steps + 1):
-            h = hamiltonian(basis, fock, t + 0.5 * dt)
+            h = v2 + one_body_operator(fock, basis.one_body(t + 0.5 * dt))
             psi = lanczos_expm(lambda x: h @ x, psi, dt, tol=krylov_tol)
             t += dt
             if not np.all(np.isfinite(psi.view(float))):
@@ -770,7 +795,8 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
                 psi = psi / np.linalg.norm(psi)
                 traj.record(ManyBodyState(fock, psi.copy(), t))
         return traj
-    h = hamiltonian(basis, fock, t)
+    if h is None:
+        h = hamiltonian(basis, fock, t)
     out_dt = (t_final - state.time) / n_outputs
     for _ in range(n_outputs):
         psi = lanczos_expm(lambda x: h @ x, psi, out_dt, tol=krylov_tol)
@@ -869,8 +895,8 @@ def renormalized_energy(state: ManyBodyState, basis: ModeBasis, t: float | None 
     """<psi, H(t) psi>/N - E0/eps^2; the basis stores shifted energies, so this
     is just the expectation of the stored Hamiltonian per particle."""
     t = state.time if t is None else t
-    if state.fock.n_particles == 2 and h is None:
-        blocks = pair_blocks(basis, state.fock, t)
+    if state.fock.n_particles == 2 and h is None and basis.external is None:
+        blocks = pair_blocks(basis, state.fock)
         tot = 0.0
         for sel, hm in zip(blocks.state_rows, blocks.h_blocks):
             seg = state.amplitudes[sel]

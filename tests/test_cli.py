@@ -99,6 +99,42 @@ def test_manybody_evolve_and_alpha(capsys, sweep_cfg, tmp_path):
     assert data["alpha_n2"] <= data["trace_distance"] + 1e-9
 
 
+def test_manybody_evolve_energy_at_output_time(tmp_path):
+    # a driven field: each CSV energy must use H at that row's time
+    from dimred import manybody, potentials, scaling, transverse
+    from dimred.config import Config, ExperimentConfig
+
+    text = FAST_SWEEP.replace("external.name = zero", "external.name = driven_well")
+    path = tmp_path / "driven.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["manybody-evolve", "--config", str(path), "--n", "3",
+               "--outputs", "2", "--dump-state", "--out", str(out)])
+    assert rc == 0
+    last = [float(v) for v in (out / "manybody.csv").read_text().splitlines()[-1].split(",")]
+    env = ExperimentConfig.from_config(Config.from_text(text))
+    point = scaling.make_point(3, 3.0 ** -env.gamma, env.beta)
+    conf = potentials.with_dimension(potentials.confinement_by_name("harmonic"), 1)
+    unscaled = transverse.solve_modes(
+        conf, transverse.TransverseGrid(env.transverse_extent, env.transverse_points), 2)
+    scaled = potentials.scale(potentials.uniform_ball(3.0, 1.0), point, d_perp=1)
+    basis = manybody.build_basis(point, conf, potentials.external_by_name("driven_well"),
+                                 scaled, env.m_x, env.m_y, env.box_length,
+                                 unscaled_mode=unscaled)
+    dump = np.load(out / "state_final.npz")
+    fock = manybody.FockBasis(basis.n_modes, 3, env.max_excitations)
+    amps = np.zeros(fock.dim, dtype=complex)
+    amps[fock.lookup(dump["occupations"])] = dump["amplitudes"]
+    state = manybody.ManyBodyState(fock, amps, float(dump["time"]))
+    assert state.time == pytest.approx(env.t_final) and last[0] == pytest.approx(env.t_final)
+
+    def energy(t):
+        return manybody.expectation(state, manybody.hamiltonian(basis, fock, t)) / 3
+
+    assert last[3] == pytest.approx(energy(env.t_final), rel=1e-9)
+    assert abs(energy(0.0) - energy(env.t_final)) > 1e-3
+
+
 def test_aux_verify(capsys, tmp_path):
     rc = main(["aux-verify", "--n", "1000"])
     assert rc == 0

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dimred import harness
+from dimred import harness, manybody, nls
 from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
 from dimred.errors import ConfigError, InsufficientDataError
 
@@ -286,3 +286,39 @@ def test_sweep_with_external_well():
         assert row.trace_distance <= math.sqrt(8.0 * row.alpha_n2) + 1e-9
         assert row.envelope >= 1.0
         assert 0.0 < row.trace_distance < 2.0
+
+
+def test_run_point_energy_at_final_time(monkeypatch):
+    # a driven field: E(psi_T) must use H(T), not the H(0) built for E(psi_0)
+    text = FAST_SWEEP.replace("external.name = zero", "external.name = driven_well")
+    text = text.replace("sequence.n_values = 2, 3, 4", "sequence.n_values = 3")
+    env = ExperimentConfig.from_config(Config.from_text(text))
+    seen = {}
+
+    def spy(module, key):
+        orig = module.evolve
+
+        def wrapped(*args, **kwargs):
+            seen[key] = (args, orig(*args, **kwargs))
+            return seen[key][1]
+
+        monkeypatch.setattr(module, "evolve", wrapped)
+
+    spy(manybody, "manybody")
+    spy(nls, "nls")
+    result = harness.run_sweep(env)
+    assert result.ok
+    row = result.rows[0]
+    (psi0, basis, *_), mtraj = seen["manybody"]
+    (_, external, b_eff, *_), ntraj = seen["nls"]
+    t_final = env.t_final
+    e_phi = nls.effective_energy(ntraj.final, external, b_eff, t_final)
+
+    def energy(t):
+        h = manybody.hamiltonian(basis, psi0.fock, t)
+        return manybody.expectation(mtraj.final, h) / psi0.fock.n_particles
+
+    gap = abs(energy(t_final) - e_phi)
+    assert row.energy_gap == pytest.approx(gap, rel=1e-9)
+    assert row.alpha_xi == pytest.approx(row.alpha_m + gap, rel=1e-9)
+    assert abs(abs(energy(0.0) - e_phi) - gap) > 1e-3

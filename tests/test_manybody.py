@@ -136,6 +136,84 @@ def test_one_body_operator_against_explicit():
     assert np.max(np.abs(op - expected)) < 1e-12
 
 
+def _loop_hamiltonian(basis, fock):
+    """Dense H from plain loops: every (a, b) and (a, b, c, d) with w_element,
+    applied to each occupation row with explicit sqrt(n) factors."""
+    index = {tuple(int(n) for n in row): i for i, row in enumerate(fock.occupations)}
+    m = basis.n_modes
+    h1 = basis.one_body()
+    terms = [(a, b, c, d, basis.w_element(a, b, c, d))
+             for a in range(m) for b in range(m) for c in range(m) for d in range(m)]
+    terms = [t for t in terms if t[4] != 0.0]
+    dense = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for col, row in enumerate(fock.occupations):
+        for a in range(m):
+            for b in range(m):
+                occ = [int(n) for n in row]
+                if occ[b] == 0 or h1[a, b] == 0.0:
+                    continue
+                amp = math.sqrt(occ[b])
+                occ[b] -= 1
+                amp *= math.sqrt(occ[a] + 1)
+                occ[a] += 1
+                if tuple(occ) in index:
+                    dense[index[tuple(occ)], col] += h1[a, b] * amp
+        for a, b, c, d, w in terms:
+            occ = [int(n) for n in row]
+            amp = 1.0
+            for mode in (c, d):          # a_d a_c: annihilate c, then d
+                if occ[mode] == 0:
+                    break
+                amp *= math.sqrt(occ[mode])
+                occ[mode] -= 1
+            else:
+                for mode in (b, a):      # adag_a adag_b: create b, then a
+                    amp *= math.sqrt(occ[mode] + 1)
+                    occ[mode] += 1
+                if tuple(occ) in index:  # outside an excitation cap: dropped
+                    dense[index[tuple(occ)], col] += 0.5 * w * amp
+    return dense
+
+
+@pytest.fixture(scope="module")
+def small_basis(setup):
+    point, conf, unscaled, sc, _ = setup
+    return manybody.build_basis(point, conf, None, sc, 3, 2, L, unscaled_mode=unscaled)
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_hamiltonian_against_loop_oracle(small_basis, cap):
+    fock = manybody.FockBasis(small_basis.n_modes, 3, max_excitations=cap)
+    ref = _loop_hamiltonian(small_basis, fock)
+    h = manybody.hamiltonian(small_basis, fock).toarray()
+    assert np.max(np.abs(h - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_hamiltonian_against_loop_oracle_grid_matched():
+    # even n_x: the momentum window -2..1 wraps asymmetrically mod n_x
+    point = scaling.make_point(3, 0.5, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    sc = potentials.scale(potentials.gaussian_bump(height=2.0, radius=4.0, width=1.5),
+                          point, d_perp=1)
+    basis = manybody.build_grid_matched_basis(point, conf, sc, 4, 2, L, 6.0)
+    assert basis.momentum_modulus == 4
+    fock = manybody.FockBasis(basis.n_modes, 3)
+    ref = _loop_hamiltonian(basis, fock)
+    h = manybody.hamiltonian(basis, fock).toarray()
+    assert np.max(np.abs(h - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_hamiltonian_zero_interaction_is_one_body(setup):
+    point, conf, unscaled, _, _ = setup
+    sc0 = potentials.scale(potentials.uniform_ball(height=0.0), point, d_perp=1)
+    basis0 = manybody.build_basis(point, conf, None, sc0, 3, 2, L, unscaled_mode=unscaled)
+    fock = manybody.FockBasis(basis0.n_modes, 3)
+    assert manybody.two_body_operator(basis0, fock).nnz == 0
+    ref = _loop_hamiltonian(basis0, fock)
+    h = manybody.hamiltonian(basis0, fock).toarray()
+    assert np.max(np.abs(h - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_under_resolved_transverse_grid_rejected(setup):
     point, conf, _, sc, _ = setup
     coarse = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, 33), 3)
@@ -197,6 +275,52 @@ def test_pair_path_matches_sparse_path_evolution(setup):
     direct = expm_multiply(-1j * 0.3 * h.tocsc(), state.amplitudes)
     overlap = abs(np.vdot(traj_pair.final.amplitudes, direct))
     assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+def test_prebuilt_hamiltonian_gives_same_evolution(setup):
+    _, _, _, _, basis = setup
+    fock = manybody.FockBasis(basis.n_modes, 3)
+    h = manybody.hamiltonian(basis, fock)
+    built = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1)
+    given = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1, h=h)
+    assert np.array_equal(built.final.amplitudes, given.final.amplitudes)
+
+
+def test_two_particles_static_well_matches_sparse_hamiltonian(setup):
+    # a field couples different momenta, which the N = 2 pair blocks cannot hold
+    point, conf, unscaled, sc, _ = setup
+    basis = manybody.build_basis(point, conf, potentials.gaussian_well(depth=1.0, width=2.0),
+                                 sc, 5, 3, L, unscaled_mode=unscaled)
+    fock = manybody.FockBasis(basis.n_modes, 2)
+    state = condensed(fock)
+    h = manybody.hamiltonian(basis, fock)
+    traj = manybody.evolve(state, basis, 0.01, 0.3, n_outputs=1)
+    direct = expm_multiply(-1j * 0.3 * h.tocsc(), state.amplitudes)
+    assert np.linalg.norm(traj.final.amplitudes - direct) < 1e-9
+    expected = manybody.expectation(traj.final, h) / 2.0
+    assert manybody.renormalized_energy(traj.final, basis) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(DomainError):
+        manybody.pair_blocks(basis, fock)
+
+
+def test_time_dependent_steps_use_midpoint_hamiltonian():
+    point = scaling.make_point(3, 0.5, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    unscaled = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, 481), 2)
+    sc = potentials.scale(potentials.uniform_ball(height=2.0), point, d_perp=1)
+    ext = potentials.external_by_name("driven_well", depth=0.5, omega=4.0)
+    basis = manybody.build_basis(point, conf, ext, sc, 3, 2, L, unscaled_mode=unscaled)
+    fock = manybody.FockBasis(basis.n_modes, 3)
+    state = condensed(fock)
+    traj = manybody.evolve(state, basis, 0.05, 0.1, n_outputs=1, krylov_tol=1e-12)
+    psi = state.amplitudes
+    for t_mid in (0.025, 0.075):
+        psi = expm_multiply(-0.05j * manybody.hamiltonian(basis, fock, t_mid).tocsc(), psi)
+    assert np.linalg.norm(traj.final.amplitudes - psi) < 1e-9
+    with pytest.raises(DomainError):
+        manybody.evolve(state, basis, 0.03, 0.1)            # 3.33 steps
+    with pytest.raises(DomainError):
+        manybody.evolve(state, basis, 0.05, 0.1, h=manybody.hamiltonian(basis, fock))
 
 
 def test_lanczos_matches_scipy_on_random_hermitian():
