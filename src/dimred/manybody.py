@@ -574,7 +574,8 @@ def _interaction_terms(basis: ModeBasis):
     inside = (kb >= kmin) & (kb <= kmax)
     a, c, d = (np.repeat(x[inside], m_y) for x in (a, c, d))
     b = mode_at[kb[inside] - kmin].ravel()
-    a, b, c, d = a[b >= 0], b[b >= 0], c[b >= 0], d[b >= 0]
+    ok = b >= 0
+    a, b, c, d = a[ok], b[ok], c[ok], d[ok]
     w = _w_gather(basis, a, b, c, d)
     nz = w != 0.0
     a, b, c, d, w = a[nz], b[nz], c[nz], d[nz], w[nz]
