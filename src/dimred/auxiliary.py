@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 from .errors import DomainError, InsufficientDataError, RegimeError, ResolutionError
 from .nls import CondensateState
 from .potentials import ScaledInteraction
-from .transverse import TransverseMode
+from .transverse import TransverseMode, wrapped_offsets
 
 BOUNDARY_TOL = 1e-10
 
@@ -354,7 +354,7 @@ def _transverse_density_correlation(tmode: TransverseMode):
     n = len(tmode.axis)
     f = np.fft.fft2(dens)
     corr_grid = np.fft.ifft2(f * np.conj(f)).real * tmode.weight
-    offs = _wrapped_offsets(tmode.axis)
+    offs = wrapped_offsets(tmode.axis)
     order = np.argsort(offs)
     radial = np.sqrt(offs[order][:, None] ** 2 + offs[order][None, :] ** 2)
     vals = corr_grid[np.ix_(order, order)]
@@ -367,13 +367,6 @@ def _transverse_density_correlation(tmode: TransverseMode):
         return np.interp(u, rr[srt], vv[srt])
 
     return corr
-
-
-def _wrapped_offsets(axis: np.ndarray) -> np.ndarray:
-    n = len(axis)
-    h = axis[1] - axis[0]
-    span = n * h
-    return (np.arange(n) * h + span / 2.0) % span - span / 2.0
 
 
 def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,

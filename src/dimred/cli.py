@@ -1,7 +1,10 @@
 """Command-line interface.
 
     dimred transverse|nls-evolve|manybody-evolve|alpha|aux-verify|sweep|verify-all
-           [--config FILE] [--out DIR] [--seed U64] [command flags]
+           [command flags]
+
+Each command accepts only the flags it reads (README, "CLI").  A config key
+the file leaves out takes its value from config.DEFAULT_CONFIG_TEXT.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 configuration
 error, 3 resource cap exceeded.
@@ -18,33 +21,44 @@ import sys
 
 import numpy as np
 
-from . import auxiliary, manybody, nls, potentials, projectors, scaling, transverse
+from . import auxiliary, harness, manybody, nls, potentials, projectors, scaling, transverse
 from .config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
 from .errors import ConfigError, DimredError, SizeError
 
 
-def _add_common(p):
+def _add_common(p, out: bool = True):
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    if out:
+        p.add_argument("--out", default=None, help="output directory")
 
 
 def _load_config(args) -> Config:
-    cfg = Config.from_file(args.config) if args.config else Config.from_text(DEFAULT_CONFIG_TEXT)
-    return cfg
+    return Config.from_file(args.config) if args.config else Config.from_text(DEFAULT_CONFIG_TEXT)
 
 
 def _outdir(args, cfg: Config) -> str:
-    out = args.out or cfg.get("output.dir", "out")
+    out = args.out or cfg.get("output.dir")
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _point(env: ExperimentConfig, n: int | None, epsilon: float | None) -> scaling.ScalingPoint:
+    """The point of --n/--epsilon.  Without --n: N of the config's first
+    sequence point; without --epsilon: N^-gamma, or the listed point's epsilon."""
+    listed = {p.n_particles: p.epsilon for p in env.points()}
+    n = env.points()[0].n_particles if n is None else n
+    if epsilon is None and env.gamma is None and n not in listed:
+        raise ConfigError(f"--epsilon is needed: N = {n} is not in sequence.points")
+    if epsilon is None:
+        epsilon = float(n) ** -env.gamma if env.gamma is not None else listed[n]
+    return scaling.make_point(n, epsilon, env.beta)
 
 
 def cmd_transverse(args) -> int:
     cfg = _load_config(args)
     dim = cfg.get_int("confinement.dimension", 1)
     conf = potentials.with_dimension(
-        potentials.confinement_by_name(cfg.get("confinement.name", "harmonic")), dim)
+        potentials.confinement_by_name(cfg.get("confinement.name")), dim)
     extent = cfg.get_float("transverse.extent", 9.0 if dim == 1 else 6.5)
     points = cfg.get_int("transverse.points", 4001 if dim == 1 else 421)
     mode = transverse.solve_modes(conf, transverse.TransverseGrid(extent, points), 2)
@@ -69,11 +83,11 @@ def cmd_transverse(args) -> int:
 def cmd_nls_evolve(args) -> int:
     cfg = _load_config(args)
     length = args.length if args.length is not None else cfg.get_float("nls.length", 16 * math.pi)
-    points = args.points if args.points is not None else cfg.get_int("nls.points", 256)
-    dt = args.dt if args.dt is not None else cfg.get_float("nls.dt", 1e-3)
-    t_final = args.t_final if args.t_final is not None else cfg.get_float("time.final", 1.0)
+    points = args.points if args.points is not None else cfg.get_int("nls.points")
+    dt = args.dt if args.dt is not None else cfg.get_float("nls.dt")
+    t_final = args.t_final if args.t_final is not None else cfg.get_float("time.final")
     b = args.b if args.b is not None else cfg.get_float("nls.b", 1.0)
-    pot_name = args.potential or cfg.get("external.name", "zero")
+    pot_name = args.potential or cfg.get("external.name")
     external = None if pot_name == "zero" else potentials.external_by_name(pot_name)
     grid = nls.Grid1D(length, points)
     if args.initial == "plane":
@@ -100,39 +114,13 @@ def cmd_nls_evolve(args) -> int:
     return 0
 
 
-def _sweep_setup(cfg: Config) -> ExperimentConfig:
-    return ExperimentConfig.from_config(cfg)
-
 def cmd_manybody_evolve(args) -> int:
     cfg = _load_config(args)
-    env = _sweep_setup(cfg)
-    point = scaling.make_point(
-        args.n or env.n_values[0],
-        args.epsilon if args.epsilon is not None else float(args.n or env.n_values[0]) ** (-(env.gamma or 1.0)),
-        env.beta,
-    )
-    conf = potentials.with_dimension(
-        potentials.confinement_by_name(env.confinement_name), env.d_perp)
-    tgrid = transverse.TransverseGrid(env.transverse_extent, env.transverse_points)
-    unscaled = transverse.solve_modes(conf, tgrid, n_modes=max(env.m_y, 2))
-    profile = potentials.uniform_ball(env.profile_height, env.profile_radius) \
-        if env.profile_name == "uniform_ball" else potentials.profile_by_name(env.profile_name)
-    scaled = potentials.scale(profile, point, d_perp=env.d_perp)
-    external = None if env.external_name == "zero" else potentials.external_by_name(env.external_name)
-    basis = manybody.build_basis(point, conf, external, scaled, env.m_x, env.m_y,
-                                 env.box_length, unscaled_mode=unscaled)
-    fock = manybody.FockBasis(basis.n_modes, point.n_particles,
-                              env.max_excitations, env.dim_cap)
-    amps = np.zeros(fock.dim, dtype=complex)
-    tgt = np.zeros((1, fock.n_modes), dtype=np.uint8)
-    tgt[0, 0] = fock.n_particles
-    amps[fock.lookup(tgt)[0]] = 1.0
-    state = manybody.ManyBodyState(fock, amps)
-    ham = manybody.hamiltonian(basis, fock, 0.0)
-    static = not basis.time_dependent
-    traj = manybody.evolve(state, basis, env.manybody_dt, env.t_final,
-                           n_outputs=args.outputs, krylov_tol=env.krylov_tol,
-                           h=ham if static else None)
+    env = ExperimentConfig.from_config(cfg)
+    point = _point(env, args.n, args.epsilon)
+    setup = harness.point_setup(env, point, harness.sweep_inputs(env))
+    basis, fock = setup.basis, setup.fock
+    traj = setup.evolve(env, args.outputs)
     out = _outdir(args, cfg)
     path = os.path.join(out, "manybody.csv")
     proj = projectors.basis_mode_projector(basis.n_modes, 0, basis.mode_my)
@@ -140,8 +128,7 @@ def cmd_manybody_evolve(args) -> int:
         fh.write("t,norm,energy,E_renormalized,condensate_fraction,"
                  "trace_distance_to_condensate\n")
         for s in traj.states:
-            ham_t = ham if static else manybody.hamiltonian(basis, fock, s.time)
-            e_ren = manybody.renormalized_energy(s, basis, s.time, h=ham_t)
+            e_ren = manybody.renormalized_energy(s, basis, s.time, h=setup.hamiltonian(s.time))
             e_abs = e_ren + basis.e0_scaled
             occ = manybody.number_expectations(s)
             frac = occ[0] / fock.n_particles
@@ -156,7 +143,8 @@ def cmd_manybody_evolve(args) -> int:
         np.savez(spath, occupations=traj.final.fock.occupations,
                  amplitudes=traj.final.amplitudes, time=traj.final.time,
                  mode_kx=basis.mode_kx, mode_my=basis.mode_my,
-                 box_length=basis.box_length, epsilon=point.epsilon)
+                 box_length=basis.box_length, epsilon=point.epsilon,
+                 max_excitations=fock.max_excitations)
         print(f"wrote {spath}")
     return 0
 
@@ -167,7 +155,8 @@ def cmd_alpha(args) -> int:
     amplitudes = data["amplitudes"]
     n_modes = occupations.shape[1]
     n_particles = int(occupations[0].sum())
-    fock = manybody.FockBasis(n_modes, n_particles)
+    max_exc = int(data["max_excitations"]) if "max_excitations" in data else None
+    fock = manybody.FockBasis(n_modes, n_particles, max_exc)
     # align the dump with the freshly enumerated (sorted) basis
     idx = fock.lookup(occupations)
     amps = np.zeros(fock.dim, dtype=complex)
@@ -192,13 +181,10 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_aux_verify(args) -> int:
-    cfg = _load_config(args)
-    beta = cfg.get_float("sequence.beta", 0.5)
-    n = args.n or 1000
-    eps = args.epsilon or float(n) ** (-(cfg.get_float("sequence.gamma", 1.0)))
-    point = scaling.make_point(n, eps, beta)
-    profile = potentials.uniform_ball(cfg.get_float("interaction.height", 1.0),
-                                      cfg.get_float("interaction.radius", 1.0))
+    env = ExperimentConfig.from_config(_load_config(args))
+    beta = env.beta
+    point = _point(env, args.n, args.epsilon)
+    profile = harness.interaction_profile(env)
     scaled = potentials.scale(profile, point)
     report = {}
     h_uni = auxiliary.build_h_epsilon(scaled, n_samples=4096, grid="uniform")
@@ -244,17 +230,16 @@ def cmd_aux_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    env = _sweep_setup(cfg)
-    from .harness import fit_rate, run_sweep
+    env = ExperimentConfig.from_config(cfg)
     out = _outdir(args, cfg)
     path = os.path.join(out, "sweep.csv")
-    result = run_sweep(env, out_path=path)
+    result = harness.run_sweep(env, out_path=path)
     print(f"wrote {path} ({len(result.rows)} rows, {len(result.failures)} failures)")
     for failure in result.failures:
         print(f"  FAILED N={failure[0]} eps={failure[1]}: {failure[2]}: {failure[3]}")
     if len(result.rows) >= 4:
         try:
-            fit = fit_rate(result.rows)
+            fit = harness.fit_rate(result.rows)
             print(f"rate fit: constant={fit.constant:.4g} slope={fit.slope:.4g} "
                   f"r2={fit.r_squared:.4g}")
         except DimredError as exc:
@@ -263,10 +248,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    from .harness import verify_all
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
-    report = verify_all(seed=seed)
+    seed = args.seed if args.seed is not None else cfg.get_int("seed")
+    report = harness.verify_all(seed=seed)
     print(json.dumps(report.as_dict(), indent=2))
     if args.out:
         out = _outdir(args, cfg)
@@ -308,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_manybody_evolve)
 
     p = sub.add_parser("alpha", help="counting functionals of a state dump")
-    _add_common(p)
     p.add_argument("state", help="state .npz produced by manybody-evolve")
     p.add_argument("--mode", type=int, default=0, help="condensate basis mode")
     p.add_argument("--xi", type=float, default=0.1)
@@ -316,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_alpha)
 
     p = sub.add_parser("aux-verify", help="integration-by-parts battery")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
+    _add_common(p, out=False)
+    p.add_argument("--n", type=int, default=1000)
     p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(fn=cmd_aux_verify)
 
@@ -327,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="cross-module verification battery")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.set_defaults(fn=cmd_verify_all)
     return ap
 

@@ -8,7 +8,7 @@ comma-separated.  Explicit scaling points use ``N:epsilon`` pairs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -51,11 +51,13 @@ class Config:
         return key in self._entries
 
     def get(self, key: str, default=None, required: bool = False) -> str:
-        if key not in self._entries:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        return self._entries[key]
+        """The entry for `key`; else the default table's entry (sequence.* keys
+        are never defaulted); else `default`, or ConfigError if `required`."""
+        if key in self._entries:
+            return self._entries[key]
+        if required:
+            raise ConfigError(f"missing required key {key!r}")
+        return _FALLBACKS.get(key, default)
 
     def _convert(self, key, conv, default, required):
         raw = self.get(key, None, required)
@@ -71,16 +73,6 @@ class Config:
 
     def get_float(self, key, default=None, required=False) -> float:
         return self._convert(key, float, default, required)
-
-    def get_bool(self, key, default=None, required=False) -> bool:
-        def conv(s):
-            s = s.lower()
-            if s in ("true", "yes", "1", "on"):
-                return True
-            if s in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(s)
-        return self._convert(key, conv, default, required)
 
     def get_list(self, key, conv=str, default=None, required=False) -> list:
         raw = self.get(key, None, required)
@@ -117,37 +109,42 @@ class Config:
         return hashlib.sha256(self.canonical_dump().encode()).hexdigest()[:16]
 
 
+# The default table: exactly the entries of configs/default.cfg.  Every key
+# except sequence.* falls back to it (Config.get).
 DEFAULT_CONFIG_TEXT = """
-# scaling sequence
+# Condensation-persistence sweep along the admissible beta = 1/2, gamma = 1
+# power-law family (the acceptance configuration).
+
+# scaling sequence: epsilon = N^-gamma at the listed particle numbers
 sequence.beta = 0.5
 sequence.gamma = 1.0
 sequence.n_values = 2, 3, 4, 5, 6, 7, 8
 
 # interaction and traps
-interaction.profile = uniform_ball
+interaction.profile = uniform_ball    # uniform_ball | gaussian_bump | <path>.csv
 interaction.height = 3.0
 interaction.radius = 1.0
-confinement.name = harmonic
-external.name = zero
+confinement.name = harmonic           # harmonic | softened
+external.name = zero                  # zero | gaussian_well | driven_well
 
 # many-body truncation
 manybody.d_perp = 1
 manybody.m_x = 9
 manybody.m_y = 3
-manybody.max_excitations = 3
+manybody.max_excitations = 3          # particles allowed outside the condensate
 manybody.box_length = 6.283185307179586
 manybody.transverse_extent = 8.0
-manybody.transverse_points = 481
+manybody.transverse_points = 961
 manybody.dim_cap = 200000
 
 # solvers
-nls.points = 256
+nls.points = 128
 nls.dt = 0.001
 manybody.dt = 0.01
 time.final = 0.5
 krylov.tol = 1e-10
 
-# rate inputs
+# rate inputs (xi <= beta/4, beta1 <= beta)
 rate.xi = 0.1
 rate.beta1 = 0.25
 rate.eta = 1.0
@@ -156,6 +153,9 @@ rate.eta = 1.0
 output.dir = out
 seed = 12345
 """
+
+_FALLBACKS = {k: v for k, v in parse_kv_text(DEFAULT_CONFIG_TEXT).items()
+              if not k.startswith("sequence.")}
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class ExperimentConfig:
     d_perp: int
     m_x: int
     m_y: int
-    max_excitations: int | None
+    max_excitations: int
     box_length: float
     transverse_extent: float
     transverse_points: int
@@ -187,10 +187,7 @@ class ExperimentConfig:
     xi: float
     beta1: float
     eta: float
-    output_dir: str
-    seed: int
     config_hash: str
-    raw: Config = field(repr=False, compare=False, default=None)
 
     @classmethod
     def from_config(cls, cfg: Config) -> "ExperimentConfig":
@@ -200,37 +197,33 @@ class ExperimentConfig:
         explicit = tuple(cfg.get_points("sequence.points"))
         if not explicit and (gamma is None or not n_values):
             raise ConfigError("need sequence.points or (sequence.gamma and sequence.n_values)")
-        max_exc = cfg.get_int("manybody.max_excitations")
         env = cls(
             beta=beta,
             gamma=gamma,
             n_values=n_values,
             explicit_points=explicit,
-            profile_name=cfg.get("interaction.profile", "uniform_ball"),
-            profile_height=cfg.get_float("interaction.height", 1.0),
-            profile_radius=cfg.get_float("interaction.radius", 1.0),
-            confinement_name=cfg.get("confinement.name", "harmonic"),
-            external_name=cfg.get("external.name", "zero"),
-            d_perp=cfg.get_int("manybody.d_perp", 1),
-            m_x=cfg.get_int("manybody.m_x", 9),
-            m_y=cfg.get_int("manybody.m_y", 3),
-            max_excitations=max_exc,
-            box_length=cfg.get_float("manybody.box_length", 6.283185307179586),
-            transverse_extent=cfg.get_float("manybody.transverse_extent", 8.0),
-            transverse_points=cfg.get_int("manybody.transverse_points", 481),
-            dim_cap=cfg.get_int("manybody.dim_cap", 200000),
-            nls_points=cfg.get_int("nls.points", 256),
-            nls_dt=cfg.get_float("nls.dt", 1e-3),
-            manybody_dt=cfg.get_float("manybody.dt", 1e-2),
-            t_final=cfg.get_float("time.final", 0.5),
-            krylov_tol=cfg.get_float("krylov.tol", 1e-10),
-            xi=cfg.get_float("rate.xi", 0.1),
-            beta1=cfg.get_float("rate.beta1", 0.25),
-            eta=cfg.get_float("rate.eta", 1.0),
-            output_dir=cfg.get("output.dir", "out"),
-            seed=cfg.get_int("seed", 0),
+            profile_name=cfg.get("interaction.profile"),
+            profile_height=cfg.get_float("interaction.height"),
+            profile_radius=cfg.get_float("interaction.radius"),
+            confinement_name=cfg.get("confinement.name"),
+            external_name=cfg.get("external.name"),
+            d_perp=cfg.get_int("manybody.d_perp"),
+            m_x=cfg.get_int("manybody.m_x"),
+            m_y=cfg.get_int("manybody.m_y"),
+            max_excitations=cfg.get_int("manybody.max_excitations"),
+            box_length=cfg.get_float("manybody.box_length"),
+            transverse_extent=cfg.get_float("manybody.transverse_extent"),
+            transverse_points=cfg.get_int("manybody.transverse_points"),
+            dim_cap=cfg.get_int("manybody.dim_cap"),
+            nls_points=cfg.get_int("nls.points"),
+            nls_dt=cfg.get_float("nls.dt"),
+            manybody_dt=cfg.get_float("manybody.dt"),
+            t_final=cfg.get_float("time.final"),
+            krylov_tol=cfg.get_float("krylov.tol"),
+            xi=cfg.get_float("rate.xi"),
+            beta1=cfg.get_float("rate.beta1"),
+            eta=cfg.get_float("rate.eta"),
             config_hash=cfg.hash(),
-            raw=cfg,
         )
         if not (0.0 < env.xi <= beta / 4.0):
             raise ConfigError(f"rate.xi must lie in (0, beta/4], got {env.xi}")

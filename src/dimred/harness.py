@@ -16,6 +16,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import auxiliary, manybody, nls, potentials, projectors, scaling, transverse
 from .config import ExperimentConfig
@@ -71,7 +72,7 @@ class SweepResult:
         return not self.failures
 
 
-def _profile(cfg: ExperimentConfig) -> potentials.InteractionProfile:
+def interaction_profile(cfg: ExperimentConfig) -> potentials.InteractionProfile:
     if cfg.profile_name == "uniform_ball":
         return potentials.uniform_ball(cfg.profile_height, cfg.profile_radius)
     if cfg.profile_name == "gaussian_bump":
@@ -81,20 +82,68 @@ def _profile(cfg: ExperimentConfig) -> potentials.InteractionProfile:
     return potentials.profile_by_name(cfg.profile_name)
 
 
-def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
-              unscaled_mode: transverse.TransverseMode,
-              profile: potentials.InteractionProfile) -> SweepRow:
-    """Full pipeline for one scaling point (see module docstring)."""
-    conf = potentials.confinement_by_name(cfg.confinement_name)
-    conf = potentials.with_dimension(conf, cfg.d_perp)
-    external = None if cfg.external_name == "zero" else potentials.external_by_name(cfg.external_name)
-    scaled = potentials.scale(profile, point, d_perp=cfg.d_perp)
+@dataclass(frozen=True)
+class SweepInputs:
+    """What every point of a sweep shares; it depends on the config alone."""
 
-    basis = manybody.build_basis(
-        point, conf, external, scaled, cfg.m_x, cfg.m_y, cfg.box_length,
-        unscaled_mode=unscaled_mode,
+    confinement: potentials.ConfinementPotential
+    external: potentials.ExternalPotential | None
+    unscaled_mode: transverse.TransverseMode
+    profile: potentials.InteractionProfile
+
+
+def sweep_inputs(cfg: ExperimentConfig) -> SweepInputs:
+    conf = potentials.with_dimension(
+        potentials.confinement_by_name(cfg.confinement_name), cfg.d_perp)
+    tgrid = transverse.TransverseGrid(cfg.transverse_extent, cfg.transverse_points)
+    return SweepInputs(
+        confinement=conf,
+        external=(None if cfg.external_name == "zero"
+                  else potentials.external_by_name(cfg.external_name)),
+        unscaled_mode=transverse.solve_modes(conf, tgrid, n_modes=max(cfg.m_y, 2)),
+        profile=interaction_profile(cfg),
     )
-    b_eff = potentials.effective_coupling(scaled, basis.transverse.quartic)
+
+
+@dataclass(frozen=True)
+class PointSetup:
+    """The N-body problem of one scaling point, started from the condensate."""
+
+    basis: manybody.ModeBasis
+    fock: manybody.FockBasis
+    psi0: manybody.ManyBodyState
+    h0: sp.csr_matrix           # H(0)
+    static: bool                # the field is time-independent, so H(t) = H(0)
+
+    def hamiltonian(self, t: float):
+        return self.h0 if self.static else manybody.hamiltonian(self.basis, self.fock, t)
+
+    def evolve(self, cfg: ExperimentConfig, n_outputs: int) -> manybody.ManyBodyTrajectory:
+        return manybody.evolve(self.psi0, self.basis, cfg.manybody_dt, cfg.t_final,
+                               n_outputs=n_outputs, krylov_tol=cfg.krylov_tol,
+                               h=self.h0 if self.static else None)
+
+
+def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
+                inputs: SweepInputs) -> PointSetup:
+    scaled = potentials.scale(inputs.profile, point, d_perp=cfg.d_perp)
+    basis = manybody.build_basis(
+        point, inputs.confinement, inputs.external, scaled, cfg.m_x, cfg.m_y,
+        cfg.box_length, unscaled_mode=inputs.unscaled_mode,
+    )
+    fock = manybody.FockBasis(basis.n_modes, point.n_particles,
+                              cfg.max_excitations, cfg.dim_cap)
+    psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
+    return PointSetup(basis, fock, psi0, manybody.hamiltonian(basis, fock, 0.0),
+                      static=not basis.time_dependent)
+
+
+def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
+              inputs: SweepInputs) -> SweepRow:
+    """Full pipeline for one scaling point (see module docstring)."""
+    setup = point_setup(cfg, point, inputs)
+    basis, external = setup.basis, inputs.external
+    b_eff = potentials.effective_coupling(basis.scaled, basis.transverse.quartic)
 
     # effective dynamics: uniform condensate on the box
     grid = nls.Grid1D(cfg.box_length, cfg.nls_points)
@@ -105,17 +154,10 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     e_phi_t = nls.effective_energy(phi_t, external, b_eff, cfg.t_final)
 
     # N-body dynamics from the matching product state
-    fock = manybody.FockBasis(basis.n_modes, point.n_particles,
-                              cfg.max_excitations, cfg.dim_cap)
-    psi0 = manybody.ManyBodyState(fock, _condensed_amplitudes(fock), 0.0)
-    ham = manybody.hamiltonian(basis, fock, 0.0)
-    e_psi0 = manybody.renormalized_energy(psi0, basis, 0.0, h=ham)
-    static = not basis.time_dependent
-    mtraj = manybody.evolve(psi0, basis, cfg.manybody_dt, cfg.t_final, n_outputs=1,
-                            krylov_tol=cfg.krylov_tol, h=ham if static else None)
-    psi_t = mtraj.final
-    ham_t = ham if static else manybody.hamiltonian(basis, fock, cfg.t_final)
-    e_psi_t = manybody.renormalized_energy(psi_t, basis, cfg.t_final, h=ham_t)
+    e_psi0 = manybody.renormalized_energy(setup.psi0, basis, 0.0, h=setup.h0)
+    psi_t = setup.evolve(cfg, 1).final
+    e_psi_t = manybody.renormalized_energy(psi_t, basis, cfg.t_final,
+                                           h=setup.hamiltonian(cfg.t_final))
 
     # condensate projector at time T from the evolved NLS state
     phi_coeffs = _phi_plane_wave_coefficients(phi_t, basis)
@@ -132,7 +174,7 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     env = nls.envelope(env_in)
     rate = scaling.theoretical_rate(point, scaling.RateInputs(cfg.xi, cfg.beta1, cfg.eta))
     excited = manybody.transverse_excited_fraction(psi_t, basis)
-    gamma_disc = auxiliary.discrepancy_gamma(scaled, phi_t, basis.transverse).l2_norm
+    gamma_disc = auxiliary.discrepancy_gamma(basis.scaled, phi_t, basis.transverse).l2_norm
 
     return SweepRow(
         n_particles=point.n_particles,
@@ -152,15 +194,6 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     )
 
 
-def _condensed_amplitudes(fock: manybody.FockBasis) -> np.ndarray:
-    amps = np.zeros(fock.dim, dtype=complex)
-    target = np.zeros((1, fock.n_modes), dtype=np.uint8)
-    target[0, 0] = fock.n_particles
-    idx = fock.lookup(target)[0]
-    amps[idx] = 1.0
-    return amps
-
-
 def _phi_plane_wave_coefficients(phi: nls.CondensateState, basis: manybody.ModeBasis) -> np.ndarray:
     """Coefficients of Phi over the basis plane waves e^(ikx)/sqrt(L).
 
@@ -176,15 +209,11 @@ def _phi_plane_wave_coefficients(phi: nls.CondensateState, basis: manybody.ModeB
 
 
 def run_sweep(cfg: ExperimentConfig, out_path: str | None = None) -> SweepResult:
-    profile = _profile(cfg)
-    conf = potentials.with_dimension(
-        potentials.confinement_by_name(cfg.confinement_name), cfg.d_perp)
-    tgrid = transverse.TransverseGrid(cfg.transverse_extent, cfg.transverse_points)
-    unscaled = transverse.solve_modes(conf, tgrid, n_modes=max(cfg.m_y, 2))
+    inputs = sweep_inputs(cfg)
     result = SweepResult(config_hash=cfg.config_hash)
     for point in cfg.points():
         try:
-            result.rows.append(run_point(cfg, point, unscaled, profile))
+            result.rows.append(run_point(cfg, point, inputs))
         except DimredError as exc:
             result.failures.append((point.n_particles, point.epsilon,
                                     type(exc).__name__, str(exc)))
@@ -234,13 +263,8 @@ def fit_rate(rows) -> RateFit:
     mask = td > 1e-14
     if mask.sum() < 4:
         raise InsufficientDataError("fewer than 4 non-degenerate rows after filtering")
-    x = 0.5 * np.log(rt[mask])
-    y = np.log(td[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2)) or 1e-300
-    return RateFit(float(np.exp(intercept)), float(slope), 1.0 - ss_res / ss_tot)
+    fit = auxiliary._loglog_fit(np.sqrt(rt[mask]), td[mask])
+    return RateFit(float(np.exp(fit.log_constant)), fit.slope, fit.r_squared)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,13 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import comb
 
+from .config import Config
 from .errors import DomainError, InstabilityError, ResolutionError, SizeError, ToleranceError
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction
 from .scaling import ScalingPoint
-from .transverse import TransverseGrid, TransverseMode, rescale, solve_modes
+from .transverse import TransverseMode, _normalize_and_sign, rescale, wrapped_offsets
 
-DEFAULT_DIM_CAP = 200_000
+DEFAULT_DIM_CAP = Config({}).get_int("manybody.dim_cap")    # from the default table
 GRID_CAP = 2**28
 MIN_POINTS_PER_RANGE = 8
 TWO_BODY_BATCH_BYTES = 1 << 23
@@ -105,9 +106,6 @@ class FockBasis:
         hit = self._packed[pos_c] == packed
         return np.where(hit, pos_c, -1).astype(np.int64)
 
-    def excitations(self) -> np.ndarray:
-        return self.n_particles - self.occupations[:, 0].astype(np.int64)
-
 
 @dataclass
 class ManyBodyState:
@@ -140,12 +138,10 @@ def product_state(fock: FockBasis, coeffs: np.ndarray, time: float = 0.0) -> Man
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n + 1)))))
     log_multinomial = log_fact[n] - log_fact[occ].sum(axis=1)
     mag = np.abs(coeffs)
-    phase = np.angle(coeffs)
-    with np.errstate(divide="ignore"):
-        log_mag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    log_amp = 0.5 * log_multinomial + occ @ log_mag
-    amp = np.exp(log_amp) * np.exp(1j * (occ @ phase))
-    amp[np.isneginf(log_amp)] = 0.0
+    log_mag = np.log(np.where(mag > 0, mag, 1.0))
+    amp = np.exp(0.5 * log_multinomial + occ @ log_mag) * np.exp(1j * (occ @ np.angle(coeffs)))
+    # rows that occupy a mode phi leaves empty
+    amp[(occ[:, mag == 0] > 0).any(axis=1)] = 0.0
     retained = np.linalg.norm(amp)
     if retained < 0.9:
         raise ResolutionError(
@@ -166,7 +162,7 @@ class ModeBasis:
     scaled: ScaledInteraction
     box_length: float
     kx: np.ndarray                # integer momentum per longitudinal mode, ascending
-    transverse: TransverseMode    # rescaled; `modes` holds the M_y eigenfunctions
+    transverse: TransverseMode    # rescaled; `modes` starts with the M_y basis eigenfunctions
     mode_kx: np.ndarray           # per flat mode: integer momentum
     mode_my: np.ndarray           # per flat mode: transverse index
     energies: np.ndarray          # shifted one-body energies kx_phys^2 + (E_m - E_0)/eps^2
@@ -187,7 +183,7 @@ class ModeBasis:
 
     @property
     def m_y(self) -> int:
-        return len(self.transverse.modes)
+        return int(self.mode_my.max()) + 1
 
     @property
     def time_dependent(self) -> bool:
@@ -198,19 +194,6 @@ class ModeBasis:
         if len(hit) == 0:
             raise DomainError(f"mode (kx={kx_int}, my={my}) not in basis")
         return int(hit[0])
-
-    def k_phys(self, kx_int) -> np.ndarray:
-        return 2.0 * math.pi * np.asarray(kx_int, dtype=float) / self.box_length
-
-    def wrap_k(self, kx_int: int) -> int | None:
-        """Map an integer momentum into the mode set (mod n_x if grid-matched)."""
-        if self.momentum_modulus is not None:
-            n = self.momentum_modulus
-            kmin = int(self.kx.min())
-            return (kx_int - kmin) % n + kmin
-        if self.kx.min() <= kx_int <= self.kx.max():
-            return kx_int
-        return None
 
     def w_element(self, a: int, b: int, c: int, d: int) -> complex:
         """<ab|w|cd>; zero unless longitudinal momentum is conserved."""
@@ -242,7 +225,7 @@ class ModeBasis:
             return self._vpar_cache[key]
         n_aux = max(8 * self.m_x, 1024)
         x = np.arange(n_aux) * self.box_length / n_aux - self.box_length / 2.0
-        tau = self.transverse.modes
+        tau = self.transverse.modes[:self.m_y]
         y = self.transverse.axis
         wy = self.transverse.weight
         if self.transverse.dimension == 1:
@@ -267,14 +250,6 @@ class ModeBasis:
         if key is not None:
             self._vpar_cache[key] = h
         return h
-
-
-def _transverse_offsets(axis: np.ndarray) -> np.ndarray:
-    """Wrapped pairwise offsets of a uniform grid, FFT ordering."""
-    n = len(axis)
-    h = axis[1] - axis[0]
-    span = n * h
-    return (np.arange(n) * h + span / 2.0) % span - span / 2.0
 
 
 def _pair_products(modes: np.ndarray) -> np.ndarray:
@@ -330,11 +305,11 @@ def _assemble_vq_grid(scaled, transverse: TransverseMode, x_transform) -> np.nda
     axis = transverse.axis
     dim = transverse.dimension
     if dim == 1:
-        offs = _transverse_offsets(axis)
+        offs = wrapped_offsets(axis)
         u_norms = np.abs(offs)
         weight_u = transverse.spacing
     else:
-        o = _transverse_offsets(axis)
+        o = wrapped_offsets(axis)
         u1, u2 = np.meshgrid(o, o, indexing="ij")
         u_norms = np.sqrt(u1**2 + u2**2).ravel()
         weight_u = transverse.spacing**2
@@ -346,23 +321,22 @@ def _assemble_vq_grid(scaled, transverse: TransverseMode, x_transform) -> np.nda
     return weight_u * np.einsum("qu,acbdu->qabcd", what, corr)
 
 
-def _assemble_vq_continuum(scaled, transverse: TransverseMode, x_transform,
+def _assemble_vq_continuum(scaled, transverse: TransverseMode, my: int, x_transform,
                            n_gl: int = 64) -> np.ndarray:
-    """Continuum variant: spline the exact grid correlations in the offset and
-    Gauss-integrate against What over the interaction support, which handles
-    the square-root edge of compactly supported profiles far better than a
-    trapezoid sum at the grid spacing."""
+    """Continuum variant over the first `my` transverse modes: spline the exact
+    grid correlations in the offset and Gauss-integrate against What over the
+    interaction support, which handles the square-root edge of compactly
+    supported profiles far better than a trapezoid sum at the grid spacing."""
     from scipy.interpolate import CubicSpline
 
     axis = transverse.axis
     dim = transverse.dimension
-    my = transverse.modes.shape[0]
     r = scaled.range
-    pairs = _pair_products(transverse.modes)
+    pairs = _pair_products(transverse.modes[:my])
     corr = _correlations(pairs, transverse.weight, dim)
     nodes, weights = np.polynomial.legendre.leggauss(n_gl)
     if dim == 1:
-        offs = _transverse_offsets(axis)
+        offs = wrapped_offsets(axis)
         order = np.argsort(offs)
         corr_flat = corr.reshape(my**4, -1)[:, order]
         splines = CubicSpline(offs[order], corr_flat, axis=1)
@@ -370,7 +344,7 @@ def _assemble_vq_continuum(scaled, transverse: TransverseMode, x_transform,
         uw = r * weights
         s_at = splines(u)                            # (my^4, n_gl)
     else:
-        o = _transverse_offsets(axis)
+        o = wrapped_offsets(axis)
         order = np.argsort(o)
         corr_sorted = corr.reshape(my**4, len(o), len(o))[:, order][:, :, order]
         # radial offsets: interpolate on the sorted 2-d offset grid
@@ -393,10 +367,6 @@ def _assemble_vq_continuum(scaled, transverse: TransverseMode, x_transform,
     return vq.reshape(-1, my, my, my, my).transpose(0, 1, 3, 2, 4)
 
 
-def _points_per_range(scaled: ScaledInteraction, spacing: float) -> float:
-    return scaled.range / spacing
-
-
 def build_basis(
     point: ScalingPoint,
     confinement: ConfinementPotential,
@@ -405,22 +375,18 @@ def build_basis(
     m_x: int,
     m_y: int,
     box_length: float,
-    transverse_grid: TransverseGrid | None = None,
-    unscaled_mode: TransverseMode | None = None,
+    unscaled_mode: TransverseMode,
 ) -> ModeBasis:
-    """Continuum mode basis: m_x symmetric plane waves x m_y trap eigenmodes."""
+    """Continuum mode basis: m_x symmetric plane waves x the first m_y trap
+    eigenmodes of `unscaled_mode`, rescaled to the point's epsilon."""
     if m_x % 2 == 0:
         raise DomainError("m_x must be odd so the plane-wave set is symmetric around 0")
     if scaled.d_perp != confinement.dimension:
         raise DomainError("interaction d_perp must match the confinement dimension")
-    if unscaled_mode is None:
-        if transverse_grid is None:
-            raise DomainError("either transverse_grid or unscaled_mode is required")
-        unscaled_mode = solve_modes(confinement, transverse_grid, n_modes=max(m_y, 2))
     if unscaled_mode.modes.shape[0] < m_y:
         raise DomainError("unscaled_mode holds fewer than m_y eigenmodes")
     tmode = rescale(unscaled_mode, point.epsilon)
-    ppr = _points_per_range(scaled, tmode.spacing)
+    ppr = scaled.range / tmode.spacing
     if ppr < MIN_POINTS_PER_RANGE:
         raise ResolutionError(
             f"transverse grid has {ppr:.1f} points across the interaction range "
@@ -437,7 +403,7 @@ def build_basis(
     energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + e_t[mode_my]
     q_ints = np.arange(-(m_x - 1), m_x, dtype=np.int64)
     q_phys = 2.0 * math.pi * q_ints / box_length
-    vq = _assemble_vq_continuum(scaled, tmode,
+    vq = _assemble_vq_continuum(scaled, tmode, m_y,
                                 lambda u: _cosine_transform_x(scaled, q_phys, u))
     return ModeBasis(
         point=point, scaled=scaled, box_length=box_length, kx=kx,
@@ -468,11 +434,7 @@ def build_grid_matched_basis(
     v_scaled = confinement.on_grid(y / point.epsilon) / point.epsilon**2
     ham = kin + np.diag(v_scaled)
     vals, vecs = eigh((ham + ham.T) / 2.0)
-    modes = np.empty((n_y, n_y))
-    for i in range(n_y):
-        vec = vecs[:, i] / math.sqrt(np.sum(vecs[:, i] ** 2) * h_y)
-        peak = np.argmax(np.abs(vec))
-        modes[i] = vec if vec[peak] >= 0 else -vec
+    modes = np.stack([_normalize_and_sign(vecs[:, i], h_y) for i in range(n_y)])
     tmode = TransverseMode(axis=y, chi=modes[0], modes=modes,
                            energies=vals, dimension=1, epsilon=point.epsilon)
     # no points-per-range gate here: the pair potential is discretized on the
@@ -563,8 +525,8 @@ def _interaction_terms(basis: ModeBasis):
     m, m_y = basis.n_modes, basis.m_y
     mode_kx = basis.mode_kx
     kmin, kmax = int(basis.kx.min()), int(basis.kx.max())
-    # vq may hold more transverse modes (basis.m_y) than the basis uses; -1 marks those
-    mode_at = np.full((kmax - kmin + 1, m_y), -1, dtype=np.int64)
+    # both basis builders take every (k, m_y) pair, so every slot is filled
+    mode_at = np.empty((kmax - kmin + 1, m_y), dtype=np.int64)
     mode_at[mode_kx - kmin, basis.mode_my] = np.arange(m)
     c, d, a = (g.ravel() for g in np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
                                               indexing="ij"))
@@ -574,8 +536,6 @@ def _interaction_terms(basis: ModeBasis):
     inside = (kb >= kmin) & (kb <= kmax)
     a, c, d = (np.repeat(x[inside], m_y) for x in (a, c, d))
     b = mode_at[kb[inside] - kmin].ravel()
-    ok = b >= 0
-    a, b, c, d = a[ok], b[ok], c[ok], d[ok]
     w = _w_gather(basis, a, b, c, d)
     nz = w != 0.0
     a, b, c, d, w = a[nz], b[nz], c[nz], d[nz], w[nz]

@@ -29,7 +29,6 @@ from .manybody import (
     ManyBodyState,
     ModeBasis,
     condensate_coefficients,
-    number_expectations,
     one_body_operator,
     reduced_density,
 )
@@ -149,11 +148,6 @@ class WeightNormReport:
     l_bound: float           # N^xi, exact ceiling
     l_n_norm: float
     l_norm_ok: bool
-
-    @property
-    def summary(self) -> str:
-        return (f"N={self.n_particles} xi={self.xi}: |l|={self.l_norm:.6g} "
-                f"<= N^xi={self.l_bound:.6g}: {self.l_norm_ok}; |l n|={self.l_n_norm:.6g}")
 
 
 def weight_norm_checks(n_particles: int, xi: float) -> WeightNormReport:
@@ -533,11 +527,3 @@ class DenseSystem:
         r3 = np.linalg.norm(self.q_phi @ self.p)
         r4 = np.linalg.norm(self.p_phi @ self.p - self.p)
         return float(max(r1, r2, r3, r4))
-
-    def apply_weight(self, psi: np.ndarray, weight: WeightFunction) -> np.ndarray:
-        out = np.zeros_like(psi)
-        karr = np.arange(self.n + 1)
-        vals = weight(karr)
-        for k in range(self.n + 1):
-            out = out + vals[k] * self.project_k(psi, k)
-        return out

@@ -141,8 +141,12 @@ def solve_modes(confinement: ConfinementPotential, grid: TransverseGrid,
                           dimension=confinement.dimension)
 
 
-def solve_ground(confinement: ConfinementPotential, grid: TransverseGrid) -> TransverseMode:
-    return solve_modes(confinement, grid, n_modes=2)
+def wrapped_offsets(axis: np.ndarray) -> np.ndarray:
+    """Offsets of a uniform grid from its first point, wrapped into one
+    period centered at 0: the offsets of a circular correlation, FFT order."""
+    h = axis[1] - axis[0]
+    span = len(axis) * h
+    return (np.arange(len(axis)) * h + span / 2.0) % span - span / 2.0
 
 
 def rescale(mode: TransverseMode, epsilon: float) -> TransverseMode:

@@ -174,3 +174,105 @@ def test_size_cap_exit_code(tmp_path):
                         "manybody.transverse_points = 961")
     cfg.write_text(text)
     assert main(["manybody-evolve", "--config", str(cfg), "--n", "14"]) == 3
+
+
+def test_alpha_reads_capped_dump(capsys, tmp_path):
+    # the default modes (27) at N = 6 need the dump's cap 3: untruncated, the
+    # rebuilt basis would have 906192 states, over the size cap
+    rc = main(["manybody-evolve", "--n", "6", "--outputs", "1", "--dump-state",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    dump = np.load(tmp_path / "state_final.npz")
+    assert int(dump["max_excitations"]) == 3 and dump["occupations"].shape == (3654, 27)
+    capsys.readouterr()
+    assert main(["alpha", str(tmp_path / "state_final.npz")]) == 0
+    data = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert len(data["probs"]) == 7
+    assert sum(data["probs"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_manybody_evolve_matches_shared_setup(tmp_path):
+    from dimred import harness, scaling
+    from dimred.config import Config, ExperimentConfig
+
+    text = FAST_SWEEP.replace("interaction.profile = uniform_ball",
+                              "interaction.profile = gaussian_bump")
+    path = tmp_path / "bump.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["manybody-evolve", "--config", str(path), "--n", "3", "--outputs", "1",
+               "--dump-state", "--out", str(out)])
+    assert rc == 0
+    dump = np.load(out / "state_final.npz")
+    env = ExperimentConfig.from_config(Config.from_text(text))
+    assert env.profile_height == 3.0
+    point = scaling.make_point(3, 3.0 ** -env.gamma, env.beta)
+    setup = harness.point_setup(env, point, harness.sweep_inputs(env))
+    profile = setup.basis.scaled.profile
+    assert (profile.name, profile.sup_bound, profile.support_radius) == ("gaussian_bump", 3.0, 1.0)
+    psi_t = setup.evolve(env, 1).final
+    assert np.array_equal(dump["occupations"], setup.fock.occupations)
+    assert np.max(np.abs(dump["amplitudes"] - psi_t.amplitudes)) < 1e-12
+
+
+def test_manybody_evolve_csv_profile(tmp_path):
+    table = tmp_path / "ball.csv"
+    table.write_text("# r,w\n0.0,3.0\n0.5,3.0\n1.0,1.0\n")
+    path = tmp_path / "table.cfg"
+    path.write_text(FAST_SWEEP.replace("interaction.profile = uniform_ball",
+                                       f"interaction.profile = {table}"))
+    rc = main(["manybody-evolve", "--config", str(path), "--n", "2", "--outputs", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len((tmp_path / "out" / "manybody.csv").read_text().splitlines()) == 3
+
+
+def test_manybody_evolve_explicit_points(tmp_path):
+    path = tmp_path / "points.cfg"
+    path.write_text(FAST_SWEEP.replace("sequence.gamma = 1.0\nsequence.n_values = 2, 3",
+                                       "sequence.points = 2:0.5, 3:0.3"))
+    out = str(tmp_path / "out")
+    assert main(["manybody-evolve", "--config", str(path), "--outputs", "1", "--out", out]) == 0
+    assert main(["manybody-evolve", "--config", str(path), "--n", "3", "--outputs", "1",
+                 "--out", out]) == 0
+    # N = 4 is not listed, so its epsilon must be given
+    assert main(["manybody-evolve", "--config", str(path), "--n", "4", "--out", out]) == 2
+    assert main(["manybody-evolve", "--config", str(path), "--n", "4", "--epsilon", "0.3",
+                 "--outputs", "1", "--out", out]) == 0
+
+
+def test_aux_verify_uses_config_profile(capsys, tmp_path):
+    path = tmp_path / "bump.cfg"
+    path.write_text("sequence.beta = 0.5\nsequence.gamma = 1.0\nsequence.n_values = 2\n"
+                    "interaction.profile = gaussian_bump\n")
+    assert main(["aux-verify", "--config", str(path)]) == 0
+    bump = json.loads(capsys.readouterr().out)
+    assert main(["aux-verify"]) == 0
+    ball = json.loads(capsys.readouterr().out)
+    assert bump["wbar_l1"] < 0.5 * ball["wbar_l1"]
+
+
+def test_verify_all_seed_falls_back_to_default_table(monkeypatch, tmp_path):
+    from dimred import harness
+
+    seeds = []
+    monkeypatch.setattr(harness, "verify_all",
+                        lambda seed: seeds.append(seed) or harness.VerificationReport())
+    path = tmp_path / "noseed.cfg"
+    path.write_text("sequence.beta = 0.5\n")
+    assert main(["verify-all", "--config", str(path)]) == 0
+    assert main(["verify-all", "--seed", "4"]) == 0
+    assert seeds == [12345, 4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "1"],
+    ["alpha", "state.npz", "--config", "x.cfg"],
+    ["alpha", "state.npz", "--out", "o"],
+    ["aux-verify", "--out", "o"],
+    ["transverse", "--seed", "1"],
+])
+def test_unread_flags_are_argparse_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -76,6 +77,26 @@ def test_default_config_parses():
     env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
     assert env.beta == 0.5
     assert len(env.points()) == 7
+
+
+def test_default_table_is_default_cfg():
+    from pathlib import Path
+
+    text = Config.from_text(DEFAULT_CONFIG_TEXT)
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = Config.from_file(path)
+    assert text.hash() == cfg.hash()
+    assert ExperimentConfig.from_config(text) == ExperimentConfig.from_config(cfg)
+
+
+def test_missing_keys_fall_back_to_default_table():
+    default = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    cfg = Config.from_text("sequence.beta = 0.5\nsequence.points = 2:0.5\n")
+    assert cfg.get("sequence.gamma") is None and cfg.get("seed") == "12345"
+    env = ExperimentConfig.from_config(cfg)
+    same = dataclasses.replace(default, gamma=None, n_values=(), explicit_points=((2, 0.5),),
+                               config_hash=cfg.hash())
+    assert env == same
 
 
 def test_config_hash_stable():

@@ -181,6 +181,16 @@ def small_basis(setup):
     return manybody.build_basis(point, conf, None, sc, 3, 2, L, unscaled_mode=unscaled)
 
 
+def test_basis_m_y_from_mode_table(setup, small_basis):
+    # small_basis takes 2 of the 3 transverse modes it is given
+    point, conf, unscaled, sc, _ = setup
+    assert small_basis.m_y == 2
+    assert small_basis.vq.shape[1:] == (2, 2, 2, 2)
+    full = manybody.build_basis(point, conf, None, sc, 3, 3, L, unscaled_mode=unscaled)
+    assert full.m_y == 3
+    assert np.array_equal(small_basis.vq, full.vq[:, :2, :2, :2, :2])
+
+
 @pytest.mark.parametrize("cap", [None, 1])
 def test_hamiltonian_against_loop_oracle(small_basis, cap):
     fock = manybody.FockBasis(small_basis.n_modes, 3, max_excitations=cap)
@@ -563,3 +573,15 @@ def test_fock_enumeration_properties(n_modes, n_particles, cap):
     assert fock.dim == manybody.symmetric_dimension(n_modes, n_particles, cap)
     # lookup is a bijection on the enumerated rows
     assert np.array_equal(fock.lookup(occ), np.arange(fock.dim))
+
+
+def test_product_state_of_a_basis_mode():
+    # a coefficient vector with zeros: every row that occupies an empty mode is 0
+    fock = manybody.FockBasis(4, 3, max_excitations=2)
+    state = manybody.product_state(fock, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(state.amplitudes, condensed(fock).amplitudes)
+    mixed = manybody.product_state(fock, np.array([0.8, 0.6, 0.0, 0.0]))
+    assert np.all(np.isfinite(mixed.amplitudes))
+    row = fock.lookup(np.array([[2, 1, 0, 0]], dtype=np.uint8))[0]
+    assert abs(mixed.amplitudes[row]) > 0.0
+    assert np.all(mixed.amplitudes[fock.occupations[:, 2:].sum(axis=1) > 0] == 0.0)
