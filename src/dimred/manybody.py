@@ -17,6 +17,9 @@ momentum blocks for N = 2 without an external field (a field couples
 different momenta, which the blocks cannot hold).  An independent
 position-grid split-step solver for two particles (``grid_oracle``)
 validates both.
+
+Both paths, and the counting measure in ``projectors``, run on one Lanczos
+kernel (``_lanczos``); scipy's ``expm_multiply`` is only a test oracle.
 """
 
 from __future__ import annotations
@@ -52,16 +55,6 @@ def symmetric_dimension(n_modes: int, n_particles: int, max_excitations: int | N
     return sum(int(comb(k + n_modes - 2, k, exact=True)) for k in range(max_excitations + 1))
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of `total` into `parts` slots, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 class FockBasis:
     """Symmetric occupation basis over M modes, mode 0 distinguished as the
     condensate; optionally truncated at a maximal number of excited particles."""
@@ -82,13 +75,17 @@ class FockBasis:
         self.n_particles = n_particles
         self.max_excitations = max_excitations
         cap = n_particles if max_excitations is None else min(max_excitations, n_particles)
-        rows = []
-        for k in range(cap + 1):
-            for comp in _compositions(k, n_modes - 1):
-                rows.append((n_particles - k,) + comp)
-        occ = np.asarray(rows, dtype=np.uint8)
-        packed = self._pack(occ)
-        order = np.argsort(packed)
+        # one excited mode at a time: repeat each row over the occupations that fit
+        occ = np.zeros((1, 0), dtype=np.uint8)
+        used = np.zeros(1, dtype=np.int64)
+        for _ in range(n_modes - 1):
+            reps = cap - used + 1
+            row = np.repeat(np.arange(len(used)), reps)
+            extra = np.arange(len(row)) - np.repeat(np.cumsum(reps) - reps, reps)
+            occ = np.column_stack([occ[row], extra.astype(np.uint8)])
+            used = used[row] + extra
+        occ = np.column_stack([(n_particles - used).astype(np.uint8), occ])
+        order = np.argsort(self._pack(occ))
         self.occupations = np.ascontiguousarray(occ[order])
         self._packed = self._pack(self.occupations)
         self.dim = len(self.occupations)
@@ -241,12 +238,9 @@ class ModeBasis:
         # (1/L) int e^{i dk (2 pi/L) x} V dx over the centered box: the inverse
         # FFT gives the +dk coefficients and (-1)^dk restores the -L/2 origin
         ft = np.fft.ifft(v_t, axis=0)
-        m = self.n_modes
-        h = np.zeros((m, m), dtype=complex)
-        for a in range(m):
-            for b in range(m):
-                dk = int(self.mode_kx[b] - self.mode_kx[a])
-                h[a, b] = ft[dk % n_aux, self.mode_my[a], self.mode_my[b]] * (-1.0) ** dk
+        dk = self.mode_kx[None, :] - self.mode_kx[:, None]
+        my = self.mode_my
+        h = ft[dk % n_aux, my[:, None], my[None, :]] * (-1.0) ** dk
         if key is not None:
             self._vpar_cache[key] = h
         return h
@@ -650,40 +644,66 @@ def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
 # Lanczos propagation
 # ---------------------------------------------------------------------------
 
-def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
-                 m_max: int = 40, _depth: int = 0) -> np.ndarray:
-    """exp(-1j dt H) v for Hermitian H given by its action, with adaptive
-    substepping when the Krylov space of size m_max does not converge."""
-    nrm0 = np.linalg.norm(v)
-    if nrm0 == 0.0:
-        return v.copy()
-    vecs = [v / nrm0]
+def _lanczos(apply_h, v: np.ndarray, m_max: int, breakdown: float,
+             converged=lambda alphas, betas: False):
+    """Fully reorthogonalized Lanczos from the unit vector v: at most m_max
+    steps, stopping when the residual norm falls below `breakdown` or
+    `converged(alphas, betas)` holds.  Returns the basis vectors and the
+    tridiagonal (alphas, betas[:-1]); betas[-1] is the residual norm.
+    """
+    vecs = [v]
     alphas, betas = [], []
-    for j in range(m_max):
-        w = apply_h(vecs[j])
-        alpha = float(np.real(np.vdot(vecs[j], w)))
-        w = w - alpha * vecs[j]
-        if j > 0:
-            w = w - betas[-1] * vecs[j - 1]
+    while True:
+        w = apply_h(vecs[-1])
+        alphas.append(float(np.real(np.vdot(vecs[-1], w))))
+        w = w - alphas[-1] * vecs[-1]
+        if betas:
+            w = w - betas[-1] * vecs[-2]
         # full reorthogonalization: cheap at these Krylov sizes, prevents ghosts
         for u in vecs:
             w = w - np.vdot(u, w) * u
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        evals, evecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-        y = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
-        err = abs(beta * dt * y[-1])
-        if beta < 1e-14 or err < tol:
-            out = np.zeros_like(v)
-            for coeff, u in zip(y, vecs):
-                out += coeff * u
-            return nrm0 * out
-        betas.append(beta)
-        vecs.append(w / beta)
-    if _depth >= 30:
-        raise ToleranceError("Lanczos propagator failed to converge after 30 halvings")
-    half = lanczos_expm(apply_h, v, dt / 2.0, tol / 2.0, m_max, _depth + 1)
-    return lanczos_expm(apply_h, half, dt / 2.0, tol / 2.0, m_max, _depth + 1)
+        betas.append(float(np.linalg.norm(w)))
+        if betas[-1] < breakdown or len(alphas) == m_max or converged(alphas, betas):
+            return vecs, alphas, betas
+        vecs.append(w / betas[-1])
+
+
+def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
+                 m_max: int = 40) -> np.ndarray:
+    """exp(-1j dt H) v for Hermitian H given by its action.
+
+    Each Krylov space (at most m_max vectors) is built for the rest of the
+    interval.  If it does not reach the error budget tol * h / dt there, it
+    advances by the largest h = rest / 2^k it does reach, and the next space
+    starts from the advanced vector: a shorter step reuses the basis.
+    """
+    def expm_e1(alphas, betas, h):
+        # exp(-1j h T) e_1, and whether the estimate |beta_m h y_m| is in budget
+        evals, evecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[:-1]))
+        y = evecs @ (np.exp(-1j * h * evals) * evecs[0])
+        return y, betas[-1] < 1e-14 or abs(betas[-1] * h * y[-1]) < tol * (h / dt)
+
+    if np.linalg.norm(v) == 0.0:
+        return v.copy()
+    rest = dt
+    while True:
+        nrm = np.linalg.norm(v)
+        vecs, alphas, betas = _lanczos(apply_h, v / nrm, m_max, 1e-14,
+                                       lambda a, b: expm_e1(a, b, rest)[1])
+        for k in range(31):
+            h = rest / 2**k
+            y, reached = expm_e1(alphas, betas, h)
+            if reached:
+                break
+        else:
+            raise ToleranceError("Lanczos propagator failed to converge after 30 halvings")
+        out = np.zeros_like(v)
+        for coeff, u in zip(y, vecs):
+            out += coeff * u
+        v = nrm * out
+        if h == rest:
+            return v
+        rest -= h
 
 
 @dataclass
@@ -704,8 +724,11 @@ class ManyBodyTrajectory:
 def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
            n_outputs: int = 5, krylov_tol: float = 1e-10,
            h: sp.spmatrix | None = None) -> ManyBodyTrajectory:
-    """Propagate under H(t).  Time-independent Hamiltonians take Krylov steps of
-    the output interval; time-dependent ones use midpoint-frozen steps of dt.
+    """Propagate under H(t), recording n_outputs + 1 equally spaced states.
+
+    Time-independent Hamiltonians take one Krylov step per output interval;
+    time-dependent ones take midpoint-frozen steps of dt, and each output
+    interval must be a whole number of them.
 
     `h` is a prebuilt static H (``hamiltonian(basis, state.fock)``), so callers
     that already hold it do not pay for a second assembly.  A time-dependent
@@ -717,51 +740,40 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
     time_dep = basis.time_dependent
     if time_dep and h is not None:
         raise DomainError("a prebuilt h needs a static field")
+    fock = state.fock
+    out_dt = (t_final - state.time) / n_outputs
+    if fock.n_particles == 2 and basis.external is None:
+        blocks = pair_blocks(basis, fock)
+
+        def advance(psi, t):
+            new = np.zeros_like(psi)
+            for sel, hmat in zip(blocks.state_rows, blocks.h_blocks):
+                new[sel] = lanczos_expm(lambda x, H=hmat: H @ x, psi[sel], out_dt,
+                                        tol=krylov_tol)
+            return new
+    elif time_dep:
+        steps = int(round(out_dt / dt))
+        if abs(steps * dt - out_dt) > 1e-9 * max(1.0, t_final):
+            raise DomainError("each output interval must be a whole number of dt steps")
+        v2 = two_body_operator(basis, fock)
+
+        def advance(psi, t):
+            for s in range(steps):
+                h_mid = v2 + one_body_operator(fock, basis.one_body(t + (s + 0.5) * dt))
+                psi = lanczos_expm(lambda x: h_mid @ x, psi, dt, tol=krylov_tol)
+            return psi
+    else:
+        if h is None:
+            h = hamiltonian(basis, fock, state.time)
+
+        def advance(psi, t):
+            return lanczos_expm(lambda x: h @ x, psi, out_dt, tol=krylov_tol)
     traj = ManyBodyTrajectory()
     traj.record(state)
     psi = state.amplitudes.copy()
-    t = state.time
-    fock = state.fock
-    if fock.n_particles == 2 and basis.external is None:
-        blocks = pair_blocks(basis, fock)
-        out_dt = (t_final - state.time) / n_outputs
-        for _ in range(n_outputs):
-            new = np.zeros_like(psi)
-            for sel, hmat in zip(blocks.state_rows, blocks.h_blocks):
-                seg = psi[sel]
-                if np.linalg.norm(seg) > 0:
-                    new[sel] = lanczos_expm(lambda x, H=hmat: H @ x, seg, out_dt,
-                                            tol=krylov_tol)
-                # zero segments stay zero
-            psi = new
-            t += out_dt
-            traj.norm_drift = max(traj.norm_drift, abs(np.linalg.norm(psi) - 1.0))
-            psi = psi / np.linalg.norm(psi)
-            traj.record(ManyBodyState(fock, psi.copy(), t))
-        return traj
-    if time_dep:
-        steps = int(round((t_final - t) / dt))
-        if abs(steps * dt - (t_final - t)) > 1e-9 * max(1.0, t_final):
-            raise DomainError("t_final - t0 must be an integer number of steps")
-        out_every = max(1, steps // n_outputs)
-        v2 = two_body_operator(basis, fock)
-        for s in range(1, steps + 1):
-            h = v2 + one_body_operator(fock, basis.one_body(t + 0.5 * dt))
-            psi = lanczos_expm(lambda x: h @ x, psi, dt, tol=krylov_tol)
-            t += dt
-            if not np.all(np.isfinite(psi.view(float))):
-                raise InstabilityError(f"non-finite amplitudes at step {s} (t = {t:.6g})")
-            if s % out_every == 0 or s == steps:
-                traj.norm_drift = max(traj.norm_drift, abs(np.linalg.norm(psi) - 1.0))
-                psi = psi / np.linalg.norm(psi)
-                traj.record(ManyBodyState(fock, psi.copy(), t))
-        return traj
-    if h is None:
-        h = hamiltonian(basis, fock, t)
-    out_dt = (t_final - state.time) / n_outputs
-    for _ in range(n_outputs):
-        psi = lanczos_expm(lambda x: h @ x, psi, out_dt, tol=krylov_tol)
-        t += out_dt
+    for j in range(1, n_outputs + 1):
+        psi = advance(psi, traj.times[-1])
+        t = state.time + j * out_dt
         if not np.all(np.isfinite(psi.view(float))):
             raise InstabilityError(f"non-finite amplitudes at t = {t:.6g}")
         traj.norm_drift = max(traj.norm_drift, abs(np.linalg.norm(psi) - 1.0))
@@ -961,6 +973,8 @@ class GridOracle:
 
     def evolve(self, psi: np.ndarray, dt: float, t_final: float, t0: float = 0.0) -> np.ndarray:
         steps = int(round((t_final - t0) / dt))
+        if abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, t_final):
+            raise DomainError("t_final - t0 must be an integer number of steps")
         kin_phase = np.exp(-1j * dt * self.kin)
         t = t0
         static = self.external is None or not self.external.time_dependent
@@ -972,7 +986,7 @@ class GridOracle:
             psi = np.fft.ifftn(np.fft.fftn(psi) * kin_phase)
             psi = psi * np.exp(-0.5j * dt * v)
             t += dt
-            if s % 200 == 0 and not np.all(np.isfinite(psi.view(float))):
+            if (s % 200 == 0 or s == steps - 1) and not np.all(np.isfinite(psi.view(float))):
                 raise InstabilityError(f"grid oracle produced non-finite values at t = {t:.6g}")
         return psi
 

@@ -28,6 +28,7 @@ from .errors import DomainError, SizeError, ToleranceError
 from .manybody import (
     ManyBodyState,
     ModeBasis,
+    _lanczos,
     condensate_coefficients,
     one_body_operator,
     reduced_density,
@@ -255,24 +256,8 @@ def _counting_lanczos(state: ManyBodyState, projector: CondensateProjector) -> n
     h = np.outer(projector.coeffs, np.conj(projector.coeffs))
     op = one_body_operator(state.fock, h)
     v = state.amplitudes / np.linalg.norm(state.amplitudes)
-    vecs = [v]
-    alphas, betas = [], []
-    for _ in range(n + 1):
-        w = op @ vecs[-1]
-        alpha = float(np.real(np.vdot(vecs[-1], w)))
-        w = w - alpha * vecs[-1]
-        if len(vecs) > 1:
-            w = w - betas[-1] * vecs[-2]
-        for u in vecs:
-            w = w - np.vdot(u, w) * u
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-12 or len(alphas) == n + 1:
-            break
-        betas.append(beta)
-        vecs.append(w / beta)
-    betas = betas[: len(alphas) - 1]
-    tmat = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    _, alphas, betas = _lanczos(lambda x: op @ x, v, n + 1, 1e-12)
+    tmat = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
     evals, evecs = np.linalg.eigh(tmat)
     weights = np.abs(evecs[0, :]) ** 2
     probs = np.zeros(n + 1)

@@ -32,6 +32,7 @@ def report(number, name, ok, detail=""):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_projector_algebra():
     t0 = time.time()
     rng = np.random.default_rng(101)
@@ -124,6 +125,7 @@ def test_criterion_3_weight_norms():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_transverse_analytics():
     t0 = time.time()
     conf1 = potentials.harmonic_confinement(dimension=1)
@@ -239,6 +241,7 @@ def test_criterion_6_auxiliary_battery():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_two_body_cross_validation():
     t0 = time.time()
     point = scaling.make_point(2, 0.5, 0.5)

@@ -221,6 +221,7 @@ def test_quasi1d_center_against_bruteforce(tmode_eps):
     assert wbar.values[i0] == pytest.approx(w00, rel=1e-6)
 
 
+@pytest.mark.slow
 def test_quasi1d_integral_identity(tmode_eps):
     # marginalization: int wbar dx = int T(u) W1(u) du, with the right side
     # evaluated by Gauss nodes against the exact longitudinal slice integral

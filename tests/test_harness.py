@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from dimred import harness, manybody, nls
 from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
@@ -160,6 +161,17 @@ def test_sweep_csv_deterministic(tmp_path, fast_result):
     assert p1.read_bytes() == p2.read_bytes()
     head = p1.read_text().splitlines()[0]
     assert head == f"# config_hash={env.config_hash}"
+
+
+def test_default_sweep_states_match_expm_multiply():
+    # the Krylov propagator of every default-sweep point against scipy's
+    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    inputs = harness.sweep_inputs(env)
+    for point in env.points():
+        setup = harness.point_setup(env, point, inputs)
+        psi_t = setup.evolve(env, 1).final.amplitudes
+        ref = expm_multiply(-1j * env.t_final * setup.h0.tocsc(), setup.psi0.amplitudes)
+        assert np.linalg.norm(psi_t - ref) < 1e-10, point.n_particles
 
 
 def test_sweep_failure_isolation():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from dimred import manybody, potentials, projectors, scaling, transverse
-from dimred.errors import DomainError, SizeError
+from dimred.errors import DomainError, SizeError, ToleranceError
 
 L = 2.0 * math.pi
 
@@ -40,6 +41,17 @@ def test_fock_dimension_formula():
     assert manybody.FockBasis(12, 8, dim_cap=10**6).dim == 75582
     assert manybody.FockBasis(4, 3).dim == 20
     assert manybody.FockBasis(27, 8, max_excitations=3).dim == 3654
+
+
+@pytest.mark.parametrize("n_modes, n_particles, cap", [(5, 4, None), (6, 4, 2)])
+def test_fock_occupations_match_reference(n_modes, n_particles, cap):
+    rows = [np.bincount(c, minlength=n_modes)
+            for c in combinations_with_replacement(range(n_modes), n_particles)]
+    ref = np.array([r for r in rows if cap is None or n_particles - r[0] <= cap],
+                   dtype=np.uint8)
+    ref = ref[np.lexsort(ref.T[::-1])]
+    fock = manybody.FockBasis(n_modes, n_particles, max_excitations=cap)
+    assert np.array_equal(fock.occupations, ref)
 
 
 def test_fock_occupations_sum_to_n():
@@ -313,13 +325,18 @@ def test_two_particles_static_well_matches_sparse_hamiltonian(setup):
         manybody.pair_blocks(basis, fock)
 
 
-def test_time_dependent_steps_use_midpoint_hamiltonian():
+@pytest.fixture(scope="module")
+def driven_basis():
     point = scaling.make_point(3, 0.5, 0.5)
     conf = potentials.harmonic_confinement(dimension=1)
     unscaled = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, 481), 2)
     sc = potentials.scale(potentials.uniform_ball(height=2.0), point, d_perp=1)
     ext = potentials.external_by_name("driven_well", depth=0.5, omega=4.0)
-    basis = manybody.build_basis(point, conf, ext, sc, 3, 2, L, unscaled_mode=unscaled)
+    return manybody.build_basis(point, conf, ext, sc, 3, 2, L, unscaled_mode=unscaled)
+
+
+def test_time_dependent_steps_use_midpoint_hamiltonian(driven_basis):
+    basis = driven_basis
     fock = manybody.FockBasis(basis.n_modes, 3)
     state = condensed(fock)
     traj = manybody.evolve(state, basis, 0.05, 0.1, n_outputs=1, krylov_tol=1e-12)
@@ -331,6 +348,15 @@ def test_time_dependent_steps_use_midpoint_hamiltonian():
         manybody.evolve(state, basis, 0.03, 0.1)            # 3.33 steps
     with pytest.raises(DomainError):
         manybody.evolve(state, basis, 0.05, 0.1, h=manybody.hamiltonian(basis, fock))
+
+
+def test_driven_outputs_fall_on_whole_steps(driven_basis):
+    fock = manybody.FockBasis(driven_basis.n_modes, 3)
+    state = condensed(fock)
+    with pytest.raises(DomainError):
+        manybody.evolve(state, driven_basis, 0.01, 0.5, n_outputs=3)    # 16.67 steps each
+    traj = manybody.evolve(state, driven_basis, 0.01, 0.5, n_outputs=5)
+    assert traj.times == pytest.approx([0.1 * k for k in range(6)], abs=1e-12)
 
 
 def test_lanczos_matches_scipy_on_random_hermitian():
@@ -345,6 +371,19 @@ def test_lanczos_matches_scipy_on_random_hermitian():
     mine = manybody.lanczos_expm(lambda x: h @ x, v, 0.7, tol=1e-12)
     ref = expm_multiply(-0.7j * h.tocsc(), v)
     assert np.max(np.abs(mine - ref)) < 1e-9
+    # an interval 40 Krylov vectors cannot cover: substeps reuse each basis
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return h @ x
+
+    mine = manybody.lanczos_expm(counted, v, 20.0, tol=1e-10)
+    ref = expm_multiply(-20.0j * h.tocsc(), v)
+    assert np.max(np.abs(mine - ref)) < 1e-10
+    assert len(calls) < 592           # a fresh basis for every halved step costs 592
+    with pytest.raises(ToleranceError):
+        manybody.lanczos_expm(lambda x: h @ x, v, 0.7, m_max=1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +471,8 @@ def test_grid_oracle_free_product_keeps_rank_one(oracle_pair):
     psi_t = free.evolve(psi, 5e-3, 0.2)
     evals = np.linalg.eigvalsh(free.gamma1(psi_t))[::-1]
     assert evals[1] < 1e-9
+    with pytest.raises(DomainError):
+        free.evolve(psi, 0.03, 0.1)            # 3.33 steps
 
 
 def test_grid_oracle_preserves_exchange_symmetry(oracle_pair):
@@ -533,6 +574,41 @@ def test_time_dependent_external_field():
     e0 = manybody.expectation(traj.states[0], h0)
     e1 = manybody.expectation(traj.final, h0)
     assert abs(e1 - e0) > 1e-6
+
+
+def _loop_vpar(basis, t):
+    """Field matrix from plain loops: every (a, b) as an explicit discrete
+    Fourier sum of the transverse matrix element of V over the centered box."""
+    n_aux = max(8 * basis.m_x, 1024)
+    x = np.arange(n_aux) * basis.box_length / n_aux - basis.box_length / 2.0
+    tr = basis.transverse
+    v = np.broadcast_to(basis.external.evaluator(t, x[:, None], tr.axis[None, :], 0.0),
+                        (n_aux, len(tr.axis)))
+    m = basis.n_modes
+    h = np.zeros((m, m), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            v_ab = v @ (tr.modes[basis.mode_my[a]] * tr.modes[basis.mode_my[b]]) * tr.weight
+            dk = basis.mode_kx[b] - basis.mode_kx[a]
+            h[a, b] = np.mean(v_ab * np.exp(2j * math.pi * dk * x / basis.box_length))
+    return h
+
+
+# the tilt couples different transverse modes; the off-centre field has
+# complex elements, so it tells +dk from -dk
+OFF_CENTRE = potentials.ExternalPotential(
+    "off_centre", lambda t, x, y1, y2: np.exp(-(x - 0.7) ** 2) * (1.0 + 0.3 * y1) * (1.0 + t),
+    2.0, 1.0, 0.3, time_dependent=True)
+
+
+@pytest.mark.parametrize("field, t", [(potentials.gaussian_well(tilt=0.5), 0.0),
+                                      (potentials.driven_well(omega=4.0), 0.37),
+                                      (OFF_CENTRE, 0.37)])
+def test_vpar_matrix_against_loop(setup, field, t):
+    point, conf, unscaled, sc, _ = setup
+    basis = manybody.build_basis(point, conf, field, sc, 5, 3, L, unscaled_mode=unscaled)
+    ref = _loop_vpar(basis, t)
+    assert np.max(np.abs(basis._vpar_matrix(t) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_vpar_matrix_static_well():
