@@ -131,8 +131,13 @@ def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
         point, inputs.confinement, inputs.external, scaled, cfg.m_x, cfg.m_y,
         cfg.box_length, unscaled_mode=inputs.unscaled_mode,
     )
+    # without a field H conserves total momentum: keep the condensate's sector
+    momentum = None
+    if basis.external is None:
+        k_total = point.n_particles * int(basis.mode_kx[0])
+        momentum = (basis.mode_kx, basis.momentum_modulus, k_total)
     fock = manybody.FockBasis(basis.n_modes, point.n_particles,
-                              cfg.max_excitations, cfg.dim_cap)
+                              cfg.max_excitations, cfg.dim_cap, momentum=momentum)
     psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
     return PointSetup(basis, fock, psi0, manybody.hamiltonian(basis, fock, 0.0),
                       static=not basis.time_dependent)

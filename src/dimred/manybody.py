@@ -13,10 +13,15 @@ common phase and <H>/N is directly the renormalized energy per particle.
 
 Two propagation paths share the same tensors: a sparse second-quantized
 Hamiltonian driven by a Lanczos exponential for general N, and dense
-momentum blocks for N = 2 without an external field (a field couples
-different momenta, which the blocks cannot hold).  An independent
-position-grid split-step solver for two particles (``grid_oracle``)
-validates both.
+momentum blocks for N = 2 without an external field when no prebuilt H is
+given (a field couples different momenta, which the blocks cannot hold).  An
+independent position-grid split-step solver for two particles
+(``grid_oracle``) validates both.
+
+Without a field H conserves the total momentum K = sum_a n_a k_a, so a
+``FockBasis`` may hold a single K sector.  The sweep (``harness.point_setup``)
+runs every field-free point in the sector of its condensate, K = 0, which
+holds the initial state, H and the whole trajectory.
 
 Both paths, and the counting measure in ``projectors``, run on one Lanczos
 kernel (``_lanczos``); scipy's ``expm_multiply`` is only a test oracle.
@@ -57,10 +62,18 @@ def symmetric_dimension(n_modes: int, n_particles: int, max_excitations: int | N
 
 class FockBasis:
     """Symmetric occupation basis over M modes, mode 0 distinguished as the
-    condensate; optionally truncated at a maximal number of excited particles."""
+    condensate; optionally truncated at a maximal number of excited particles.
+
+    `momentum = (mode_kx, modulus, K)` keeps only the rows of total momentum
+    sum_a n_a k_a = K (mod `modulus` unless it is None): a sector that H holds
+    invariant when no external field breaks translation invariance.  The cap
+    applies to `unrestricted_dim`, the count of rows enumerated before the
+    filter.
+    """
 
     def __init__(self, n_modes: int, n_particles: int,
-                 max_excitations: int | None = None, dim_cap: int = DEFAULT_DIM_CAP):
+                 max_excitations: int | None = None, dim_cap: int = DEFAULT_DIM_CAP,
+                 momentum: tuple | None = None):
         if n_particles < 1:
             raise DomainError(f"n_particles must be >= 1, got {n_particles}")
         if n_modes < 2:
@@ -74,6 +87,7 @@ class FockBasis:
         self.n_modes = n_modes
         self.n_particles = n_particles
         self.max_excitations = max_excitations
+        self.unrestricted_dim = dim
         cap = n_particles if max_excitations is None else min(max_excitations, n_particles)
         # one excited mode at a time: repeat each row over the occupations that fit
         occ = np.zeros((1, 0), dtype=np.uint8)
@@ -85,6 +99,12 @@ class FockBasis:
             occ = np.column_stack([occ[row], extra.astype(np.uint8)])
             used = used[row] + extra
         occ = np.column_stack([(n_particles - used).astype(np.uint8), occ])
+        if momentum is not None:
+            mode_kx, modulus, k_total = momentum
+            off = occ.astype(np.int64) @ np.asarray(mode_kx, dtype=np.int64) - k_total
+            occ = occ[(off == 0) if modulus is None else (off % modulus == 0)]
+            if len(occ) == 0:
+                raise DomainError(f"no occupation row has total momentum {k_total}")
         order = np.argsort(self._pack(occ))
         self.occupations = np.ascontiguousarray(occ[order])
         self._packed = self._pack(self.occupations)
@@ -113,9 +133,6 @@ class ManyBodyState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "ManyBodyState":
-        return ManyBodyState(self.fock, self.amplitudes / self.norm, self.time)
 
 
 def product_state(fock: FockBasis, coeffs: np.ndarray, time: float = 0.0) -> ManyBodyState:
@@ -731,9 +748,10 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
     interval must be a whole number of them.
 
     `h` is a prebuilt static H (``hamiltonian(basis, state.fock)``), so callers
-    that already hold it do not pay for a second assembly.  A time-dependent
-    field rebuilds only its one-body part per step and takes no `h`; N = 2
-    without a field runs on the dense momentum blocks and does not use it.
+    that already hold it do not pay for a second assembly; it is used at every
+    N.  A time-dependent field rebuilds only its one-body part per step and
+    takes no `h`.  Without `h`, N = 2 without a field runs on the dense
+    momentum blocks.
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
@@ -742,7 +760,7 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
         raise DomainError("a prebuilt h needs a static field")
     fock = state.fock
     out_dt = (t_final - state.time) / n_outputs
-    if fock.n_particles == 2 and basis.external is None:
+    if h is None and fock.n_particles == 2 and basis.external is None:
         blocks = pair_blocks(basis, fock)
 
         def advance(psi, t):
@@ -803,7 +821,7 @@ def _lowered(state: ManyBodyState, modes: list[int]) -> tuple[FockBasis, np.ndar
     """One column per listed mode a: the (N-1)-particle vector a_a psi."""
     fock = state.fock
     sub = FockBasis(fock.n_modes, fock.n_particles - 1, fock.max_excitations,
-                    dim_cap=max(DEFAULT_DIM_CAP, fock.dim))
+                    dim_cap=max(DEFAULT_DIM_CAP, fock.unrestricted_dim))
     vecs = np.zeros((len(modes), sub.dim), dtype=complex)
     for col, a in enumerate(modes):
         has = np.where(fock.occupations[:, a] > 0)[0]
@@ -830,7 +848,8 @@ def reduced_density(state: ManyBodyState, k: int = 1) -> ReducedDensity:
     else:
         n = fock.n_particles
         pair_list = list(combinations_with_replacement(range(m), 2))
-        sub2 = FockBasis(m, n - 2, fock.max_excitations, dim_cap=max(DEFAULT_DIM_CAP, fock.dim))
+        sub2 = FockBasis(m, n - 2, fock.max_excitations,
+                         dim_cap=max(DEFAULT_DIM_CAP, fock.unrestricted_dim))
         lowered = np.zeros((len(pair_list), sub2.dim), dtype=complex)
         occ = fock.occupations
         for col, (a, b) in enumerate(pair_list):

@@ -107,7 +107,12 @@ def from_table(r_values, w_values, name: str = "table") -> InteractionProfile:
         x = np.asarray(x, dtype=float)
         return np.interp(x, r, w, right=0.0)
 
-    return _build_profile(name, fn, float(r[-1]), sup_bound=float(np.max(w)))
+    # exact int s^2 w(s) ds of the interpolant, one linear piece at a time; the
+    # kinks at the nodes defeat adaptive quadrature
+    r0, r1, w0, w1 = r[:-1], r[1:], w[:-1], w[1:]
+    l1 = np.sum((r1 - r0) / 12.0 * (w0 * (3.0 * r0**2 + 2.0 * r0 * r1 + r1**2)
+                                    + w1 * (r0**2 + 2.0 * r0 * r1 + 3.0 * r1**2)))
+    return InteractionProfile(name, fn, float(r[-1]), float(np.max(w)), 4.0 * math.pi * float(l1))
 
 
 def from_csv(path, name: str | None = None) -> InteractionProfile:

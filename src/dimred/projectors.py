@@ -224,16 +224,19 @@ def _embed_for_counting(state: ManyBodyState, margin: int = 2,
     ``margin``.  A truncated subspace is not invariant under the condensate
     number operator of a general orbital, so its projected spectrum is not
     exactly integer; the enlarged cap suppresses that leakage geometrically.
+    Nor is a momentum sector invariant, so a sector state is embedded in all
+    rows of at least its own cap.
     """
     from .manybody import FockBasis, symmetric_dimension
 
     fock = state.fock
-    cap = fock.max_excitations
-    if cap is None or cap >= fock.n_particles:
-        return state
-    for extra in range(margin, 0, -1):
-        new_cap = min(cap + extra, fock.n_particles)
-        if symmetric_dimension(fock.n_modes, fock.n_particles, new_cap) <= dim_budget:
+    n = fock.n_particles
+    cap = n if fock.max_excitations is None else min(fock.max_excitations, n)
+    for extra in range(margin, -1, -1):
+        new_cap = min(cap + extra, n)
+        if new_cap == cap and fock.dim == fock.unrestricted_dim:
+            return state
+        if symmetric_dimension(fock.n_modes, n, new_cap) <= dim_budget:
             big = FockBasis(fock.n_modes, fock.n_particles, new_cap,
                             dim_cap=dim_budget)
             amps = np.zeros(big.dim, dtype=complex)

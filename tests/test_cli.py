@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from dimred import manybody
 from dimred.cli import main
 
 FAST_SWEEP = """
@@ -178,12 +179,18 @@ def test_size_cap_exit_code(tmp_path):
 
 def test_alpha_reads_capped_dump(capsys, tmp_path):
     # the default modes (27) at N = 6 need the dump's cap 3: untruncated, the
-    # rebuilt basis would have 906192 states, over the size cap
+    # rebuilt basis would have 906192 states, over the size cap.  Without a
+    # field the dump holds only the rows of total momentum K = 0.
     rc = main(["manybody-evolve", "--n", "6", "--outputs", "1", "--dump-state",
                "--out", str(tmp_path)])
     assert rc == 0
     dump = np.load(tmp_path / "state_final.npz")
-    assert int(dump["max_excitations"]) == 3 and dump["occupations"].shape == (3654, 27)
+    momentum = dump["occupations"].astype(np.int64) @ dump["mode_kx"]
+    capped = manybody.FockBasis(27, 6, 3).occupations.astype(np.int64)
+    sector = sum(int(row @ dump["mode_kx"] == 0) for row in capped)
+    assert sector == 298 and len(capped) == 3654
+    assert int(dump["max_excitations"]) == 3 and dump["occupations"].shape == (sector, 27)
+    assert np.all(momentum == 0)
     capsys.readouterr()
     assert main(["alpha", str(tmp_path / "state_final.npz")]) == 0
     data = json.loads(capsys.readouterr().out.splitlines()[-1])

@@ -174,6 +174,54 @@ def test_default_sweep_states_match_expm_multiply():
         assert np.linalg.norm(psi_t - ref) < 1e-10, point.n_particles
 
 
+def test_default_points_run_in_their_momentum_sector():
+    # without a field every default point runs on the K = 0 rows; its H is the
+    # exact block of the H over all capped rows, which couples K = 0 to nothing
+    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    inputs = harness.sweep_inputs(env)
+    for point in env.points():
+        setup = harness.point_setup(env, point, inputs)
+        n = point.n_particles
+        assert setup.fock.dim == (42 if n == 2 else 298), n
+        assert np.all(setup.fock.occupations.astype(np.int64) @ setup.basis.mode_kx == 0)
+        full = manybody.FockBasis(setup.basis.n_modes, n, env.max_excitations, env.dim_cap)
+        assert setup.fock.unrestricted_dim == full.dim
+        h_full = manybody.hamiltonian(setup.basis, full).tocsr()
+        rows = full.lookup(setup.fock.occupations)
+        rest = np.setdiff1d(np.arange(full.dim), rows)
+        assert np.array_equal(setup.h0.toarray(), h_full[rows][:, rows].toarray()), n
+        assert h_full[rest][:, rows].count_nonzero() == 0, n
+        assert setup.psi0.amplitudes.shape == (setup.fock.dim,)
+
+
+def test_excitation_cap_convergence():
+    # the default sweep at cap 3 against cap 4: points with N <= 3 are
+    # untruncated at both caps; above, the trace distance moves by less than
+    # 2e-3, more at larger N, and the fitted rate slope by less than 0.3
+    rows = {}
+    for cap in (3, 4):
+        text = DEFAULT_CONFIG_TEXT.replace("manybody.max_excitations = 3",
+                                           f"manybody.max_excitations = {cap}")
+        env = ExperimentConfig.from_config(Config.from_text(text))
+        assert env.max_excitations == cap
+        result = harness.run_sweep(env)
+        assert result.ok
+        rows[cap] = result.rows
+    shifts = []
+    for low, high in zip(rows[3], rows[4]):
+        assert low.n_particles == high.n_particles
+        if low.n_particles <= 3:
+            for name in harness.CSV_COLUMNS:
+                expected = pytest.approx(getattr(low, name), rel=1e-12, abs=0.0)
+                assert getattr(high, name) == expected, name
+        else:
+            shifts.append(abs(high.trace_distance - low.trace_distance))
+    assert len(shifts) == 5 and max(shifts) < 2e-3
+    assert np.all(np.diff(shifts) > 0)
+    slope_shift = harness.fit_rate(rows[4]).slope - harness.fit_rate(rows[3]).slope
+    assert abs(slope_shift) < 0.3
+
+
 def test_sweep_failure_isolation():
     # N = 6 at m_x = 5, m_y = 2 with a tiny cap: the point fails, others survive
     text = FAST_SWEEP.replace("sequence.n_values = 2, 3, 4",

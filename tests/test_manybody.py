@@ -72,6 +72,80 @@ def test_fock_lookup_roundtrip():
     assert fock.lookup(missing)[0] == -1
 
 
+def _brute_force_sector(fock, mode_kx, modulus, k_total):
+    """The rows of `fock` of total momentum k_total, summed one row at a time."""
+    keep = []
+    for row in fock.occupations:
+        off = sum(int(n) * int(k) for n, k in zip(row, mode_kx)) - k_total
+        if off == 0 if modulus is None else off % modulus == 0:
+            keep.append(row)
+    return np.array(keep, dtype=np.uint8).reshape(-1, fock.n_modes)
+
+
+@pytest.fixture(scope="module")
+def default_modes(setup):
+    # the default sweep's mode table: m_x = 9 plane waves x m_y = 3 trap modes
+    point, conf, unscaled, sc, _ = setup
+    return manybody.build_basis(point, conf, None, sc, 9, 3, L, unscaled_mode=unscaled)
+
+
+@pytest.mark.parametrize("n_particles, cap, dim", [(3, 3, 298), (8, 4, 1947)])
+def test_momentum_sector_matches_brute_force(default_modes, n_particles, cap, dim):
+    momentum = (default_modes.mode_kx, None, 0)
+    sector = manybody.FockBasis(27, n_particles, cap, momentum=momentum)
+    full = manybody.FockBasis(27, n_particles, cap)
+    assert sector.dim == dim and sector.unrestricted_dim == full.dim
+    assert np.array_equal(sector.occupations, _brute_force_sector(full, *momentum))
+    assert np.array_equal(sector.lookup(sector.occupations), np.arange(dim))
+
+
+def test_momentum_sectors_partition_grid_matched_basis():
+    # grid-matched momenta are conserved mod n_x = 4; each sector is a block of H
+    point = scaling.make_point(3, 0.5, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    sc = potentials.scale(potentials.gaussian_bump(height=2.0, radius=4.0, width=1.5),
+                          point, d_perp=1)
+    basis = manybody.build_grid_matched_basis(point, conf, sc, 4, 2, L, 6.0)
+    full = manybody.FockBasis(basis.n_modes, 3)
+    h_full = manybody.hamiltonian(basis, full).tocsr()
+    dims = []
+    for k_total in range(4):
+        momentum = (basis.mode_kx, basis.momentum_modulus, k_total)
+        sector = manybody.FockBasis(basis.n_modes, 3, momentum=momentum)
+        assert np.array_equal(sector.occupations, _brute_force_sector(full, *momentum))
+        shifted = manybody.FockBasis(basis.n_modes, 3, momentum=momentum[:2] + (k_total - 4,))
+        assert np.array_equal(shifted.occupations, sector.occupations)
+        rows = full.lookup(sector.occupations)
+        rest = np.setdiff1d(np.arange(full.dim), rows)
+        assert np.array_equal(manybody.hamiltonian(basis, sector).toarray(),
+                              h_full[rows][:, rows].toarray())
+        assert h_full[rest][:, rows].count_nonzero() == 0
+        dims.append(sector.dim)
+    assert sum(dims) == full.dim
+
+
+def test_empty_momentum_sector_raises(default_modes):
+    with pytest.raises(DomainError):
+        manybody.FockBasis(27, 1, momentum=(default_modes.mode_kx, None, 5))
+
+
+def test_reduced_density_of_a_sector_state(setup, monkeypatch):
+    # the lowered bases are unrestricted, so their size is judged against the
+    # enumerated count of the sector's basis, not against its dimension
+    _, _, _, _, basis = setup
+    sector = manybody.FockBasis(basis.n_modes, 3, momentum=(basis.mode_kx, None, 0))
+    full = manybody.FockBasis(basis.n_modes, 3)
+    amps = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, sector.dim))
+    amps /= np.linalg.norm(amps)
+    embedded = np.zeros(full.dim, dtype=complex)
+    embedded[full.lookup(sector.occupations)] = amps
+    monkeypatch.setattr(manybody, "DEFAULT_DIM_CAP", sector.dim)
+    for k in (1, 2):
+        got = manybody.reduced_density(manybody.ManyBodyState(sector, amps), k).matrix
+        ref = manybody.reduced_density(manybody.ManyBodyState(full, embedded), k).matrix
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+
 def test_product_state_two_particle_amplitudes():
     fock = manybody.FockBasis(2, 2)
     a, b = 0.8, 0.6
@@ -306,6 +380,23 @@ def test_prebuilt_hamiltonian_gives_same_evolution(setup):
     built = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1)
     given = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1, h=h)
     assert np.array_equal(built.final.amplitudes, given.final.amplitudes)
+
+
+def test_prebuilt_hamiltonian_used_at_two_particles(setup, monkeypatch):
+    # a given h replaces the N = 2 pair blocks
+    _, _, _, _, basis = setup
+    fock = manybody.FockBasis(basis.n_modes, 2)
+    h = manybody.hamiltonian(basis, fock)
+    blocks = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1).final
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("pair blocks built although h was given")
+
+    monkeypatch.setattr(manybody, "pair_blocks", no_blocks)
+    given = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1, h=h).final
+    direct = expm_multiply(-1j * 0.3 * h.tocsc(), condensed(fock).amplitudes)
+    assert np.linalg.norm(given.amplitudes - direct) < 1e-9
+    assert np.linalg.norm(given.amplitudes - blocks.amplitudes) < 1e-9
 
 
 def test_two_particles_static_well_matches_sparse_hamiltonian(setup):

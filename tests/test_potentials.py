@@ -148,6 +148,23 @@ def test_from_table_roundtrip(tmp_path):
     assert mid[0] == pytest.approx(math.exp(-0.5), rel=1e-3)
 
 
+def test_from_table_l1_norm_is_exact():
+    # s^2 w(s) is a cubic on each linear piece, where Simpson's rule is exact
+    r = np.array([0.0, 0.3, 0.7, 1.2, 2.0])
+    w = np.array([2.0, 1.5, 1.8, 0.4, 0.1])
+    prof = potentials.from_table(r, w)
+
+    def f(s):
+        return s**2 * np.interp(s, r, w)
+
+    mid = 0.5 * (r[:-1] + r[1:])
+    simpson = np.sum((r[1:] - r[:-1]) / 6.0 * (f(r[:-1]) + 4.0 * f(mid) + f(r[1:])))
+    assert prof.l1_norm == pytest.approx(4.0 * math.pi * simpson, rel=1e-14)
+    # a straight ramp a (1 - r/R) integrates to pi a R^3 / 3
+    ramp = potentials.from_table([0.0, 0.5, 1.5], [3.0, 2.0, 0.0])
+    assert ramp.l1_norm == pytest.approx(math.pi * 3.0 * 1.5**3 / 3.0, rel=1e-14)
+
+
 def test_from_table_rejects_negative():
     with pytest.raises(DomainError):
         potentials.from_table([0.0, 1.0], [1.0, -0.5])

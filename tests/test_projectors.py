@@ -166,6 +166,29 @@ def test_counting_general_orbital_against_dense_grouping():
     assert probs == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("cap", [None, 2])
+def test_general_orbital_counting_of_a_momentum_sector_state(cap):
+    # n_phi of an orbital spread over two momenta leaves the K = 0 sector, so
+    # the sector state must count as the same state on all capped rows
+    mode_kx = np.array([0, 0, 1, -1, 2, -2])
+    sector = manybody.FockBasis(6, 3, cap, momentum=(mode_kx, None, 0))
+    full = manybody.FockBasis(6, 3, cap)
+    assert sector.dim < full.dim
+    amps = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, sector.dim))
+    amps /= np.linalg.norm(amps)
+    embedded = np.zeros(full.dim, dtype=complex)
+    embedded[full.lookup(sector.occupations)] = amps
+    coeffs = np.array([0.8, 0.0, 0.6j, 0.0, 0.0, 0.0])
+    proj = projectors.CondensateProjector(coeffs, np.zeros(6, dtype=np.int64))
+    in_sector = manybody.ManyBodyState(sector, amps)
+    on_all = manybody.ManyBodyState(full, embedded)
+    got = projectors.counting_distribution(in_sector, proj).probs
+    ref = projectors.counting_distribution(on_all, proj).probs
+    assert np.max(np.abs(got - ref)) < 1e-12
+    assert projectors.alpha_n2_expectation(in_sector, proj) == pytest.approx(
+        projectors.alpha_n2_expectation(on_all, proj), abs=1e-14)
+
+
 def test_alpha_n2_condensed_zero():
     fock = manybody.FockBasis(3, 5)
     amps = np.zeros(fock.dim, dtype=complex)
