@@ -164,15 +164,14 @@ def cmd_alpha(args) -> int:
     state = manybody.ManyBodyState(fock, amps, float(data["time"]))
     mode_my = data["mode_my"] if "mode_my" in data else np.zeros(n_modes, dtype=np.int64)
     proj = projectors.basis_mode_projector(n_modes, args.mode, mode_my)
-    xi = args.xi
     dist = projectors.counting_distribution(state, proj)
     a_n2 = projectors.alpha(state, projectors.make_weight("n2", n_particles), proj)
-    a_m = projectors.alpha(state, projectors.make_weight("m", n_particles, xi), proj)
+    a_xi = projectors.alpha_xi(state, proj, args.energy_gap, 0.0, args.xi)
     bridge = projectors.rate_bridge(state, proj)
     print(json.dumps({
         "alpha_n2": a_n2,
-        "alpha_m": a_m,
-        "alpha_xi": a_m + args.energy_gap,
+        "alpha_m": a_xi.alpha_m,
+        "alpha_xi": a_xi.total,
         "trace_distance": bridge.trace_dist,
         "sandwich_holds": bridge.holds,
         "probs": dist.probs.tolist(),

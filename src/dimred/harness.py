@@ -170,10 +170,8 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     gamma = manybody.reduced_density(psi_t, 1).matrix
     p_mat = np.outer(proj.coeffs, np.conj(proj.coeffs))
     tdist = projectors.trace_distance(gamma, p_mat)
-    a_m = projectors.alpha(psi_t, projectors.make_weight("m", point.n_particles, cfg.xi), proj)
+    a_xi = projectors.alpha_xi(psi_t, proj, e_psi_t, e_phi_t, cfg.xi)
     a_n2 = projectors.alpha_n2_expectation(psi_t, proj)
-    gap = abs(e_psi_t - e_phi_t)
-    a_xi = a_m + gap
 
     env_in = nls.envelope_inputs(external, e_psi0, e_phi0, cfg.t_final)
     env = nls.envelope(env_in)
@@ -188,9 +186,9 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
         t=cfg.t_final,
         trace_distance=tdist,
         alpha_n2=a_n2,
-        alpha_m=a_m,
-        alpha_xi=a_xi,
-        energy_gap=gap,
+        alpha_m=a_xi.alpha_m,
+        alpha_xi=a_xi.total,
+        energy_gap=a_xi.energy_gap,
         theoretical_rate=rate.total,
         excited_fraction=excited,
         envelope=env,

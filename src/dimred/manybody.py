@@ -23,8 +23,10 @@ Without a field H conserves the total momentum K = sum_a n_a k_a, so a
 runs every field-free point in the sector of its condensate, K = 0, which
 holds the initial state, H and the whole trajectory.
 
-Both paths, and the counting measure in ``projectors``, run on one Lanczos
-kernel (``_lanczos``); scipy's ``expm_multiply`` is only a test oracle.
+Both paths propagate with one fully reorthogonalized Lanczos exponential
+(``lanczos_expm``); scipy's ``expm_multiply`` is only a test oracle.
+``_lowered`` applies the annihilators a_a, which the reduced densities and
+the factorial-moment counting in ``projectors`` share.
 """
 
 from __future__ import annotations
@@ -661,38 +663,15 @@ def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
 # Lanczos propagation
 # ---------------------------------------------------------------------------
 
-def _lanczos(apply_h, v: np.ndarray, m_max: int, breakdown: float,
-             converged=lambda alphas, betas: False):
-    """Fully reorthogonalized Lanczos from the unit vector v: at most m_max
-    steps, stopping when the residual norm falls below `breakdown` or
-    `converged(alphas, betas)` holds.  Returns the basis vectors and the
-    tridiagonal (alphas, betas[:-1]); betas[-1] is the residual norm.
-    """
-    vecs = [v]
-    alphas, betas = [], []
-    while True:
-        w = apply_h(vecs[-1])
-        alphas.append(float(np.real(np.vdot(vecs[-1], w))))
-        w = w - alphas[-1] * vecs[-1]
-        if betas:
-            w = w - betas[-1] * vecs[-2]
-        # full reorthogonalization: cheap at these Krylov sizes, prevents ghosts
-        for u in vecs:
-            w = w - np.vdot(u, w) * u
-        betas.append(float(np.linalg.norm(w)))
-        if betas[-1] < breakdown or len(alphas) == m_max or converged(alphas, betas):
-            return vecs, alphas, betas
-        vecs.append(w / betas[-1])
-
-
 def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
                  m_max: int = 40) -> np.ndarray:
     """exp(-1j dt H) v for Hermitian H given by its action.
 
-    Each Krylov space (at most m_max vectors) is built for the rest of the
-    interval.  If it does not reach the error budget tol * h / dt there, it
-    advances by the largest h = rest / 2^k it does reach, and the next space
-    starts from the advanced vector: a shorter step reuses the basis.
+    Each Krylov space (at most m_max vectors, fully reorthogonalized) grows
+    until it breaks down or reaches the error budget tol * h / dt for the rest
+    h of the interval.  If it does not reach it, it advances by the largest
+    h = rest / 2^k it does reach, and the next space starts from the advanced
+    vector: a shorter step reuses the basis.
     """
     def expm_e1(alphas, betas, h):
         # exp(-1j h T) e_1, and whether the estimate |beta_m h y_m| is in budget
@@ -705,8 +684,21 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
     rest = dt
     while True:
         nrm = np.linalg.norm(v)
-        vecs, alphas, betas = _lanczos(apply_h, v / nrm, m_max, 1e-14,
-                                       lambda a, b: expm_e1(a, b, rest)[1])
+        vecs = [v / nrm]
+        alphas, betas = [], []
+        while True:
+            w = apply_h(vecs[-1])
+            alphas.append(float(np.real(np.vdot(vecs[-1], w))))
+            w = w - alphas[-1] * vecs[-1]
+            if betas:
+                w = w - betas[-1] * vecs[-2]
+            # full reorthogonalization: cheap at these Krylov sizes, prevents ghosts
+            for u in vecs:
+                w = w - np.vdot(u, w) * u
+            betas.append(float(np.linalg.norm(w)))
+            if len(alphas) == m_max or expm_e1(alphas, betas, rest)[1]:
+                break
+            vecs.append(w / betas[-1])
         for k in range(31):
             h = rest / 2**k
             y, reached = expm_e1(alphas, betas, h)

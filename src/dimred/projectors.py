@@ -3,11 +3,11 @@
 P_k projects an N-boson state onto the subspace with exactly k particles
 outside the condensate orbital.  Three evaluation routes are implemented:
 
-* sector readout, exact, when the orbital is occupation mode 0;
-* a Lanczos spectral measure of the condensate number operator for a general
-  orbital in the occupation representation (the measure has at most N+1
-  integer atoms, so Lanczos with full reorthogonalization recovers it
-  exactly);
+* sector readout, exact, when the orbital is an occupation mode;
+* factorial moments F_j = |a(phi)^j psi|^2 / j! of the condensate number
+  operator for a general orbital, inverted by an alternating binomial sum:
+  the exact measure of psi in the untruncated Fock space, since a(phi) only
+  lowers occupations and never leaves the capped basis;
 * a dense tensor-space oracle (`DenseSystem`) for small systems, expanding
   P_k literally as the symmetrized sum over q/p factor placements.
 
@@ -28,11 +28,12 @@ from .errors import DomainError, SizeError, ToleranceError
 from .manybody import (
     ManyBodyState,
     ModeBasis,
-    _lanczos,
+    _lowered,
     condensate_coefficients,
-    one_body_operator,
     reduced_density,
 )
+
+MOMENTS_ROUNDOFF_LIMIT = 1e-10
 
 # ---------------------------------------------------------------------------
 # weight functions
@@ -202,12 +203,8 @@ def condensate_projector(basis: ModeBasis, phi_x_coeffs: np.ndarray) -> Condensa
 @dataclass(frozen=True)
 class CountingDistribution:
     probs: np.ndarray
-    source: str
+    source: str                  # "sector" or "moments"
     raw_sum: float
-
-    def __post_init__(self):
-        if np.any(self.probs < -1e-12):
-            raise DomainError("counting probabilities must be >= -1e-12")
 
 
 def _counting_sector(state: ManyBodyState, mode: int) -> np.ndarray:
@@ -218,80 +215,62 @@ def _counting_sector(state: ManyBodyState, mode: int) -> np.ndarray:
     return probs
 
 
-def _embed_for_counting(state: ManyBodyState, margin: int = 2,
-                        dim_budget: int = 400_000):
-    """Re-express the state in a basis whose excitation cap is raised by up to
-    ``margin``.  A truncated subspace is not invariant under the condensate
-    number operator of a general orbital, so its projected spectrum is not
-    exactly integer; the enlarged cap suppresses that leakage geometrically.
-    Nor is a momentum sector invariant, so a sector state is embedded in all
-    rows of at least its own cap.
-    """
-    from .manybody import FockBasis, symmetric_dimension
-
-    fock = state.fock
-    n = fock.n_particles
-    cap = n if fock.max_excitations is None else min(fock.max_excitations, n)
-    for extra in range(margin, -1, -1):
-        new_cap = min(cap + extra, n)
-        if new_cap == cap and fock.dim == fock.unrestricted_dim:
-            return state
-        if symmetric_dimension(fock.n_modes, n, new_cap) <= dim_budget:
-            big = FockBasis(fock.n_modes, fock.n_particles, new_cap,
-                            dim_cap=dim_budget)
-            amps = np.zeros(big.dim, dtype=complex)
-            amps[big.lookup(fock.occupations)] = state.amplitudes
-            return ManyBodyState(big, amps, state.time)
-    return state
+def _moments_roundoff(n: int) -> float:
+    """Bound eps * 3^N on the roundoff of the alternating factorial-moment sum."""
+    return float(np.finfo(float).eps) * 3.0**n
 
 
-def _counting_lanczos(state: ManyBodyState, projector: CondensateProjector) -> np.ndarray:
-    """Spectral measure of the condensate number operator from the state.
+def _lower_along(state: ManyBodyState, coeffs: np.ndarray) -> ManyBodyState:
+    """a(phi) psi = sum_a conj(phi_a) a_a psi on the (N-1)-particle basis."""
+    modes = np.flatnonzero(coeffs)
+    sub, vecs = _lowered(state, list(modes))
+    return ManyBodyState(sub, np.conj(coeffs[modes]) @ vecs, state.time)
 
-    n_phi = sum phi_a phi_b^* adag_a a_b has spectrum {0..N}; the measure of
-    psi has at most N+1 atoms, so Lanczos with full reorthogonalization
-    terminates after at most N+1 steps with the exact atoms and weights.
+
+def _counting_moments(state: ManyBodyState, projector: CondensateProjector) -> np.ndarray:
+    """Counting measure of a general orbital from the factorial moments of n_phi.
+
+    Normal ordering gives C(n_phi, j) = adag(phi)^j a(phi)^j / j!, so
+    F_j = |a(phi)^j psi|^2 / j! and P(n_phi = i) = sum_(j >= i) (-1)^(j-i) C(j, i) F_j.
+    a(phi) only lowers occupations, so a(phi)^j psi lies in the (N-j)-particle
+    basis of the same cap and the result is the exact measure of psi in the
+    untruncated Fock space.  The roundoff of the sum is at most
+    eps C(N, i) 2^(N-i) <= eps 3^N.
     """
     n = state.fock.n_particles
-    if n > 64:
-        raise SizeError("general-orbital counting is limited to N <= 64")
-    state = _embed_for_counting(state)
-    h = np.outer(projector.coeffs, np.conj(projector.coeffs))
-    op = one_body_operator(state.fock, h)
-    v = state.amplitudes / np.linalg.norm(state.amplitudes)
-    _, alphas, betas = _lanczos(lambda x: op @ x, v, n + 1, 1e-12)
-    tmat = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    evals, evecs = np.linalg.eigh(tmat)
-    weights = np.abs(evecs[0, :]) ** 2
-    probs = np.zeros(n + 1)
-    for val, wgt in zip(evals, weights):
-        k_cond = int(round(val))
-        if abs(val - k_cond) > 1e-6 or not (0 <= k_cond <= n):
-            # sectors with negligible weight surface as misplaced noise atoms
-            if wgt < 1e-8:
-                continue
-            raise ToleranceError(
-                f"counting spectrum atom {val:.6f} (weight {wgt:.2e}) "
-                f"is not an integer in [0, {n}]"
-            )
-        probs[n - k_cond] += wgt
-    return probs
+    bound = _moments_roundoff(n)
+    if bound > MOMENTS_ROUNDOFF_LIMIT:
+        raise ToleranceError(f"factorial-moment roundoff bound {bound:.1e} at N = {n} "
+                             f"exceeds {MOMENTS_ROUNDOFF_LIMIT:.0e}")
+    moments = np.zeros(n + 1)
+    moments[0] = state.norm**2
+    for j in range(1, n):
+        state = _lower_along(state, projector.coeffs)
+        moments[j] = state.norm**2 / math.factorial(j)
+    # one particle to none is a dot product: the vacuum has no FockBasis
+    last = np.vdot(projector.coeffs, state.fock.occupations.T @ state.amplitudes)
+    moments[n] = abs(last) ** 2 / math.factorial(n)
+    signed_binom = np.array([[(-1) ** (j - i) * math.comb(j, i) for j in range(n + 1)]
+                             for i in range(n + 1)], dtype=float)
+    p_cond = signed_binom @ moments          # P(n_phi = i), i = 0..N
+    return p_cond[::-1]                      # k = N - i particles outside
 
 
-def counting_distribution(state: ManyBodyState, projector: CondensateProjector,
-                          method: str = "auto") -> CountingDistribution:
-    if method == "auto":
-        method = "sector" if projector.basis_mode is not None else "lanczos"
-    if method == "sector":
-        if projector.basis_mode is None:
-            raise DomainError("sector readout needs a basis-mode orbital")
-        probs = _counting_sector(state, projector.basis_mode)
-        source = "sector"
-    elif method == "lanczos":
-        probs = _counting_lanczos(state, projector)
-        source = "lanczos"
+def counting_distribution(state: ManyBodyState,
+                          projector: CondensateProjector) -> CountingDistribution:
+    """P_k weights of the state: the exact occupation histogram for a
+    basis-mode orbital, factorial moments for any other orbital."""
+    n = state.fock.n_particles
+    if projector.basis_mode is not None:
+        probs, source = _counting_sector(state, projector.basis_mode), "sector"
+        floor = 1e-12
     else:
-        raise DomainError(f"unknown counting method {method!r}")
+        probs, source = _counting_moments(state, projector), "moments"
+        floor = max(1e-12, _moments_roundoff(n))
+    if np.min(probs) < -floor:
+        raise ToleranceError(
+            f"counting probability {np.min(probs):.2e} is below -{floor:.0e}"
+        )
     raw = float(probs.sum())
     probs = np.maximum(probs, 0.0)
     if raw > 0:
@@ -299,12 +278,12 @@ def counting_distribution(state: ManyBodyState, projector: CondensateProjector,
     return CountingDistribution(probs, source, raw)
 
 
-def alpha(state: ManyBodyState, weight: WeightFunction, projector: CondensateProjector,
-          method: str = "auto") -> float:
+def alpha(state: ManyBodyState, weight: WeightFunction,
+          projector: CondensateProjector) -> float:
     """alpha_f = sum_k f(k) <psi, P_k psi>."""
     if weight.n_particles != state.fock.n_particles:
         raise DomainError("weight table and state disagree on N")
-    dist = counting_distribution(state, projector, method)
+    dist = counting_distribution(state, projector)
     k = np.arange(state.fock.n_particles + 1)
     return float(np.sum(weight(k) * dist.probs))
 
@@ -317,22 +296,20 @@ class AlphaXi:
 
 
 def alpha_xi(state: ManyBodyState, projector: CondensateProjector,
-             e_psi: float, e_phi: float, xi: float, method: str = "auto") -> AlphaXi:
+             e_psi: float, e_phi: float, xi: float) -> AlphaXi:
     """alpha_xi = alpha_m + |E^psi - E^Phi| (the Gronwall quantity)."""
-    am = alpha(state, make_weight("m", state.fock.n_particles, xi), projector, method)
+    am = alpha(state, make_weight("m", state.fock.n_particles, xi), projector)
     gap = abs(e_psi - e_phi)
     return AlphaXi(am + gap, am, gap)
 
 
 def alpha_n2_expectation(state: ManyBodyState, projector: CondensateProjector) -> float:
-    """<n-hat^2> = 1 - <n_phi>/N via one matvec (no sector grouping)."""
+    """<n-hat^2> = 1 - <n_phi>/N with <n_phi> = |a(phi) psi|^2 (no sector grouping)."""
     if projector.basis_mode is not None:
         occ = state.fock.occupations[:, projector.basis_mode].astype(float)
         mean = float(np.sum(occ * np.abs(state.amplitudes) ** 2))
     else:
-        h = np.outer(projector.coeffs, np.conj(projector.coeffs))
-        op = one_body_operator(state.fock, h)
-        mean = float(np.real(np.vdot(state.amplitudes, op @ state.amplitudes)))
+        mean = _lower_along(state, projector.coeffs).norm ** 2
     return 1.0 - mean / state.fock.n_particles
 
 

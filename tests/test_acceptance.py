@@ -80,7 +80,7 @@ def test_criterion_2_rate_bridge():
             if not projectors.rate_bridge(state, proj).holds:
                 violations += 1
             checked += 1
-    # general (rotated) condensate orbitals through the Lanczos counting path
+    # general (rotated) condensate orbitals through the a(phi) lowering path
     fock = manybody.FockBasis(4, 4)
     for _ in range(40):
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import manybody, projectors
-from dimred.errors import DomainError
+from dimred.errors import DomainError, ToleranceError
 
 
 def two_mode_state(c20, c11, c02):
@@ -133,16 +133,33 @@ def test_counting_sums_to_one_random():
         assert dist.raw_sum == pytest.approx(1.0, abs=1e-10)
 
 
-def test_counting_lanczos_matches_sector():
+def test_counting_moments_matches_sector():
+    # the same basis-mode orbital without `basis_mode` takes the moments route
     rng = np.random.default_rng(5)
     fock = manybody.FockBasis(4, 4)
     proj = projectors.basis_mode_projector(4)
+    general = projectors.CondensateProjector(proj.coeffs, proj.mode_my)
     for _ in range(5):
         amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
-        p_sector = projectors.counting_distribution(state, proj, method="sector").probs
-        p_lanczos = projectors.counting_distribution(state, proj, method="lanczos").probs
-        assert p_lanczos == pytest.approx(p_sector, abs=1e-9)
+        by_sector = projectors.counting_distribution(state, proj)
+        by_moments = projectors.counting_distribution(state, general)
+        assert (by_sector.source, by_moments.source) == ("sector", "moments")
+        assert by_moments.probs == pytest.approx(by_sector.probs, abs=1e-12)
+
+
+def _uncapped_measure(fock, amps, phi):
+    """P_k of the state embedded in the uncapped basis, from the eigenvectors
+    of dGamma(q), q = 1 - |phi><phi| (an independent route)."""
+    full = manybody.FockBasis(fock.n_modes, fock.n_particles)
+    psi = np.zeros(full.dim, dtype=complex)
+    psi[full.lookup(fock.occupations)] = amps
+    q = np.eye(fock.n_modes) - np.outer(phi, phi.conj())
+    evals, evecs = np.linalg.eigh(manybody.one_body_operator(full, q).toarray())
+    expected = np.zeros(fock.n_particles + 1)
+    for lam, vec in zip(evals, evecs.T):
+        expected[int(round(lam))] += abs(np.vdot(vec, psi)) ** 2
+    return expected
 
 
 def test_counting_general_orbital_against_dense_grouping():
@@ -153,17 +170,51 @@ def test_counting_general_orbital_against_dense_grouping():
     phi /= np.linalg.norm(phi)
     proj = projectors.CondensateProjector(phi, np.zeros(3, dtype=np.int64))
     amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
-    state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
-    probs = projectors.counting_distribution(state, proj).probs
+    amps /= np.linalg.norm(amps)
+    probs = projectors.counting_distribution(manybody.ManyBodyState(fock, amps), proj).probs
+    assert probs == pytest.approx(_uncapped_measure(fock, amps, phi), abs=1e-10)
 
-    q = np.eye(3) - np.outer(phi, phi.conj())
-    dgq = manybody.one_body_operator(fock, q).toarray()
-    evals, evecs = np.linalg.eigh(dgq)
-    expected = np.zeros(4)
-    for lam, vec in zip(evals, evecs.T):
-        k = int(round(lam))
-        expected[k] += abs(np.vdot(vec, state.amplitudes)) ** 2
-    assert probs == pytest.approx(expected, abs=1e-10)
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_counting_capped_state_against_untruncated_measure(cap):
+    # a capped space is not invariant under n_phi; the measure must still be
+    # that of the same state in the full Fock space
+    rng = np.random.default_rng(17 + cap)
+    fock = manybody.FockBasis(5, 6, cap)
+    assert fock.dim < manybody.symmetric_dimension(5, 6)
+    phi = rng.normal(size=5) + 1j * rng.normal(size=5)
+    phi /= np.linalg.norm(phi)
+    proj = projectors.CondensateProjector(phi, np.zeros(5, dtype=np.int64))
+    amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+    amps /= np.linalg.norm(amps)
+    state = manybody.ManyBodyState(fock, amps)
+    expected = _uncapped_measure(fock, amps, phi)
+    dist = projectors.counting_distribution(state, proj)
+    assert dist.source == "moments"
+    assert np.max(np.abs(dist.probs - expected)) < 1e-12
+    k = np.arange(7)
+    assert projectors.alpha_n2_expectation(state, proj) == pytest.approx(
+        float(np.sum(k * expected)) / 6, abs=1e-12)
+
+
+def test_counting_moments_roundoff_bound_raises():
+    # eps * 3^40 is far above the 1e-10 limit of the alternating sum
+    fock = manybody.FockBasis(2, 40)
+    amps = np.full(fock.dim, 1.0 / math.sqrt(fock.dim), dtype=complex)
+    proj = projectors.CondensateProjector(np.array([0.6, 0.8j]), np.zeros(2, dtype=np.int64))
+    with pytest.raises(ToleranceError, match="roundoff"):
+        projectors.counting_distribution(manybody.ManyBodyState(fock, amps), proj)
+
+
+def test_counting_negative_atom_raises(monkeypatch):
+    state = two_mode_state(1.0, 0.5, 0.25)
+    proj = projectors.CondensateProjector(np.array([0.6, 0.8]), np.zeros(2, dtype=np.int64))
+    monkeypatch.setattr(projectors, "_counting_moments",
+                        lambda state, projector: np.array([0.5, 0.500001, -1e-6]))
+    with pytest.raises(ToleranceError):
+        projectors.counting_distribution(state, proj)
+    with pytest.raises(ToleranceError):
+        projectors.alpha(state, projectors.make_weight("n2", 2), proj)
 
 
 @pytest.mark.parametrize("cap", [None, 2])
