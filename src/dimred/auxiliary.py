@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, InsufficientDataError, RegimeError, ResolutionError
 from .nls import CondensateState
 from .potentials import ScaledInteraction
-from .transverse import TransverseMode, wrapped_offsets
+from .transverse import TransverseMode, mode_correlations, offset_quadrature
 
 BOUNDARY_TOL = 1e-10
 
@@ -330,43 +329,12 @@ def gradient_scaling_fit(points, profile) -> GradientScalingReport:
 # ---------------------------------------------------------------------------
 
 
-def _transverse_density_correlation(tmode: TransverseMode):
-    """T(u) = int |chi^eps(y)|^2 |chi^eps(y - u)|^2 dy as a callable of |u|.
-
-    Cubic splines keep the interpolation error far below the mu^2-scale
-    signals this enters; the result is even in u by construction.
-    """
-    if tmode.dimension == 1:
-        dens = np.abs(tmode.chi) ** 2
-        spline = CubicSpline(tmode.axis, dens, extrapolate=False)
-
-        def corr(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            out = np.empty_like(u)
-            for i, ui in enumerate(u):
-                shifted = spline(tmode.axis - ui)
-                shifted = np.nan_to_num(shifted, nan=0.0)
-                out[i] = np.trapezoid(dens * shifted, tmode.axis)
-            return out
-
-        return corr
-    dens = np.abs(tmode.chi) ** 2
-    n = len(tmode.axis)
-    f = np.fft.fft2(dens)
-    corr_grid = np.fft.ifft2(f * np.conj(f)).real * tmode.weight
-    offs = wrapped_offsets(tmode.axis)
-    order = np.argsort(offs)
-    radial = np.sqrt(offs[order][:, None] ** 2 + offs[order][None, :] ** 2)
-    vals = corr_grid[np.ix_(order, order)]
-    rr = radial.ravel()
-    vv = vals.ravel()
-    srt = np.argsort(rr)
-
-    def corr(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return np.interp(u, rr[srt], vv[srt])
-
-    return corr
+def _density_correlation(tmode: TransverseMode):
+    """T(u) = int |chi^eps(y)|^2 |chi^eps(y - u)|^2 dy, the cubic interpolant of
+    the (0, 0, 0, 0) mode correlation: u is the signed offset for d = 1 and the
+    offset radius for d = 2."""
+    at = mode_correlations(tmode, 1).interpolant()
+    return lambda u: at(u)[0, 0, 0, 0]
 
 
 def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
@@ -378,24 +346,13 @@ def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
     r = scaled.range
     if _points_across(tmode, scaled) < 8:
         raise ResolutionError("transverse grid does not resolve the interaction range")
-    corr = _transverse_density_correlation(tmode)
     xs = np.linspace(-pad * r, pad * r, n_samples)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    d = tmode.dimension
+    inside = np.abs(xs) < r
+    x = xs[inside, None]
+    u, uw = offset_quadrature(np.sqrt(r**2 - x[:, 0] ** 2), tmode.dimension, 64)
+    wv = scaled(np.sqrt(x**2 + u**2))
     vals = np.zeros_like(xs)
-    for i, x in enumerate(xs):
-        if abs(x) >= r:
-            continue
-        umax = math.sqrt(r**2 - x**2)
-        if d == 1:
-            u_nodes = umax * nodes  # Gauss-Legendre on the symmetric interval
-            wv = scaled(np.sqrt(x**2 + u_nodes**2))
-            vals[i] = float(np.sum(weights * umax * wv * corr(np.abs(u_nodes))))
-        else:
-            u_nodes = 0.5 * umax * (nodes + 1.0)
-            wv = scaled(np.sqrt(x**2 + u_nodes**2))
-            vals[i] = float(np.sum(weights * 0.5 * umax * wv * corr(u_nodes)
-                                   * 2.0 * math.pi * u_nodes))
+    vals[inside] = np.sum(uw * wv * _density_correlation(tmode)(u), axis=1)
     vals = 0.5 * (vals + vals[::-1])
     return LineFunction(xs, vals)
 
@@ -523,42 +480,29 @@ def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
         raise ResolutionError("interaction range is far below the condensate grid scale")
     if _points_across(tmode, scaled) < 8:
         raise ResolutionError("transverse grid does not resolve the interaction range")
-    corr = _transverse_density_correlation(tmode)
-    t0 = float(corr(np.asarray([0.0]))[0])
+    corr = _density_correlation(tmode)
+    t0 = float(corr(0.0))
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     s_nodes = r * nodes
     s_weights = r * weights
+    # transverse integrals of w(s, u) against T(u) and T(0), one per s node
+    u, uw = offset_quadrature(np.sqrt(np.maximum(r**2 - s_nodes**2, 0.0)),
+                              tmode.dimension, n_quad)
+    wv = uw * scaled(np.sqrt(s_nodes[:, None] ** 2 + u**2))
+    wint_t = np.sum(wv * corr(u), axis=1)
+    wint_0 = np.sum(wv, axis=1) * t0
     ft = np.fft.fft(condensate.values)
     k = grid.wavenumbers
     n_part = scaled.point.n_particles
     dens0 = np.abs(condensate.values) ** 2
-    d = tmode.dimension
     total = np.zeros(grid.points)
     conv_only = np.zeros(grid.points)
     smear_only = np.zeros(grid.points)
-    for s, sw in zip(s_nodes, s_weights):
-        shifted = np.fft.ifft(ft * np.exp(-1j * k * s))
-        dens_s = np.abs(shifted) ** 2
-        umax = math.sqrt(max(r**2 - s**2, 0.0))
-        if umax == 0.0:
-            continue
-        if d == 1:
-            u = umax * nodes
-            uw = umax * weights
-            wv = scaled(np.sqrt(s**2 + u**2))
-            tmat = corr(np.abs(u))
-            wint_t = float(np.sum(uw * wv * tmat))
-            wint_0 = float(np.sum(uw * wv)) * t0
-        else:
-            u = 0.5 * umax * (nodes + 1.0)
-            uw = 0.5 * umax * weights * 2.0 * math.pi * u
-            wv = scaled(np.sqrt(s**2 + u**2))
-            tmat = corr(u)
-            wint_t = float(np.sum(uw * wv * tmat))
-            wint_0 = float(np.sum(uw * wv)) * t0
-        total += sw * (dens_s * wint_t - dens0 * wint_0)
-        conv_only += sw * (dens_s - dens0) * wint_t
-        smear_only += sw * dens0 * (wint_t - wint_0)
+    for s, sw, wt, w0 in zip(s_nodes, s_weights, wint_t, wint_0):
+        dens_s = np.abs(np.fft.ifft(ft * np.exp(-1j * k * s))) ** 2
+        total += sw * (dens_s * wt - dens0 * w0)
+        conv_only += sw * (dens_s - dens0) * wt
+        smear_only += sw * dens0 * (wt - w0)
     gamma_vals = n_part * total
     gl2 = math.sqrt(float(np.sum(gamma_vals**2) * grid.spacing))
     c2 = math.sqrt(float(np.sum((n_part * conv_only) ** 2) * grid.spacing))

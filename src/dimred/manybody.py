@@ -4,8 +4,10 @@ The one-body modes are products of periodic plane waves (integer momenta) and
 the lowest eigenmodes of the rescaled transverse trap.  Pair matrix elements
 exploit the structure of w(z - z'): longitudinal momentum is conserved
 exactly, so the two-body tensor is stored as V[q, ma, mb, mc, md] with
-q = k_a - k_c, assembled from a cosine transform in x and circular
-transverse-density correlations in y.
+q = k_a - k_c, assembled from a cosine transform in x and the circular
+transverse mode correlations of ``transverse.mode_correlations`` in y: read
+on the grid offsets for the grid-matched basis, through their cubic
+interpolant at Gauss nodes for the continuum basis.
 
 Transverse energies enter shifted by the ground energy E0/eps^2
 ("renormalized convention"): propagation then happens without the fast
@@ -44,7 +46,8 @@ from .config import Config
 from .errors import DomainError, InstabilityError, ResolutionError, SizeError, ToleranceError
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction
 from .scaling import ScalingPoint
-from .transverse import TransverseMode, _normalize_and_sign, rescale, wrapped_offsets
+from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
+                         offset_quadrature, rescale)
 
 DEFAULT_DIM_CAP = Config({}).get_int("manybody.dim_cap")    # from the default table
 GRID_CAP = 2**28
@@ -265,24 +268,6 @@ class ModeBasis:
         return h
 
 
-def _pair_products(modes: np.ndarray) -> np.ndarray:
-    """f[m, n, ...] = tau_m * tau_n pointwise."""
-    return modes[:, None] * modes[None, :]
-
-
-def _correlations(pairs: np.ndarray, weight: float, dim: int) -> np.ndarray:
-    """Circular correlations S[P, Q, u] = w * sum_y f_P(y) f_Q(y - u)."""
-    my = pairs.shape[0]
-    flat = pairs.reshape(my * my, *pairs.shape[2:])
-    if dim == 1:
-        f = np.fft.fft(flat, axis=-1)
-        corr = np.fft.ifft(f[:, None, :] * np.conj(f[None, :, :]), axis=-1).real
-    else:
-        f = np.fft.fft2(flat, axes=(-2, -1))
-        corr = np.fft.ifft2(f[:, None] * np.conj(f[None, :]), axes=(-2, -1)).real
-    return weight * corr.reshape(my, my, my, my, *pairs.shape[2:])
-
-
 def _cosine_transform_x(scaled: ScaledInteraction, q_values: np.ndarray,
                         u_norms: np.ndarray, n_gl: int = 48) -> np.ndarray:
     """W[qi, u] = int w(sqrt(s^2 + |u|^2)) e^(-i q s) ds by Gauss-Legendre in s."""
@@ -315,65 +300,26 @@ def _grid_transform_x(scaled: ScaledInteraction, box_length: float, n_x: int,
 def _assemble_vq_grid(scaled, transverse: TransverseMode, x_transform) -> np.ndarray:
     """V[qi, ma, mb, mc, md] = w_u sum_u What(q, u) S_(ma mc),(mb md)(u) on the
     literal grid offsets (the exact pairing the position-grid dynamics uses)."""
-    axis = transverse.axis
-    dim = transverse.dimension
-    if dim == 1:
-        offs = wrapped_offsets(axis)
-        u_norms = np.abs(offs)
-        weight_u = transverse.spacing
-    else:
-        o = wrapped_offsets(axis)
-        u1, u2 = np.meshgrid(o, o, indexing="ij")
-        u_norms = np.sqrt(u1**2 + u2**2).ravel()
-        weight_u = transverse.spacing**2
-    what = x_transform(u_norms)                      # (n_q, n_u)
-    pairs = _pair_products(transverse.modes)
-    corr = _correlations(pairs, transverse.weight, dim)
     my = transverse.modes.shape[0]
-    corr = corr.reshape(my, my, my, my, -1)          # index order (ma, mc, mb, md, u)
-    return weight_u * np.einsum("qu,acbdu->qabcd", what, corr)
+    corr = mode_correlations(transverse, my)
+    o = corr.offsets
+    if transverse.dimension == 1:
+        u_norms = np.abs(o)
+    else:
+        u_norms = np.sqrt(o[:, None] ** 2 + o[None, :] ** 2).ravel()
+    what = x_transform(u_norms)                      # (n_q, n_u)
+    s = corr.values.reshape(my, my, my, my, -1)      # index order (ma, mc, mb, md, u)
+    return transverse.weight * np.einsum("qu,acbdu->qabcd", what, s)
 
 
 def _assemble_vq_continuum(scaled, transverse: TransverseMode, my: int, x_transform,
                            n_gl: int = 64) -> np.ndarray:
-    """Continuum variant over the first `my` transverse modes: spline the exact
+    """Continuum variant over the first `my` transverse modes: interpolate the
     grid correlations in the offset and Gauss-integrate against What over the
     interaction support, which handles the square-root edge of compactly
     supported profiles far better than a trapezoid sum at the grid spacing."""
-    from scipy.interpolate import CubicSpline
-
-    axis = transverse.axis
-    dim = transverse.dimension
-    r = scaled.range
-    pairs = _pair_products(transverse.modes[:my])
-    corr = _correlations(pairs, transverse.weight, dim)
-    nodes, weights = np.polynomial.legendre.leggauss(n_gl)
-    if dim == 1:
-        offs = wrapped_offsets(axis)
-        order = np.argsort(offs)
-        corr_flat = corr.reshape(my**4, -1)[:, order]
-        splines = CubicSpline(offs[order], corr_flat, axis=1)
-        u = r * nodes
-        uw = r * weights
-        s_at = splines(u)                            # (my^4, n_gl)
-    else:
-        o = wrapped_offsets(axis)
-        order = np.argsort(o)
-        corr_sorted = corr.reshape(my**4, len(o), len(o))[:, order][:, :, order]
-        # radial offsets: interpolate on the sorted 2-d offset grid
-        from scipy.interpolate import RegularGridInterpolator
-
-        u = 0.5 * r * (nodes + 1.0)
-        uw = 0.5 * r * weights * 2.0 * math.pi * u
-        theta = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
-        pts = np.stack([np.outer(u, np.cos(theta)).ravel(),
-                        np.outer(u, np.sin(theta)).ravel()], axis=1)
-        s_at = np.empty((my**4, len(u)))
-        for idx in range(my**4):
-            interp = RegularGridInterpolator((o[order], o[order]), corr_sorted[idx],
-                                             bounds_error=False, fill_value=0.0)
-            vals = interp(pts).reshape(len(u), len(theta))
-            s_at[idx] = vals.mean(axis=1)
+    u, uw = offset_quadrature(scaled.range, transverse.dimension, n_gl)
+    s_at = mode_correlations(transverse, my).interpolant()(u).reshape(my**4, -1)
     what = x_transform(np.abs(u))                    # (n_q, n_gl)
     vq = np.einsum("qg,pg,g->qp", what, s_at, uw)
     # flattened correlation index order is (ma, mc, mb, md); emit (ma, mb, mc, md)
@@ -845,7 +791,6 @@ def reduced_density(state: ManyBodyState, k: int = 1) -> ReducedDensity:
         lowered = np.zeros((len(pair_list), sub2.dim), dtype=complex)
         occ = fock.occupations
         for col, (a, b) in enumerate(pair_list):
-            need_a = 1 + (1 if a == b else 0)
             has = np.where((occ[:, a] >= (2 if a == b else 1)) & (occ[:, b] >= 1))[0]
             if len(has) == 0:
                 continue

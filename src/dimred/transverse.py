@@ -9,10 +9,12 @@ scaled eigenproblem is never re-solved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
@@ -147,6 +149,74 @@ def wrapped_offsets(axis: np.ndarray) -> np.ndarray:
     h = axis[1] - axis[0]
     span = len(axis) * h
     return (np.arange(len(axis)) * h + span / 2.0) % span - span / 2.0
+
+
+@dataclass(frozen=True)
+class ModeCorrelations:
+    """S[a, c, b, d](u) = w sum_y tau_a tau_c(y) tau_b tau_d(y - u) on the
+    circular grid offsets (`wrapped_offsets` per axis, FFT order).
+
+    The transverse-density correlation T(u) = int |chi(y)|^2 |chi(y - u)|^2 dy
+    is the (0, 0, 0, 0) entry.
+    """
+
+    offsets: np.ndarray        # wrapped offsets along one axis
+    values: np.ndarray         # (n, n, n, n, n_y) for d = 1, (n, n, n, n, n_y, n_y) for d = 2
+    dimension: int
+
+    def interpolant(self):
+        """Cubic interpolant u -> S(u) of shape (n, n, n, n, *u.shape).
+
+        In one dimension u is the signed offset and S a cubic spline of the
+        grid values.  In two, u is the offset radius and S the mean of a
+        bicubic spline over 32 angles.  Cubic splines keep the interpolation
+        error far below the mu^2-scale signals these integrals carry (a
+        bilinear angular mean misses the 2d Gamma closed form by 7e-3).
+        """
+        order = np.argsort(self.offsets)
+        o = self.offsets[order]
+        lead = self.values.shape[:4]
+        if self.dimension == 1:
+            spline = CubicSpline(o, self.values.reshape(-1, len(o))[:, order], axis=1)
+            return lambda u: spline(u).reshape(*lead, *np.shape(u))
+        grids = self.values.reshape(-1, len(o), len(o))[:, order][:, :, order]
+        splines = [RectBivariateSpline(o, o, g) for g in grids]
+        theta = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
+
+        def at(u):
+            u = np.asarray(u, dtype=float)[..., None]
+            y1, y2 = u * np.cos(theta), u * np.sin(theta)
+            means = [s.ev(y1, y2).mean(axis=-1) for s in splines]
+            return np.stack(means).reshape(*lead, *u.shape[:-1])
+
+        return at
+
+
+def mode_correlations(mode: TransverseMode, n_modes: int) -> ModeCorrelations:
+    """Circular correlations of the pair products tau_a tau_c of the first
+    `n_modes` modes, by one FFT over the transverse grid."""
+    tau = mode.modes[:n_modes]
+    pairs = (tau[:, None] * tau[None, :]).reshape(n_modes**2, *tau.shape[1:])
+    axes = tuple(range(-mode.dimension, 0))
+    f = np.fft.fftn(pairs, axes=axes)
+    corr = np.fft.ifftn(f[:, None] * np.conj(f[None, :]), axes=axes).real
+    values = mode.weight * corr.reshape((n_modes,) * 4 + tau.shape[1:])
+    return ModeCorrelations(wrapped_offsets(mode.axis), values, mode.dimension)
+
+
+def offset_quadrature(u_max, dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights over the transverse offsets
+    of length at most u_max (a scalar or an array; nodes on a last axis).
+
+    One dimension: the signed offset on [-u_max, u_max].  Two: the radius on
+    [0, u_max], with the polar weight 2 pi u.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    u_max = np.asarray(u_max, dtype=float)[..., None]
+    if dimension == 1:
+        return u_max * nodes, u_max * weights
+    u = 0.5 * u_max * (nodes + 1.0)
+    return u, 0.5 * u_max * weights * 2.0 * math.pi * u
 
 
 def rescale(mode: TransverseMode, epsilon: float) -> TransverseMode:

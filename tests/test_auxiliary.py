@@ -221,19 +221,18 @@ def test_quasi1d_center_against_bruteforce(tmode_eps):
     assert wbar.values[i0] == pytest.approx(w00, rel=1e-6)
 
 
-@pytest.mark.slow
 def test_quasi1d_integral_identity(tmode_eps):
     # marginalization: int wbar dx = int T(u) W1(u) du, with the right side
     # evaluated by Gauss nodes against the exact longitudinal slice integral
     # W1(u) = 2 sqrt(r^2 - u^2) * amplitude of the ball
     sc = surrogate_scaled()
     wbar = auxiliary.quasi1d(sc, tmode_eps, n_samples=4097)
-    corr = auxiliary._transverse_density_correlation(tmode_eps)
+    corr = transverse.mode_correlations(tmode_eps, 1).interpolant()
     r = sc.range
     nodes, weights = np.polynomial.legendre.leggauss(96)
     u = r * nodes
     w1 = 2.0 * np.sqrt(np.maximum(r**2 - u**2, 0.0)) * float(sc(0.0))
-    rhs = float(np.sum(r * weights * corr(np.abs(u)) * w1))
+    rhs = float(np.sum(r * weights * corr(u)[0, 0, 0, 0] * w1))
     assert wbar.l1() == pytest.approx(rhs, rel=2e-4)
 
 

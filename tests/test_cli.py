@@ -248,7 +248,6 @@ def test_manybody_evolve_explicit_points(tmp_path):
                  "--outputs", "1", "--out", out]) == 0
 
 
-@pytest.mark.slow
 def test_aux_verify_uses_config_profile(capsys, tmp_path):
     path = tmp_path / "bump.cfg"
     path.write_text("sequence.beta = 0.5\nsequence.gamma = 1.0\nsequence.n_values = 2\n"

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 
 from dimred import manybody, potentials, projectors, scaling, transverse
@@ -592,6 +593,32 @@ def test_grid_oracle_matches_second_quantized(oracle_pair):
     assert projectors.trace_distance(g_grid, g_modes) < 1e-6
 
 
+
+def test_grid_oracle_is_second_order():
+    # verify-all's 10 x 8 problem: against a Krylov reference at tolerance
+    # 1e-12 the Strang splitting error of the oracle falls as dt^2
+    point = scaling.make_point(2, 0.5, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    prof = potentials.gaussian_bump(height=2.0, radius=4.0, width=1.5)
+    sc = potentials.scale(prof, point, d_perp=1)
+    n_x, n_y, y_span = 10, 8, 6.0
+    basis = manybody.build_grid_matched_basis(point, conf, sc, n_x, n_y, L, y_span)
+    oracle = manybody.GridOracle(point, conf, sc, L, n_x, n_y, y_span)
+    phi_x = np.exp(-oracle.x**2 / 2.0) * np.exp(0.5j * oracle.x)
+    orb = phi_x[:, None] * oracle.tau[None, :]
+    orb = orb / math.sqrt(np.sum(np.abs(orb) ** 2) * oracle.weight())
+    u = manybody.modes_on_grid(basis, oracle)
+    coeffs = u.conj().T @ (orb.ravel() * math.sqrt(oracle.weight()))
+    st0 = manybody.product_state(manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5), coeffs)
+    final = manybody.evolve(st0, basis, 0.01, 0.2, n_outputs=1, krylov_tol=1e-12).final
+    g_ref = manybody.gamma_modes_to_grid(
+        basis, manybody.reduced_density(final, 1).matrix, oracle)
+    psi0 = oracle.product_state(phi_x)
+    dists = [projectors.trace_distance(oracle.gamma1(oracle.evolve(psi0, dt, 0.2)), g_ref)
+             for dt in (4e-3, 2e-3, 1e-3)]
+    orders = np.log2(np.asarray(dists[:-1]) / np.asarray(dists[1:]))
+    assert np.all(np.abs(orders - 2.0) < 0.05)
+
 def test_grid_oracle_cap():
     point = scaling.make_point(2, 0.5, 0.5)
     conf = potentials.harmonic_confinement(dimension=1)
@@ -626,13 +653,18 @@ def test_transverse_excited_fraction(setup):
 # ---------------------------------------------------------------------------
 
 
-def test_build_basis_d_perp_2():
+@pytest.fixture(scope="module")
+def basis_2d():
     point = scaling.make_point(4, 0.5, 0.5)
     conf = potentials.harmonic_confinement(dimension=2)
     unscaled = transverse.solve_modes(conf, transverse.TransverseGrid(6.0, 193), 2)
     prof = potentials.uniform_ball(height=2.0, radius=2.0)
     sc = potentials.scale(prof, point, d_perp=2)
-    basis = manybody.build_basis(point, conf, None, sc, 3, 2, L, unscaled_mode=unscaled)
+    return manybody.build_basis(point, conf, None, sc, 3, 2, L, unscaled_mode=unscaled)
+
+
+def test_build_basis_d_perp_2(basis_2d):
+    basis = basis_2d
     assert basis.n_modes == 6
     # 2-d rescaling: E0/eps^2 = 2/0.25 = 8
     assert basis.e0_scaled == pytest.approx(8.0, abs=0.05)
@@ -648,6 +680,21 @@ def test_build_basis_d_perp_2():
     traj = manybody.evolve(condensed(fock), basis, 0.01, 0.2, n_outputs=1)
     assert traj.norm_drift < 1e-9
 
+
+
+def test_vq_d_perp_2_against_radial_quadrature(basis_2d):
+    # the harmonic ground state has T(rho) = exp(-rho^2/(2 eps^2))/(2 pi eps^2),
+    # so V[q, 0, 0, 0, 0] = 2 pi int_0^r What(q, rho) T(rho) rho drho
+    basis = basis_2d
+    sc, eps = basis.scaled, basis.point.epsilon
+    q_ints = sorted(basis.q_of_m)
+    q_phys = 2.0 * math.pi * np.asarray(q_ints, dtype=float) / basis.box_length
+    for i, q in enumerate(q_ints):
+        exact, _ = quad(lambda rho: 2.0 * math.pi * rho
+                        * manybody._cosine_transform_x(sc, q_phys, np.array([rho]))[i, 0]
+                        * math.exp(-rho * rho / (2.0 * eps * eps)) / (2.0 * math.pi * eps * eps),
+                        0.0, sc.range, epsabs=0.0, epsrel=1e-10, limit=200)
+        assert basis.vq[basis.q_of_m[q], 0, 0, 0, 0] == pytest.approx(exact, rel=1e-3)
 
 def test_time_dependent_external_field():
     point = scaling.make_point(2, 0.5, 0.5)

@@ -107,3 +107,40 @@ def test_excited_fraction_bound():
         transverse.excited_fraction_bound(-0.1, 2.0)
     with pytest.raises(DomainError):
         transverse.excited_fraction_bound(0.1, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# mode correlations
+# ---------------------------------------------------------------------------
+
+
+def _random_mode(dimension, n_y, n_modes, seed):
+    axis = np.linspace(-3.0, 3.0, n_y)
+    modes = np.random.default_rng(seed).normal(size=(n_modes,) + (n_y,) * dimension)
+    return transverse.TransverseMode(axis=axis, chi=modes[0], modes=modes,
+                                     energies=np.arange(n_modes, dtype=float),
+                                     dimension=dimension)
+
+
+def test_mode_correlations_1d_against_direct_sum():
+    mode = _random_mode(1, 40, 3, seed=11)
+    corr = transverse.mode_correlations(mode, 3)
+    n = len(mode.axis)
+    f = (mode.modes[:, None] * mode.modes[None, :]).reshape(9, n)
+    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n     # [k, j] -> j - k
+    ref = mode.weight * np.einsum("pj,qkj->pqk", f, f[:, shift])
+    assert np.max(np.abs(corr.values.reshape(9, 9, n) - ref)) < 1e-12 * np.max(np.abs(ref))
+    # the spline in the signed offset passes through every grid value
+    at = corr.interpolant()
+    assert np.max(np.abs(at(corr.offsets) - corr.values)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_mode_correlations_2d_against_direct_sum():
+    mode = _random_mode(2, 16, 2, seed=12)
+    corr = transverse.mode_correlations(mode, 2)
+    n = len(mode.axis)
+    f = (mode.modes[:, None] * mode.modes[None, :]).reshape(4, n, n)
+    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    shifted = f[:, shift[:, :, None, None], shift[None, None, :, :]]  # (q, k1, j1, k2, j2)
+    ref = mode.weight * np.einsum("pab,qkalb->pqkl", f, shifted)
+    assert np.max(np.abs(corr.values.reshape(4, 4, n, n) - ref)) < 1e-12 * np.max(np.abs(ref))
