@@ -27,15 +27,17 @@ holds the initial state, H and the whole trajectory.
 
 Both paths propagate with one fully reorthogonalized Lanczos exponential
 (``lanczos_expm``); scipy's ``expm_multiply`` is only a test oracle.
-``_lowered`` applies the annihilators a_a, which the reduced densities and
-the factorial-moment counting in ``projectors`` share.
+
+One kernel, ``_ladder``, applies every ladder operator: the one- and
+two-body terms of H, and the annihilators of ``_lowered``, which gamma^(1),
+gamma^(2) and the factorial-moment counting in ``projectors`` share.  Its
+(term, row, column, amplitude) output is the sparsity pattern of an operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +54,7 @@ from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
 DEFAULT_DIM_CAP = Config({}).get_int("manybody.dim_cap")    # from the default table
 GRID_CAP = 2**28
 MIN_POINTS_PER_RANGE = 8
-TWO_BODY_BATCH_BYTES = 1 << 23
+LADDER_BATCH_BYTES = 1 << 23
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +81,8 @@ class FockBasis:
     def __init__(self, n_modes: int, n_particles: int,
                  max_excitations: int | None = None, dim_cap: int = DEFAULT_DIM_CAP,
                  momentum: tuple | None = None):
-        if n_particles < 1:
-            raise DomainError(f"n_particles must be >= 1, got {n_particles}")
+        if n_particles < 0:
+            raise DomainError(f"n_particles must be >= 0, got {n_particles}")
         if n_modes < 2:
             raise DomainError(f"need at least 2 modes, got {n_modes}")
         dim = symmetric_dimension(n_modes, n_particles, max_excitations)
@@ -297,7 +299,7 @@ def _grid_transform_x(scaled: ScaledInteraction, box_length: float, n_x: int,
     return h_x * np.fft.fft(wv, axis=0).real
 
 
-def _assemble_vq_grid(scaled, transverse: TransverseMode, x_transform) -> np.ndarray:
+def _assemble_vq_grid(transverse: TransverseMode, x_transform) -> np.ndarray:
     """V[qi, ma, mb, mc, md] = w_u sum_u What(q, u) S_(ma mc),(mb md)(u) on the
     literal grid offsets (the exact pairing the position-grid dynamics uses)."""
     my = transverse.modes.shape[0]
@@ -312,13 +314,14 @@ def _assemble_vq_grid(scaled, transverse: TransverseMode, x_transform) -> np.nda
     return transverse.weight * np.einsum("qu,acbdu->qabcd", what, s)
 
 
-def _assemble_vq_continuum(scaled, transverse: TransverseMode, my: int, x_transform,
+def _assemble_vq_continuum(u_max: float, transverse: TransverseMode, my: int, x_transform,
                            n_gl: int = 64) -> np.ndarray:
     """Continuum variant over the first `my` transverse modes: interpolate the
     grid correlations in the offset and Gauss-integrate against What over the
-    interaction support, which handles the square-root edge of compactly
-    supported profiles far better than a trapezoid sum at the grid spacing."""
-    u, uw = offset_quadrature(scaled.range, transverse.dimension, n_gl)
+    interaction support |u| < u_max, which handles the square-root edge of
+    compactly supported profiles far better than a trapezoid sum at the grid
+    spacing."""
+    u, uw = offset_quadrature(u_max, transverse.dimension, n_gl)
     s_at = mode_correlations(transverse, my).interpolant()(u).reshape(my**4, -1)
     what = x_transform(np.abs(u))                    # (n_q, n_gl)
     vq = np.einsum("qg,pg,g->qp", what, s_at, uw)
@@ -362,7 +365,7 @@ def build_basis(
     energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + e_t[mode_my]
     q_ints = np.arange(-(m_x - 1), m_x, dtype=np.int64)
     q_phys = 2.0 * math.pi * q_ints / box_length
-    vq = _assemble_vq_continuum(scaled, tmode, m_y,
+    vq = _assemble_vq_continuum(scaled.range, tmode, m_y,
                                 lambda u: _cosine_transform_x(scaled, q_phys, u))
     return ModeBasis(
         point=point, scaled=scaled, box_length=box_length, kx=kx,
@@ -404,7 +407,7 @@ def build_grid_matched_basis(
     order = np.lexsort((mode_my, mode_kx, (mode_kx != 0) | (mode_my != 0)))
     mode_kx, mode_my = mode_kx[order], mode_my[order]
     energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + (vals - vals[0])[mode_my]
-    vq = _assemble_vq_grid(scaled, tmode, lambda u: _grid_transform_x(scaled, box_length, n_x, u))
+    vq = _assemble_vq_grid(tmode, lambda u: _grid_transform_x(scaled, box_length, n_x, u))
     q_of_m = {m: m for m in range(n_x)}
     return ModeBasis(
         point=point, scaled=scaled, box_length=box_length, kx=kx,
@@ -418,39 +421,67 @@ def build_grid_matched_basis(
 # second-quantized operators
 # ---------------------------------------------------------------------------
 
+def _ladder(fock: FockBasis, target: FockBasis, lower: np.ndarray, create: np.ndarray):
+    """Nonzero elements of the ladder terms adag_(create[t, k-1]) ... adag_(create[t, 0])
+    a_(lower[t, j-1]) ... a_(lower[t, 0]) from `fock` into `target`.
+
+    Returns arrays (term, target row, source row, amplitude); the amplitude is
+    sqrt(product of the counts after each creation) * sqrt(product of the
+    counts before each annihilation).  Terms that share a `lower` row must be
+    adjacent: each such group lowers its source rows once, then applies its
+    creations in batches of at most LADDER_BATCH_BYTES of target occupations,
+    each resolved by one lookup.
+    """
+    occ = fock.occupations
+    n_terms, m = len(lower), occ.shape[1]
+    out = ([], [], [], [])
+    starts = np.flatnonzero(np.any(np.diff(lower, axis=0, prepend=-1) != 0, axis=1))
+    for lo, hi in zip(starts, np.append(starts[1:], n_terms)):
+        modes = lower[lo].tolist()
+        # the i-th annihilation of a mode needs i particles in it
+        ok = True
+        for i, mode in enumerate(modes):
+            ok = ok & (occ[:, mode] >= modes[:i + 1].count(mode))
+        src = np.flatnonzero(ok)
+        if len(src) == 0:
+            continue
+        base = occ[src]
+        amp_lower = 1.0
+        for mode in modes:
+            amp_lower = amp_lower * base[:, mode]
+            base[:, mode] -= 1
+        amp_lower = np.sqrt(amp_lower)
+        step = max(1, LADDER_BATCH_BYTES // (len(src) * m))
+        for j in range(lo, hi, step):
+            stop = min(j + step, hi)
+            tgt = np.repeat(base[None], stop - j, axis=0)
+            term = np.arange(stop - j)[:, None]
+            every = np.arange(len(src))
+            amp_create = np.ones(tgt.shape[:2])
+            for mode in create[j:stop].T:
+                at = (term, every, mode[:, None])
+                tgt[at] += 1
+                amp_create *= tgt[at]
+            idx = target.lookup(tgt.reshape(-1, m)).reshape(stop - j, len(src))
+            t, s = np.nonzero(idx >= 0)
+            out[0].append(j + t)
+            out[1].append(idx[t, s])
+            out[2].append(src[s])
+            out[3].append(np.sqrt(amp_create[t, s]) * amp_lower[s])
+    empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
+    return tuple(np.concatenate(parts) if parts else e for parts, e in zip(out, empty))
+
+
 def one_body_operator(fock: FockBasis, h: np.ndarray) -> sp.csr_matrix:
     """Sparse sum_ab h[a,b] adag_a a_b on the occupation basis."""
-    occ = fock.occupations
-    dim, m = occ.shape
-    rows, cols, vals = [], [], []
-    diag = occ.astype(float) @ np.real(np.diag(h))
-    rows.append(np.arange(dim)); cols.append(np.arange(dim)); vals.append(diag.astype(complex))
-    for b in range(m):
-        has = np.where(occ[:, b] > 0)[0]
-        if len(has) == 0:
-            continue
-        base = occ[has].astype(np.int16)
-        nb = base[:, b].astype(float)
-        for a in range(m):
-            if a == b or h[a, b] == 0:
-                continue
-            tgt = base.copy()
-            tgt[:, b] -= 1
-            tgt[:, a] += 1
-            if fock.max_excitations is not None:
-                exc = fock.n_particles - tgt[:, 0]
-                keep = exc <= fock.max_excitations
-            else:
-                keep = np.ones(len(has), dtype=bool)
-            idx = fock.lookup(tgt[keep])
-            ok = idx >= 0
-            src = has[keep][ok]
-            amp = np.sqrt(nb[keep][ok] * (base[keep][ok, a] + 1.0))
-            rows.append(idx[ok]); cols.append(src); vals.append(h[a, b] * amp)
-    data = np.concatenate([np.asarray(v, dtype=complex) for v in vals])
-    return sp.csr_matrix(
-        (data, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    )
+    diag = fock.occupations.astype(float) @ np.real(np.diag(h))
+    off = (h != 0) & ~np.eye(len(h), dtype=bool)
+    b, a = np.nonzero(off.T)                         # grouped by the lowered mode b
+    term, rows, cols, amp = _ladder(fock, fock, b[:, None], a[:, None])
+    every = np.arange(fock.dim)
+    data = np.concatenate([diag.astype(complex), h[a, b][term] * amp])
+    return sp.csr_matrix((data, (np.concatenate([every, rows]), np.concatenate([every, cols]))),
+                         shape=(fock.dim, fock.dim))
 
 
 def number_expectations(state: ManyBodyState) -> np.ndarray:
@@ -511,48 +542,11 @@ def _interaction_terms(basis: ModeBasis):
 
 
 def two_body_operator(basis: ModeBasis, fock: FockBasis) -> sp.csr_matrix:
-    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis.
-
-    For each (c, d) the source rows are lowered once; the creations of all the
-    terms sharing (c, d) are applied to them in batches of at most
-    TWO_BODY_BATCH_BYTES of target occupations, each resolved by one lookup.
-    """
+    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis."""
     a, b, c, d, weight = _interaction_terms(basis)
-    occ = fock.occupations
-    dim, m = occ.shape
-    rows, cols, vals = [], [], []
-    starts = np.flatnonzero(np.diff(c * m + d, prepend=-1))
-    for lo, hi in zip(starts, np.append(starts[1:], len(c))):
-        cc, dd = c[lo], d[lo]
-        src = np.flatnonzero((occ[:, cc] >= 1) & (occ[:, dd] >= 1 + (cc == dd)))
-        if len(src) == 0:
-            continue
-        base = occ[src]
-        amp_cd = np.sqrt(base[:, cc] * (base[:, dd] - float(cc == dd)))
-        base[:, cc] -= 1
-        base[:, dd] -= 1
-        step = max(1, TWO_BODY_BATCH_BYTES // (len(src) * m))
-        for j in range(lo, hi, step):
-            stop = min(j + step, hi)
-            aa, bb = a[j:stop], b[j:stop]
-            n_b = base[:, bb].T.astype(float)
-            n_a = base[:, aa].T + (aa == bb)[:, None]
-            amp = np.sqrt((n_a + 1.0) * (n_b + 1.0)) * amp_cd
-            tgt = np.repeat(base[None], len(aa), axis=0)
-            term = np.arange(len(aa))[:, None]
-            every = np.arange(len(src))[None, :]
-            tgt[term, every, aa[:, None]] += 1
-            tgt[term, every, bb[:, None]] += 1
-            idx = fock.lookup(tgt.reshape(-1, m)).reshape(len(aa), len(src))
-            hit = idx >= 0
-            rows.append(idx[hit])
-            cols.append(np.broadcast_to(src, idx.shape)[hit])
-            vals.append((0.5 * weight[j:stop, None] * amp)[hit])
-    if not rows:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    data = np.concatenate(vals).astype(complex)
-    return sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim, dim))
+    term, rows, cols, amp = _ladder(fock, fock, np.column_stack([c, d]), np.column_stack([a, b]))
+    data = (0.5 * weight[term] * amp).astype(complex)
+    return sp.csr_matrix((data, (rows, cols)), shape=(fock.dim, fock.dim))
 
 
 def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_matrix:
@@ -576,11 +570,10 @@ def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
         raise DomainError("pair blocks require N = 2")
     if basis.external is not None:
         raise DomainError("pair blocks require momentum conservation: no external field")
-    occ = fock.occupations
-    pairs = np.zeros((fock.dim, 2), dtype=np.int64)
-    for i in range(fock.dim):
-        nz = np.nonzero(occ[i])[0]
-        pairs[i] = (nz[0], nz[0]) if len(nz) == 1 else (nz[0], nz[1])
+    # the first and the last occupied mode of each row
+    occupied = fock.occupations > 0
+    pairs = np.column_stack([np.argmax(occupied, axis=1),
+                             fock.n_modes - 1 - np.argmax(occupied[:, ::-1], axis=1)])
     ktot = basis.mode_kx[pairs[:, 0]] + basis.mode_kx[pairs[:, 1]]
     if basis.momentum_modulus is not None:
         ktot = ktot % basis.momentum_modulus
@@ -755,20 +748,15 @@ class ReducedDensity:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-def _lowered(state: ManyBodyState, modes: list[int]) -> tuple[FockBasis, np.ndarray]:
-    """One column per listed mode a: the (N-1)-particle vector a_a psi."""
+def _lowered(state: ManyBodyState, lower: np.ndarray) -> tuple[FockBasis, np.ndarray]:
+    """One row per row of `lower` (T, j): the (N-j)-particle vector
+    a_(lower[t, j-1]) ... a_(lower[t, 0]) psi."""
     fock = state.fock
-    sub = FockBasis(fock.n_modes, fock.n_particles - 1, fock.max_excitations,
+    sub = FockBasis(fock.n_modes, fock.n_particles - lower.shape[1], fock.max_excitations,
                     dim_cap=max(DEFAULT_DIM_CAP, fock.unrestricted_dim))
-    vecs = np.zeros((len(modes), sub.dim), dtype=complex)
-    for col, a in enumerate(modes):
-        has = np.where(fock.occupations[:, a] > 0)[0]
-        tgt = fock.occupations[has].astype(np.int16)
-        amp = np.sqrt(tgt[:, a].astype(float))
-        tgt[:, a] -= 1
-        idx = sub.lookup(tgt)
-        ok = idx >= 0
-        np.add.at(vecs[col], idx[ok], amp[ok] * state.amplitudes[has[ok]])
+    term, rows, cols, amp = _ladder(fock, sub, lower, np.zeros((len(lower), 0), dtype=np.int64))
+    vecs = np.zeros((len(lower), sub.dim), dtype=complex)
+    vecs[term, rows] = amp * state.amplitudes[cols]
     return sub, vecs
 
 
@@ -781,35 +769,17 @@ def reduced_density(state: ManyBodyState, k: int = 1) -> ReducedDensity:
         raise DomainError("need at least k particles")
     m = fock.n_modes
     if k == 1:
-        _, vecs = _lowered(state, list(range(m)))
+        _, vecs = _lowered(state, np.arange(m)[:, None])
         gamma = (vecs @ vecs.conj().T) / fock.n_particles
     else:
         n = fock.n_particles
-        pair_list = list(combinations_with_replacement(range(m), 2))
-        sub2 = FockBasis(m, n - 2, fock.max_excitations,
-                         dim_cap=max(DEFAULT_DIM_CAP, fock.unrestricted_dim))
-        lowered = np.zeros((len(pair_list), sub2.dim), dtype=complex)
-        occ = fock.occupations
-        for col, (a, b) in enumerate(pair_list):
-            has = np.where((occ[:, a] >= (2 if a == b else 1)) & (occ[:, b] >= 1))[0]
-            if len(has) == 0:
-                continue
-            tgt = occ[has].astype(np.int16)
-            amp = np.sqrt(tgt[:, a].astype(float))
-            tgt[:, a] -= 1
-            amp *= np.sqrt(tgt[:, b].astype(float))
-            tgt[:, b] -= 1
-            idx = sub2.lookup(tgt)
-            ok = idx >= 0
-            np.add.at(lowered[col], idx[ok], amp[ok] * state.amplitudes[has[ok]])
+        a, b = np.triu_indices(m)
+        _, lowered = _lowered(state, np.column_stack([a, b]))
         small = (lowered @ lowered.conj().T) / (n * (n - 1))
-        gamma = np.zeros((m * m, m * m), dtype=complex)
-        for i, (a, b) in enumerate(pair_list):
-            for j, (c, d) in enumerate(pair_list):
-                val = small[i, j]
-                for (p, q) in {(a, b), (b, a)}:
-                    for (r, s) in {(c, d), (d, c)}:
-                        gamma[p * m + q, r * m + s] = val
+        # gamma[(p, q), (r, s)] reads the unordered pairs {p, q} and {r, s}
+        pair = np.empty((m, m), dtype=np.int64)
+        pair[a, b] = pair[b, a] = np.arange(len(a))
+        gamma = small[np.ix_(pair.ravel(), pair.ravel())]
         gamma /= np.real(np.trace(gamma))
     gamma = (gamma + gamma.conj().T) / 2.0
     return ReducedDensity(k, gamma)

@@ -223,7 +223,7 @@ def _moments_roundoff(n: int) -> float:
 def _lower_along(state: ManyBodyState, coeffs: np.ndarray) -> ManyBodyState:
     """a(phi) psi = sum_a conj(phi_a) a_a psi on the (N-1)-particle basis."""
     modes = np.flatnonzero(coeffs)
-    sub, vecs = _lowered(state, list(modes))
+    sub, vecs = _lowered(state, modes[:, None])
     return ManyBodyState(sub, np.conj(coeffs[modes]) @ vecs, state.time)
 
 
@@ -244,12 +244,9 @@ def _counting_moments(state: ManyBodyState, projector: CondensateProjector) -> n
                              f"exceeds {MOMENTS_ROUNDOFF_LIMIT:.0e}")
     moments = np.zeros(n + 1)
     moments[0] = state.norm**2
-    for j in range(1, n):
+    for j in range(1, n + 1):
         state = _lower_along(state, projector.coeffs)
         moments[j] = state.norm**2 / math.factorial(j)
-    # one particle to none is a dot product: the vacuum has no FockBasis
-    last = np.vdot(projector.coeffs, state.fock.occupations.T @ state.amplitudes)
-    moments[n] = abs(last) ** 2 / math.factorial(n)
     signed_binom = np.array([[(-1) ** (j - i) * math.comb(j, i) for j in range(n + 1)]
                              for i in range(n + 1)], dtype=float)
     p_cond = signed_binom @ moments          # P(n_phi = i), i = 0..N

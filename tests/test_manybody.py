@@ -65,6 +65,13 @@ def test_fock_cap_raises():
         manybody.FockBasis(27, 8)  # 18 million states
 
 
+def test_fock_vacuum_is_one_empty_row():
+    vacuum = manybody.FockBasis(4, 0, max_excitations=2)
+    assert vacuum.dim == 1 and np.array_equal(vacuum.occupations, np.zeros((1, 4)))
+    with pytest.raises(DomainError):
+        manybody.FockBasis(4, -1)
+
+
 def test_fock_lookup_roundtrip():
     fock = manybody.FockBasis(5, 3)
     idx = fock.lookup(fock.occupations)
@@ -278,11 +285,20 @@ def test_basis_m_y_from_mode_table(setup, small_basis):
     assert np.array_equal(small_basis.vq, full.vq[:, :2, :2, :2, :2])
 
 
-@pytest.mark.parametrize("cap", [None, 1])
-def test_hamiltonian_against_loop_oracle(small_basis, cap):
-    fock = manybody.FockBasis(small_basis.n_modes, 3, max_excitations=cap)
-    ref = _loop_hamiltonian(small_basis, fock)
-    h = manybody.hamiltonian(small_basis, fock).toarray()
+@pytest.mark.parametrize("cap, field", [(None, None), (1, None), (None, "well"), (1, "well")],
+                         ids=["None", "1", "None-well", "1-well"])
+def test_hamiltonian_against_loop_oracle(setup, small_basis, cap, field):
+    # the tilted well fills the off-diagonal one-body terms
+    basis = small_basis
+    if field is not None:
+        point, conf, unscaled, sc, _ = setup
+        basis = manybody.build_basis(point, conf, potentials.gaussian_well(tilt=0.5), sc,
+                                     3, 2, L, unscaled_mode=unscaled)
+        h1 = basis.one_body()
+        assert np.count_nonzero(h1 - np.diag(np.diag(h1))) > 0
+    fock = manybody.FockBasis(basis.n_modes, 3, max_excitations=cap)
+    ref = _loop_hamiltonian(basis, fock)
+    h = manybody.hamiltonian(basis, fock).toarray()
     assert np.max(np.abs(h - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -527,6 +543,41 @@ def test_gamma2_trace_and_partial_trace():
     partial = np.einsum("aibi->ab", g2m)
     g1 = manybody.reduced_density(state, 1).matrix
     assert partial == pytest.approx(g1, abs=1e-10)
+
+
+def test_gamma2_of_two_particles_is_the_pair_state():
+    # N = 2 lowers both particles into the vacuum: gamma^(2) is the projector on psi
+    m = 4
+    fock = manybody.FockBasis(m, 2)
+    rng = np.random.default_rng(17)
+    amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+    state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
+    g2 = manybody.reduced_density(state, 2)
+    assert g2.trace == pytest.approx(1.0, abs=1e-12)
+    evals = np.linalg.eigvalsh(g2.matrix)
+    assert evals[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(evals[:-1])) < 1e-12
+    partial = np.einsum("aibi->ab", g2.matrix.reshape(m, m, m, m))
+    assert partial == pytest.approx(manybody.reduced_density(state, 1).matrix, abs=1e-12)
+
+
+@pytest.mark.parametrize("sector", [False, True])
+def test_two_mode_lowering_is_two_one_mode_lowerings(default_modes, sector):
+    m = default_modes.n_modes
+    momentum = (default_modes.mode_kx, None, 0) if sector else None
+    fock = manybody.FockBasis(m, 4, max_excitations=2, momentum=momentum)
+    rng = np.random.default_rng(23)
+    amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+    state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
+    a, b = np.triu_indices(m)
+    sub2, pairs = manybody._lowered(state, np.column_stack([a, b]))
+    sub1, singles = manybody._lowered(state, np.arange(m)[:, None])
+    for mode in range(m):
+        sub, twice = manybody._lowered(manybody.ManyBodyState(sub1, singles[mode]),
+                                       np.arange(m)[:, None])
+        assert np.array_equal(sub.occupations, sub2.occupations)
+        sel = a == mode
+        assert np.max(np.abs(twice[b[sel]] - pairs[sel])) <= 1e-15
 
 
 def test_reduced_density_rejects_bad_order():
