@@ -18,7 +18,7 @@ Hamiltonian driven by a Lanczos exponential for general N, and dense
 momentum blocks for N = 2 without an external field when no prebuilt H is
 given (a field couples different momenta, which the blocks cannot hold).  An
 independent position-grid split-step solver for two particles
-(``grid_oracle``) validates both.
+(``GridOracle``) validates both.
 
 Without a field H conserves the total momentum K = sum_a n_a k_a, so a
 ``FockBasis`` may hold a single K sector.  The sweep (``harness.point_setup``)
@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import comb
@@ -386,7 +387,7 @@ def build_grid_matched_basis(
     y_span: float,
 ) -> ModeBasis:
     """Complete mode basis of the (n_x, n_y) product grid with periodic spectral
-    kinetic terms; unitarily equivalent to the grid_oracle discretization."""
+    kinetic terms; unitarily equivalent to the ``GridOracle`` discretization."""
     if scaled.d_perp != 1 or confinement.dimension != 1:
         raise DomainError("the grid-matched basis is implemented for d_perp = 1")
     h_y = y_span / n_y
@@ -566,6 +567,7 @@ class PairBlocks:
 
 
 def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
+    """N = 2 momentum blocks of H; with no field h = diag(E), so pair (a, b) adds E_a + E_b."""
     if fock.n_particles != 2:
         raise DomainError("pair blocks require N = 2")
     if basis.external is not None:
@@ -577,21 +579,17 @@ def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
     ktot = basis.mode_kx[pairs[:, 0]] + basis.mode_kx[pairs[:, 1]]
     if basis.momentum_modulus is not None:
         ktot = ktot % basis.momentum_modulus
-    h1 = basis.one_body()
     blocks = PairBlocks([], [], [])
     for kval in np.unique(ktot):
         sel = np.where(ktot == kval)[0]
         plist = pairs[sel]
-        a = plist[:, 0][:, None]
-        b = plist[:, 1][:, None]
-        c = plist[:, 0][None, :]
-        d = plist[:, 1][None, :]
-        one = (np.where(b == d, h1[a, c], 0.0) + np.where(b == c, h1[a, d], 0.0)
-               + np.where(a == d, h1[b, c], 0.0) + np.where(a == c, h1[b, d], 0.0))
+        a, b = plist.T[:, :, None]
+        c, d = plist.T[:, None, :]
         w_part = _w_gather(basis, a, b, c, d) + _w_gather(basis, a, b, d, c)
         eta = 1.0 / np.sqrt(1.0 + (plist[:, 0] == plist[:, 1]).astype(float))
-        hmat = eta[:, None] * eta[None, :] * (one + w_part)
-        hmat = (hmat + hmat.conj().T) / 2.0
+        hmat = eta[:, None] * eta[None, :] * w_part
+        hmat = ((hmat + hmat.conj().T) / 2.0).astype(complex)
+        hmat[np.diag_indices_from(hmat)] += basis.energies[plist].sum(axis=1)
         blocks.pair_indices.append(plist)
         blocks.state_rows.append(sel)
         blocks.h_blocks.append(hmat)
@@ -889,8 +887,7 @@ class GridOracle:
         return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * self.weight() ** 2))
 
     def potential(self, t: float) -> np.ndarray:
-        v = (self.v_one[None, :, None, None] + self.v_one[None, None, None, :]).astype(float)
-        v = v + self.w_pair
+        v = self.v_one[None, :, None, None] + self.v_one[None, None, None, :] + self.w_pair
         if self.external is not None:
             vx1 = np.asarray(self.external.evaluator(t, self.x[:, None], self.y[None, :], 0.0),
                              dtype=float)
@@ -898,19 +895,22 @@ class GridOracle:
         return v
 
     def evolve(self, psi: np.ndarray, dt: float, t_final: float, t0: float = 0.0) -> np.ndarray:
+        """Strang steps e^(-i dt V/2) e^(-i dt K) e^(-i dt V/2) with V at each midpoint; the
+        half-step phase is built once for a static field, else once per step; `psi` is kept."""
         steps = int(round((t_final - t0) / dt))
         if abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, t_final):
             raise DomainError("t_final - t0 must be an integer number of steps")
         kin_phase = np.exp(-1j * dt * self.kin)
         t = t0
         static = self.external is None or not self.external.time_dependent
-        v = self.potential(t0) if static else None
+        half = np.exp(-0.5j * dt * self.potential(t0)) if static else None
         for s in range(steps):
             if not static:
-                v = self.potential(t + 0.5 * dt)
-            psi = psi * np.exp(-0.5j * dt * v)
-            psi = np.fft.ifftn(np.fft.fftn(psi) * kin_phase)
-            psi = psi * np.exp(-0.5j * dt * v)
+                half = np.exp(-0.5j * dt * self.potential(t + 0.5 * dt))
+            psi = scipy.fft.fftn(psi * half, overwrite_x=True)
+            psi *= kin_phase
+            psi = scipy.fft.ifftn(psi, overwrite_x=True)
+            psi *= half
             t += dt
             if (s % 200 == 0 or s == steps - 1) and not np.all(np.isfinite(psi.view(float))):
                 raise InstabilityError(f"grid oracle produced non-finite values at t = {t:.6g}")
@@ -943,12 +943,8 @@ def modes_on_grid(basis: ModeBasis, oracle: GridOracle) -> np.ndarray:
     """Columns: grid samples of every basis mode, weighted to be orthonormal."""
     phases = np.exp(1j * 2.0 * math.pi * np.outer(oracle.x, basis.mode_kx) / basis.box_length)
     phases /= math.sqrt(basis.box_length)
-    tau = basis.transverse.modes
-    g = oracle.n_x * oracle.n_y
-    u = np.zeros((g, basis.n_modes), dtype=complex)
-    for j in range(basis.n_modes):
-        col = phases[:, j][:, None] * tau[basis.mode_my[j]][None, :]
-        u[:, j] = col.ravel()
+    tau = basis.transverse.modes[basis.mode_my].T          # (n_y, n_modes)
+    u = (phases[:, None, :] * tau[None, :, :]).reshape(oracle.n_x * oracle.n_y, basis.n_modes)
     return u * math.sqrt(oracle.weight())
 
 

@@ -179,15 +179,19 @@ class ModeCorrelations:
         if self.dimension == 1:
             spline = CubicSpline(o, self.values.reshape(-1, len(o))[:, order], axis=1)
             return lambda u: spline(u).reshape(*lead, *np.shape(u))
-        grids = self.values.reshape(-1, len(o), len(o))[:, order][:, :, order]
+        # S is bitwise symmetric in a <-> c and b <-> d: fit a <= c, b <= d, mirror the rest
+        a, c = np.triu_indices(lead[0])
+        pair = np.empty(lead[:2], dtype=np.int64)
+        pair[a, c] = pair[c, a] = np.arange(len(a))
+        grids = self.values[a, c][:, a, c][..., order, :][..., order].reshape(-1, len(o), len(o))
         splines = [RectBivariateSpline(o, o, g) for g in grids]
         theta = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
 
         def at(u):
             u = np.asarray(u, dtype=float)[..., None]
             y1, y2 = u * np.cos(theta), u * np.sin(theta)
-            means = [s.ev(y1, y2).mean(axis=-1) for s in splines]
-            return np.stack(means).reshape(*lead, *u.shape[:-1])
+            means = np.stack([s.ev(y1, y2).mean(axis=-1) for s in splines])
+            return means.reshape(len(a), len(a), *u.shape[:-1])[pair][:, :, pair]
 
         return at
 

@@ -434,6 +434,34 @@ def test_two_particles_static_well_matches_sparse_hamiltonian(setup):
 
 
 @pytest.fixture(scope="module")
+def grid_basis_10x8():
+    # verify-all's grid-matched 10 x 8 problem
+    point = scaling.make_point(2, 0.5, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    sc = potentials.scale(potentials.gaussian_bump(height=2.0, radius=4.0, width=1.5), point,
+                          d_perp=1)
+    return manybody.build_grid_matched_basis(point, conf, sc, 10, 8, L, 6.0)
+
+
+@pytest.mark.parametrize("which", ["grid_matched", "continuum"])
+def test_pair_blocks_match_sparse_hamiltonian(setup, grid_basis_10x8, which):
+    # the blocks' diagonal one-body part E_a + E_b against the general sparse
+    # path; the blocks hold all of H, so their squared norms add up to its own
+    basis = grid_basis_10x8 if which == "grid_matched" else setup[4]
+    fock = manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5)
+    h = manybody.hamiltonian(basis, fock).tocsr()
+    blocks = manybody.pair_blocks(basis, fock)
+    assert np.array_equal(np.sort(np.concatenate(blocks.state_rows)), np.arange(fock.dim))
+    frob = 0.0
+    for rows, hmat in zip(blocks.state_rows, blocks.h_blocks):
+        ref = h[rows][:, rows].toarray()
+        assert hmat.dtype == complex
+        assert np.max(np.abs(hmat - ref)) <= 1e-12 * np.max(np.abs(ref))
+        frob += np.sum(np.abs(ref) ** 2)
+    assert frob == pytest.approx(sp.linalg.norm(h) ** 2, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
 def driven_basis():
     point = scaling.make_point(3, 0.5, 0.5)
     conf = potentials.harmonic_confinement(dimension=1)
@@ -645,6 +673,33 @@ def test_grid_oracle_matches_second_quantized(oracle_pair):
 
 
 
+def _literal_strang(oracle, psi, dt, steps):
+    kin_phase = np.exp(-1j * dt * oracle.kin)
+    for s in range(steps):
+        v = oracle.potential((s + 0.5) * dt)
+        psi = psi * np.exp(-0.5j * dt * v)
+        psi = np.fft.ifftn(np.fft.fftn(psi) * kin_phase)
+        psi = psi * np.exp(-0.5j * dt * v)
+    return psi
+
+
+@pytest.mark.parametrize("field", ["bump", "driven_well"])
+def test_grid_oracle_evolve_matches_literal_strang_loop(oracle_pair, field):
+    # the half-step phase is cached: once for a static field, once per step
+    # for a driven one; the caller's psi stays as it was
+    point, sc, _, oracle = oracle_pair
+    if field == "driven_well":
+        conf = potentials.harmonic_confinement(dimension=1)
+        ext = potentials.external_by_name("driven_well", depth=0.5, omega=4.0)
+        oracle = manybody.GridOracle(point, conf, sc, L, oracle.n_x, oracle.n_y,
+                                     oracle.y_span, external=ext)
+    psi0 = oracle.product_state(np.exp(-oracle.x**2 / 2.0) * np.exp(0.5j * oracle.x))
+    before = psi0.copy()
+    psi_t = oracle.evolve(psi0, 5e-3, 0.1)
+    assert np.array_equal(psi0, before)
+    assert np.max(np.abs(psi_t - _literal_strang(oracle, before, 5e-3, 20))) <= 1e-12
+
+
 def test_grid_oracle_is_second_order():
     # verify-all's 10 x 8 problem: against a Krylov reference at tolerance
     # 1e-12 the Strang splitting error of the oracle falls as dt^2
@@ -731,6 +786,25 @@ def test_build_basis_d_perp_2(basis_2d):
     traj = manybody.evolve(condensed(fock), basis, 0.01, 0.2, n_outputs=1)
     assert traj.norm_drift < 1e-9
 
+
+
+def test_mirrored_2d_interpolant_equals_full_fit(basis_2d):
+    # the interpolant fits S[a, c, b, d] for a <= c and b <= d only and mirrors
+    # the rest; one bicubic fit per entry, all n^4 of them, gives the same
+    from scipy.interpolate import RectBivariateSpline
+
+    n = basis_2d.m_y
+    corr = transverse.mode_correlations(basis_2d.transverse, n)
+    order = np.argsort(corr.offsets)
+    o = corr.offsets[order]
+    theta = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
+    u = np.linspace(0.0, basis_2d.scaled.range, 9)[:, None]
+    full = np.stack([RectBivariateSpline(o, o, g[order][:, order])
+                     .ev(u * np.cos(theta), u * np.sin(theta)).mean(axis=-1)
+                     for g in corr.values.reshape(n**4, len(o), len(o))])
+    mirrored = corr.interpolant()(u[:, 0])
+    assert mirrored.shape == (n, n, n, n, 9)
+    assert np.max(np.abs(mirrored.reshape(n**4, 9) - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_vq_d_perp_2_against_radial_quadrature(basis_2d):
