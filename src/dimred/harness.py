@@ -430,4 +430,12 @@ def verify_all(seed: int = 0) -> VerificationReport:
     rep.add("manybody", "two_body_oracle_trace_distance",
             projectors.trace_distance(g_grid, g_modes), 1e-6)
 
+    # its (K, Pi) pair blocks partition the rows and hold all of the sparse H
+    blocks = manybody.pair_blocks(basis2, fock2)
+    frob_h = sp.linalg.norm(manybody.hamiltonian(basis2, fock2)) ** 2
+    defect = abs(sum(np.sum(hm**2) for hm in blocks.h_blocks) - frob_h) / frob_h
+    partition = np.array_equal(np.sort(np.concatenate(blocks.state_rows)), np.arange(fock2.dim))
+    rep.add("manybody", "pair_blocks_partition_h", defect, 1e-12,
+            passed=partition and defect <= 1e-12)
+
     return rep

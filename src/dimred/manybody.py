@@ -14,19 +14,24 @@ Transverse energies enter shifted by the ground energy E0/eps^2
 common phase and <H>/N is directly the renormalized energy per particle.
 
 Two propagation paths share the same tensors: a sparse second-quantized
-Hamiltonian driven by a Lanczos exponential for general N, and dense
-momentum blocks for N = 2 without an external field when no prebuilt H is
-given (a field couples different momenta, which the blocks cannot hold).  An
-independent position-grid split-step solver for two particles
-(``GridOracle``) validates both.
+Hamiltonian driven by a Lanczos exponential for general N, and dense real
+(momentum, parity) blocks for N = 2 without an external field when no
+prebuilt H is given (a field couples different momenta, which the blocks
+cannot hold).  An independent position-grid split-step solver for two
+particles (``GridOracle``) validates both.
 
 Without a field H conserves the total momentum K = sum_a n_a k_a, so a
 ``FockBasis`` may hold a single K sector.  The sweep (``harness.point_setup``)
 runs every field-free point in the sector of its condensate, K = 0, which
-holds the initial state, H and the whole trajectory.
+holds the initial state, H and the whole trajectory.  An even trap and a
+radial w also conserve the transverse parity Pi = (-1)^(sum_a n_a p_a), with
+p_a read from each transverse mode function (``ModeBasis.mode_parity``).
+Both basis builders set the pair elements that change Pi to exact zeros, so
+its sectors are exact blocks of H; the N = 2 pair blocks split by (K, Pi).
 
-Both paths propagate with one fully reorthogonalized Lanczos exponential
-(``lanczos_expm``); scipy's ``expm_multiply`` is only a test oracle.
+Both paths propagate with one Lanczos exponential (``lanczos_expm``), which
+keeps its Krylov vectors in one array and reorthogonalizes them fully;
+scipy's ``expm_multiply`` is only a test oracle.
 
 One kernel, ``_ladder``, applies every ladder operator: the one- and
 two-body terms of H, and the annihilators of ``_lowered``, which gamma^(1),
@@ -42,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dstev
 from scipy.special import comb
 
 from .config import Config
@@ -56,6 +62,7 @@ DEFAULT_DIM_CAP = Config({}).get_int("manybody.dim_cap")    # from the default t
 GRID_CAP = 2**28
 MIN_POINTS_PER_RANGE = 8
 LADDER_BATCH_BYTES = 1 << 23
+PARITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +194,10 @@ class ModeBasis:
     transverse: TransverseMode    # rescaled; `modes` starts with the M_y basis eigenfunctions
     mode_kx: np.ndarray           # per flat mode: integer momentum
     mode_my: np.ndarray           # per flat mode: transverse index
+    mode_parity: np.ndarray       # per flat mode: 1 if its transverse function is odd, else 0
     energies: np.ndarray          # shifted one-body energies kx_phys^2 + (E_m - E_0)/eps^2
     e0_scaled: float              # E_0 / eps^2
-    vq: np.ndarray                # (n_q, My, My, My, My) transverse interaction factors
+    vq: np.ndarray                # (n_q, My, My, My, My) real transverse interaction factors
     q_of_m: dict                  # integer momentum difference -> vq row
     momentum_modulus: int | None  # n_x for grid-matched bases (conservation mod n), else None
     external: ExternalPotential | None = None
@@ -330,6 +338,32 @@ def _assemble_vq_continuum(u_max: float, transverse: TransverseMode, my: int, x_
     return vq.reshape(-1, my, my, my, my).transpose(0, 1, 3, 2, 4)
 
 
+def _transverse_parity(modes: np.ndarray, periodic: bool) -> np.ndarray:
+    """Parity bit per transverse mode (0 even, 1 odd) from its overlap with its
+    reflection y -> -y about the grid centre, which inverts every transverse
+    axis and wraps around on a periodic grid.  If any mode is not a parity
+    eigenfunction to PARITY_TOL, every bit is 0: one sector."""
+    axes = tuple(range(1, modes.ndim))
+    mirrored = np.flip(modes, axis=axes)
+    if periodic:
+        # the centre y = 0 is a grid point: index j goes to -j mod n
+        mirrored = np.roll(mirrored, 1, axis=axes)
+    flat = modes.reshape(len(modes), -1)
+    overlap = np.sum(flat * mirrored.reshape(len(modes), -1), axis=1) / np.sum(flat**2, axis=1)
+    if np.max(np.abs(np.abs(overlap) - 1.0)) > PARITY_TOL:
+        return np.zeros(len(modes), dtype=np.int64)
+    return (overlap < 0).astype(np.int64)
+
+
+def _parity_selection(vq: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """vq with exact zeros wherever the four transverse parities have an odd
+    sum: a radial w and an even trap make those elements vanish."""
+    pairs = np.add.outer(parity, parity)
+    vq = np.ascontiguousarray(vq)
+    vq[:, np.add.outer(pairs, pairs) % 2 == 1] = 0.0
+    return vq
+
+
 def build_basis(
     point: ScalingPoint,
     confinement: ConfinementPotential,
@@ -366,13 +400,14 @@ def build_basis(
     energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + e_t[mode_my]
     q_ints = np.arange(-(m_x - 1), m_x, dtype=np.int64)
     q_phys = 2.0 * math.pi * q_ints / box_length
+    parity = _transverse_parity(tmode.modes[:m_y], periodic=False)
     vq = _assemble_vq_continuum(scaled.range, tmode, m_y,
                                 lambda u: _cosine_transform_x(scaled, q_phys, u))
     return ModeBasis(
         point=point, scaled=scaled, box_length=box_length, kx=kx,
-        transverse=tmode, mode_kx=mode_kx, mode_my=mode_my,
+        transverse=tmode, mode_kx=mode_kx, mode_my=mode_my, mode_parity=parity[mode_my],
         energies=energies.astype(float), e0_scaled=float(tmode.energies[0]),
-        vq=vq, q_of_m={int(q): i for i, q in enumerate(q_ints)},
+        vq=_parity_selection(vq, parity), q_of_m={int(q): i for i, q in enumerate(q_ints)},
         momentum_modulus=None, external=external,
     )
 
@@ -408,13 +443,14 @@ def build_grid_matched_basis(
     order = np.lexsort((mode_my, mode_kx, (mode_kx != 0) | (mode_my != 0)))
     mode_kx, mode_my = mode_kx[order], mode_my[order]
     energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + (vals - vals[0])[mode_my]
+    parity = _transverse_parity(modes, periodic=True)
     vq = _assemble_vq_grid(tmode, lambda u: _grid_transform_x(scaled, box_length, n_x, u))
     q_of_m = {m: m for m in range(n_x)}
     return ModeBasis(
         point=point, scaled=scaled, box_length=box_length, kx=kx,
-        transverse=tmode, mode_kx=mode_kx, mode_my=mode_my,
+        transverse=tmode, mode_kx=mode_kx, mode_my=mode_my, mode_parity=parity[mode_my],
         energies=energies.astype(float), e0_scaled=float(vals[0]),
-        vq=vq, q_of_m=q_of_m, momentum_modulus=n_x, external=None,
+        vq=_parity_selection(vq, parity), q_of_m=q_of_m, momentum_modulus=n_x, external=None,
     )
 
 
@@ -492,16 +528,15 @@ def number_expectations(state: ManyBodyState) -> np.ndarray:
 
 
 def _w_gather(basis: ModeBasis, a, b, c, d) -> np.ndarray:
-    """Vectorized <ab|w|cd> for momentum-conserving index arrays."""
+    """Vectorized <ab|w|cd> for momentum-conserving index arrays, which
+    broadcast against each other: vq is read by one fancy index."""
     q = basis.mode_kx[a] - basis.mode_kx[c]
     if basis.momentum_modulus is not None:
         rows = q % basis.momentum_modulus
     else:
         rows = q + (basis.m_x - 1)
     my = basis.mode_my
-    flat = (((rows * basis.m_y + my[a]) * basis.m_y + my[b]) * basis.m_y
-            + my[c]) * basis.m_y + my[d]
-    return basis.vq.reshape(-1)[flat] / basis.box_length
+    return basis.vq[rows, my[a], my[b], my[c], my[d]] / basis.box_length
 
 
 def _interaction_terms(basis: ModeBasis):
@@ -556,18 +591,21 @@ def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_mat
 
 
 # ---------------------------------------------------------------------------
-# N = 2 dense momentum-block Hamiltonian
+# N = 2 dense (momentum, parity)-block Hamiltonian
 # ---------------------------------------------------------------------------
 
 @dataclass
 class PairBlocks:
     pair_indices: list          # per block: (n_pairs, 2) mode indices (a <= b)
     state_rows: list            # per block: row indices into the Fock basis
-    h_blocks: list              # per block: dense Hermitian matrix
+    h_blocks: list              # per block: dense real symmetric float64 matrix
 
 
 def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
-    """N = 2 momentum blocks of H; with no field h = diag(E), so pair (a, b) adds E_a + E_b."""
+    """N = 2 blocks of H, one per sector of total momentum K and transverse
+    parity Pi = (-1)^(p_a + p_b), which H conserves without a field; then
+    h = diag(E), so pair (a, b) adds E_a + E_b.  vq is real, so each block is a
+    real symmetric C-contiguous float64 array."""
     if fock.n_particles != 2:
         raise DomainError("pair blocks require N = 2")
     if basis.external is not None:
@@ -579,21 +617,28 @@ def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
     ktot = basis.mode_kx[pairs[:, 0]] + basis.mode_kx[pairs[:, 1]]
     if basis.momentum_modulus is not None:
         ktot = ktot % basis.momentum_modulus
+    sector = 2 * ktot + basis.mode_parity[pairs].sum(axis=1) % 2
     blocks = PairBlocks([], [], [])
-    for kval in np.unique(ktot):
-        sel = np.where(ktot == kval)[0]
+    for key in np.unique(sector):
+        sel = np.flatnonzero(sector == key)
         plist = pairs[sel]
         a, b = plist.T[:, :, None]
         c, d = plist.T[:, None, :]
-        w_part = _w_gather(basis, a, b, c, d) + _w_gather(basis, a, b, d, c)
-        eta = 1.0 / np.sqrt(1.0 + (plist[:, 0] == plist[:, 1]).astype(float))
-        hmat = eta[:, None] * eta[None, :] * w_part
-        hmat = ((hmat + hmat.conj().T) / 2.0).astype(complex)
+        hmat = _w_gather(basis, a, b, c, d) + _w_gather(basis, a, b, d, c)
+        eta = 1.0 / np.sqrt(1.0 + (plist[:, 0] == plist[:, 1]))
+        hmat *= eta[:, None] * eta[None, :]
+        hmat = (hmat + hmat.T) / 2.0
         hmat[np.diag_indices_from(hmat)] += basis.energies[plist].sum(axis=1)
         blocks.pair_indices.append(plist)
         blocks.state_rows.append(sel)
         blocks.h_blocks.append(hmat)
     return blocks
+
+
+def _real_block_product(hmat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A real block times a complex vector as one real (n, 2) product."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (hmat @ x.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -604,49 +649,54 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
                  m_max: int = 40) -> np.ndarray:
     """exp(-1j dt H) v for Hermitian H given by its action.
 
-    Each Krylov space (at most m_max vectors, fully reorthogonalized) grows
-    until it breaks down or reaches the error budget tol * h / dt for the rest
-    h of the interval.  If it does not reach it, it advances by the largest
-    h = rest / 2^k it does reach, and the next space starts from the advanced
-    vector: a shorter step reuses the basis.
+    Each Krylov space (at most m_max vectors) grows until it breaks down or
+    reaches the error budget tol * h / dt for the rest h of the interval.  If
+    it does not reach it, it advances by the largest h = rest / 2^k it does
+    reach, and the next space starts from the advanced vector: a shorter step
+    reuses the basis.  The vectors are the rows of one (m_max, n) array; each
+    new one is reorthogonalized against all before it by two block classical
+    Gram-Schmidt passes (CGS2), and LAPACK dstev diagonalizes the tridiagonal.
     """
-    def expm_e1(alphas, betas, h):
+    def expm_e1(m, h):
         # exp(-1j h T) e_1, and whether the estimate |beta_m h y_m| is in budget
-        evals, evecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[:-1]))
+        evals, evecs, info = dstev(alphas[:m], betas[:max(m - 1, 1)])
+        if info:
+            raise ToleranceError(f"dstev failed on the Lanczos tridiagonal (info = {info})")
         y = evecs @ (np.exp(-1j * h * evals) * evecs[0])
-        return y, betas[-1] < 1e-14 or abs(betas[-1] * h * y[-1]) < tol * (h / dt)
+        return y, betas[m - 1] < 1e-14 or abs(betas[m - 1] * h * y[-1]) < tol * (h / dt)
 
     if np.linalg.norm(v) == 0.0:
         return v.copy()
+    vecs = np.empty((m_max, len(v)), dtype=complex)
+    alphas, betas = np.empty(m_max), np.empty(m_max)
     rest = dt
     while True:
         nrm = np.linalg.norm(v)
-        vecs = [v / nrm]
-        alphas, betas = [], []
+        vecs[0] = v / nrm
+        m = 0
         while True:
-            w = apply_h(vecs[-1])
-            alphas.append(float(np.real(np.vdot(vecs[-1], w))))
-            w = w - alphas[-1] * vecs[-1]
-            if betas:
-                w = w - betas[-1] * vecs[-2]
-            # full reorthogonalization: cheap at these Krylov sizes, prevents ghosts
-            for u in vecs:
-                w = w - np.vdot(u, w) * u
-            betas.append(float(np.linalg.norm(w)))
-            if len(alphas) == m_max or expm_e1(alphas, betas, rest)[1]:
+            w = apply_h(vecs[m])
+            alphas[m] = np.real(np.vdot(vecs[m], w))
+            w = w - alphas[m] * vecs[m]
+            if m:
+                w -= betas[m - 1] * vecs[m - 1]
+            # full reorthogonalization, twice: cheap at these Krylov sizes, prevents ghosts
+            krylov = vecs[:m + 1]
+            for _ in range(2):
+                w -= (krylov @ w.conj()).conj() @ krylov
+            betas[m] = np.linalg.norm(w)
+            m += 1
+            if m == m_max or expm_e1(m, rest)[1]:
                 break
-            vecs.append(w / betas[-1])
+            vecs[m] = w / betas[m - 1]
         for k in range(31):
             h = rest / 2**k
-            y, reached = expm_e1(alphas, betas, h)
+            y, reached = expm_e1(m, h)
             if reached:
                 break
         else:
             raise ToleranceError("Lanczos propagator failed to converge after 30 halvings")
-        out = np.zeros_like(v)
-        for coeff, u in zip(y, vecs):
-            out += coeff * u
-        v = nrm * out
+        v = nrm * (y @ vecs[:m])
         if h == rest:
             return v
         rest -= h
@@ -679,8 +729,9 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
     `h` is a prebuilt static H (``hamiltonian(basis, state.fock)``), so callers
     that already hold it do not pay for a second assembly; it is used at every
     N.  A time-dependent field rebuilds only its one-body part per step and
-    takes no `h`.  Without `h`, N = 2 without a field runs on the dense
-    momentum blocks.
+    takes no `h`.  Without `h`, N = 2 without a field runs on the dense real
+    (K, Pi) blocks of ``pair_blocks``, each applied as one real product with
+    the complex vector viewed as (n, 2) floats.
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
@@ -695,8 +746,8 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
         def advance(psi, t):
             new = np.zeros_like(psi)
             for sel, hmat in zip(blocks.state_rows, blocks.h_blocks):
-                new[sel] = lanczos_expm(lambda x, H=hmat: H @ x, psi[sel], out_dt,
-                                        tol=krylov_tol)
+                new[sel] = lanczos_expm(lambda x, H=hmat: _real_block_product(H, x), psi[sel],
+                                        out_dt, tol=krylov_tol)
             return new
     elif time_dep:
         steps = int(round(out_dt / dt))
@@ -797,7 +848,7 @@ def renormalized_energy(state: ManyBodyState, basis: ModeBasis, t: float | None 
         tot = 0.0
         for sel, hm in zip(blocks.state_rows, blocks.h_blocks):
             seg = state.amplitudes[sel]
-            tot += float(np.real(np.vdot(seg, hm @ seg)))
+            tot += float(np.real(np.vdot(seg, _real_block_product(hm, seg))))
         return tot / 2.0
     if h is None:
         h = hamiltonian(basis, state.fock, t)

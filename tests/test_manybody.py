@@ -399,12 +399,12 @@ def test_prebuilt_hamiltonian_gives_same_evolution(setup):
     assert np.array_equal(built.final.amplitudes, given.final.amplitudes)
 
 
-def test_prebuilt_hamiltonian_used_at_two_particles(setup, monkeypatch):
-    # a given h replaces the N = 2 pair blocks
-    _, _, _, _, basis = setup
-    fock = manybody.FockBasis(basis.n_modes, 2)
-    h = manybody.hamiltonian(basis, fock)
+@pytest.mark.parametrize("which", ["continuum", "grid_matched"])
+def test_prebuilt_hamiltonian_used_at_two_particles(pair_hamiltonians, which, monkeypatch):
+    # a given h replaces the N = 2 pair blocks, and both paths agree
+    basis, fock, h = pair_hamiltonians[which]
     blocks = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1).final
+    e_blocks = manybody.renormalized_energy(blocks, basis)
 
     def no_blocks(*args, **kwargs):
         raise AssertionError("pair blocks built although h was given")
@@ -414,6 +414,7 @@ def test_prebuilt_hamiltonian_used_at_two_particles(setup, monkeypatch):
     direct = expm_multiply(-1j * 0.3 * h.tocsc(), condensed(fock).amplitudes)
     assert np.linalg.norm(given.amplitudes - direct) < 1e-9
     assert np.linalg.norm(given.amplitudes - blocks.amplitudes) < 1e-9
+    assert e_blocks == pytest.approx(manybody.renormalized_energy(blocks, basis, h=h), rel=1e-12)
 
 
 def test_two_particles_static_well_matches_sparse_hamiltonian(setup):
@@ -436,29 +437,93 @@ def test_two_particles_static_well_matches_sparse_hamiltonian(setup):
 @pytest.fixture(scope="module")
 def grid_basis_10x8():
     # verify-all's grid-matched 10 x 8 problem
+    return grid_matched_basis(10, 8)
+
+
+def grid_matched_basis(n_x, n_y):
     point = scaling.make_point(2, 0.5, 0.5)
     conf = potentials.harmonic_confinement(dimension=1)
     sc = potentials.scale(potentials.gaussian_bump(height=2.0, radius=4.0, width=1.5), point,
                           d_perp=1)
-    return manybody.build_grid_matched_basis(point, conf, sc, 10, 8, L, 6.0)
+    return manybody.build_grid_matched_basis(point, conf, sc, n_x, n_y, L, 6.0)
+
+
+@pytest.fixture(scope="module")
+def pair_hamiltonians(setup, grid_basis_10x8):
+    # both N = 2 problems with their sparse H, assembled once
+    out = {}
+    for which, basis in (("continuum", setup[4]), ("grid_matched", grid_basis_10x8)):
+        fock = manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5)
+        out[which] = basis, fock, manybody.hamiltonian(basis, fock).tocsr()
+    return out
 
 
 @pytest.mark.parametrize("which", ["grid_matched", "continuum"])
-def test_pair_blocks_match_sparse_hamiltonian(setup, grid_basis_10x8, which):
+def test_pair_blocks_match_sparse_hamiltonian(pair_hamiltonians, which):
     # the blocks' diagonal one-body part E_a + E_b against the general sparse
     # path; the blocks hold all of H, so their squared norms add up to its own
-    basis = grid_basis_10x8 if which == "grid_matched" else setup[4]
-    fock = manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5)
-    h = manybody.hamiltonian(basis, fock).tocsr()
+    basis, fock, h = pair_hamiltonians[which]
     blocks = manybody.pair_blocks(basis, fock)
     assert np.array_equal(np.sort(np.concatenate(blocks.state_rows)), np.arange(fock.dim))
+    occ = fock.occupations.astype(np.int64)
+    k_row = occ @ basis.mode_kx
+    if basis.momentum_modulus is not None:
+        k_row %= basis.momentum_modulus
+    pi_row = occ @ basis.mode_parity % 2
+    assert set(pi_row) == {0, 1}
+    # H conserves the transverse parity exactly, not just to quadrature noise
+    coo = h.tocoo()
+    assert np.array_equal(pi_row[coo.row], pi_row[coo.col])
+    # one block per (K, Pi) sector
+    assert len(blocks.h_blocks) == len(set(zip(k_row, pi_row)))
     frob = 0.0
     for rows, hmat in zip(blocks.state_rows, blocks.h_blocks):
+        assert len(set(k_row[rows])) == 1 and len(set(pi_row[rows])) == 1
         ref = h[rows][:, rows].toarray()
-        assert hmat.dtype == complex
+        # vq is real, so the blocks are real symmetric and stored as float64
+        assert hmat.dtype == np.float64 and hmat.flags.c_contiguous
         assert np.max(np.abs(hmat - ref)) <= 1e-12 * np.max(np.abs(ref))
         frob += np.sum(np.abs(ref) ** 2)
     assert frob == pytest.approx(sp.linalg.norm(h) ** 2, rel=1e-12)
+
+
+def _transverse_parity_of(basis):
+    return np.array([basis.mode_parity[basis.mode_my == m][0] for m in range(basis.m_y)])
+
+
+@pytest.mark.parametrize("n_x, n_y", [(10, 8), (16, 12)])
+def test_grid_matched_parity_keeps_the_nyquist_mode_even(n_x, n_y):
+    # on the periodic grid the highest mode is the Nyquist mode, which is
+    # even although its index is odd: parity is read from the mode itself
+    basis = grid_matched_basis(n_x, n_y)
+    expected = [m % 2 for m in range(n_y - 1)] + [0]
+    assert _transverse_parity_of(basis).tolist() == expected
+    tau = basis.transverse.modes
+    mirrored = np.roll(tau[:, ::-1], 1, axis=1)         # y -> -y, wrapped
+    overlap = np.sum(tau * mirrored, axis=1) * basis.transverse.weight
+    assert np.max(np.abs(overlap - (1 - 2 * np.array(expected)))) < 1e-10
+
+
+def test_continuum_parity_alternates(setup):
+    assert _transverse_parity_of(setup[4]).tolist() == [0, 1, 0]
+
+
+def test_d_perp_2_modes_are_inversion_eigenfunctions(basis_2d):
+    tau = basis_2d.transverse.modes[:basis_2d.m_y]
+    overlap = np.sum(tau * tau[:, ::-1, ::-1], axis=(1, 2)) * basis_2d.transverse.weight
+    assert np.max(np.abs(np.abs(overlap) - 1.0)) < 1e-10
+    assert _transverse_parity_of(basis_2d).tolist() == (overlap < 0).astype(int).tolist()
+
+
+@pytest.mark.parametrize("which", ["grid_matched", "continuum", "d_perp_2"])
+def test_odd_parity_pair_elements_are_exact_zeros(setup, grid_basis_10x8, basis_2d, which):
+    basis = {"grid_matched": grid_basis_10x8, "continuum": setup[4], "d_perp_2": basis_2d}[which]
+    p = _transverse_parity_of(basis)
+    pairs = np.add.outer(p, p)
+    odd = np.add.outer(pairs, pairs) % 2 == 1
+    assert odd.any()
+    assert np.all(basis.vq[:, odd] == 0.0)
+    assert np.all(np.any(basis.vq[:, ~odd] != 0.0, axis=0))
 
 
 @pytest.fixture(scope="module")
@@ -520,6 +585,94 @@ def test_lanczos_matches_scipy_on_random_hermitian():
     assert len(calls) < 592           # a fresh basis for every halved step costs 592
     with pytest.raises(ToleranceError):
         manybody.lanczos_expm(lambda x: h @ x, v, 0.7, m_max=1)
+
+
+def list_lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
+                      m_max: int = 40) -> np.ndarray:
+    """The earlier kernel, verbatim: a list of Krylov vectors, one modified
+    Gram-Schmidt pass and scipy's eigh_tridiagonal."""
+    from scipy.linalg import eigh_tridiagonal
+
+    def expm_e1(alphas, betas, h):
+        # exp(-1j h T) e_1, and whether the estimate |beta_m h y_m| is in budget
+        evals, evecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[:-1]))
+        y = evecs @ (np.exp(-1j * h * evals) * evecs[0])
+        return y, betas[-1] < 1e-14 or abs(betas[-1] * h * y[-1]) < tol * (h / dt)
+
+    if np.linalg.norm(v) == 0.0:
+        return v.copy()
+    rest = dt
+    while True:
+        nrm = np.linalg.norm(v)
+        vecs = [v / nrm]
+        alphas, betas = [], []
+        while True:
+            w = apply_h(vecs[-1])
+            alphas.append(float(np.real(np.vdot(vecs[-1], w))))
+            w = w - alphas[-1] * vecs[-1]
+            if betas:
+                w = w - betas[-1] * vecs[-2]
+            # full reorthogonalization: cheap at these Krylov sizes, prevents ghosts
+            for u in vecs:
+                w = w - np.vdot(u, w) * u
+            betas.append(float(np.linalg.norm(w)))
+            if len(alphas) == m_max or expm_e1(alphas, betas, rest)[1]:
+                break
+            vecs.append(w / betas[-1])
+        for k in range(31):
+            h = rest / 2**k
+            y, reached = expm_e1(alphas, betas, h)
+            if reached:
+                break
+        else:
+            raise ToleranceError("Lanczos propagator failed to converge after 30 halvings")
+        out = np.zeros_like(v)
+        for coeff, u in zip(y, vecs):
+            out += coeff * u
+        v = nrm * out
+        if h == rest:
+            return v
+        rest -= h
+
+
+def _random_hermitian_problem():
+    # spectrum in about [-2, 2]: dt = 20 needs more than 40 vectors, so it halves
+    rng = np.random.default_rng(11)
+    a = (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))) / math.sqrt(300)
+    v = rng.normal(size=300) + 1j * rng.normal(size=300)
+    return (a + a.conj().T) / 2.0, v / np.linalg.norm(v), [0.7, 20.0]
+
+
+def _sweep_default_n8_problem():
+    from dimred import harness
+    from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
+
+    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    point = env.points()[-1]
+    assert point.n_particles == 8
+    setup = harness.point_setup(env, point, harness.sweep_inputs(env))
+    return setup.h0, setup.psi0.amplitudes, [env.t_final]
+
+
+@pytest.mark.parametrize("problem", [_random_hermitian_problem, _sweep_default_n8_problem],
+                         ids=["random_hermitian", "sweep_default_n8"])
+def test_block_kernel_matches_list_kernel(problem):
+    # one Krylov array with CGS2 and dstev against the list-based kernel it
+    # replaced: the same matvecs, the same result to rounding
+    h, v, intervals = problem()
+    for dt in intervals:
+        counts = {"block": 0, "list": 0}
+
+        def counted(kind):
+            def apply(x):
+                counts[kind] += 1
+                return h @ x
+            return apply
+
+        mine = manybody.lanczos_expm(counted("block"), v, dt, tol=1e-10)
+        ref = list_lanczos_expm(counted("list"), v, dt, tol=1e-10)
+        assert counts["block"] == counts["list"], dt
+        assert np.linalg.norm(mine - ref) <= 1e-13 * np.linalg.norm(ref), dt
 
 
 # ---------------------------------------------------------------------------
