@@ -131,13 +131,10 @@ def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
         point, inputs.confinement, inputs.external, scaled, cfg.m_x, cfg.m_y,
         cfg.box_length, unscaled_mode=inputs.unscaled_mode,
     )
-    # without a field H conserves total momentum: keep the condensate's sector
-    momentum = None
-    if basis.external is None:
-        k_total = point.n_particles * int(basis.mode_kx[0])
-        momentum = (basis.mode_kx, basis.momentum_modulus, k_total)
+    # keep the sector of the conserved charges that holds the condensate
+    charges = [(q, modulus, point.n_particles * int(q[0])) for q, modulus in basis.charges()]
     fock = manybody.FockBasis(basis.n_modes, point.n_particles,
-                              cfg.max_excitations, cfg.dim_cap, momentum=momentum)
+                              cfg.max_excitations, cfg.dim_cap, charges=charges)
     psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
     return PointSetup(basis, fock, psi0, manybody.hamiltonian(basis, fock, 0.0),
                       static=not basis.time_dependent)
@@ -430,12 +427,14 @@ def verify_all(seed: int = 0) -> VerificationReport:
     rep.add("manybody", "two_body_oracle_trace_distance",
             projectors.trace_distance(g_grid, g_modes), 1e-6)
 
-    # its (K, Pi) pair blocks partition the rows and hold all of the sparse H
-    blocks = manybody.pair_blocks(basis2, fock2)
+    # its (K, Pi) sectors partition the rows, and their blocks, each built
+    # alone, hold all of the sparse H
+    rows_of = manybody.sectors(basis2, fock2)
     frob_h = sp.linalg.norm(manybody.hamiltonian(basis2, fock2)) ** 2
-    defect = abs(sum(np.sum(hm**2) for hm in blocks.h_blocks) - frob_h) / frob_h
-    partition = np.array_equal(np.sort(np.concatenate(blocks.state_rows)), np.arange(fock2.dim))
-    rep.add("manybody", "pair_blocks_partition_h", defect, 1e-12,
+    defect = abs(sum(sp.linalg.norm(manybody.hamiltonian(basis2, fock2.subset(rows))) ** 2
+                     for rows in rows_of) - frob_h) / frob_h
+    partition = np.array_equal(np.sort(np.concatenate(rows_of)), np.arange(fock2.dim))
+    rep.add("manybody", "sector_blocks_partition_h", defect, 1e-12,
             passed=partition and defect <= 1e-12)
 
     return rep

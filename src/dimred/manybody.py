@@ -13,36 +13,26 @@ Transverse energies enter shifted by the ground energy E0/eps^2
 ("renormalized convention"): propagation then happens without the fast
 common phase and <H>/N is directly the renormalized energy per particle.
 
-Two propagation paths share the same tensors: a sparse second-quantized
-Hamiltonian driven by a Lanczos exponential for general N, and dense real
-(momentum, parity) blocks for N = 2 without an external field when no
-prebuilt H is given (a field couples different momenta, which the blocks
-cannot hold).  An independent position-grid split-step solver for two
-particles (``GridOracle``) validates both.
+One sparse second-quantized Hamiltonian serves every N; ``GridOracle``, a
+two-particle position-grid split-step solver, validates it.  Without a
+field H conserves the total momentum K = sum_a n_a k_a (mod n_x on a
+grid-matched basis) and, for an even trap and a radial w, the transverse
+parity Pi = (-1)^(sum_a n_a p_a) (``ModeBasis.mode_parity``; both builders
+zero the pair elements that change Pi), so each (K, Pi) sector is an exact
+block of H.  ``evolve`` propagates each sector on its own block with one
+Lanczos exponential (``lanczos_expm``; ``expm_multiply`` is a test oracle).
 
-Without a field H conserves the total momentum K = sum_a n_a k_a, so a
-``FockBasis`` may hold a single K sector.  The sweep (``harness.point_setup``)
-runs every field-free point in the sector of its condensate, K = 0, which
-holds the initial state, H and the whole trajectory.  An even trap and a
-radial w also conserve the transverse parity Pi = (-1)^(sum_a n_a p_a), with
-p_a read from each transverse mode function (``ModeBasis.mode_parity``).
-Both basis builders set the pair elements that change Pi to exact zeros, so
-its sectors are exact blocks of H; the N = 2 pair blocks split by (K, Pi).
-
-Both paths propagate with one Lanczos exponential (``lanczos_expm``), which
-keeps its Krylov vectors in one array and reorthogonalizes them fully;
-scipy's ``expm_multiply`` is only a test oracle.
-
-One kernel, ``_ladder``, applies every ladder operator: the one- and
-two-body terms of H, and the annihilators of ``_lowered``, which gamma^(1),
-gamma^(2) and the factorial-moment counting in ``projectors`` share.  Its
-(term, row, column, amplitude) output is the sparsity pattern of an operator.
+One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
+it lowers each row by each lower set it holds and raises each distinct
+intermediate row once per create set, with a dense weight block per class.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.fft
@@ -61,7 +51,7 @@ from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
 DEFAULT_DIM_CAP = Config({}).get_int("manybody.dim_cap")    # from the default table
 GRID_CAP = 2**28
 MIN_POINTS_PER_RANGE = 8
-LADDER_BATCH_BYTES = 1 << 23
+LADDER_BATCH_BYTES = 1 << 22
 PARITY_TOL = 1e-8
 
 
@@ -75,20 +65,26 @@ def symmetric_dimension(n_modes: int, n_particles: int, max_excitations: int | N
     return sum(int(comb(k + n_modes - 2, k, exact=True)) for k in range(max_excitations + 1))
 
 
+def _row_sums(occ: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_a n_a v_a of every occupation row, added over its occupied modes in order."""
+    rows, modes = np.divmod(np.flatnonzero(occ > 0), occ.shape[1])
+    weights = occ[rows, modes] * np.asarray(values, dtype=float)[modes]
+    return np.bincount(rows, weights, minlength=len(occ))
+
+
 class FockBasis:
     """Symmetric occupation basis over M modes, mode 0 distinguished as the
     condensate; optionally truncated at a maximal number of excited particles.
 
-    `momentum = (mode_kx, modulus, K)` keeps only the rows of total momentum
-    sum_a n_a k_a = K (mod `modulus` unless it is None): a sector that H holds
-    invariant when no external field breaks translation invariance.  The cap
-    applies to `unrestricted_dim`, the count of rows enumerated before the
-    filter.
+    `charges` holds triples (per-mode charge q, modulus or None, total) and
+    keeps the rows with sum_a n_a q_a = total (mod the modulus), such as a
+    (K, Pi) sector (``ModeBasis.charges``).  The cap applies to
+    `unrestricted_dim`, the count of rows enumerated before the filter.
     """
 
     def __init__(self, n_modes: int, n_particles: int,
                  max_excitations: int | None = None, dim_cap: int = DEFAULT_DIM_CAP,
-                 momentum: tuple | None = None):
+                 charges: list | tuple = ()):
         if n_particles < 0:
             raise DomainError(f"n_particles must be >= 0, got {n_particles}")
         if n_modes < 2:
@@ -114,12 +110,11 @@ class FockBasis:
             occ = np.column_stack([occ[row], extra.astype(np.uint8)])
             used = used[row] + extra
         occ = np.column_stack([(n_particles - used).astype(np.uint8), occ])
-        if momentum is not None:
-            mode_kx, modulus, k_total = momentum
-            off = occ.astype(np.int64) @ np.asarray(mode_kx, dtype=np.int64) - k_total
+        for mode_charge, modulus, total in charges:
+            off = _row_sums(occ, mode_charge).astype(np.int64) - total
             occ = occ[(off == 0) if modulus is None else (off % modulus == 0)]
-            if len(occ) == 0:
-                raise DomainError(f"no occupation row has total momentum {k_total}")
+        if len(occ) == 0:
+            raise DomainError(f"no occupation row carries the charges {[c[2] for c in charges]}")
         order = np.argsort(self._pack(occ))
         self.occupations = np.ascontiguousarray(occ[order])
         self._packed = self._pack(self.occupations)
@@ -130,13 +125,18 @@ class FockBasis:
         occ = np.ascontiguousarray(occ, dtype=np.uint8)
         return occ.view(np.dtype((np.void, occ.shape[1]))).ravel()
 
+    def subset(self, rows: np.ndarray) -> FockBasis:
+        """The basis of the given rows, an ascending index array, in their order."""
+        sub = copy.copy(self)
+        sub.occupations, sub._packed = self.occupations[rows], self._packed[rows]
+        sub.dim = len(rows)
+        return sub
+
     def lookup(self, occ: np.ndarray) -> np.ndarray:
         """Indices of occupation rows; -1 where a row is not in the basis."""
-        packed = self._pack(occ.astype(np.uint8))
-        pos = np.searchsorted(self._packed, packed)
-        pos_c = np.minimum(pos, self.dim - 1)
-        hit = self._packed[pos_c] == packed
-        return np.where(hit, pos_c, -1).astype(np.int64)
+        packed = self._pack(occ)
+        pos = np.minimum(np.searchsorted(self._packed, packed), self.dim - 1)
+        return np.where(self._packed[pos] == packed, pos, -1)
 
 
 @dataclass
@@ -218,6 +218,23 @@ class ModeBasis:
     @property
     def time_dependent(self) -> bool:
         return self.external is not None and self.external.time_dependent
+
+    @cached_property
+    def pair_classes(self) -> tuple:
+        """The mode pairs a <= b sorted by class, their (K, Pi) charge (K mod
+        n_x on a grid-matched basis), and the class of each: w conserves both."""
+        a, b = np.triu_indices(self.n_modes)
+        k = self.mode_kx[a] + self.mode_kx[b]
+        k = k % self.momentum_modulus if self.momentum_modulus is not None else k
+        label = 2 * (k - k.min()) + (self.mode_parity[a] + self.mode_parity[b]) % 2
+        order = np.argsort(label, kind="stable")
+        return np.column_stack([a, b])[order], label[order]
+
+    def charges(self) -> list:
+        """(per-mode charge, modulus) of each quantity H conserves: K and Pi
+        without a field, none with one."""
+        return [] if self.external is not None else [(self.mode_kx, self.momentum_modulus),
+                                                     (self.mode_parity, 2)]
 
     def mode_index(self, kx_int: int, my: int) -> int:
         hit = np.where((self.mode_kx == kx_int) & (self.mode_my == my))[0]
@@ -458,67 +475,116 @@ def build_grid_matched_basis(
 # second-quantized operators
 # ---------------------------------------------------------------------------
 
-def _ladder(fock: FockBasis, target: FockBasis, lower: np.ndarray, create: np.ndarray):
-    """Nonzero elements of the ladder terms adag_(create[t, k-1]) ... adag_(create[t, 0])
-    a_(lower[t, j-1]) ... a_(lower[t, 0]) from `fock` into `target`.
+def _ladder(fock: FockBasis, target: FockBasis, lower: np.ndarray, create: np.ndarray,
+            lower_class: np.ndarray, create_class: np.ndarray, weights):
+    """Nonzero elements of W[c, l] adag_(c_k) ... adag_(c_1) a_(l_j) ... a_(l_1) from
+    `fock` into `target` for every lower set l (a row of `lower`, distinct and
+    ascending) and create set c (a row of `create`) of one class; both class
+    arrays ascend, and W = weights(create sets, lower sets of the class).
 
-    Returns arrays (term, target row, source row, amplitude); the amplitude is
-    sqrt(product of the counts after each creation) * sqrt(product of the
-    counts before each annihilation).  Terms that share a `lower` row must be
-    adjacent: each such group lowers its source rows once, then applies its
-    creations in batches of at most LADDER_BATCH_BYTES of target occupations,
-    each resolved by one lookup.
+    Each source row is lowered by each lower set it holds; each distinct
+    (class, intermediate row) is raised by every create set of its class,
+    resolved by one lookup.  The amplitude is sqrt(product of the counts
+    before each annihilation and after each creation); zero weights are
+    dropped, in batches of LADDER_BATCH_BYTES.  Returns (lower set, target row,
+    source row, value) by target row, then class, intermediate and source row,
+    an order a block of rows closed under the terms gets alone as in more rows.
     """
-    occ = fock.occupations
-    n_terms, m = len(lower), occ.shape[1]
-    out = ([], [], [], [])
-    starts = np.flatnonzero(np.any(np.diff(lower, axis=0, prepend=-1) != 0, axis=1))
-    for lo, hi in zip(starts, np.append(starts[1:], n_terms)):
-        modes = lower[lo].tolist()
-        # the i-th annihilation of a mode needs i particles in it
-        ok = True
-        for i, mode in enumerate(modes):
-            ok = ok & (occ[:, mode] >= modes[:i + 1].count(mode))
-        src = np.flatnonzero(ok)
-        if len(src) == 0:
-            continue
-        base = occ[src]
-        amp_lower = 1.0
-        for mode in modes:
-            amp_lower = amp_lower * base[:, mode]
-            base[:, mode] -= 1
-        amp_lower = np.sqrt(amp_lower)
-        step = max(1, LADDER_BATCH_BYTES // (len(src) * m))
-        for j in range(lo, hi, step):
-            stop = min(j + step, hi)
-            tgt = np.repeat(base[None], stop - j, axis=0)
-            term = np.arange(stop - j)[:, None]
-            every = np.arange(len(src))
-            amp_create = np.ones(tgt.shape[:2])
-            for mode in create[j:stop].T:
-                at = (term, every, mode[:, None])
-                tgt[at] += 1
-                amp_create *= tgt[at]
-            idx = target.lookup(tgt.reshape(-1, m)).reshape(stop - j, len(src))
-            t, s = np.nonzero(idx >= 0)
-            out[0].append(j + t)
-            out[1].append(idx[t, s])
-            out[2].append(src[s])
-            out[3].append(np.sqrt(amp_create[t, s]) * amp_lower[s])
-    empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
-    return tuple(np.concatenate(parts) if parts else e for parts, e in zip(out, empty))
+    m = fock.n_modes
+    lowered = np.isin(np.arange(m), lower)
+    # step 1: every sorted lower set each source row holds, from the left
+    src, rest, amp_lower = np.arange(fock.dim, dtype=np.int32), fock.occupations, np.ones(fock.dim)
+    key = last = np.zeros(fock.dim, dtype=np.int64)
+    for _ in range(lower.shape[1]):
+        held = (rest > 0) & lowered & (np.arange(m) >= last[:, None])
+        part, mode = np.divmod(np.flatnonzero(held), m)
+        rest = rest[part]
+        amp_lower = amp_lower[part] * rest[np.arange(len(part)), mode]
+        rest[np.arange(len(part)), mode] -= 1
+        src, key, last = src[part], key[part] * m + mode, mode
+    table = np.full(m ** lower.shape[1], -1, dtype=np.int32)
+    table[(lower * m ** np.arange(lower.shape[1])[::-1]).sum(axis=1)] = np.arange(len(lower))
+    term = table[key]
+    held = term >= 0
+    term, src, rest, amp_lower = term[held], src[held], rest[held], np.sqrt(amp_lower[held])
+    # the distinct (class, intermediate row) groups, intermediate rows in lexicographic order
+    klass, mid = lower_class[term], np.unique(FockBasis._pack(rest), return_inverse=True)[1]
+    order = np.lexsort((src, mid, klass))
+    term, src, rest, amp_lower, klass, mid = (
+        x[order] for x in (term, src, rest, amp_lower, klass, mid))
+    first = (np.diff(klass, prepend=-1) != 0) | (np.diff(mid, prepend=-1) != 0)
+    group = np.cumsum(first) - 1
+    # the classes reached: their create and lower sets, and their weights
+    reached, at = np.unique(klass[first], return_inverse=True)
+    l0, l1 = (np.searchsorted(lower_class, reached, side=s) for s in ("left", "right"))
+    c0, c1 = (np.searchsorted(create_class, reached, side=s) for s in ("left", "right"))
+    blocks = [weights(create[i:j], lower[p:q]) for i, j, p, q in zip(c0, c1, l0, l1)]
+    flat = (blocks[0].ravel() if len(blocks) == 1
+            else np.concatenate([np.zeros(0)] + [w.ravel() for w in blocks]))
+    width, sizes = l1 - l0, (c1 - c0) * (l1 - l0)
+    base = np.cumsum(sizes) - sizes - c0 * width - l0
+    # step 2: raise each group by every create set of its class
+    n_raise = (c1 - c0)[at]
+    raised = np.repeat(np.arange(len(at)), n_raise)
+    made = np.arange(len(raised)) - np.repeat(np.cumsum(n_raise) - n_raise - c0[at], n_raise)
+    occ = rest[first][raised]
+    amp_create = np.ones(len(raised))
+    every = np.arange(len(raised))
+    for mode in create[made].T:
+        occ[every, mode] += 1
+        amp_create *= occ[every, mode]
+    rows = target.lookup(occ).astype(np.int32)
+    hit = rows >= 0
+    raised, made, rows, amp_create = raised[hit], made[hit], rows[hit], np.sqrt(amp_create[hit])
+    # the flat weight index: a part per (source, lower set) and one per raise
+    at_entry, at_raise = base[at][group] + term, made * width[at][raised]
+    # each raise meets every (source, lower set) of its group; by target row
+    n_entry = np.bincount(group)
+    seg = np.argsort(rows, kind="stable")
+    size = n_entry[raised[seg]]
+    skip = (np.cumsum(n_entry) - n_entry)[raised[seg]] - (np.cumsum(size) - size)
+    ends = np.cumsum(size)
+    total = int(ends[-1]) if len(ends) else 0
+    out = [np.empty(total, dtype=np.int32) for _ in range(3)] + [np.empty(total, dtype=complex)]
+    step, a, n = max(1, LADDER_BATCH_BYTES // 64), 0, 0    # ~64 B of temporaries per element
+    while a < len(seg):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - size[a] + step, side="right")))
+        pick = np.repeat(seg[a:b], size[a:b])
+        entry = np.arange(ends[a] - size[a], ends[b - 1]) + np.repeat(skip[a:b], size[a:b])
+        value = amp_create.take(pick) * amp_lower.take(entry)
+        w = flat.take(at_entry.take(entry) + at_raise.take(pick))
+        if not np.all(w):
+            keep = w != 0.0
+            entry, pick, value, w = entry[keep], pick[keep], value[keep], w[keep]
+        value = w * value
+        k = n + len(entry)
+        np.take(term, entry, out=out[0][n:k])
+        np.take(rows, pick, out=out[1][n:k])
+        np.take(src, entry, out=out[2][n:k])
+        out[3][n:k] = value
+        a, n = b, k
+    return [part[:n] for part in out]
+
+
+def _operator(fock: FockBasis, sets: np.ndarray, label: np.ndarray, weights) -> sp.csr_matrix:
+    """Sparse sum of W[c, l] adag_c a_l over the sets c, l of each class, W =
+    weights(sets of the class, same), the sets sorted by their class `label`."""
+    _, rows, cols, data = _ladder(fock, fock, sets, sets, label, label, weights)
+    indptr = np.searchsorted(rows, np.arange(fock.dim + 1))
+    h = sp.csr_matrix((data, cols, indptr), shape=(fock.dim, fock.dim))
+    h.sum_duplicates()
+    return h
 
 
 def one_body_operator(fock: FockBasis, h: np.ndarray) -> sp.csr_matrix:
-    """Sparse sum_ab h[a,b] adag_a a_b on the occupation basis."""
-    diag = fock.occupations.astype(float) @ np.real(np.diag(h))
-    off = (h != 0) & ~np.eye(len(h), dtype=bool)
-    b, a = np.nonzero(off.T)                         # grouped by the lowered mode b
-    term, rows, cols, amp = _ladder(fock, fock, b[:, None], a[:, None])
-    every = np.arange(fock.dim)
-    data = np.concatenate([diag.astype(complex), h[a, b][term] * amp])
-    return sp.csr_matrix((data, (np.concatenate([every, rows]), np.concatenate([every, cols]))),
-                         shape=(fock.dim, fock.dim))
+    """Sparse sum_ab h[a,b] adag_a a_b on the occupation basis: the diagonal
+    from the occupations, the rest in one class of the modes it couples."""
+    off = np.where(np.eye(len(h), dtype=bool), 0.0, h)
+    modes = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+    diag = _row_sums(fock.occupations, np.real(np.diag(h))).astype(complex)
+    return sp.diags(diag, format="csr") + _operator(
+        fock, modes[:, None], np.zeros(len(modes), dtype=np.int64),
+        lambda c, l: off[np.ix_(c[:, 0], l[:, 0])])
 
 
 def number_expectations(state: ManyBodyState) -> np.ndarray:
@@ -527,62 +593,36 @@ def number_expectations(state: ManyBodyState) -> np.ndarray:
     return state.fock.occupations.astype(float).T @ w
 
 
-def _w_gather(basis: ModeBasis, a, b, c, d) -> np.ndarray:
-    """Vectorized <ab|w|cd> for momentum-conserving index arrays, which
-    broadcast against each other: vq is read by one fancy index."""
-    q = basis.mode_kx[a] - basis.mode_kx[c]
-    if basis.momentum_modulus is not None:
-        rows = q % basis.momentum_modulus
-    else:
-        rows = q + (basis.m_x - 1)
-    my = basis.mode_my
-    return basis.vq[rows, my[a], my[b], my[c], my[d]] / basis.box_length
+def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
+    """1/2 W[(a, b), (c, d)] over the pairs of one class, W_abcd the sum of
+    <ab|w|cd> = vq[k_a - k_c, m_a, m_b, m_c, m_d] / L over the distinct
+    orderings of (a, b) and (c, d): by <ba|w|dc> = <ab|w|cd> that is
+    (<ab|w|cd> + <ab|w|dc> [c != d]) (1 + [a != b])."""
+    n, my = basis.m_y, basis.mode_my
+    k_values, k_at = np.unique(basis.mode_kx, return_inverse=True)
+    q = k_values[:, None] - basis.mode_kx
+    q = q % basis.momentum_modulus if basis.momentum_modulus is not None else q + basis.m_x - 1
+    a, b = pairs.T
+    ab = (my[a] * n**3 + my[b] * n**2).astype(np.int32)[:, None]
 
+    def gather(c, d):
+        # the flat vq index; its (k_a, c, d) part is read as rows of a small table
+        index = (q[:, c] * n**4 + my[c] * n + my[d]).astype(np.int32)[k_at[a]] + ab
+        return basis.vq.ravel().take(index) / basis.box_length
 
-def _interaction_terms(basis: ModeBasis):
-    """Index arrays (a, b, c, d) and weights W of every nonzero term of
-    1/2 sum W_abcd adag_a adag_b a_d a_c, with a <= b and c <= d.
-
-    adag_a adag_b and a_d a_c are symmetric in their two modes, so the weight
-    of each term is <ab|w|cd> summed over the distinct orderings of (a, b) and
-    of (c, d).  Terms come sorted by (c, d).  Momentum conservation fixes k_b
-    given (a, c, d), so m^3 m_y candidates are gathered from vq.
-    """
-    m, m_y = basis.n_modes, basis.m_y
-    mode_kx = basis.mode_kx
-    kmin, kmax = int(basis.kx.min()), int(basis.kx.max())
-    # both basis builders take every (k, m_y) pair, so every slot is filled
-    mode_at = np.empty((kmax - kmin + 1, m_y), dtype=np.int64)
-    mode_at[mode_kx - kmin, basis.mode_my] = np.arange(m)
-    c, d, a = (g.ravel() for g in np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                                              indexing="ij"))
-    kb = mode_kx[c] + mode_kx[d] - mode_kx[a]
-    if basis.momentum_modulus is not None:
-        kb = (kb - kmin) % basis.momentum_modulus + kmin
-    inside = (kb >= kmin) & (kb <= kmax)
-    a, c, d = (np.repeat(x[inside], m_y) for x in (a, c, d))
-    b = mode_at[kb[inside] - kmin].ravel()
-    w = _w_gather(basis, a, b, c, d)
-    nz = w != 0.0
-    a, b, c, d, w = a[nz], b[nz], c[nz], d[nz], w[nz]
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    c, d = np.minimum(c, d), np.maximum(c, d)
-    keys, pos = np.unique(((c * m + d) * m + a) * m + b, return_inverse=True)
-    weight = np.zeros(len(keys), dtype=w.dtype)
-    np.add.at(weight, pos, w)
-    keys, weight = keys[weight != 0.0], weight[weight != 0.0]
-    keys, b = np.divmod(keys, m)
-    keys, a = np.divmod(keys, m)
-    c, d = np.divmod(keys, m)
-    return a, b, c, d, weight
+    same = a == b
+    w = gather(b, a)
+    w[:, same] = 0.0
+    w += gather(a, b)
+    w[same] *= 0.5
+    return w
 
 
 def two_body_operator(basis: ModeBasis, fock: FockBasis) -> sp.csr_matrix:
-    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis."""
-    a, b, c, d, weight = _interaction_terms(basis)
-    term, rows, cols, amp = _ladder(fock, fock, np.column_stack([c, d]), np.column_stack([a, b]))
-    data = (0.5 * weight[term] * amp).astype(complex)
-    return sp.csr_matrix((data, (rows, cols)), shape=(fock.dim, fock.dim))
+    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis,
+    with one dense weight block per pair class that the rows reach."""
+    pairs, label = basis.pair_classes
+    return _operator(fock, pairs, label, lambda c, l: _pair_weights(basis, l))
 
 
 def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_matrix:
@@ -591,48 +631,32 @@ def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_mat
 
 
 # ---------------------------------------------------------------------------
-# N = 2 dense (momentum, parity)-block Hamiltonian
+# propagation, one Lanczos step per (K, Pi) sector
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PairBlocks:
-    pair_indices: list          # per block: (n_pairs, 2) mode indices (a <= b)
-    state_rows: list            # per block: row indices into the Fock basis
-    h_blocks: list              # per block: dense real symmetric float64 matrix
+def sectors(basis: ModeBasis, fock: FockBasis) -> list:
+    """Row indices of every sector of the charges H conserves (one per
+    occupied (K, Pi) value without a field; all rows in one with a field)."""
+    key = np.zeros(fock.dim, dtype=np.int64)
+    for mode_charge, modulus in basis.charges():
+        total = _row_sums(fock.occupations, mode_charge).astype(np.int64)
+        total = total % modulus if modulus is not None else total - total.min()
+        key = key * (total.max() + 1) + total
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
-def pair_blocks(basis: ModeBasis, fock: FockBasis) -> PairBlocks:
-    """N = 2 blocks of H, one per sector of total momentum K and transverse
-    parity Pi = (-1)^(p_a + p_b), which H conserves without a field; then
-    h = diag(E), so pair (a, b) adds E_a + E_b.  vq is real, so each block is a
-    real symmetric C-contiguous float64 array."""
-    if fock.n_particles != 2:
-        raise DomainError("pair blocks require N = 2")
-    if basis.external is not None:
-        raise DomainError("pair blocks require momentum conservation: no external field")
-    # the first and the last occupied mode of each row
-    occupied = fock.occupations > 0
-    pairs = np.column_stack([np.argmax(occupied, axis=1),
-                             fock.n_modes - 1 - np.argmax(occupied[:, ::-1], axis=1)])
-    ktot = basis.mode_kx[pairs[:, 0]] + basis.mode_kx[pairs[:, 1]]
-    if basis.momentum_modulus is not None:
-        ktot = ktot % basis.momentum_modulus
-    sector = 2 * ktot + basis.mode_parity[pairs].sum(axis=1) % 2
-    blocks = PairBlocks([], [], [])
-    for key in np.unique(sector):
-        sel = np.flatnonzero(sector == key)
-        plist = pairs[sel]
-        a, b = plist.T[:, :, None]
-        c, d = plist.T[:, None, :]
-        hmat = _w_gather(basis, a, b, c, d) + _w_gather(basis, a, b, d, c)
-        eta = 1.0 / np.sqrt(1.0 + (plist[:, 0] == plist[:, 1]))
-        hmat *= eta[:, None] * eta[None, :]
-        hmat = (hmat + hmat.T) / 2.0
-        hmat[np.diag_indices_from(hmat)] += basis.energies[plist].sum(axis=1)
-        blocks.pair_indices.append(plist)
-        blocks.state_rows.append(sel)
-        blocks.h_blocks.append(hmat)
-    return blocks
+def _sector_block(basis: ModeBasis, fock: FockBasis, rows: np.ndarray,
+                  h: sp.spmatrix | None, t: float):
+    """H on the given rows: cut from a prebuilt `h`, or else assembled on them
+    alone.  A real block more than a third full is a dense float64 array."""
+    sector = fock.subset(rows)
+    # hamiltonian(basis, sector, t), which perfbench traces as whole-basis assembly
+    block = (h[rows][:, rows] if h is not None else
+             one_body_operator(sector, basis.one_body(t)) + two_body_operator(basis, sector))
+    if 3 * block.nnz > len(rows) ** 2 and not np.any(block.data.imag):
+        return block.real.toarray()
+    return block
 
 
 def _real_block_product(hmat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -640,10 +664,6 @@ def _real_block_product(hmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=complex)
     return (hmat @ x.view(float).reshape(-1, 2)).view(complex).ravel()
 
-
-# ---------------------------------------------------------------------------
-# Lanczos propagation
-# ---------------------------------------------------------------------------
 
 def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
                  m_max: int = 40) -> np.ndarray:
@@ -722,16 +742,11 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
            h: sp.spmatrix | None = None) -> ManyBodyTrajectory:
     """Propagate under H(t), recording n_outputs + 1 equally spaced states.
 
-    Time-independent Hamiltonians take one Krylov step per output interval;
-    time-dependent ones take midpoint-frozen steps of dt, and each output
-    interval must be a whole number of them.
-
-    `h` is a prebuilt static H (``hamiltonian(basis, state.fock)``), so callers
-    that already hold it do not pay for a second assembly; it is used at every
-    N.  A time-dependent field rebuilds only its one-body part per step and
-    takes no `h`.  Without `h`, N = 2 without a field runs on the dense real
-    (K, Pi) blocks of ``pair_blocks``, each applied as one real product with
-    the complex vector viewed as (n, 2) floats.
+    Each (K, Pi) sector of psi (``sectors``) runs through all outputs, one
+    Krylov step per interval, on its own block of H: cut from a prebuilt
+    static `h`, or else assembled on the sector's rows alone.  A
+    time-dependent field takes midpoint-frozen steps of dt (whole per
+    interval), rebuilding only its one-body part; it takes no `h`.
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
@@ -740,43 +755,34 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
         raise DomainError("a prebuilt h needs a static field")
     fock = state.fock
     out_dt = (t_final - state.time) / n_outputs
-    if h is None and fock.n_particles == 2 and basis.external is None:
-        blocks = pair_blocks(basis, fock)
-
-        def advance(psi, t):
-            new = np.zeros_like(psi)
-            for sel, hmat in zip(blocks.state_rows, blocks.h_blocks):
-                new[sel] = lanczos_expm(lambda x, H=hmat: _real_block_product(H, x), psi[sel],
-                                        out_dt, tol=krylov_tol)
-            return new
-    elif time_dep:
-        steps = int(round(out_dt / dt))
+    steps, step = 1, out_dt
+    if time_dep:
+        steps, step = int(round(out_dt / dt)), dt
         if abs(steps * dt - out_dt) > 1e-9 * max(1.0, t_final):
             raise DomainError("each output interval must be a whole number of dt steps")
         v2 = two_body_operator(basis, fock)
-
-        def advance(psi, t):
+    psi = np.empty((n_outputs + 1, fock.dim), dtype=complex)
+    psi[0] = state.amplitudes
+    for rows in sectors(basis, fock):
+        block = None if time_dep else _sector_block(basis, fock, rows, h, state.time)
+        for j in range(n_outputs):
+            v = psi[j, rows]
             for s in range(steps):
-                h_mid = v2 + one_body_operator(fock, basis.one_body(t + (s + 0.5) * dt))
-                psi = lanczos_expm(lambda x: h_mid @ x, psi, dt, tol=krylov_tol)
-            return psi
-    else:
-        if h is None:
-            h = hamiltonian(basis, fock, state.time)
-
-        def advance(psi, t):
-            return lanczos_expm(lambda x: h @ x, psi, out_dt, tol=krylov_tol)
+                if time_dep:
+                    t_mid = state.time + j * out_dt + (s + 0.5) * dt
+                    block = v2 + one_body_operator(fock, basis.one_body(t_mid))
+                apply = block.dot if sp.issparse(block) else partial(_real_block_product, block)
+                v = lanczos_expm(apply, v, step, tol=krylov_tol)
+            psi[j + 1, rows] = v
     traj = ManyBodyTrajectory()
     traj.record(state)
-    psi = state.amplitudes.copy()
     for j in range(1, n_outputs + 1):
-        psi = advance(psi, traj.times[-1])
         t = state.time + j * out_dt
-        if not np.all(np.isfinite(psi.view(float))):
+        if not np.all(np.isfinite(psi[j].view(float))):
             raise InstabilityError(f"non-finite amplitudes at t = {t:.6g}")
-        traj.norm_drift = max(traj.norm_drift, abs(np.linalg.norm(psi) - 1.0))
-        psi = psi / np.linalg.norm(psi)
-        traj.record(ManyBodyState(fock, psi.copy(), t))
+        norm = np.linalg.norm(psi[j])
+        traj.norm_drift = max(traj.norm_drift, abs(norm / np.linalg.norm(psi[j - 1]) - 1.0))
+        traj.record(ManyBodyState(fock, psi[j] / norm, t))
     return traj
 
 
@@ -803,7 +809,9 @@ def _lowered(state: ManyBodyState, lower: np.ndarray) -> tuple[FockBasis, np.nda
     fock = state.fock
     sub = FockBasis(fock.n_modes, fock.n_particles - lower.shape[1], fock.max_excitations,
                     dim_cap=max(DEFAULT_DIM_CAP, fock.unrestricted_dim))
-    term, rows, cols, amp = _ladder(fock, sub, lower, np.zeros((len(lower), 0), dtype=np.int64))
+    zero = np.zeros(len(lower), dtype=np.int64)
+    term, rows, cols, amp = _ladder(fock, sub, lower, np.zeros((1, 0), dtype=np.int64), zero,
+                                    zero[:1], lambda c, l: np.ones((1, len(l))))
     vecs = np.zeros((len(lower), sub.dim), dtype=complex)
     vecs[term, rows] = amp * state.amplitudes[cols]
     return sub, vecs
@@ -842,16 +850,8 @@ def renormalized_energy(state: ManyBodyState, basis: ModeBasis, t: float | None 
                         h: sp.spmatrix | None = None) -> float:
     """<psi, H(t) psi>/N - E0/eps^2; the basis stores shifted energies, so this
     is just the expectation of the stored Hamiltonian per particle."""
-    t = state.time if t is None else t
-    if state.fock.n_particles == 2 and h is None and basis.external is None:
-        blocks = pair_blocks(basis, state.fock)
-        tot = 0.0
-        for sel, hm in zip(blocks.state_rows, blocks.h_blocks):
-            seg = state.amplitudes[sel]
-            tot += float(np.real(np.vdot(seg, _real_block_product(hm, seg))))
-        return tot / 2.0
     if h is None:
-        h = hamiltonian(basis, state.fock, t)
+        h = hamiltonian(basis, state.fock, state.time if t is None else t)
     return expectation(state, h) / state.fock.n_particles
 
 

@@ -180,17 +180,20 @@ def test_size_cap_exit_code(tmp_path):
 def test_alpha_reads_capped_dump(capsys, tmp_path):
     # the default modes (27) at N = 6 need the dump's cap 3: untruncated, the
     # rebuilt basis would have 906192 states, over the size cap.  Without a
-    # field the dump holds only the rows of total momentum K = 0.
+    # field the dump holds only the rows of total momentum K = 0 and even
+    # transverse parity; the harmonic trap modes alternate in parity with m_y.
     rc = main(["manybody-evolve", "--n", "6", "--outputs", "1", "--dump-state",
                "--out", str(tmp_path)])
     assert rc == 0
     dump = np.load(tmp_path / "state_final.npz")
     momentum = dump["occupations"].astype(np.int64) @ dump["mode_kx"]
+    parity = dump["occupations"].astype(np.int64) @ (dump["mode_my"] % 2) % 2
     capped = manybody.FockBasis(27, 6, 3).occupations.astype(np.int64)
-    sector = sum(int(row @ dump["mode_kx"] == 0) for row in capped)
-    assert sector == 298 and len(capped) == 3654
+    sector = sum(int(row @ dump["mode_kx"] == 0 and row @ (dump["mode_my"] % 2) % 2 == 0)
+                 for row in capped)
+    assert sector == 158 and len(capped) == 3654
     assert int(dump["max_excitations"]) == 3 and dump["occupations"].shape == (sector, 27)
-    assert np.all(momentum == 0)
+    assert np.all(momentum == 0) and np.all(parity == 0)
     capsys.readouterr()
     assert main(["alpha", str(tmp_path / "state_final.npz")]) == 0
     data = json.loads(capsys.readouterr().out.splitlines()[-1])

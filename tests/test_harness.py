@@ -175,23 +175,34 @@ def test_default_sweep_states_match_expm_multiply():
 
 
 def test_default_points_run_in_their_momentum_sector():
-    # without a field every default point runs on the K = 0 rows; its H is the
-    # exact block of the H over all capped rows, which couples K = 0 to nothing
+    # without a field every default point runs on the rows of K = 0 and even
+    # transverse parity, the sector of the condensate; its H is the exact
+    # block of the H over all capped rows, which couples it to nothing
     env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
     inputs = harness.sweep_inputs(env)
     for point in env.points():
         setup = harness.point_setup(env, point, inputs)
         n = point.n_particles
-        assert setup.fock.dim == (42 if n == 2 else 298), n
+        assert setup.fock.dim == (24 if n == 2 else 158), n
         assert np.all(setup.fock.occupations.astype(np.int64) @ setup.basis.mode_kx == 0)
         full = manybody.FockBasis(setup.basis.n_modes, n, env.max_excitations, env.dim_cap)
         assert setup.fock.unrestricted_dim == full.dim
+        # a brute-force (K, Pi) filter of the capped rows, one row at a time
+        kx, parity = setup.basis.mode_kx.tolist(), setup.basis.mode_parity.tolist()
+        sector = [row for row in full.occupations
+                  if sum(int(c) * k for c, k in zip(row, kx)) == 0
+                  and sum(int(c) * p for c, p in zip(row, parity)) % 2 == 0]
+        assert np.array_equal(setup.fock.occupations, np.array(sector)), n
         h_full = manybody.hamiltonian(setup.basis, full).tocsr()
         rows = full.lookup(setup.fock.occupations)
         rest = np.setdiff1d(np.arange(full.dim), rows)
         assert np.array_equal(setup.h0.toarray(), h_full[rows][:, rows].toarray()), n
         assert h_full[rest][:, rows].count_nonzero() == 0, n
         assert setup.psi0.amplitudes.shape == (setup.fock.dim,)
+        # psi0 lies in the sector: the condensate on all capped rows loses nothing there
+        whole = manybody.product_state(full, np.eye(full.n_modes)[0]).amplitudes
+        assert np.array_equal(whole[rows], setup.psi0.amplitudes), n
+        assert np.all(np.delete(whole, rows) == 0.0), n
 
 
 def test_excitation_cap_convergence():

@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations_with_replacement
 
@@ -9,6 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from dimred import manybody, potentials, projectors, scaling, transverse
 from dimred.errors import DomainError, SizeError, ToleranceError
+from dimred.manybody import FockBasis, ModeBasis
 
 L = 2.0 * math.pi
 
@@ -100,7 +102,7 @@ def default_modes(setup):
 @pytest.mark.parametrize("n_particles, cap, dim", [(3, 3, 298), (8, 4, 1947)])
 def test_momentum_sector_matches_brute_force(default_modes, n_particles, cap, dim):
     momentum = (default_modes.mode_kx, None, 0)
-    sector = manybody.FockBasis(27, n_particles, cap, momentum=momentum)
+    sector = manybody.FockBasis(27, n_particles, cap, charges=[momentum])
     full = manybody.FockBasis(27, n_particles, cap)
     assert sector.dim == dim and sector.unrestricted_dim == full.dim
     assert np.array_equal(sector.occupations, _brute_force_sector(full, *momentum))
@@ -119,9 +121,10 @@ def test_momentum_sectors_partition_grid_matched_basis():
     dims = []
     for k_total in range(4):
         momentum = (basis.mode_kx, basis.momentum_modulus, k_total)
-        sector = manybody.FockBasis(basis.n_modes, 3, momentum=momentum)
+        sector = manybody.FockBasis(basis.n_modes, 3, charges=[momentum])
         assert np.array_equal(sector.occupations, _brute_force_sector(full, *momentum))
-        shifted = manybody.FockBasis(basis.n_modes, 3, momentum=momentum[:2] + (k_total - 4,))
+        shifted = manybody.FockBasis(basis.n_modes, 3,
+                                     charges=[momentum[:2] + (k_total - 4,)])
         assert np.array_equal(shifted.occupations, sector.occupations)
         rows = full.lookup(sector.occupations)
         rest = np.setdiff1d(np.arange(full.dim), rows)
@@ -134,14 +137,14 @@ def test_momentum_sectors_partition_grid_matched_basis():
 
 def test_empty_momentum_sector_raises(default_modes):
     with pytest.raises(DomainError):
-        manybody.FockBasis(27, 1, momentum=(default_modes.mode_kx, None, 5))
+        manybody.FockBasis(27, 1, charges=[(default_modes.mode_kx, None, 5)])
 
 
 def test_reduced_density_of_a_sector_state(setup, monkeypatch):
     # the lowered bases are unrestricted, so their size is judged against the
     # enumerated count of the sector's basis, not against its dimension
     _, _, _, _, basis = setup
-    sector = manybody.FockBasis(basis.n_modes, 3, momentum=(basis.mode_kx, None, 0))
+    sector = manybody.FockBasis(basis.n_modes, 3, charges=[(basis.mode_kx, None, 0)])
     full = manybody.FockBasis(basis.n_modes, 3)
     amps = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, sector.dim))
     amps /= np.linalg.norm(amps)
@@ -316,6 +319,186 @@ def test_hamiltonian_against_loop_oracle_grid_matched():
     assert np.max(np.abs(h - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+# ---------------------------------------------------------------------------
+# the earlier ladder kernel, vq gather and interaction terms, verbatim, as the
+# reference
+# ---------------------------------------------------------------------------
+
+LADDER_BATCH_BYTES = 1 << 23
+
+
+def _w_gather(basis: ModeBasis, a, b, c, d) -> np.ndarray:
+    """Vectorized <ab|w|cd> for momentum-conserving index arrays, which
+    broadcast against each other: vq is read by one fancy index."""
+    q = basis.mode_kx[a] - basis.mode_kx[c]
+    if basis.momentum_modulus is not None:
+        rows = q % basis.momentum_modulus
+    else:
+        rows = q + (basis.m_x - 1)
+    my = basis.mode_my
+    return basis.vq[rows, my[a], my[b], my[c], my[d]] / basis.box_length
+
+
+def _ladder(fock: FockBasis, target: FockBasis, lower: np.ndarray, create: np.ndarray):
+    """Nonzero elements of the ladder terms adag_(create[t, k-1]) ... adag_(create[t, 0])
+    a_(lower[t, j-1]) ... a_(lower[t, 0]) from `fock` into `target`.
+
+    Returns arrays (term, target row, source row, amplitude); the amplitude is
+    sqrt(product of the counts after each creation) * sqrt(product of the
+    counts before each annihilation).  Terms that share a `lower` row must be
+    adjacent: each such group lowers its source rows once, then applies its
+    creations in batches of at most LADDER_BATCH_BYTES of target occupations,
+    each resolved by one lookup.
+    """
+    occ = fock.occupations
+    n_terms, m = len(lower), occ.shape[1]
+    out = ([], [], [], [])
+    starts = np.flatnonzero(np.any(np.diff(lower, axis=0, prepend=-1) != 0, axis=1))
+    for lo, hi in zip(starts, np.append(starts[1:], n_terms)):
+        modes = lower[lo].tolist()
+        # the i-th annihilation of a mode needs i particles in it
+        ok = True
+        for i, mode in enumerate(modes):
+            ok = ok & (occ[:, mode] >= modes[:i + 1].count(mode))
+        src = np.flatnonzero(ok)
+        if len(src) == 0:
+            continue
+        base = occ[src]
+        amp_lower = 1.0
+        for mode in modes:
+            amp_lower = amp_lower * base[:, mode]
+            base[:, mode] -= 1
+        amp_lower = np.sqrt(amp_lower)
+        step = max(1, LADDER_BATCH_BYTES // (len(src) * m))
+        for j in range(lo, hi, step):
+            stop = min(j + step, hi)
+            tgt = np.repeat(base[None], stop - j, axis=0)
+            term = np.arange(stop - j)[:, None]
+            every = np.arange(len(src))
+            amp_create = np.ones(tgt.shape[:2])
+            for mode in create[j:stop].T:
+                at = (term, every, mode[:, None])
+                tgt[at] += 1
+                amp_create *= tgt[at]
+            idx = target.lookup(tgt.reshape(-1, m)).reshape(stop - j, len(src))
+            t, s = np.nonzero(idx >= 0)
+            out[0].append(j + t)
+            out[1].append(idx[t, s])
+            out[2].append(src[s])
+            out[3].append(np.sqrt(amp_create[t, s]) * amp_lower[s])
+    empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
+    return tuple(np.concatenate(parts) if parts else e for parts, e in zip(out, empty))
+
+
+def _interaction_terms(basis: ModeBasis):
+    """Index arrays (a, b, c, d) and weights W of every nonzero term of
+    1/2 sum W_abcd adag_a adag_b a_d a_c, with a <= b and c <= d.
+
+    adag_a adag_b and a_d a_c are symmetric in their two modes, so the weight
+    of each term is <ab|w|cd> summed over the distinct orderings of (a, b) and
+    of (c, d).  Terms come sorted by (c, d).  Momentum conservation fixes k_b
+    given (a, c, d), so m^3 m_y candidates are gathered from vq.
+    """
+    m, m_y = basis.n_modes, basis.m_y
+    mode_kx = basis.mode_kx
+    kmin, kmax = int(basis.kx.min()), int(basis.kx.max())
+    # both basis builders take every (k, m_y) pair, so every slot is filled
+    mode_at = np.empty((kmax - kmin + 1, m_y), dtype=np.int64)
+    mode_at[mode_kx - kmin, basis.mode_my] = np.arange(m)
+    c, d, a = (g.ravel() for g in np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
+                                              indexing="ij"))
+    kb = mode_kx[c] + mode_kx[d] - mode_kx[a]
+    if basis.momentum_modulus is not None:
+        kb = (kb - kmin) % basis.momentum_modulus + kmin
+    inside = (kb >= kmin) & (kb <= kmax)
+    a, c, d = (np.repeat(x[inside], m_y) for x in (a, c, d))
+    b = mode_at[kb[inside] - kmin].ravel()
+    w = _w_gather(basis, a, b, c, d)
+    nz = w != 0.0
+    a, b, c, d, w = a[nz], b[nz], c[nz], d[nz], w[nz]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    c, d = np.minimum(c, d), np.maximum(c, d)
+    keys, pos = np.unique(((c * m + d) * m + a) * m + b, return_inverse=True)
+    weight = np.zeros(len(keys), dtype=w.dtype)
+    np.add.at(weight, pos, w)
+    keys, weight = keys[weight != 0.0], weight[weight != 0.0]
+    keys, b = np.divmod(keys, m)
+    keys, a = np.divmod(keys, m)
+    c, d = np.divmod(keys, m)
+    return a, b, c, d, weight
+
+
+def reference_hamiltonian(basis, fock):
+    """H as the earlier kernel assembled it: one term group per lower set and
+    every m^3 m_y momentum-conserving candidate of the pair sum."""
+    h = basis.one_body()
+    diag = fock.occupations.astype(float) @ np.real(np.diag(h))
+    off = (h != 0) & ~np.eye(len(h), dtype=bool)
+    b, a = np.nonzero(off.T)
+    term, rows, cols, amp = _ladder(fock, fock, b[:, None], a[:, None])
+    every = np.arange(fock.dim)
+    data = np.concatenate([diag.astype(complex), h[a, b][term] * amp])
+    one = sp.csr_matrix((data, (np.concatenate([every, rows]), np.concatenate([every, cols]))),
+                        shape=(fock.dim, fock.dim))
+    a, b, c, d, weight = _interaction_terms(basis)
+    term, rows, cols, amp = _ladder(fock, fock, np.column_stack([c, d]), np.column_stack([a, b]))
+    data = (0.5 * weight[term] * amp).astype(complex)
+    return one + sp.csr_matrix((data, (rows, cols)), shape=(fock.dim, fock.dim))
+
+
+def assert_matches_reference(h, ref):
+    # the same sparsity pattern, and every element within 1e-12 of the largest
+    h, ref = h.tocsr().sorted_indices(), ref.tocsr().sorted_indices()
+    assert np.array_equal(h.indptr, ref.indptr) and np.array_equal(h.indices, ref.indices)
+    assert np.max(np.abs(h.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+
+
+def _default_sweep(external="zero"):
+    from dimred import harness
+    from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
+
+    text = DEFAULT_CONFIG_TEXT.replace("external.name = zero", f"external.name = {external}")
+    env = ExperimentConfig.from_config(Config.from_text(text))
+    inputs = harness.sweep_inputs(env)
+    return [harness.point_setup(env, point, inputs) for point in env.points()]
+
+
+def test_hamiltonian_matches_reference_kernel_on_default_sectors():
+    # every sweep_default point, N = 2..8, in its (K, Pi) sector
+    for setup in _default_sweep():
+        assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.fock))
+
+
+def test_hamiltonian_matches_reference_kernel_on_capped_well_basis():
+    # the static well breaks translation invariance: all 3654 capped rows at N = 8
+    setup = _default_sweep("gaussian_well")[-1]
+    assert setup.fock.dim == 3654 and setup.fock.n_particles == 8
+    assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.fock))
+
+
+def test_hamiltonian_matches_reference_kernel_on_grid_matched_pairs(pair_hamiltonians):
+    basis, fock, h = pair_hamiltonians("grid_matched")
+    assert_matches_reference(h, reference_hamiltonian(basis, fock))
+
+
+@pytest.mark.parametrize("sector", [False, True])
+def test_lowered_matches_reference_kernel(default_modes, sector):
+    m = default_modes.n_modes
+    charges = [(default_modes.mode_kx, None, 0), (default_modes.mode_parity, 2, 0)]
+    fock = manybody.FockBasis(m, 5, max_excitations=3, charges=charges if sector else ())
+    rng = np.random.default_rng(29)
+    amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+    state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
+    for lower in (np.arange(m)[:, None], np.column_stack(np.triu_indices(m))):
+        sub, vecs = manybody._lowered(state, lower)
+        term, rows, cols, amp = _ladder(fock, sub, lower,
+                                        np.zeros((len(lower), 0), dtype=np.int64))
+        ref = np.zeros_like(vecs)
+        ref[term, rows] = amp * state.amplitudes[cols]
+        assert np.array_equal(vecs != 0, ref != 0)
+        assert np.max(np.abs(vecs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_hamiltonian_zero_interaction_is_one_body(setup):
     point, conf, unscaled, _, _ = setup
     sc0 = potentials.scale(potentials.uniform_ball(height=0.0), point, d_perp=1)
@@ -401,15 +584,16 @@ def test_prebuilt_hamiltonian_gives_same_evolution(setup):
 
 @pytest.mark.parametrize("which", ["continuum", "grid_matched"])
 def test_prebuilt_hamiltonian_used_at_two_particles(pair_hamiltonians, which, monkeypatch):
-    # a given h replaces the N = 2 pair blocks, and both paths agree
-    basis, fock, h = pair_hamiltonians[which]
+    # a given h is cut into the sector blocks, so none is assembled, and the
+    # blocks assembled alone give the same state
+    basis, fock, h = pair_hamiltonians(which)
     blocks = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1).final
     e_blocks = manybody.renormalized_energy(blocks, basis)
 
-    def no_blocks(*args, **kwargs):
-        raise AssertionError("pair blocks built although h was given")
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a sector block assembled although h was given")
 
-    monkeypatch.setattr(manybody, "pair_blocks", no_blocks)
+    monkeypatch.setattr(manybody, "two_body_operator", no_assembly)
     given = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1, h=h).final
     direct = expm_multiply(-1j * 0.3 * h.tocsc(), condensed(fock).amplitudes)
     assert np.linalg.norm(given.amplitudes - direct) < 1e-9
@@ -418,7 +602,7 @@ def test_prebuilt_hamiltonian_used_at_two_particles(pair_hamiltonians, which, mo
 
 
 def test_two_particles_static_well_matches_sparse_hamiltonian(setup):
-    # a field couples different momenta, which the N = 2 pair blocks cannot hold
+    # a field couples different momenta, so all rows form one sector
     point, conf, unscaled, sc, _ = setup
     basis = manybody.build_basis(point, conf, potentials.gaussian_well(depth=1.0, width=2.0),
                                  sc, 5, 3, L, unscaled_mode=unscaled)
@@ -430,8 +614,7 @@ def test_two_particles_static_well_matches_sparse_hamiltonian(setup):
     assert np.linalg.norm(traj.final.amplitudes - direct) < 1e-9
     expected = manybody.expectation(traj.final, h) / 2.0
     assert manybody.renormalized_energy(traj.final, basis) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(DomainError):
-        manybody.pair_blocks(basis, fock)
+    assert [rows.tolist() for rows in manybody.sectors(basis, fock)] == [list(range(fock.dim))]
 
 
 @pytest.fixture(scope="module")
@@ -449,22 +632,28 @@ def grid_matched_basis(n_x, n_y):
 
 
 @pytest.fixture(scope="module")
-def pair_hamiltonians(setup, grid_basis_10x8):
-    # both N = 2 problems with their sparse H, assembled once
-    out = {}
-    for which, basis in (("continuum", setup[4]), ("grid_matched", grid_basis_10x8)):
+def pair_hamiltonians(setup, grid_basis_10x8, oracle_pair):
+    # the N = 2 problems with their sparse H, each assembled once when first used
+    bases = {"continuum": setup[4], "grid_matched": grid_basis_10x8,
+             "oracle_pair": oracle_pair[2]}
+
+    @functools.cache
+    def build(which):
+        basis = bases[which]
         fock = manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5)
-        out[which] = basis, fock, manybody.hamiltonian(basis, fock).tocsr()
-    return out
+        return basis, fock, manybody.hamiltonian(basis, fock).tocsr()
+
+    return build
 
 
-@pytest.mark.parametrize("which", ["grid_matched", "continuum"])
+@pytest.mark.parametrize("which", ["grid_matched", "continuum", "oracle_pair"])
 def test_pair_blocks_match_sparse_hamiltonian(pair_hamiltonians, which):
-    # the blocks' diagonal one-body part E_a + E_b against the general sparse
-    # path; the blocks hold all of H, so their squared norms add up to its own
-    basis, fock, h = pair_hamiltonians[which]
-    blocks = manybody.pair_blocks(basis, fock)
-    assert np.array_equal(np.sort(np.concatenate(blocks.state_rows)), np.arange(fock.dim))
+    # each (K, Pi) sector's block, assembled on its rows alone, against the
+    # sparse H of all rows; the blocks hold all of H, so their squared norms
+    # add up to its own.  oracle_pair's 12 x 10 basis assembles whole, too.
+    basis, fock, h = pair_hamiltonians(which)
+    rows_of = manybody.sectors(basis, fock)
+    assert np.array_equal(np.sort(np.concatenate(rows_of)), np.arange(fock.dim))
     occ = fock.occupations.astype(np.int64)
     k_row = occ @ basis.mode_kx
     if basis.momentum_modulus is not None:
@@ -475,14 +664,15 @@ def test_pair_blocks_match_sparse_hamiltonian(pair_hamiltonians, which):
     coo = h.tocoo()
     assert np.array_equal(pi_row[coo.row], pi_row[coo.col])
     # one block per (K, Pi) sector
-    assert len(blocks.h_blocks) == len(set(zip(k_row, pi_row)))
+    assert len(rows_of) == len(set(zip(k_row, pi_row)))
     frob = 0.0
-    for rows, hmat in zip(blocks.state_rows, blocks.h_blocks):
+    for rows in rows_of:
         assert len(set(k_row[rows])) == 1 and len(set(pi_row[rows])) == 1
         ref = h[rows][:, rows].toarray()
-        # vq is real, so the blocks are real symmetric and stored as float64
-        assert hmat.dtype == np.float64 and hmat.flags.c_contiguous
-        assert np.max(np.abs(hmat - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # vq is real and an N = 2 block is full, so it is a dense float64 array
+        block = manybody._sector_block(basis, fock, rows, None, 0.0)
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
         frob += np.sum(np.abs(ref) ** 2)
     assert frob == pytest.approx(sp.linalg.norm(h) ** 2, rel=1e-12)
 
@@ -745,8 +935,8 @@ def test_gamma2_of_two_particles_is_the_pair_state():
 @pytest.mark.parametrize("sector", [False, True])
 def test_two_mode_lowering_is_two_one_mode_lowerings(default_modes, sector):
     m = default_modes.n_modes
-    momentum = (default_modes.mode_kx, None, 0) if sector else None
-    fock = manybody.FockBasis(m, 4, max_excitations=2, momentum=momentum)
+    charges = [(default_modes.mode_kx, None, 0)] if sector else []
+    fock = manybody.FockBasis(m, 4, max_excitations=2, charges=charges)
     rng = np.random.default_rng(23)
     amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
     state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))

@@ -222,7 +222,7 @@ def test_general_orbital_counting_of_a_momentum_sector_state(cap):
     # n_phi of an orbital spread over two momenta leaves the K = 0 sector, so
     # the sector state must count as the same state on all capped rows
     mode_kx = np.array([0, 0, 1, -1, 2, -2])
-    sector = manybody.FockBasis(6, 3, cap, momentum=(mode_kx, None, 0))
+    sector = manybody.FockBasis(6, 3, cap, charges=[(mode_kx, None, 0)])
     full = manybody.FockBasis(6, 3, cap)
     assert sector.dim < full.dim
     amps = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, sector.dim))
