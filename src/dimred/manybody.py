@@ -14,13 +14,15 @@ Transverse energies enter shifted by the ground energy E0/eps^2
 common phase and <H>/N is directly the renormalized energy per particle.
 
 One sparse second-quantized Hamiltonian serves every N; ``GridOracle``, a
-two-particle position-grid split-step solver, validates it.  Without a
-field H conserves the total momentum K = sum_a n_a k_a (mod n_x on a
-grid-matched basis) and, for an even trap and a radial w, the transverse
-parity Pi = (-1)^(sum_a n_a p_a) (``ModeBasis.mode_parity``; both builders
-zero the pair elements that change Pi), so each (K, Pi) sector is an exact
-block of H.  ``evolve`` propagates each sector on its own block with one
-Lanczos exponential (``lanczos_expm``; ``expm_multiply`` is a test oracle).
+two-particle position-grid split-step solver, validates it (its kinetic step
+is one dense propagator matrix per grid axis; a static field's adjacent
+half-step phases are fused).  Without a field H conserves the total momentum
+K = sum_a n_a k_a (mod n_x on a grid-matched basis) and, for an even trap and
+a radial w, the transverse parity Pi = (-1)^(sum_a n_a p_a)
+(``ModeBasis.mode_parity``; both builders zero the pair elements that change
+Pi), so each (K, Pi) sector is an exact block of H.  ``evolve`` propagates
+each sector on its own block with one Lanczos exponential (``lanczos_expm``;
+``expm_multiply`` is a test oracle).
 
 One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
 it lowers each row by each lower set it holds and raises each distinct
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dstev
@@ -903,12 +904,10 @@ class GridOracle:
         self.h_y = self.y_span / self.n_y
         self.x = np.arange(self.n_x) * self.h_x - self.box_length / 2.0
         self.y = np.arange(self.n_y) * self.h_y - self.y_span / 2.0
-        kx = 2.0 * math.pi * np.fft.fftfreq(self.n_x, d=self.h_x)
-        ky = 2.0 * math.pi * np.fft.fftfreq(self.n_y, d=self.h_y)
-        self.kin = (
-            kx[:, None, None, None] ** 2 + ky[None, :, None, None] ** 2
-            + kx[None, None, :, None] ** 2 + ky[None, None, None, :] ** 2
-        )
+        self.kx2 = (2.0 * math.pi * np.fft.fftfreq(self.n_x, d=self.h_x)) ** 2
+        self.ky2 = (2.0 * math.pi * np.fft.fftfreq(self.n_y, d=self.h_y)) ** 2
+        self.kin = (self.kx2[:, None, None, None] + self.ky2[None, :, None, None]
+                    + self.kx2[None, None, :, None] + self.ky2[None, None, None, :])
         eps = self.point.epsilon
         v1 = self.confinement.on_grid(self.y / eps) / eps**2
         self.e0, self.tau = self._transverse_eig(v1)
@@ -919,8 +918,7 @@ class GridOracle:
         self.w_pair = self.scaled(rad)
 
     def _transverse_eig(self, v1):
-        ky = 2.0 * math.pi * np.fft.fftfreq(self.n_y, d=self.h_y)
-        kin = np.fft.ifft(ky[:, None] ** 2 * np.fft.fft(np.eye(self.n_y), axis=0), axis=0).real
+        kin = np.fft.ifft(self.ky2[:, None] * np.fft.fft(np.eye(self.n_y), axis=0), axis=0).real
         ham = kin + np.diag(v1)
         vals, vecs = eigh((ham + ham.T) / 2.0)
         tau0 = vecs[:, 0] / math.sqrt(np.sum(vecs[:, 0] ** 2) * self.h_y)
@@ -945,26 +943,37 @@ class GridOracle:
             v = v + vx1[:, :, None, None] + vx1[None, None, :, :]
         return v
 
+    def axis_propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Dense F^-1 e^(-i dt k^2) F on x and on y; e^(-i dt K) applies one per axis."""
+        return tuple(np.fft.ifft(np.exp(-1j * dt * k2)[:, None]
+                                 * np.fft.fft(np.eye(k2.size), axis=0), axis=0)
+                     for k2 in (self.kx2, self.ky2))
+
     def evolve(self, psi: np.ndarray, dt: float, t_final: float, t0: float = 0.0) -> np.ndarray:
-        """Strang steps e^(-i dt V/2) e^(-i dt K) e^(-i dt V/2) with V at each midpoint; the
-        half-step phase is built once for a static field, else once per step; `psi` is kept."""
-        steps = int(round((t_final - t0) / dt))
-        if abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, t_final):
-            raise DomainError("t_final - t0 must be an integer number of steps")
-        kin_phase = np.exp(-1j * dt * self.kin)
-        t = t0
+        """Strang steps e^(-i dt V/2) e^(-i dt K) e^(-i dt V/2) with V at each midpoint and
+        e^(-i dt K) as one matrix product per axis with ``axis_propagators``; a static field
+        fuses adjacent half-step phases into one full step, a driven one rebuilds them per
+        step. `psi` is kept."""
+        steps = int(round((t_final - t0) / dt)) if dt > 0.0 else 0
+        if steps < 1 or abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, t_final):
+            raise DomainError("grid oracle needs dt > 0 and a positive integer number of steps")
+        px, py = self.axis_propagators(dt)
         static = self.external is None or not self.external.time_dependent
-        half = np.exp(-0.5j * dt * self.potential(t0)) if static else None
+        if static:
+            half = np.exp(-0.5j * dt * self.potential(t0))
+            full = half * half
         for s in range(steps):
             if not static:
-                half = np.exp(-0.5j * dt * self.potential(t + 0.5 * dt))
-            psi = scipy.fft.fftn(psi * half, overwrite_x=True)
-            psi *= kin_phase
-            psi = scipy.fft.ifftn(psi, overwrite_x=True)
-            psi *= half
-            t += dt
+                half = np.exp(-0.5j * dt * self.potential(t0 + (s + 0.5) * dt))
+            if s == 0 or not static:
+                psi = psi * half
+            for prop in (px, py, px, py):   # contract the leading axis, append it as the last
+                psi = psi.reshape(len(prop), -1).T @ prop.T
+            psi = psi.reshape(self.kin.shape)
+            psi *= full if static and s < steps - 1 else half
             if (s % 200 == 0 or s == steps - 1) and not np.all(np.isfinite(psi.view(float))):
-                raise InstabilityError(f"grid oracle produced non-finite values at t = {t:.6g}")
+                raise InstabilityError(
+                    f"grid oracle produced non-finite values at t = {t0 + (s + 1) * dt:.6g}")
         return psi
 
     def gamma1(self, psi: np.ndarray) -> np.ndarray:

@@ -1043,6 +1043,50 @@ def test_grid_oracle_evolve_matches_literal_strang_loop(oracle_pair, field):
     assert np.max(np.abs(psi_t - _literal_strang(oracle, before, 5e-3, 20))) <= 1e-12
 
 
+@pytest.mark.parametrize("field", ["bump", "driven_well"])
+def test_grid_oracle_evolve_composes_over_a_split_span(oracle_pair, field):
+    # the fused static phases end in a half step and a nonzero t0 shifts the
+    # driven midpoints, so two legs [0, T] and [T, 2T] equal one run to 2T
+    point, sc, _, oracle = oracle_pair
+    if field == "driven_well":
+        conf = potentials.harmonic_confinement(dimension=1)
+        ext = potentials.external_by_name("driven_well", depth=0.5, omega=4.0)
+        oracle = manybody.GridOracle(point, conf, sc, L, oracle.n_x, oracle.n_y,
+                                     oracle.y_span, external=ext)
+    psi0 = oracle.product_state(np.exp(-oracle.x**2 / 2.0) * np.exp(0.5j * oracle.x))
+    once = oracle.evolve(psi0, 5e-3, 0.1)
+    twice = oracle.evolve(oracle.evolve(psi0, 5e-3, 0.05), 5e-3, 0.1, t0=0.05)
+    assert np.max(np.abs(once - twice)) <= 1e-12
+
+
+def test_grid_oracle_evolve_rejects_empty_span_and_bad_step(oracle_pair):
+    _, _, _, oracle = oracle_pair
+    psi = oracle.product_state(np.exp(-oracle.x**2 / 2.0))
+    for dt, t_final, t0 in [(1e-2, 0.0, 0.0), (1e-2, -0.1, 0.0), (1e-2, 0.1, 0.2),
+                            (0.0, 0.1, 0.0), (-1e-2, -0.1, 0.0)]:
+        with pytest.raises(DomainError):
+            oracle.evolve(psi, dt, t_final, t0)
+
+
+@pytest.mark.parametrize("n_x, n_y", [(16, 12), (10, 8)])
+def test_grid_oracle_axis_propagators_are_the_kinetic_step(n_x, n_y):
+    # n_x != n_y and both even (a Nyquist row on each axis); with V = 0 one
+    # evolve step is the four per-axis products alone
+    point = scaling.make_point(2, 0.5, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    sc = potentials.scale(potentials.uniform_ball(height=0.0), point, d_perp=1)
+    oracle = manybody.GridOracle(point, conf, sc, L, n_x, n_y, 6.0)
+    dt = 0.05
+    for prop, n in zip(oracle.axis_propagators(dt), (n_x, n_y)):
+        assert prop.shape == (n, n)
+        assert np.max(np.abs(prop.conj().T @ prop - np.eye(n))) <= 1e-14
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=oracle.kin.shape) + 1j * rng.normal(size=oracle.kin.shape)
+    oracle.potential = lambda t: np.zeros(oracle.kin.shape)
+    ref = np.fft.ifftn(np.exp(-1j * dt * oracle.kin) * np.fft.fftn(psi))
+    assert np.max(np.abs(oracle.evolve(psi, dt, dt) - ref)) <= 1e-13
+
+
 def test_grid_oracle_is_second_order():
     # verify-all's 10 x 8 problem: against a Krylov reference at tolerance
     # 1e-12 the Strang splitting error of the oracle falls as dt^2
