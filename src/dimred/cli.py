@@ -88,7 +88,7 @@ def cmd_nls_evolve(args) -> int:
     t_final = args.t_final if args.t_final is not None else cfg.get_float("time.final")
     b = args.b if args.b is not None else cfg.get_float("nls.b", 1.0)
     pot_name = args.potential or cfg.get("external.name")
-    external = None if pot_name == "zero" else potentials.external_by_name(pot_name)
+    external = potentials.external_by_name(pot_name)
     grid = nls.Grid1D(length, points)
     if args.initial == "plane":
         state = nls.plane_wave(grid, args.mode)

@@ -47,9 +47,6 @@ class Config:
     def from_text(cls, text: str) -> "Config":
         return cls(parse_kv_text(text))
 
-    def has(self, key: str) -> bool:
-        return key in self._entries
-
     def get(self, key: str, default=None, required: bool = False) -> str:
         """The entry for `key`; else the default table's entry (sequence.* keys
         are never defaulted); else `default`, or ConfigError if `required`."""

@@ -98,8 +98,7 @@ def sweep_inputs(cfg: ExperimentConfig) -> SweepInputs:
     tgrid = transverse.TransverseGrid(cfg.transverse_extent, cfg.transverse_points)
     return SweepInputs(
         confinement=conf,
-        external=(None if cfg.external_name == "zero"
-                  else potentials.external_by_name(cfg.external_name)),
+        external=potentials.external_by_name(cfg.external_name),
         unscaled_mode=transverse.solve_modes(conf, tgrid, n_modes=max(cfg.m_y, 2)),
         profile=interaction_profile(cfg),
     )
@@ -113,15 +112,13 @@ class PointSetup:
     fock: manybody.FockBasis
     psi0: manybody.ManyBodyState
     h0: sp.csr_matrix           # H(0)
-    static: bool                # the field is time-independent, so H(t) = H(0)
 
     def hamiltonian(self, t: float):
-        return self.h0 if self.static else manybody.hamiltonian(self.basis, self.fock, t)
+        return manybody.hamiltonian_at(self.h0, self.basis, self.fock, 0.0, t)
 
     def evolve(self, cfg: ExperimentConfig, n_outputs: int) -> manybody.ManyBodyTrajectory:
         return manybody.evolve(self.psi0, self.basis, cfg.manybody_dt, cfg.t_final,
-                               n_outputs=n_outputs, krylov_tol=cfg.krylov_tol,
-                               h=self.h0 if self.static else None)
+                               n_outputs=n_outputs, krylov_tol=cfg.krylov_tol, h=self.h0)
 
 
 def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
@@ -136,8 +133,7 @@ def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     fock = manybody.FockBasis(basis.n_modes, point.n_particles,
                               cfg.max_excitations, cfg.dim_cap, charges=charges)
     psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
-    return PointSetup(basis, fock, psi0, manybody.hamiltonian(basis, fock, 0.0),
-                      static=not basis.time_dependent)
+    return PointSetup(basis, fock, psi0, manybody.hamiltonian(basis, fock, 0.0))
 
 
 def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -44,6 +44,7 @@ from scipy.special import comb
 
 from .config import Config
 from .errors import DomainError, InstabilityError, ResolutionError, SizeError, ToleranceError
+from .nls import Trajectory
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction
 from .scaling import ScalingPoint
 from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
@@ -202,7 +203,6 @@ class ModeBasis:
     q_of_m: dict                  # integer momentum difference -> vq row
     momentum_modulus: int | None  # n_x for grid-matched bases (conservation mod n), else None
     external: ExternalPotential | None = None
-    _vpar_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -261,40 +261,30 @@ class ModeBasis:
                        self.mode_my[c], self.mode_my[d]] / self.box_length
 
     def one_body(self, t: float = 0.0) -> np.ndarray:
-        """Shifted one-body matrix including the external field at time t."""
+        """Shifted one-body matrix including the external field f(t) g."""
         h = np.diag(self.energies.astype(complex))
         if self.external is not None:
-            h = h + self._vpar_matrix(t)
+            h = h + self.external.strength(t) * self.field_matrix
         return h
 
-    def _vpar_matrix(self, t: float) -> np.ndarray:
-        key = None if self.external.time_dependent else "static"
-        if key is not None and key in self._vpar_cache:
-            return self._vpar_cache[key]
+    @cached_property
+    def field_matrix(self) -> np.ndarray:
+        """<a|g|b>, the matrix of the field profile g; ``one_body(t)`` scales it by f(t)."""
         n_aux = max(8 * self.m_x, 1024)
         x = np.arange(n_aux) * self.box_length / n_aux - self.box_length / 2.0
-        tau = self.transverse.modes[:self.m_y]
+        tau = self.transverse.modes[:self.m_y].reshape(self.m_y, -1)
         y = self.transverse.axis
-        wy = self.transverse.weight
-        if self.transverse.dimension == 1:
-            vxy = np.asarray(self.external.evaluator(t, x[:, None], y[None, :], 0.0), dtype=float)
-        else:
-            yy1, yy2 = np.meshgrid(y, y, indexing="ij")
-            vxy = np.asarray(
-                self.external.evaluator(t, x[:, None, None], yy1[None], yy2[None]), dtype=float
-            ).reshape(n_aux, -1)
-            tau = tau.reshape(self.m_y, -1)
+        y1, y2 = ((y, np.zeros_like(y)) if self.transverse.dimension == 1
+                  else (a.ravel() for a in np.meshgrid(y, y, indexing="ij")))
+        vxy = np.asarray(self.external.profile(x[:, None], y1[None], y2[None]), dtype=float)
         # transverse quadrature: (n_aux, My, My)
-        v_t = np.einsum("xg,mg,ng->xmn", vxy, tau, tau) * wy
+        v_t = np.einsum("xg,mg,ng->xmn", vxy, tau, tau) * self.transverse.weight
         # (1/L) int e^{i dk (2 pi/L) x} V dx over the centered box: the inverse
         # FFT gives the +dk coefficients and (-1)^dk restores the -L/2 origin
         ft = np.fft.ifft(v_t, axis=0)
         dk = self.mode_kx[None, :] - self.mode_kx[:, None]
         my = self.mode_my
-        h = ft[dk % n_aux, my[:, None], my[None, :]] * (-1.0) ** dk
-        if key is not None:
-            self._vpar_cache[key] = h
-        return h
+        return ft[dk % n_aux, my[:, None], my[None, :]] * (-1.0) ** dk
 
 
 def _cosine_transform_x(scaled: ScaledInteraction, q_values: np.ndarray,
@@ -631,6 +621,16 @@ def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_mat
     return one_body_operator(fock, basis.one_body(t)) + two_body_operator(basis, fock)
 
 
+def hamiltonian_at(h: sp.spmatrix, basis: ModeBasis, fock: FockBasis, t0: float,
+                   t: float) -> sp.spmatrix:
+    """H(t) = H(t0) + (f(t) - f(t0)) G from h = H(t0), G the one-body operator
+    of the field profile (``ModeBasis.field_matrix``); h itself for a static field."""
+    if not basis.time_dependent:
+        return h
+    f = basis.external.strength
+    return h + (f(t) - f(t0)) * one_body_operator(fock, basis.field_matrix)
+
+
 # ---------------------------------------------------------------------------
 # propagation, one Lanczos step per (K, Pi) sector
 # ---------------------------------------------------------------------------
@@ -724,18 +724,13 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
 
 
 @dataclass
-class ManyBodyTrajectory:
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+class ManyBodyTrajectory(Trajectory):
     norm_drift: float = 0.0
 
-    def record(self, state: ManyBodyState) -> None:
-        self.times.append(state.time)
-        self.states.append(state)
 
-    @property
-    def final(self) -> ManyBodyState:
-        return self.states[-1]
+def _shifted_product(apply_h, g: sp.spmatrix, shift: float, x: np.ndarray) -> np.ndarray:
+    """(H(t0) + shift G) x."""
+    return apply_h(x) + shift * g.dot(x)
 
 
 def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
@@ -744,36 +739,37 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
     """Propagate under H(t), recording n_outputs + 1 equally spaced states.
 
     Each (K, Pi) sector of psi (``sectors``) runs through all outputs, one
-    Krylov step per interval, on its own block of H: cut from a prebuilt
-    static `h`, or else assembled on the sector's rows alone.  A
-    time-dependent field takes midpoint-frozen steps of dt (whole per
-    interval), rebuilding only its one-body part; it takes no `h`.
+    Krylov step per interval, on its own block of H(t0), t0 the state time:
+    cut from a prebuilt `h` = H(t0), or else assembled on the sector's rows
+    alone.  A time-dependent field takes midpoint-frozen steps of dt (whole
+    per interval) on H(t0) + (f(t_mid) - f(t0)) G, G built once per sector.
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
-    time_dep = basis.time_dependent
-    if time_dep and h is not None:
-        raise DomainError("a prebuilt h needs a static field")
     fock = state.fock
     out_dt = (t_final - state.time) / n_outputs
     steps, step = 1, out_dt
-    if time_dep:
+    driven = basis.time_dependent
+    if driven:
         steps, step = int(round(out_dt / dt)), dt
         if abs(steps * dt - out_dt) > 1e-9 * max(1.0, t_final):
             raise DomainError("each output interval must be a whole number of dt steps")
-        v2 = two_body_operator(basis, fock)
+        f = basis.external.strength
     psi = np.empty((n_outputs + 1, fock.dim), dtype=complex)
     psi[0] = state.amplitudes
     for rows in sectors(basis, fock):
-        block = None if time_dep else _sector_block(basis, fock, rows, h, state.time)
+        block = _sector_block(basis, fock, rows, h, state.time)
+        apply = block.dot if sp.issparse(block) else partial(_real_block_product, block)
+        if driven:
+            g = one_body_operator(fock.subset(rows), basis.field_matrix)
         for j in range(n_outputs):
             v = psi[j, rows]
             for s in range(steps):
-                if time_dep:
-                    t_mid = state.time + j * out_dt + (s + 0.5) * dt
-                    block = v2 + one_body_operator(fock, basis.one_body(t_mid))
-                apply = block.dot if sp.issparse(block) else partial(_real_block_product, block)
-                v = lanczos_expm(apply, v, step, tol=krylov_tol)
+                apply_step = apply
+                if driven:
+                    shift = f(state.time + j * out_dt + (s + 0.5) * dt) - f(state.time)
+                    apply_step = partial(_shifted_product, apply, g, shift)
+                v = lanczos_expm(apply_step, v, step, tol=krylov_tol)
             psi[j + 1, rows] = v
     traj = ManyBodyTrajectory()
     traj.record(state)
@@ -911,11 +907,14 @@ class GridOracle:
         eps = self.point.epsilon
         v1 = self.confinement.on_grid(self.y / eps) / eps**2
         self.e0, self.tau = self._transverse_eig(v1)
-        self.v_one = v1 - self.e0
+        v_one = v1 - self.e0
         dx = _minimal_image(self.x[:, None] - self.x[None, :], self.box_length)
         dy = _minimal_image(self.y[:, None] - self.y[None, :], self.y_span)
         rad = np.sqrt(dx[:, None, :, None] ** 2 + dy[None, :, None, :] ** 2)
-        self.w_pair = self.scaled(rad)
+        # the field-free potential (both traps and w), and one particle's field profile g
+        self.v_free = v_one[None, :, None, None] + v_one[None, None, None, :] + self.scaled(rad)
+        if self.external is not None:
+            self.field = self.external.profile(self.x[:, None], self.y[None, :], 0.0)
 
     def _transverse_eig(self, v1):
         kin = np.fft.ifft(self.ky2[:, None] * np.fft.fft(np.eye(self.n_y), axis=0), axis=0).real
@@ -936,11 +935,10 @@ class GridOracle:
         return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * self.weight() ** 2))
 
     def potential(self, t: float) -> np.ndarray:
-        v = self.v_one[None, :, None, None] + self.v_one[None, None, None, :] + self.w_pair
+        v = self.v_free
         if self.external is not None:
-            vx1 = np.asarray(self.external.evaluator(t, self.x[:, None], self.y[None, :], 0.0),
-                             dtype=float)
-            v = v + vx1[:, :, None, None] + vx1[None, None, :, :]
+            e = self.external.strength(t) * self.field
+            v = v + e[:, :, None, None] + e[None, None, :, :]
         return v
 
     def axis_propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -952,8 +950,9 @@ class GridOracle:
     def evolve(self, psi: np.ndarray, dt: float, t_final: float, t0: float = 0.0) -> np.ndarray:
         """Strang steps e^(-i dt V/2) e^(-i dt K) e^(-i dt V/2) with V at each midpoint and
         e^(-i dt K) as one matrix product per axis with ``axis_propagators``; a static field
-        fuses adjacent half-step phases into one full step, a driven one rebuilds them per
-        step. `psi` is kept."""
+        fuses adjacent half-step phases into one full step, a driven one multiplies the
+        field-free half phase by u(x1, y1) u(x2, y2), u = e^(-i dt f(t_mid) g / 2), per
+        step.  `psi` is kept."""
         steps = int(round((t_final - t0) / dt)) if dt > 0.0 else 0
         if steps < 1 or abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, t_final):
             raise DomainError("grid oracle needs dt > 0 and a positive integer number of steps")
@@ -962,9 +961,12 @@ class GridOracle:
         if static:
             half = np.exp(-0.5j * dt * self.potential(t0))
             full = half * half
+        else:
+            free_half = np.exp(-0.5j * dt * self.v_free)
         for s in range(steps):
             if not static:
-                half = np.exp(-0.5j * dt * self.potential(t0 + (s + 0.5) * dt))
+                u = np.exp(-0.5j * dt * self.external.strength(t0 + (s + 0.5) * dt) * self.field)
+                half = free_half * np.multiply.outer(u, u)
             if s == 0 or not static:
                 psi = psi * half
             for prop in (px, py, px, py):   # contract the leading axis, append it as the last
@@ -982,13 +984,6 @@ class GridOracle:
         mat = psi.reshape(g, g) * self.weight()
         gamma = mat @ mat.conj().T
         return gamma / np.real(np.trace(gamma))
-
-    def energy(self, psi: np.ndarray, t: float = 0.0) -> float:
-        """Renormalized energy per particle on the grid."""
-        ft = np.fft.fftn(psi)
-        kin = float(np.real(np.sum(self.kin * np.abs(ft) ** 2))) / psi.size * self.weight() ** 2
-        pot = float(np.real(np.sum(self.potential(t) * np.abs(psi) ** 2))) * self.weight() ** 2
-        return (kin + pot) / 2.0
 
     def symmetry_defect(self, psi: np.ndarray) -> float:
         return float(np.linalg.norm(psi - psi.transpose(2, 3, 0, 1)) /

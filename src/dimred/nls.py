@@ -93,14 +93,14 @@ def plane_wave(grid: Grid1D, mode: int = 0) -> CondensateState:
 @dataclass
 class Trajectory:
     times: list[float] = field(default_factory=list)
-    states: list[CondensateState] = field(default_factory=list)
+    states: list = field(default_factory=list)    # CondensateState or ManyBodyState
 
-    def record(self, state: CondensateState) -> None:
+    def record(self, state) -> None:
         self.times.append(state.time)
         self.states.append(state)
 
     @property
-    def final(self) -> CondensateState:
+    def final(self):
         return self.states[-1]
 
 
@@ -134,7 +134,9 @@ def evolve(
     total_steps = int(round((t_final - state.time) / dt))
     if abs(total_steps * dt - (t_final - state.time)) > 1e-9 * max(1.0, t_final):
         raise DomainError("t_final - t0 must be an integer number of steps")
-    out_every = max(1, total_steps // max(1, n_outputs))
+    if n_outputs < 1 or total_steps % n_outputs:
+        raise DomainError("each output interval must be a whole number of dt steps")
+    out_every = total_steps // n_outputs
 
     traj = Trajectory()
     traj.record(state)
@@ -148,7 +150,7 @@ def evolve(
         t += dt
         if not np.all(np.isfinite(values.view(float))):
             raise InstabilityError(f"non-finite amplitude at step {step} (t = {t:.6g})")
-        if step % out_every == 0 or step == total_steps:
+        if step % out_every == 0:
             snap = CondensateState(grid, values.copy(), t)
             if snap.spectral_tail() > SPECTRAL_TAIL_BLOWUP:
                 raise ResolutionError(

@@ -276,62 +276,71 @@ def validate_family(
 
 @dataclass(frozen=True)
 class ExternalPotential:
-    """Longitudinal field V(t, x, y); y enters only through weak transverse variation."""
+    """Longitudinal field V(t, x, y) = f(t) g(x, y): a static profile g (y enters only
+    through weak transverse variation) times a modulation f, None for a static field."""
 
     name: str
-    evaluator: Callable  # (t, x, y1, y2) -> value, vectorized in x
+    profile: Callable  # g(x, y1, y2), vectorized
     sup_norm: float
     time_derivative_sup: float
     transverse_gradient_sup: float
     mixed_derivative_sup: float = 0.0
-    time_dependent: bool = False
+    modulation: Callable[[float], float] | None = None
+
+    @property
+    def time_dependent(self) -> bool:
+        return self.modulation is not None
+
+    def strength(self, t: float) -> float:
+        """f(t); 1 for a static field."""
+        return 1.0 if self.modulation is None else float(self.modulation(t))
+
+    def value(self, t: float, x, y1=0.0, y2=0.0) -> np.ndarray:
+        """V(t, x, y) = f(t) g(x, y)."""
+        return self.strength(t) * np.asarray(self.profile(x, y1, y2), dtype=float)
 
     def on_axis(self, t: float, x: np.ndarray) -> np.ndarray:
         """V(t, (x, 0)), the restriction entering the effective equation."""
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self.evaluator(t, x, 0.0, 0.0), dtype=float)
-
-
-def zero_external() -> ExternalPotential:
-    return ExternalPotential("zero", lambda t, x, y1, y2: np.zeros_like(np.asarray(x, dtype=float)),
-                             0.0, 0.0, 0.0)
+        return self.value(t, np.asarray(x, dtype=float))
 
 
 def gaussian_well(depth: float = 1.0, width: float = 2.0, tilt: float = 0.0) -> ExternalPotential:
     """Static well -depth*exp(-x^2/width^2) with optional linear transverse tilt."""
 
-    def ev(t, x, y1, y2):
+    def g(x, y1, y2):
         x = np.asarray(x, dtype=float)
         return -depth * np.exp(-(x / width) ** 2) * (1.0 + tilt * (y1 + y2))
 
     grad = depth * abs(tilt) if tilt else 0.0
-    return ExternalPotential("gaussian_well", ev, depth * (1 + abs(tilt)), 0.0, grad)
+    return ExternalPotential("gaussian_well", g, depth * (1 + abs(tilt)), 0.0, grad)
 
 
 def driven_well(depth: float = 1.0, width: float = 2.0, omega: float = 1.0) -> ExternalPotential:
     """Time-modulated well -depth*(1 + sin(omega t)/2)*exp(-x^2/width^2)."""
 
-    def ev(t, x, y1, y2):
-        x = np.asarray(x, dtype=float)
-        return -depth * (1.0 + 0.5 * math.sin(omega * t)) * np.exp(-(x / width) ** 2)
+    def g(x, y1, y2):
+        return -depth * np.exp(-(np.asarray(x, dtype=float) / width) ** 2)
 
-    return ExternalPotential("driven_well", ev, 1.5 * depth, 0.5 * depth * omega, 0.0,
-                             mixed_derivative_sup=0.5 * depth * omega, time_dependent=True)
+    return ExternalPotential("driven_well", g, 1.5 * depth, 0.5 * depth * omega, 0.0,
+                             mixed_derivative_sup=0.5 * depth * omega,
+                             modulation=lambda t: 1.0 + 0.5 * math.sin(omega * t))
 
 
 _BUILTIN_EXTERNAL = {
-    "zero": zero_external,
     "gaussian_well": gaussian_well,
     "driven_well": driven_well,
 }
 
 
-def external_by_name(name: str, **kwargs) -> ExternalPotential:
+def external_by_name(name: str, **kwargs) -> ExternalPotential | None:
+    """The named field; "zero" is no field, None."""
+    if name == "zero":
+        return None
     try:
         factory = _BUILTIN_EXTERNAL[name]
     except KeyError:
         raise DomainError(f"unknown external potential {name!r}; "
-                          f"known: {sorted(_BUILTIN_EXTERNAL)}") from None
+                          f"known: {sorted([*_BUILTIN_EXTERNAL, 'zero'])}") from None
     return factory(**kwargs)
 
 

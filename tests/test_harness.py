@@ -414,3 +414,21 @@ def test_run_point_energy_at_final_time(monkeypatch):
     assert row.energy_gap == pytest.approx(gap, rel=1e-9)
     assert row.alpha_xi == pytest.approx(row.alpha_m + gap, rel=1e-9)
     assert abs(abs(energy(0.0) - e_phi) - gap) > 1e-3
+
+
+def test_driven_point_assembles_the_two_body_operator_once(monkeypatch):
+    # H(0) is the only assembly: evolve cuts it and adds (f - f0) G, and H(T)
+    # is H(0) + (f(T) - f(0)) G
+    text = FAST_SWEEP.replace("external.name = zero", "external.name = driven_well")
+    env = ExperimentConfig.from_config(Config.from_text(text))
+    inputs = harness.sweep_inputs(env)
+    calls = []
+    orig = manybody.two_body_operator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(manybody, "two_body_operator", counted)
+    harness.run_point(env, env.points()[0], inputs)
+    assert len(calls) == 1

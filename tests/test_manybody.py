@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from itertools import combinations_with_replacement
@@ -737,8 +738,10 @@ def test_time_dependent_steps_use_midpoint_hamiltonian(driven_basis):
     assert np.linalg.norm(traj.final.amplitudes - psi) < 1e-9
     with pytest.raises(DomainError):
         manybody.evolve(state, basis, 0.03, 0.1)            # 3.33 steps
-    with pytest.raises(DomainError):
-        manybody.evolve(state, basis, 0.05, 0.1, h=manybody.hamiltonian(basis, fock))
+    # a prebuilt H(t0) serves a driven field as well
+    given = manybody.evolve(state, basis, 0.05, 0.1, n_outputs=1, krylov_tol=1e-12,
+                            h=manybody.hamiltonian(basis, fock, 0.0))
+    assert np.max(np.abs(given.final.amplitudes - traj.final.amplitudes)) < 1e-13
 
 
 def test_driven_outputs_fall_on_whole_steps(driven_basis):
@@ -1232,7 +1235,7 @@ def _loop_vpar(basis, t):
     n_aux = max(8 * basis.m_x, 1024)
     x = np.arange(n_aux) * basis.box_length / n_aux - basis.box_length / 2.0
     tr = basis.transverse
-    v = np.broadcast_to(basis.external.evaluator(t, x[:, None], tr.axis[None, :], 0.0),
+    v = np.broadcast_to(basis.external.value(t, x[:, None], tr.axis[None, :]),
                         (n_aux, len(tr.axis)))
     m = basis.n_modes
     h = np.zeros((m, m), dtype=complex)
@@ -1247,8 +1250,8 @@ def _loop_vpar(basis, t):
 # the tilt couples different transverse modes; the off-centre field has
 # complex elements, so it tells +dk from -dk
 OFF_CENTRE = potentials.ExternalPotential(
-    "off_centre", lambda t, x, y1, y2: np.exp(-(x - 0.7) ** 2) * (1.0 + 0.3 * y1) * (1.0 + t),
-    2.0, 1.0, 0.3, time_dependent=True)
+    "off_centre", lambda x, y1, y2: np.exp(-(x - 0.7) ** 2) * (1.0 + 0.3 * y1),
+    2.0, 1.0, 0.3, modulation=lambda t: 1.0 + t)
 
 
 @pytest.mark.parametrize("field, t", [(potentials.gaussian_well(tilt=0.5), 0.0),
@@ -1258,7 +1261,47 @@ def test_vpar_matrix_against_loop(setup, field, t):
     point, conf, unscaled, sc, _ = setup
     basis = manybody.build_basis(point, conf, field, sc, 5, 3, L, unscaled_mode=unscaled)
     ref = _loop_vpar(basis, t)
-    assert np.max(np.abs(basis._vpar_matrix(t) - ref)) < 1e-12 * np.max(np.abs(ref))
+    vpar = field.strength(t) * basis.field_matrix
+    assert np.max(np.abs(vpar - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def _counting(field):
+    """`field` with a profile that counts its calls in `calls`."""
+    calls = []
+
+    def profile(x, y1, y2):
+        calls.append(1)
+        return field.profile(x, y1, y2)
+
+    return dataclasses.replace(field, profile=profile), calls
+
+
+@pytest.mark.parametrize("field", [potentials.driven_well(depth=0.5, omega=4.0), OFF_CENTRE])
+def test_field_profile_evaluated_once_per_basis(setup, field):
+    point, conf, unscaled, sc, _ = setup
+    field, calls = _counting(field)
+    basis = manybody.build_basis(point, conf, field, sc, 3, 2, L, unscaled_mode=unscaled)
+    fock = manybody.FockBasis(basis.n_modes, 2)
+    traj = manybody.evolve(condensed(fock), basis, 0.01, 0.2, n_outputs=4)
+    for t in (0.0, 0.1, 0.2):
+        manybody.hamiltonian(basis, fock, t)
+    assert len(traj.states) == 5 and len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [potentials.driven_well(depth=0.5, omega=4.0), OFF_CENTRE])
+def test_hamiltonian_at_is_the_field_identity(setup, field):
+    # H(t) = H(t0) + (f(t) - f(t0)) G against H(t) assembled afresh
+    point, conf, unscaled, sc, _ = setup
+    basis = manybody.build_basis(point, conf, field, sc, 5, 3, L, unscaled_mode=unscaled)
+    fock = manybody.FockBasis(basis.n_modes, 3, max_excitations=2)
+    h0 = manybody.hamiltonian(basis, fock, 0.1)
+    for t in (0.1, 0.37, 1.3):
+        ref = manybody.hamiltonian(basis, fock, t)
+        diff = manybody.hamiltonian_at(h0, basis, fock, 0.1, t) - ref
+        assert abs(diff).max() <= 1e-13 * abs(ref).max()
+    g = manybody.one_body_operator(fock, basis.field_matrix).data
+    if field is OFF_CENTRE:                                      # complex elements
+        assert np.max(np.abs(g.imag)) > 1e-3 * np.max(np.abs(g))
 
 
 def test_vpar_matrix_static_well():

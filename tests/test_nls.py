@@ -159,3 +159,13 @@ def test_norm_report_sobolev_chain(width, momentum):
     assert rep.l2 == pytest.approx(1.0, abs=1e-9)
     assert rep.sup <= rep.h1 + 1e-12
     assert rep.h1 <= rep.h2 + 1e-12
+
+
+def test_outputs_fall_on_whole_steps():
+    # 10 steps: 3 or 20 output intervals are no whole number of steps each
+    state = nls.gaussian_state(nls.Grid1D(16.0 * math.pi, 128), 2.0)
+    for n_outputs in (3, 20, 0):
+        with pytest.raises(DomainError):
+            nls.evolve(state, None, 1.0, 1e-3, 0.01, n_outputs=n_outputs)
+    traj = nls.evolve(state, None, 1.0, 1e-3, 0.01, n_outputs=5)
+    assert traj.times == pytest.approx([0.002 * k for k in range(6)], abs=1e-12)
