@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from .errors import DomainError, InsufficientDataError, RegimeError, ResolutionError
 from .nls import CondensateState
 from .potentials import ScaledInteraction
-from .transverse import TransverseMode, mode_correlations, offset_quadrature
+from .transverse import TransverseMode, offset_quadrature
 
 BOUNDARY_TOL = 1e-10
 
@@ -329,14 +329,6 @@ def gradient_scaling_fit(points, profile) -> GradientScalingReport:
 # ---------------------------------------------------------------------------
 
 
-def _density_correlation(tmode: TransverseMode):
-    """T(u) = int |chi^eps(y)|^2 |chi^eps(y - u)|^2 dy, the cubic interpolant of
-    the (0, 0, 0, 0) mode correlation: u is the signed offset for d = 1 and the
-    offset radius for d = 2."""
-    at = mode_correlations(tmode, 1).interpolant()
-    return lambda u: at(u)[0, 0, 0, 0]
-
-
 def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
             n_samples: int = 513, pad: float = 1.5) -> LineFunction:
     """w-bar(x) = intint |chi^eps(y1)|^2 |chi^eps(y2)|^2 w(x, y1-y2) dy1 dy2.
@@ -352,7 +344,7 @@ def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
     u, uw = offset_quadrature(np.sqrt(r**2 - x[:, 0] ** 2), tmode.dimension, 64)
     wv = scaled(np.sqrt(x**2 + u**2))
     vals = np.zeros_like(xs)
-    vals[inside] = np.sum(uw * wv * _density_correlation(tmode)(u), axis=1)
+    vals[inside] = np.sum(uw * wv * tmode.correlation(u, 1)[0, 0, 0, 0], axis=1)
     vals = 0.5 * (vals + vals[::-1])
     return LineFunction(xs, vals)
 
@@ -480,8 +472,7 @@ def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
         raise ResolutionError("interaction range is far below the condensate grid scale")
     if _points_across(tmode, scaled) < 8:
         raise ResolutionError("transverse grid does not resolve the interaction range")
-    corr = _density_correlation(tmode)
-    t0 = float(corr(0.0))
+    t0 = float(tmode.correlation(0.0, 1)[0, 0, 0, 0])
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     s_nodes = r * nodes
     s_weights = r * weights
@@ -489,7 +480,7 @@ def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
     u, uw = offset_quadrature(np.sqrt(np.maximum(r**2 - s_nodes**2, 0.0)),
                               tmode.dimension, n_quad)
     wv = uw * scaled(np.sqrt(s_nodes[:, None] ** 2 + u**2))
-    wint_t = np.sum(wv * corr(u), axis=1)
+    wint_t = np.sum(wv * tmode.correlation(u, 1)[0, 0, 0, 0], axis=1)
     wint_0 = np.sum(wv, axis=1) * t0
     ft = np.fft.fft(condensate.values)
     k = grid.wavenumbers
@@ -508,32 +499,3 @@ def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
     c2 = math.sqrt(float(np.sum((n_part * conv_only) ** 2) * grid.spacing))
     s2 = math.sqrt(float(np.sum((n_part * smear_only) ** 2) * grid.spacing))
     return DiscrepancyResult(LineFunction(grid.x, gamma_vals), gl2, c2, s2)
-
-
-@dataclass(frozen=True)
-class DiscrepancySweep:
-    mu_over_eps: np.ndarray
-    norms: np.ndarray
-    fit: ScalingFit
-
-
-def discrepancy_sweep(points, profile, condensate: CondensateState,
-                      confinement, grid: "object", d_perp: int = 1) -> DiscrepancySweep:
-    """Gamma norms along a scaling sequence, with the log-log fit vs mu/eps."""
-    from .potentials import scale
-    from .transverse import rescale as t_rescale, solve_modes
-
-    pts = list(points)
-    if len(pts) < 3:
-        raise InsufficientDataError("discrepancy sweep needs >= 3 points")
-    unscaled = solve_modes(confinement, grid, n_modes=2)
-    ratios, norms = [], []
-    for p in pts:
-        sc = scale(profile, p, d_perp=d_perp)
-        tm = t_rescale(unscaled, p.epsilon)
-        res = discrepancy_gamma(sc, condensate, tm)
-        ratios.append(p.mu_over_eps)
-        norms.append(res.l2_norm)
-    ratios = np.asarray(ratios)
-    norms = np.asarray(norms)
-    return DiscrepancySweep(ratios, norms, _loglog_fit(ratios, norms))

@@ -5,9 +5,10 @@ the lowest eigenmodes of the rescaled transverse trap.  Pair matrix elements
 exploit the structure of w(z - z'): longitudinal momentum is conserved
 exactly, so the two-body tensor is stored as V[q, ma, mb, mc, md] with
 q = k_a - k_c, assembled from a cosine transform in x and the circular
-transverse mode correlations of ``transverse.mode_correlations`` in y: read
-on the grid offsets for the grid-matched basis, through their cubic
-interpolant at Gauss nodes for the continuum basis.
+transverse mode correlations in y: ``transverse.mode_correlations`` read on
+the grid offsets for the grid-matched basis, and for the continuum basis
+``TransverseMode.correlation`` at Gauss nodes, the cubic interpolant of the
+unscaled mode, built once and shared by every rescaled mode of a sweep.
 
 Transverse energies enter shifted by the ground energy E0/eps^2
 ("renormalized convention"): propagation then happens without the fast
@@ -339,7 +340,7 @@ def _assemble_vq_continuum(u_max: float, transverse: TransverseMode, my: int, x_
     compactly supported profiles far better than a trapezoid sum at the grid
     spacing."""
     u, uw = offset_quadrature(u_max, transverse.dimension, n_gl)
-    s_at = mode_correlations(transverse, my).interpolant()(u).reshape(my**4, -1)
+    s_at = transverse.correlation(u, my).reshape(my**4, -1)
     what = x_transform(np.abs(u))                    # (n_q, n_gl)
     vq = np.einsum("qg,pg,g->qp", what, s_at, uw)
     # flattened correlation index order is (ma, mc, mb, md); emit (ma, mb, mc, md)
@@ -746,6 +747,8 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
+    if n_outputs < 1:
+        raise DomainError(f"n_outputs must be >= 1, got {n_outputs!r}")
     fock = state.fock
     out_dt = (t_final - state.time) / n_outputs
     steps, step = 1, out_dt

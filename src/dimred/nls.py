@@ -104,8 +104,7 @@ class Trajectory:
         return self.states[-1]
 
 
-def _phase_step(values, grid, external, b, t_mid, dt_half):
-    v = external.on_axis(t_mid, grid.x) if external is not None else 0.0
+def _phase_step(values, v, b, dt_half):
     return values * np.exp(-1j * dt_half * (v + b * np.abs(values) ** 2))
 
 
@@ -137,6 +136,8 @@ def evolve(
     if n_outputs < 1 or total_steps % n_outputs:
         raise DomainError("each output interval must be a whole number of dt steps")
     out_every = total_steps // n_outputs
+    # V(t, (x, 0)) = f(t) g(x, 0): the profile once per run, f once per step
+    g = None if external is None else np.asarray(external.profile(grid.x, 0.0, 0.0), dtype=float)
 
     traj = Trajectory()
     traj.record(state)
@@ -144,9 +145,10 @@ def evolve(
     t = state.time
     for step in range(1, total_steps + 1):
         t_mid = t + 0.5 * dt
-        values = _phase_step(values, grid, external, b, t_mid, 0.5 * dt)
+        v = 0.0 if g is None else external.strength(t_mid) * g
+        values = _phase_step(values, v, b, 0.5 * dt)
         values = np.fft.ifft(np.fft.fft(values) * kin)
-        values = _phase_step(values, grid, external, b, t_mid, 0.5 * dt)
+        values = _phase_step(values, v, b, 0.5 * dt)
         t += dt
         if not np.all(np.isfinite(values.view(float))):
             raise InstabilityError(f"non-finite amplitude at step {step} (t = {t:.6g})")

@@ -4,13 +4,16 @@ The solver returns the lowest eigenpairs of the finite-difference operator:
 a dense symmetric tridiagonal solve in one transverse dimension, shift-invert
 Lanczos on the sparse 5-point stencil in two.  Rescaling
 chi^eps(y) = eps^(-d/2) chi(y/eps) is exact on the discrete level, so the
-scaled eigenproblem is never re-solved.
+scaled eigenproblem is never re-solved, and the mode correlations are never
+recomputed: S^eps(u) = eps^(-d) S(u/eps) reads the unscaled mode's one
+interpolant (``TransverseMode.correlation``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +58,29 @@ class TransverseMode:
     energies: np.ndarray       # corresponding eigenvalues, ascending
     dimension: int
     epsilon: float = 1.0       # 1.0 means the unscaled problem
+    unit: TransverseMode | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _correlations(self) -> ModeCorrelations:
+        return mode_correlations(self, len(self.modes))
+
+    @cached_property
+    def _interpolants(self) -> dict:
+        return {}
+
+    def correlation(self, u, n_modes: int):
+        """S(u) of the first `n_modes` modes, shape (n, n, n, n, *u.shape) as in
+        ``ModeCorrelations.interpolant``.  A rescaled mode evaluates the
+        interpolant of the mode it was rescaled from, S^s(u) = s^(-d) S(u/s);
+        the interpolant of each mode count is cut from one FFT of all modes."""
+        ref = self.unit or self
+        at = ref._interpolants.get(n_modes)
+        if at is None:
+            c = ref._correlations
+            lead = (slice(n_modes),) * 4
+            at = ref._interpolants[n_modes] = replace(c, values=c.values[lead]).interpolant()
+        s = self.epsilon / ref.epsilon
+        return s ** -self.dimension * at(np.asarray(u, dtype=float) / s)
 
     @property
     def spacing(self) -> float:
@@ -240,6 +266,7 @@ def rescale(mode: TransverseMode, epsilon: float) -> TransverseMode:
         energies=mode.energies / epsilon**2,
         dimension=mode.dimension,
         epsilon=mode.epsilon * epsilon,
+        unit=mode.unit or mode,
     )
 
 

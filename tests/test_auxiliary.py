@@ -320,15 +320,18 @@ def test_gamma_sweep_decay_confirms_bound():
     # acceptance 8g checks on a flat condensate against the closed form,
     # together with the bound (Gamma/(mu/eps) decreasing) and a slope of 2
     conf = potentials.harmonic_confinement(dimension=1)
-    grid1 = transverse.TransverseGrid(8.0, 961)
+    unscaled = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, 961), 2)
     box = nls.Grid1D(2.0 * math.pi, 64)
     cond = nls.gaussian_state(box, width=1.0)
     pts = [scaling.make_point(n, float(n) ** -1.0, 0.5) for n in range(2, 9)]
-    sweep = auxiliary.discrepancy_sweep(pts, potentials.uniform_ball(), cond, conf,
-                                        grid1, d_perp=1)
-    assert sweep.fit.slope >= 0.85
-    assert np.all(np.diff(sweep.norms) < 0)
-    assert sweep.fit.r_squared > 0.99
+    norms = np.array([
+        auxiliary.discrepancy_gamma(potentials.scale(potentials.uniform_ball(), p, d_perp=1),
+                                    cond, transverse.rescale(unscaled, p.epsilon)).l2_norm
+        for p in pts])
+    fit = auxiliary._loglog_fit(np.array([p.mu_over_eps for p in pts]), norms)
+    assert fit.slope >= 0.85
+    assert np.all(np.diff(norms) < 0)
+    assert fit.r_squared > 0.99
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def test_size_cap_exit_code(tmp_path):
     assert main(["manybody-evolve", "--config", str(cfg), "--n", "14"]) == 3
 
 
+def test_zero_outputs_is_a_domain_error(capsys, sweep_cfg, tmp_path):
+    rc = main(["manybody-evolve", "--config", str(sweep_cfg), "--n", "2",
+               "--outputs", "0", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: n_outputs must be >= 1") and "Traceback" not in err
+
+
 def test_alpha_reads_capped_dump(capsys, tmp_path):
     # the default modes (27) at N = 6 need the dump's cap 3: untruncated, the
     # rebuilt basis would have 906192 states, over the size cap.  Without a

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from dimred import harness, manybody, nls
+from dimred import harness, manybody, nls, transverse
 from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
 from dimred.errors import ConfigError, InsufficientDataError
 
@@ -233,7 +233,7 @@ def test_excitation_cap_convergence():
     assert abs(slope_shift) < 0.3
 
 
-def test_sweep_failure_isolation():
+def test_sweep_failure_isolation(tmp_path):
     # N = 6 at m_x = 5, m_y = 2 with a tiny cap: the point fails, others survive
     text = FAST_SWEEP.replace("sequence.n_values = 2, 3, 4",
                               "sequence.n_values = 2, 3, 12")
@@ -245,14 +245,11 @@ def test_sweep_failure_isolation():
     assert len(result.failures) == 1
     assert result.failures[0][0] == 12
     assert result.failures[0][2] == "SizeError"
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/partial.csv"
-        harness.write_csv(result, path)
-        text_out = open(path).read()
-        assert "# FAILED N=12" in text_out
-        assert text_out.count("\n") == 2 + 2 + 1  # hash, header, 2 rows, 1 failure
+    path = tmp_path / "partial.csv"
+    harness.write_csv(result, str(path))
+    text_out = path.read_text()
+    assert "# FAILED N=12" in text_out
+    assert text_out.count("\n") == 2 + 2 + 1  # hash, header, 2 rows, 1 failure
 
 
 # ---------------------------------------------------------------------------
@@ -431,4 +428,21 @@ def test_driven_point_assembles_the_two_body_operator_once(monkeypatch):
 
     monkeypatch.setattr(manybody, "two_body_operator", counted)
     harness.run_point(env, env.points()[0], inputs)
+    assert len(calls) == 1
+
+
+def test_sweep_computes_the_mode_correlations_once(monkeypatch):
+    # every point rescales the one unscaled mode, and every rescaled mode reads
+    # that mode's interpolants, all cut from one FFT per sweep
+    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    calls = []
+    orig = transverse.mode_correlations
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(transverse, "mode_correlations", counted)
+    result = harness.run_sweep(env)
+    assert result.ok and len(result.rows) == 7
     assert len(calls) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -169,3 +170,20 @@ def test_outputs_fall_on_whole_steps():
             nls.evolve(state, None, 1.0, 1e-3, 0.01, n_outputs=n_outputs)
     traj = nls.evolve(state, None, 1.0, 1e-3, 0.01, n_outputs=5)
     assert traj.times == pytest.approx([0.002 * k for k in range(6)], abs=1e-12)
+
+
+def test_field_profile_evaluated_once_per_run(grid):
+    # V(t, (x, 0)) = f(t) g(x, 0): g once per run, whatever the step count
+    calls = []
+    ext = potentials.gaussian_well(depth=0.5, width=3.0)
+
+    def profile(x, y1, y2):
+        calls.append(1)
+        return ext.profile(x, y1, y2)
+
+    counted = dataclasses.replace(ext, profile=profile)
+    state = nls.gaussian_state(grid, width=2.0)
+    traj = nls.evolve(state, counted, 1.0, 1e-2, 0.2, n_outputs=4)
+    ref = nls.evolve(state, ext, 1.0, 1e-2, 0.2, n_outputs=4)
+    assert len(calls) == 1 and len(traj.states) == 5
+    assert np.array_equal(traj.final.values, ref.final.values)

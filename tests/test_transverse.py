@@ -122,6 +122,20 @@ def _random_mode(dimension, n_y, n_modes, seed):
                                      dimension=dimension)
 
 
+def _assert_rescaled_correlation_exact(mode, u_unit):
+    # a rescaled mode reads its unit mode's interpolant, S^eps(u) = eps^-d S(u/eps);
+    # it matches the interpolant of its own correlations, rescaled twice too
+    for eps in (0.3, 0.05):
+        scaled = transverse.rescale(transverse.rescale(mode, 0.5), eps / 0.5)
+        assert scaled.unit is mode and scaled.epsilon == pytest.approx(eps, rel=1e-15)
+        u = eps * u_unit
+        for n in (1, len(mode.modes)):
+            ref = transverse.mode_correlations(scaled, n).interpolant()(u)
+            got = scaled.correlation(u, n)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 def test_mode_correlations_1d_against_direct_sum():
     mode = _random_mode(1, 40, 3, seed=11)
     corr = transverse.mode_correlations(mode, 3)
@@ -133,6 +147,7 @@ def test_mode_correlations_1d_against_direct_sum():
     # the spline in the signed offset passes through every grid value
     at = corr.interpolant()
     assert np.max(np.abs(at(corr.offsets) - corr.values)) < 1e-12 * np.max(np.abs(ref))
+    _assert_rescaled_correlation_exact(mode, np.linspace(-2.5, 2.5, 11))
 
 
 def test_mode_correlations_2d_against_direct_sum():
@@ -144,3 +159,4 @@ def test_mode_correlations_2d_against_direct_sum():
     shifted = f[:, shift[:, :, None, None], shift[None, None, :, :]]  # (q, k1, j1, k2, j2)
     ref = mode.weight * np.einsum("pab,qkalb->pqkl", f, shifted)
     assert np.max(np.abs(corr.values.reshape(4, 4, n, n) - ref)) < 1e-12 * np.max(np.abs(ref))
+    _assert_rescaled_correlation_exact(mode, np.linspace(0.0, 2.5, 11))
