@@ -23,7 +23,7 @@ import numpy as np
 
 from . import auxiliary, harness, manybody, nls, potentials, projectors, scaling, transverse
 from .config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
-from .errors import ConfigError, DimredError, SizeError
+from .errors import ConfigError, DimredError, DomainError, SizeError
 
 
 def _add_common(p, out: bool = True):
@@ -55,13 +55,14 @@ def _point(env: ExperimentConfig, n: int | None, epsilon: float | None) -> scali
 
 
 def cmd_transverse(args) -> int:
+    """The sweep's unscaled transverse mode (``harness.sweep_inputs``)."""
     cfg = _load_config(args)
-    dim = cfg.get_int("confinement.dimension", 1)
+    dim = cfg.get_int("manybody.d_perp")
     conf = potentials.with_dimension(
         potentials.confinement_by_name(cfg.get("confinement.name")), dim)
-    extent = cfg.get_float("transverse.extent", 9.0 if dim == 1 else 6.5)
-    points = cfg.get_int("transverse.points", 4001 if dim == 1 else 421)
-    mode = transverse.solve_modes(conf, transverse.TransverseGrid(extent, points), 2)
+    grid = transverse.TransverseGrid(cfg.get_float("manybody.transverse_extent"),
+                                     cfg.get_int("manybody.transverse_points"))
+    mode = transverse.solve_modes(conf, grid, max(cfg.get_int("manybody.m_y"), 2))
     print(json.dumps({"energy0": mode.energy0, "gap": mode.gap, "quartic": mode.quartic}))
     if args.out:
         out = _outdir(args, cfg)
@@ -82,33 +83,30 @@ def cmd_transverse(args) -> int:
 
 def cmd_nls_evolve(args) -> int:
     cfg = _load_config(args)
-    length = args.length if args.length is not None else cfg.get_float("nls.length", 16 * math.pi)
     points = args.points if args.points is not None else cfg.get_int("nls.points")
     dt = args.dt if args.dt is not None else cfg.get_float("nls.dt")
     t_final = args.t_final if args.t_final is not None else cfg.get_float("time.final")
-    b = args.b if args.b is not None else cfg.get_float("nls.b", 1.0)
-    pot_name = args.potential or cfg.get("external.name")
-    external = potentials.external_by_name(pot_name)
-    grid = nls.Grid1D(length, points)
+    external = potentials.external_by_name(args.potential or cfg.get("external.name"))
+    grid = nls.Grid1D(args.length, points)
     if args.initial == "plane":
         state = nls.plane_wave(grid, args.mode)
     else:
         state = nls.gaussian_state(grid, width=args.width)
-    traj = nls.evolve(state, external, b, dt, t_final, n_outputs=args.outputs)
+    traj = nls.evolve(state, external, args.b, dt, t_final, n_outputs=args.outputs)
     out = _outdir(args, cfg)
     path = os.path.join(out, "nls.csv")
     with open(path, "w") as fh:
         fh.write("t,l2,h1,h2,sup,energy\n")
         for s in traj.states:
             r = nls.norm_report(s)
-            en = nls.effective_energy(s, external, b)
+            en = nls.effective_energy(s, external, args.b)
             fh.write(f"{s.time:.17g},{r.l2:.17g},{r.h1:.17g},{r.h2:.17g},"
                      f"{r.sup:.17g},{en:.17g}\n")
     print(f"wrote {path}")
     if args.dump_state:
         spath = os.path.join(out, "phi_final.bin")
         with open(spath, "wb") as fh:
-            fh.write(struct.pack("<Id", points, length))
+            fh.write(struct.pack("<Id", points, args.length))
             fh.write(traj.final.values.astype("<c8").tobytes())
         print(f"wrote {spath}")
     return 0
@@ -144,7 +142,7 @@ def cmd_manybody_evolve(args) -> int:
                  amplitudes=traj.final.amplitudes, time=traj.final.time,
                  mode_kx=basis.mode_kx, mode_my=basis.mode_my,
                  box_length=basis.box_length, epsilon=point.epsilon,
-                 max_excitations=fock.max_excitations)
+                 max_excitations=env.max_excitations)
         print(f"wrote {spath}")
     return 0
 
@@ -153,19 +151,16 @@ def cmd_alpha(args) -> int:
     data = np.load(args.state)
     occupations = data["occupations"]
     amplitudes = data["amplitudes"]
-    n_modes = occupations.shape[1]
-    n_particles = int(occupations[0].sum())
-    max_exc = int(data["max_excitations"]) if "max_excitations" in data else None
-    fock = manybody.FockBasis(n_modes, n_particles, max_exc)
-    # align the dump with the freshly enumerated (sorted) basis
-    idx = fock.lookup(occupations)
+    fock = manybody.FockBasis.from_rows(occupations)
+    if amplitudes.shape != (fock.dim,):
+        raise DomainError(f"dump holds {amplitudes.shape} amplitudes for {fock.dim} rows")
     amps = np.zeros(fock.dim, dtype=complex)
-    amps[idx] = amplitudes
+    amps[fock.lookup(occupations)] = amplitudes
     state = manybody.ManyBodyState(fock, amps, float(data["time"]))
-    mode_my = data["mode_my"] if "mode_my" in data else np.zeros(n_modes, dtype=np.int64)
-    proj = projectors.basis_mode_projector(n_modes, args.mode, mode_my)
+    mode_my = data["mode_my"] if "mode_my" in data else np.zeros(fock.n_modes, dtype=np.int64)
+    proj = projectors.basis_mode_projector(fock.n_modes, args.mode, mode_my)
     dist = projectors.counting_distribution(state, proj)
-    a_n2 = projectors.alpha(state, projectors.make_weight("n2", n_particles), proj)
+    a_n2 = projectors.alpha(state, projectors.make_weight("n2", fock.n_particles), proj)
     a_xi = projectors.alpha_xi(state, proj, args.energy_gap, 0.0, args.xi)
     bridge = projectors.rate_bridge(state, proj)
     print(json.dumps({
@@ -269,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nls-evolve", help="run the effective 1D equation")
     _add_common(p)
-    p.add_argument("--length", type=float, default=None)
+    p.add_argument("--length", type=float, default=16 * math.pi)
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-final", dest="t_final", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--potential", default=None)
     p.add_argument("--initial", choices=["gaussian", "plane"], default="gaussian")
     p.add_argument("--width", type=float, default=2.0)

@@ -128,10 +128,10 @@ def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
         point, inputs.confinement, inputs.external, scaled, cfg.m_x, cfg.m_y,
         cfg.box_length, unscaled_mode=inputs.unscaled_mode,
     )
-    # keep the sector of the conserved charges that holds the condensate
-    charges = [(q, modulus, point.n_particles * int(q[0])) for q, modulus in basis.charges()]
-    fock = manybody.FockBasis(basis.n_modes, point.n_particles,
-                              cfg.max_excitations, cfg.dim_cap, charges=charges)
+    full = manybody.FockBasis(basis.n_modes, point.n_particles, cfg.max_excitations, cfg.dim_cap)
+    # keep the sector of the conserved charges that holds the condensate row
+    condensate = full.occupations[:, 0] == point.n_particles
+    fock = full.subset(next(r for r in manybody.sectors(basis, full) if condensate[r].any()))
     psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
     return PointSetup(basis, fock, psi0, manybody.hamiltonian(basis, fock, 0.0))
 

@@ -4,11 +4,11 @@ The one-body modes are products of periodic plane waves (integer momenta) and
 the lowest eigenmodes of the rescaled transverse trap.  Pair matrix elements
 exploit the structure of w(z - z'): longitudinal momentum is conserved
 exactly, so the two-body tensor is stored as V[q, ma, mb, mc, md] with
-q = k_a - k_c, assembled from a cosine transform in x and the circular
-transverse mode correlations in y: ``transverse.mode_correlations`` read on
-the grid offsets for the grid-matched basis, and for the continuum basis
-``TransverseMode.correlation`` at Gauss nodes, the cubic interpolant of the
-unscaled mode, built once and shared by every rescaled mode of a sweep.
+q = k_a - k_c, assembled by one ``_assemble_vq`` from a cosine transform in x
+and the circular transverse mode correlations in y over the offsets of a
+quadrature: the grid offsets of ``transverse.mode_correlations`` for the
+grid-matched basis, Gauss nodes of ``TransverseMode.correlation`` (the one
+interpolant of the unscaled mode, shared by a sweep) for the continuum basis.
 
 Transverse energies enter shifted by the ground energy E0/eps^2
 ("renormalized convention"): propagation then happens without the fast
@@ -28,6 +28,8 @@ each sector on its own block with one Lanczos exponential (``lanczos_expm``;
 One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
 it lowers each row by each lower set it holds and raises each distinct
 intermediate row once per create set, with a dense weight block per class.
+A ``FockBasis`` is a sorted set of occupation rows: the capped enumeration,
+a (K, Pi) sector of it (``sectors``), or the rows a lowering reaches.
 """
 
 from __future__ import annotations
@@ -76,18 +78,17 @@ def _row_sums(occ: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class FockBasis:
-    """Symmetric occupation basis over M modes, mode 0 distinguished as the
-    condensate; optionally truncated at a maximal number of excited particles.
+    """A set of occupation rows over M modes, mode 0 distinguished as the
+    condensate, held sorted by their bytes (``lookup`` bisects them).
 
-    `charges` holds triples (per-mode charge q, modulus or None, total) and
-    keeps the rows with sum_a n_a q_a = total (mod the modulus), such as a
-    (K, Pi) sector (``ModeBasis.charges``).  The cap applies to
-    `unrestricted_dim`, the count of rows enumerated before the filter.
+    The constructor enumerates the symmetric rows of N particles with at most
+    `max_excitations` outside the condensate; ``from_rows`` takes given rows,
+    such as those a lowering reaches, and ``subset`` keeps some rows, such as
+    a (K, Pi) sector (``sectors``).
     """
 
     def __init__(self, n_modes: int, n_particles: int,
-                 max_excitations: int | None = None, dim_cap: int = DEFAULT_DIM_CAP,
-                 charges: list | tuple = ()):
+                 max_excitations: int | None = None, dim_cap: int = DEFAULT_DIM_CAP):
         if n_particles < 0:
             raise DomainError(f"n_particles must be >= 0, got {n_particles}")
         if n_modes < 2:
@@ -100,8 +101,6 @@ class FockBasis:
             )
         self.n_modes = n_modes
         self.n_particles = n_particles
-        self.max_excitations = max_excitations
-        self.unrestricted_dim = dim
         cap = n_particles if max_excitations is None else min(max_excitations, n_particles)
         # one excited mode at a time: repeat each row over the occupations that fit
         occ = np.zeros((1, 0), dtype=np.uint8)
@@ -113,15 +112,31 @@ class FockBasis:
             occ = np.column_stack([occ[row], extra.astype(np.uint8)])
             used = used[row] + extra
         occ = np.column_stack([(n_particles - used).astype(np.uint8), occ])
-        for mode_charge, modulus, total in charges:
-            off = _row_sums(occ, mode_charge).astype(np.int64) - total
-            occ = occ[(off == 0) if modulus is None else (off % modulus == 0)]
-        if len(occ) == 0:
-            raise DomainError(f"no occupation row carries the charges {[c[2] for c in charges]}")
         order = np.argsort(self._pack(occ))
         self.occupations = np.ascontiguousarray(occ[order])
         self._packed = self._pack(self.occupations)
         self.dim = len(self.occupations)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, n_particles: int | None = None) -> FockBasis:
+        """The basis of the given occupation rows; DomainError unless they are
+        distinct and each hold n_particles (by default the first row's count)."""
+        occ = np.asarray(rows)
+        if occ.ndim != 2 or occ.shape[1] < 2 or not np.array_equal(occ, occ.astype(np.uint8)):
+            raise DomainError(f"need rows of counts 0..255 over >= 2 modes, got {occ.shape}")
+        counts = occ.sum(axis=1, dtype=np.int64)
+        n_particles = int(counts[0]) if n_particles is None and len(occ) else n_particles
+        packed = cls._pack(occ)
+        order = np.argsort(packed)
+        if n_particles is None or np.any(counts != n_particles):
+            raise DomainError(f"occupation rows hold {sorted(set(counts.tolist()))} particles")
+        if np.any(packed[order[1:]] == packed[order[:-1]]):
+            raise DomainError("occupation rows repeat")
+        fock = cls.__new__(cls)
+        fock.n_modes, fock.n_particles, fock.dim = occ.shape[1], n_particles, len(occ)
+        fock.occupations = np.ascontiguousarray(occ[order], dtype=np.uint8)
+        fock._packed = packed[order]
+        return fock
 
     @staticmethod
     def _pack(occ: np.ndarray) -> np.ndarray:
@@ -232,12 +247,6 @@ class ModeBasis:
         order = np.argsort(label, kind="stable")
         return np.column_stack([a, b])[order], label[order]
 
-    def charges(self) -> list:
-        """(per-mode charge, modulus) of each quantity H conserves: K and Pi
-        without a field, none with one."""
-        return [] if self.external is not None else [(self.mode_kx, self.momentum_modulus),
-                                                     (self.mode_parity, 2)]
-
     def mode_index(self, kx_int: int, my: int) -> int:
         hit = np.where((self.mode_kx == kx_int) & (self.mode_my == my))[0]
         if len(hit) == 0:
@@ -246,17 +255,12 @@ class ModeBasis:
 
     def w_element(self, a: int, b: int, c: int, d: int) -> complex:
         """<ab|w|cd>; zero unless longitudinal momentum is conserved."""
-        ktot = self.mode_kx[c] + self.mode_kx[d] - self.mode_kx[a] - self.mode_kx[b]
-        if self.momentum_modulus is not None:
-            if ktot % self.momentum_modulus != 0:
-                return 0.0
-        elif ktot != 0:
-            return 0.0
+        ktot = int(self.mode_kx[c] + self.mode_kx[d] - self.mode_kx[a] - self.mode_kx[b])
         q = int(self.mode_kx[a] - self.mode_kx[c])
         if self.momentum_modulus is not None:
-            q %= self.momentum_modulus
+            ktot, q = ktot % self.momentum_modulus, q % self.momentum_modulus
         row = self.q_of_m.get(q)
-        if row is None:
+        if ktot != 0 or row is None:
             return 0.0
         return self.vq[row, self.mode_my[a], self.mode_my[b],
                        self.mode_my[c], self.mode_my[d]] / self.box_length
@@ -317,33 +321,27 @@ def _grid_transform_x(scaled: ScaledInteraction, box_length: float, n_x: int,
     return h_x * np.fft.fft(wv, axis=0).real
 
 
-def _assemble_vq_grid(transverse: TransverseMode, x_transform) -> np.ndarray:
-    """V[qi, ma, mb, mc, md] = w_u sum_u What(q, u) S_(ma mc),(mb md)(u) on the
-    literal grid offsets (the exact pairing the position-grid dynamics uses)."""
-    my = transverse.modes.shape[0]
-    corr = mode_correlations(transverse, my)
-    o = corr.offsets
-    if transverse.dimension == 1:
-        u_norms = np.abs(o)
-    else:
-        u_norms = np.sqrt(o[:, None] ** 2 + o[None, :] ** 2).ravel()
-    what = x_transform(u_norms)                      # (n_q, n_u)
-    s = corr.values.reshape(my, my, my, my, -1)      # index order (ma, mc, mb, md, u)
-    return transverse.weight * np.einsum("qu,acbdu->qabcd", what, s)
+def _periodic_modes(confinement: ConfinementPotential, epsilon: float, n_y: int,
+                    y_span: float) -> TransverseMode:
+    """All eigenmodes of -d^2/dy^2 + V_perp(y/eps)/eps^2 with the periodic
+    spectral Laplacian on n_y points across y_span (``GridOracle``'s grid)."""
+    h_y = y_span / n_y
+    y = np.arange(n_y) * h_y - y_span / 2.0
+    ky2 = (2.0 * math.pi * np.fft.fftfreq(n_y, d=h_y)) ** 2
+    kin = np.fft.ifft(ky2[:, None] * np.fft.fft(np.eye(n_y), axis=0), axis=0).real
+    ham = kin + np.diag(confinement.on_grid(y / epsilon) / epsilon**2)
+    vals, vecs = eigh((ham + ham.T) / 2.0)
+    modes = np.stack([_normalize_and_sign(vecs[:, i], h_y) for i in range(n_y)])
+    return TransverseMode(axis=y, chi=modes[0], modes=modes, energies=vals, dimension=1,
+                          epsilon=epsilon)
 
 
-def _assemble_vq_continuum(u_max: float, transverse: TransverseMode, my: int, x_transform,
-                           n_gl: int = 64) -> np.ndarray:
-    """Continuum variant over the first `my` transverse modes: interpolate the
-    grid correlations in the offset and Gauss-integrate against What over the
-    interaction support |u| < u_max, which handles the square-root edge of
-    compactly supported profiles far better than a trapezoid sum at the grid
-    spacing."""
-    u, uw = offset_quadrature(u_max, transverse.dimension, n_gl)
-    s_at = transverse.correlation(u, my).reshape(my**4, -1)
-    what = x_transform(np.abs(u))                    # (n_q, n_gl)
-    vq = np.einsum("qg,pg,g->qp", what, s_at, uw)
-    # flattened correlation index order is (ma, mc, mb, md); emit (ma, mb, mc, md)
+def _assemble_vq(what: np.ndarray, s: np.ndarray, weights) -> np.ndarray:
+    """V[qi, ma, mb, mc, md] = sum_u weights_u What[qi, u] S_(ma mc),(mb md)(u) over
+    the offsets u of one quadrature, S in the index order (ma, mc, mb, md, u)."""
+    my = s.shape[0]
+    vq = np.einsum("qu,pu,u->qp", what, s.reshape(my**4, -1),
+                   np.broadcast_to(weights, what.shape[1:]))
     return vq.reshape(-1, my, my, my, my).transpose(0, 1, 3, 2, 4)
 
 
@@ -373,6 +371,29 @@ def _parity_selection(vq: np.ndarray, parity: np.ndarray) -> np.ndarray:
     return vq
 
 
+def _mode_basis(point: ScalingPoint, scaled: ScaledInteraction, box_length: float,
+                kx: np.ndarray, tmode: TransverseMode, vq: np.ndarray, q_ints: np.ndarray,
+                momentum_modulus: int | None, external: ExternalPotential | None) -> ModeBasis:
+    """The plane waves kx x the first vq.shape[1] modes of `tmode`, condensate
+    (kx = 0, my = 0) first, with their shifted energies and parity bits; vq
+    row i belongs to the momentum difference q_ints[i]."""
+    m_y = vq.shape[1]
+    mode_kx = np.repeat(kx, m_y)
+    mode_my = np.tile(np.arange(m_y, dtype=np.int64), len(kx))
+    order = np.lexsort((mode_my, mode_kx, (mode_kx != 0) | (mode_my != 0)))
+    mode_kx, mode_my = mode_kx[order], mode_my[order]
+    e_t = tmode.energies[:m_y] - tmode.energies[0]
+    energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + e_t[mode_my]
+    parity = _transverse_parity(tmode.modes[:m_y], periodic=momentum_modulus is not None)
+    return ModeBasis(
+        point=point, scaled=scaled, box_length=box_length, kx=kx,
+        transverse=tmode, mode_kx=mode_kx, mode_my=mode_my, mode_parity=parity[mode_my],
+        energies=energies.astype(float), e0_scaled=float(tmode.energies[0]),
+        vq=_parity_selection(vq, parity), q_of_m={int(q): i for i, q in enumerate(q_ints)},
+        momentum_modulus=momentum_modulus, external=external,
+    )
+
+
 def build_basis(
     point: ScalingPoint,
     confinement: ConfinementPotential,
@@ -384,7 +405,8 @@ def build_basis(
     unscaled_mode: TransverseMode,
 ) -> ModeBasis:
     """Continuum mode basis: m_x symmetric plane waves x the first m_y trap
-    eigenmodes of `unscaled_mode`, rescaled to the point's epsilon."""
+    eigenmodes of `unscaled_mode`, rescaled to the point's epsilon.  Gauss nodes
+    over the support |u| < range resolve the square-root edge of a compact w."""
     if m_x % 2 == 0:
         raise DomainError("m_x must be odd so the plane-wave set is symmetric around 0")
     if scaled.d_perp != confinement.dimension:
@@ -398,27 +420,12 @@ def build_basis(
             f"transverse grid has {ppr:.1f} points across the interaction range "
             f"(need >= {MIN_POINTS_PER_RANGE}); refine the unscaled grid"
         )
-    half = m_x // 2
-    kx = np.arange(-half, half + 1, dtype=np.int64)
-    mode_kx = np.repeat(kx, m_y)
-    mode_my = np.tile(np.arange(m_y, dtype=np.int64), m_x)
-    # condensate mode (kx=0, my=0) first
-    order = np.lexsort((mode_my, mode_kx, (mode_kx != 0) | (mode_my != 0)))
-    mode_kx, mode_my = mode_kx[order], mode_my[order]
-    e_t = tmode.energies[:m_y] - tmode.energies[0]
-    energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + e_t[mode_my]
     q_ints = np.arange(-(m_x - 1), m_x, dtype=np.int64)
-    q_phys = 2.0 * math.pi * q_ints / box_length
-    parity = _transverse_parity(tmode.modes[:m_y], periodic=False)
-    vq = _assemble_vq_continuum(scaled.range, tmode, m_y,
-                                lambda u: _cosine_transform_x(scaled, q_phys, u))
-    return ModeBasis(
-        point=point, scaled=scaled, box_length=box_length, kx=kx,
-        transverse=tmode, mode_kx=mode_kx, mode_my=mode_my, mode_parity=parity[mode_my],
-        energies=energies.astype(float), e0_scaled=float(tmode.energies[0]),
-        vq=_parity_selection(vq, parity), q_of_m={int(q): i for i, q in enumerate(q_ints)},
-        momentum_modulus=None, external=external,
-    )
+    u, weights = offset_quadrature(scaled.range, tmode.dimension, 64)
+    what = _cosine_transform_x(scaled, 2.0 * math.pi * q_ints / box_length, np.abs(u))
+    vq = _assemble_vq(what, tmode.correlation(u, m_y), weights)
+    kx = np.arange(-(m_x // 2), m_x // 2 + 1, dtype=np.int64)
+    return _mode_basis(point, scaled, box_length, kx, tmode, vq, q_ints, None, external)
 
 
 def build_grid_matched_basis(
@@ -431,56 +438,40 @@ def build_grid_matched_basis(
     y_span: float,
 ) -> ModeBasis:
     """Complete mode basis of the (n_x, n_y) product grid with periodic spectral
-    kinetic terms; unitarily equivalent to the ``GridOracle`` discretization."""
+    kinetic terms; unitarily equivalent to the ``GridOracle`` discretization,
+    whose pairs meet at the literal grid offsets the pair factors sum over."""
     if scaled.d_perp != 1 or confinement.dimension != 1:
         raise DomainError("the grid-matched basis is implemented for d_perp = 1")
-    h_y = y_span / n_y
-    y = np.arange(n_y) * h_y - y_span / 2.0
-    ky = 2.0 * math.pi * np.fft.fftfreq(n_y, d=h_y)
-    kin = np.fft.ifft(ky[:, None] ** 2 * np.fft.fft(np.eye(n_y), axis=0), axis=0).real
-    v_scaled = confinement.on_grid(y / point.epsilon) / point.epsilon**2
-    ham = kin + np.diag(v_scaled)
-    vals, vecs = eigh((ham + ham.T) / 2.0)
-    modes = np.stack([_normalize_and_sign(vecs[:, i], h_y) for i in range(n_y)])
-    tmode = TransverseMode(axis=y, chi=modes[0], modes=modes,
-                           energies=vals, dimension=1, epsilon=point.epsilon)
+    tmode = _periodic_modes(confinement, point.epsilon, n_y, y_span)
     # no points-per-range gate here: the pair potential is discretized on the
     # shared grid, and the mode basis is complete for exactly that model
+    corr = mode_correlations(tmode, n_y)
+    what = _grid_transform_x(scaled, box_length, n_x, np.abs(corr.offsets))
+    vq = _assemble_vq(what, corr.values, tmode.weight)
     kx = np.sort(np.fft.fftfreq(n_x, d=1.0 / n_x).astype(np.int64))
-    mode_kx = np.repeat(kx, n_y)
-    mode_my = np.tile(np.arange(n_y, dtype=np.int64), n_x)
-    order = np.lexsort((mode_my, mode_kx, (mode_kx != 0) | (mode_my != 0)))
-    mode_kx, mode_my = mode_kx[order], mode_my[order]
-    energies = (2.0 * math.pi * mode_kx / box_length) ** 2 + (vals - vals[0])[mode_my]
-    parity = _transverse_parity(modes, periodic=True)
-    vq = _assemble_vq_grid(tmode, lambda u: _grid_transform_x(scaled, box_length, n_x, u))
-    q_of_m = {m: m for m in range(n_x)}
-    return ModeBasis(
-        point=point, scaled=scaled, box_length=box_length, kx=kx,
-        transverse=tmode, mode_kx=mode_kx, mode_my=mode_my, mode_parity=parity[mode_my],
-        energies=energies.astype(float), e0_scaled=float(vals[0]),
-        vq=_parity_selection(vq, parity), q_of_m=q_of_m, momentum_modulus=n_x, external=None,
-    )
+    return _mode_basis(point, scaled, box_length, kx, tmode, vq, np.arange(n_x), n_x, None)
 
 
 # ---------------------------------------------------------------------------
 # second-quantized operators
 # ---------------------------------------------------------------------------
 
-def _ladder(fock: FockBasis, target: FockBasis, lower: np.ndarray, create: np.ndarray,
+def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create: np.ndarray,
             lower_class: np.ndarray, create_class: np.ndarray, weights):
     """Nonzero elements of W[c, l] adag_(c_k) ... adag_(c_1) a_(l_j) ... a_(l_1) from
     `fock` into `target` for every lower set l (a row of `lower`, distinct and
     ascending) and create set c (a row of `create`) of one class; both class
-    arrays ascend, and W = weights(create sets, lower sets of the class).
+    arrays ascend, and W = weights(create sets, lower sets of the class).  A
+    lowering alone (empty create sets) may pass `target` None for the rows it reaches.
 
     Each source row is lowered by each lower set it holds; each distinct
     (class, intermediate row) is raised by every create set of its class,
     resolved by one lookup.  The amplitude is sqrt(product of the counts
     before each annihilation and after each creation); zero weights are
-    dropped, in batches of LADDER_BATCH_BYTES.  Returns (lower set, target row,
-    source row, value) by target row, then class, intermediate and source row,
-    an order a block of rows closed under the terms gets alone as in more rows.
+    dropped, in batches of LADDER_BATCH_BYTES.  Returns the target and (lower
+    set, target row, source row, value) by target row, then class, intermediate
+    and source row, an order a block of rows closed under the terms gets alone
+    as in more rows.
     """
     m = fock.n_modes
     lowered = np.isin(np.arange(m), lower)
@@ -500,7 +491,10 @@ def _ladder(fock: FockBasis, target: FockBasis, lower: np.ndarray, create: np.nd
     held = term >= 0
     term, src, rest, amp_lower = term[held], src[held], rest[held], np.sqrt(amp_lower[held])
     # the distinct (class, intermediate row) groups, intermediate rows in lexicographic order
-    klass, mid = lower_class[term], np.unique(FockBasis._pack(rest), return_inverse=True)[1]
+    _, index, mid = np.unique(FockBasis._pack(rest), return_index=True, return_inverse=True)
+    if target is None:
+        target = FockBasis.from_rows(rest[index], fock.n_particles - lower.shape[1])
+    klass = lower_class[term]
     order = np.lexsort((src, mid, klass))
     term, src, rest, amp_lower, klass, mid = (
         x[order] for x in (term, src, rest, amp_lower, klass, mid))
@@ -555,13 +549,13 @@ def _ladder(fock: FockBasis, target: FockBasis, lower: np.ndarray, create: np.nd
         np.take(src, entry, out=out[2][n:k])
         out[3][n:k] = value
         a, n = b, k
-    return [part[:n] for part in out]
+    return target, *(part[:n] for part in out)
 
 
 def _operator(fock: FockBasis, sets: np.ndarray, label: np.ndarray, weights) -> sp.csr_matrix:
     """Sparse sum of W[c, l] adag_c a_l over the sets c, l of each class, W =
     weights(sets of the class, same), the sets sorted by their class `label`."""
-    _, rows, cols, data = _ladder(fock, fock, sets, sets, label, label, weights)
+    _, _, rows, cols, data = _ladder(fock, fock, sets, sets, label, label, weights)
     indptr = np.searchsorted(rows, np.arange(fock.dim + 1))
     h = sp.csr_matrix((data, cols, indptr), shape=(fock.dim, fock.dim))
     h.sum_duplicates()
@@ -637,10 +631,11 @@ def hamiltonian_at(h: sp.spmatrix, basis: ModeBasis, fock: FockBasis, t0: float,
 # ---------------------------------------------------------------------------
 
 def sectors(basis: ModeBasis, fock: FockBasis) -> list:
-    """Row indices of every sector of the charges H conserves (one per
-    occupied (K, Pi) value without a field; all rows in one with a field)."""
+    """Row indices of every sector of the charges H conserves: one per
+    occupied (K, Pi) value without a field, all rows in one with a field."""
     key = np.zeros(fock.dim, dtype=np.int64)
-    for mode_charge, modulus in basis.charges():
+    charges = [(basis.mode_kx, basis.momentum_modulus), (basis.mode_parity, 2)]
+    for mode_charge, modulus in charges if basis.external is None else []:
         total = _row_sums(fock.occupations, mode_charge).astype(np.int64)
         total = total % modulus if modulus is not None else total - total.min()
         key = key * (total.max() + 1) + total
@@ -805,13 +800,10 @@ class ReducedDensity:
 
 def _lowered(state: ManyBodyState, lower: np.ndarray) -> tuple[FockBasis, np.ndarray]:
     """One row per row of `lower` (T, j): the (N-j)-particle vector
-    a_(lower[t, j-1]) ... a_(lower[t, 0]) psi."""
-    fock = state.fock
-    sub = FockBasis(fock.n_modes, fock.n_particles - lower.shape[1], fock.max_excitations,
-                    dim_cap=max(DEFAULT_DIM_CAP, fock.unrestricted_dim))
+    a_(lower[t, j-1]) ... a_(lower[t, 0]) psi on the rows the lowerings reach."""
     zero = np.zeros(len(lower), dtype=np.int64)
-    term, rows, cols, amp = _ladder(fock, sub, lower, np.zeros((1, 0), dtype=np.int64), zero,
-                                    zero[:1], lambda c, l: np.ones((1, len(l))))
+    sub, term, rows, cols, amp = _ladder(state.fock, None, lower, np.zeros((1, 0), dtype=np.int64),
+                                         zero, zero[:1], lambda c, l: np.ones((1, len(l))))
     vecs = np.zeros((len(lower), sub.dim), dtype=complex)
     vecs[term, rows] = amp * state.amplitudes[cols]
     return sub, vecs
@@ -908,9 +900,9 @@ class GridOracle:
         self.kin = (self.kx2[:, None, None, None] + self.ky2[None, :, None, None]
                     + self.kx2[None, None, :, None] + self.ky2[None, None, None, :])
         eps = self.point.epsilon
-        v1 = self.confinement.on_grid(self.y / eps) / eps**2
-        self.e0, self.tau = self._transverse_eig(v1)
-        v_one = v1 - self.e0
+        trap = _periodic_modes(self.confinement, eps, self.n_y, self.y_span)
+        self.e0, self.tau = trap.energy0, trap.chi
+        v_one = self.confinement.on_grid(self.y / eps) / eps**2 - self.e0
         dx = _minimal_image(self.x[:, None] - self.x[None, :], self.box_length)
         dy = _minimal_image(self.y[:, None] - self.y[None, :], self.y_span)
         rad = np.sqrt(dx[:, None, :, None] ** 2 + dy[None, :, None, :] ** 2)
@@ -918,15 +910,6 @@ class GridOracle:
         self.v_free = v_one[None, :, None, None] + v_one[None, None, None, :] + self.scaled(rad)
         if self.external is not None:
             self.field = self.external.profile(self.x[:, None], self.y[None, :], 0.0)
-
-    def _transverse_eig(self, v1):
-        kin = np.fft.ifft(self.ky2[:, None] * np.fft.fft(np.eye(self.n_y), axis=0), axis=0).real
-        ham = kin + np.diag(v1)
-        vals, vecs = eigh((ham + ham.T) / 2.0)
-        tau0 = vecs[:, 0] / math.sqrt(np.sum(vecs[:, 0] ** 2) * self.h_y)
-        if tau0[np.argmax(np.abs(tau0))] < 0:
-            tau0 = -tau0
-        return float(vals[0]), tau0
 
     def weight(self) -> float:
         return self.h_x * self.h_y

@@ -1,11 +1,15 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dimred import manybody
 from dimred.cli import main
+from dimred.config import DEFAULT_CONFIG_TEXT, Config, parse_kv_text
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 FAST_SWEEP = """
 sequence.beta = 0.5
@@ -42,8 +46,8 @@ def sweep_cfg(tmp_path):
 
 def test_transverse_json(capsys, tmp_path):
     cfg = tmp_path / "t.cfg"
-    cfg.write_text("confinement.name = harmonic\nconfinement.dimension = 1\n"
-                   "transverse.extent = 9.0\ntransverse.points = 2001\n")
+    cfg.write_text("confinement.name = harmonic\nmanybody.d_perp = 1\n"
+                   "manybody.transverse_extent = 9.0\nmanybody.transverse_points = 2001\n")
     rc = main(["transverse", "--config", str(cfg)])
     assert rc == 0
     data = json.loads(capsys.readouterr().out.splitlines()[0])
@@ -53,13 +57,39 @@ def test_transverse_json(capsys, tmp_path):
 
 def test_transverse_csv_dump(capsys, tmp_path):
     cfg = tmp_path / "t.cfg"
-    cfg.write_text("confinement.dimension = 1\ntransverse.points = 501\n"
-                   "transverse.extent = 7.0\n")
+    cfg.write_text("manybody.d_perp = 1\nmanybody.transverse_points = 501\n"
+                   "manybody.transverse_extent = 7.0\n")
     rc = main(["transverse", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     lines = (tmp_path / "o" / "chi.csv").read_text().splitlines()
     assert lines[0] == "y,chi"
     assert len(lines) == 502
+
+
+def test_transverse_prints_the_sweep_mode(capsys):
+    from dimred import harness
+    from dimred.config import ExperimentConfig
+
+    assert main(["transverse", "--config", str(DEFAULT_CFG)]) == 0
+    data = json.loads(capsys.readouterr().out.splitlines()[0])
+    env = ExperimentConfig.from_config(Config.from_file(DEFAULT_CFG))
+    mode = harness.sweep_inputs(env).unscaled_mode
+    assert data == {"energy0": mode.energy0, "gap": mode.gap, "quartic": mode.quartic}
+
+
+def test_cli_reads_only_default_table_keys(monkeypatch, tmp_path):
+    # a key outside the default table would silently take an inline default
+    table = set(parse_kv_text(DEFAULT_CONFIG_TEXT))
+    get = Config.get
+
+    def table_only(self, key, *args, **kwargs):
+        assert key in table or key.startswith("sequence."), key
+        return get(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(Config, "get", table_only)
+    assert main(["transverse", "--config", str(DEFAULT_CFG)]) == 0
+    assert main(["nls-evolve", "--config", str(DEFAULT_CFG), "--out", str(tmp_path),
+                 "--points", "64", "--dt", "0.002", "--t-final", "0.01", "--outputs", "1"]) == 0
 
 
 def test_nls_evolve_outputs(tmp_path):
@@ -207,6 +237,23 @@ def test_alpha_reads_capped_dump(capsys, tmp_path):
     data = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert len(data["probs"]) == 7
     assert sum(data["probs"]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("fault", ["repeated row", "extra particle", "missing amplitude"])
+def test_alpha_refuses_malformed_dump(capsys, tmp_path, fault):
+    fock = manybody.FockBasis(4, 3, 2)
+    occupations = fock.occupations.copy()
+    amplitudes = np.full(fock.dim - (fault == "missing amplitude"), fock.dim ** -0.5)
+    if fault == "repeated row":
+        occupations[1] = occupations[0]
+    elif fault == "extra particle":
+        occupations[0, 0] += 1
+    path = tmp_path / "bad.npz"
+    np.savez(path, occupations=occupations, amplitudes=amplitudes, time=0.0,
+             mode_my=np.zeros(4, dtype=np.int64), max_excitations=2)
+    assert main(["alpha", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_manybody_evolve_matches_shared_setup(tmp_path):

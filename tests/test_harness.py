@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from dimred import harness, manybody, nls, transverse
+from dimred import harness, manybody, nls, projectors, transverse
 from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
 from dimred.errors import ConfigError, InsufficientDataError
 
@@ -174,6 +174,36 @@ def test_default_sweep_states_match_expm_multiply():
         assert np.linalg.norm(psi_t - ref) < 1e-10, point.n_particles
 
 
+def test_default_n8_observables_lower_onto_the_rows_they_reach(monkeypatch):
+    # gamma and the counting moments lower the 158-row sector state of N = 8
+    # onto the 416 rows of N - 1 particles it reaches, not all 3654 capped
+    # ones, and enumerate no basis; embedded in every capped row the state
+    # gives the same matrices and counting measure
+    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    point = env.points()[-1]
+    setup = harness.point_setup(env, point, harness.sweep_inputs(env))
+    state = setup.evolve(env, 1).final
+    full = manybody.FockBasis(setup.basis.n_modes, 8, env.max_excitations, env.dim_cap)
+    embedded = np.zeros(full.dim, dtype=complex)
+    embedded[full.lookup(state.fock.occupations)] = state.amplitudes
+    on_all = manybody.ManyBodyState(full, embedded, state.time)
+    phi = np.exp(0.3j * np.arange(env.m_x) - 0.5 * (np.arange(env.m_x) - env.m_x // 2) ** 2)
+    proj = projectors.condensate_projector(setup.basis, phi / np.linalg.norm(phi))
+    refs = [manybody.reduced_density(on_all, k).matrix for k in (1, 2)]
+    ref_probs = projectors.counting_distribution(on_all, proj).probs
+    calls, init = [], manybody.FockBasis.__init__
+    monkeypatch.setattr(manybody.FockBasis, "__init__",
+                        lambda self, *args, **kw: calls.append(args) or init(self, *args, **kw))
+    assert point.n_particles == 8 and state.fock.dim == 158 and full.dim == 3654
+    assert manybody._lowered(state, np.arange(full.n_modes)[:, None])[0].dim == 416
+    for k, ref in zip((1, 2), refs):
+        assert np.max(np.abs(manybody.reduced_density(state, k).matrix - ref)) < 1e-14, k
+    got = projectors.counting_distribution(state, proj)
+    assert got.source == "moments"
+    assert np.max(np.abs(got.probs - ref_probs)) < projectors._moments_roundoff(8)
+    assert calls == []
+
+
 def test_default_points_run_in_their_momentum_sector():
     # without a field every default point runs on the rows of K = 0 and even
     # transverse parity, the sector of the condensate; its H is the exact
@@ -186,7 +216,6 @@ def test_default_points_run_in_their_momentum_sector():
         assert setup.fock.dim == (24 if n == 2 else 158), n
         assert np.all(setup.fock.occupations.astype(np.int64) @ setup.basis.mode_kx == 0)
         full = manybody.FockBasis(setup.basis.n_modes, n, env.max_excitations, env.dim_cap)
-        assert setup.fock.unrestricted_dim == full.dim
         # a brute-force (K, Pi) filter of the capped rows, one row at a time
         kx, parity = setup.basis.mode_kx.tolist(), setup.basis.mode_parity.tolist()
         sector = [row for row in full.occupations

@@ -83,12 +83,16 @@ def test_fock_lookup_roundtrip():
     assert fock.lookup(missing)[0] == -1
 
 
-def _brute_force_sector(fock, mode_kx, modulus, k_total):
-    """The rows of `fock` of total momentum k_total, summed one row at a time."""
+def _brute_force_sector(fock, charges):
+    """The rows of `fock` whose totals sum_a n_a q_a equal the given ones
+    (modulo the modulus, if any) for every (q, modulus, total) of `charges`,
+    summed one row at a time."""
     keep = []
     for row in fock.occupations:
-        off = sum(int(n) * int(k) for n, k in zip(row, mode_kx)) - k_total
-        if off == 0 if modulus is None else off % modulus == 0:
+        offs = [sum(int(n) * int(k) for n, k in zip(row, q)) - total
+                for q, _, total in charges]
+        if all(off == 0 if modulus is None else off % modulus == 0
+               for off, (_, modulus, _) in zip(offs, charges)):
             keep.append(row)
     return np.array(keep, dtype=np.uint8).reshape(-1, fock.n_modes)
 
@@ -100,14 +104,32 @@ def default_modes(setup):
     return manybody.build_basis(point, conf, None, sc, 9, 3, L, unscaled_mode=unscaled)
 
 
+def _sector_charges(basis, row):
+    """(q, modulus, total) of K and Pi at the totals of one occupation row."""
+    return [(q, modulus, int(row.astype(np.int64) @ q))
+            for q, modulus in ((basis.mode_kx, basis.momentum_modulus), (basis.mode_parity, 2))]
+
+
+def condensate_sector(basis, fock):
+    """The rows of the (K, Pi) sector of `fock` that holds the condensate row."""
+    at = fock.occupations[:, 0] == fock.n_particles
+    return fock.subset(next(rows for rows in manybody.sectors(basis, fock) if at[rows].any()))
+
+
 @pytest.mark.parametrize("n_particles, cap, dim", [(3, 3, 298), (8, 4, 1947)])
 def test_momentum_sector_matches_brute_force(default_modes, n_particles, cap, dim):
-    momentum = (default_modes.mode_kx, None, 0)
-    sector = manybody.FockBasis(27, n_particles, cap, charges=[momentum])
+    # each K = 0 sector is the brute-force filter of the capped rows; the two
+    # (even and odd Pi) hold `dim` rows together
     full = manybody.FockBasis(27, n_particles, cap)
-    assert sector.dim == dim and sector.unrestricted_dim == full.dim
-    assert np.array_equal(sector.occupations, _brute_force_sector(full, *momentum))
-    assert np.array_equal(sector.lookup(sector.occupations), np.arange(dim))
+    k_zero = 0
+    for rows in manybody.sectors(default_modes, full):
+        charges = _sector_charges(default_modes, full.occupations[rows[0]])
+        if charges[0][2] == 0:
+            sector = full.subset(rows)
+            assert np.array_equal(sector.occupations, _brute_force_sector(full, charges))
+            assert np.array_equal(sector.lookup(sector.occupations), np.arange(sector.dim))
+            k_zero += sector.dim
+    assert k_zero == dim
 
 
 def test_momentum_sectors_partition_grid_matched_basis():
@@ -120,14 +142,13 @@ def test_momentum_sectors_partition_grid_matched_basis():
     full = manybody.FockBasis(basis.n_modes, 3)
     h_full = manybody.hamiltonian(basis, full).tocsr()
     dims = []
-    for k_total in range(4):
-        momentum = (basis.mode_kx, basis.momentum_modulus, k_total)
-        sector = manybody.FockBasis(basis.n_modes, 3, charges=[momentum])
-        assert np.array_equal(sector.occupations, _brute_force_sector(full, *momentum))
-        shifted = manybody.FockBasis(basis.n_modes, 3,
-                                     charges=[momentum[:2] + (k_total - 4,)])
-        assert np.array_equal(shifted.occupations, sector.occupations)
-        rows = full.lookup(sector.occupations)
+    for rows in manybody.sectors(basis, full):
+        sector = full.subset(rows)
+        charges = _sector_charges(basis, sector.occupations[0])
+        assert np.array_equal(sector.occupations, _brute_force_sector(full, charges))
+        # a total off by the modulus names the same sector
+        shifted = [(q, modulus, total - modulus) for q, modulus, total in charges]
+        assert np.array_equal(_brute_force_sector(full, shifted), sector.occupations)
         rest = np.setdiff1d(np.arange(full.dim), rows)
         assert np.array_equal(manybody.hamiltonian(basis, sector).toarray(),
                               h_full[rows][:, rows].toarray())
@@ -136,22 +157,14 @@ def test_momentum_sectors_partition_grid_matched_basis():
     assert sum(dims) == full.dim
 
 
-def test_empty_momentum_sector_raises(default_modes):
-    with pytest.raises(DomainError):
-        manybody.FockBasis(27, 1, charges=[(default_modes.mode_kx, None, 5)])
-
-
-def test_reduced_density_of_a_sector_state(setup, monkeypatch):
-    # the lowered bases are unrestricted, so their size is judged against the
-    # enumerated count of the sector's basis, not against its dimension
+def test_reduced_density_of_a_sector_state(setup):
     _, _, _, _, basis = setup
-    sector = manybody.FockBasis(basis.n_modes, 3, charges=[(basis.mode_kx, None, 0)])
     full = manybody.FockBasis(basis.n_modes, 3)
+    sector = condensate_sector(basis, full)
     amps = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, sector.dim))
     amps /= np.linalg.norm(amps)
     embedded = np.zeros(full.dim, dtype=complex)
     embedded[full.lookup(sector.occupations)] = amps
-    monkeypatch.setattr(manybody, "DEFAULT_DIM_CAP", sector.dim)
     for k in (1, 2):
         got = manybody.reduced_density(manybody.ManyBodyState(sector, amps), k).matrix
         ref = manybody.reduced_density(manybody.ManyBodyState(full, embedded), k).matrix
@@ -485,19 +498,23 @@ def test_hamiltonian_matches_reference_kernel_on_grid_matched_pairs(pair_hamilto
 @pytest.mark.parametrize("sector", [False, True])
 def test_lowered_matches_reference_kernel(default_modes, sector):
     m = default_modes.n_modes
-    charges = [(default_modes.mode_kx, None, 0), (default_modes.mode_parity, 2, 0)]
-    fock = manybody.FockBasis(m, 5, max_excitations=3, charges=charges if sector else ())
+    fock = manybody.FockBasis(m, 5, max_excitations=3)
+    fock = condensate_sector(default_modes, fock) if sector else fock
     rng = np.random.default_rng(29)
     amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
     state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
     for lower in (np.arange(m)[:, None], np.column_stack(np.triu_indices(m))):
         sub, vecs = manybody._lowered(state, lower)
-        term, rows, cols, amp = _ladder(fock, sub, lower,
+        # the reference lowers into every capped row; `sub` holds those it reaches
+        capped = manybody.FockBasis(m, 5 - lower.shape[1], max_excitations=3)
+        term, rows, cols, amp = _ladder(fock, capped, lower,
                                         np.zeros((len(lower), 0), dtype=np.int64))
-        ref = np.zeros_like(vecs)
+        reached = np.unique(rows)
+        assert np.array_equal(sub.occupations, capped.occupations[reached])
+        ref = np.zeros((len(lower), capped.dim), dtype=complex)
         ref[term, rows] = amp * state.amplitudes[cols]
-        assert np.array_equal(vecs != 0, ref != 0)
-        assert np.max(np.abs(vecs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(vecs != 0, ref[:, reached] != 0)
+        assert np.max(np.abs(vecs - ref[:, reached])) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_hamiltonian_zero_interaction_is_one_body(setup):
@@ -938,8 +955,8 @@ def test_gamma2_of_two_particles_is_the_pair_state():
 @pytest.mark.parametrize("sector", [False, True])
 def test_two_mode_lowering_is_two_one_mode_lowerings(default_modes, sector):
     m = default_modes.n_modes
-    charges = [(default_modes.mode_kx, None, 0)] if sector else []
-    fock = manybody.FockBasis(m, 4, max_excitations=2, charges=charges)
+    fock = manybody.FockBasis(m, 4, max_excitations=2)
+    fock = condensate_sector(default_modes, fock) if sector else fock
     rng = np.random.default_rng(23)
     amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
     state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,23 +179,26 @@ def test_counting_general_orbital_against_dense_grouping():
 @pytest.mark.parametrize("cap", [1, 2])
 def test_counting_capped_state_against_untruncated_measure(cap):
     # a capped space is not invariant under n_phi; the measure must still be
-    # that of the same state in the full Fock space
+    # that of the same state in the full Fock space.  The same orbital without
+    # the condensate mode holds at most `cap` particles, so a(phi)^j psi
+    # reaches no row for j > cap.
     rng = np.random.default_rng(17 + cap)
     fock = manybody.FockBasis(5, 6, cap)
     assert fock.dim < manybody.symmetric_dimension(5, 6)
     phi = rng.normal(size=5) + 1j * rng.normal(size=5)
-    phi /= np.linalg.norm(phi)
-    proj = projectors.CondensateProjector(phi, np.zeros(5, dtype=np.int64))
     amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
     amps /= np.linalg.norm(amps)
     state = manybody.ManyBodyState(fock, amps)
-    expected = _uncapped_measure(fock, amps, phi)
-    dist = projectors.counting_distribution(state, proj)
-    assert dist.source == "moments"
-    assert np.max(np.abs(dist.probs - expected)) < 1e-12
-    k = np.arange(7)
-    assert projectors.alpha_n2_expectation(state, proj) == pytest.approx(
-        float(np.sum(k * expected)) / 6, abs=1e-12)
+    excited = np.concatenate([[0.0], phi[1:]])
+    for orbital in (phi / np.linalg.norm(phi), excited / np.linalg.norm(excited)):
+        proj = projectors.CondensateProjector(orbital, np.zeros(5, dtype=np.int64))
+        expected = _uncapped_measure(fock, amps, orbital)
+        dist = projectors.counting_distribution(state, proj)
+        assert dist.source == "moments"
+        assert np.max(np.abs(dist.probs - expected)) < 1e-12
+        k = np.arange(7)
+        assert projectors.alpha_n2_expectation(state, proj) == pytest.approx(
+            float(np.sum(k * expected)) / 6, abs=1e-12)
 
 
 def test_counting_moments_roundoff_bound_raises():
@@ -221,10 +225,13 @@ def test_counting_negative_atom_raises(monkeypatch):
 def test_general_orbital_counting_of_a_momentum_sector_state(cap):
     # n_phi of an orbital spread over two momenta leaves the K = 0 sector, so
     # the sector state must count as the same state on all capped rows
-    mode_kx = np.array([0, 0, 1, -1, 2, -2])
-    sector = manybody.FockBasis(6, 3, cap, charges=[(mode_kx, None, 0)])
+    modes = SimpleNamespace(mode_kx=np.array([0, 0, 1, -1, 2, -2]), momentum_modulus=None,
+                            mode_parity=np.zeros(6, dtype=np.int64), external=None)
     full = manybody.FockBasis(6, 3, cap)
-    assert sector.dim < full.dim
+    sector = full.subset(next(rows for rows in manybody.sectors(modes, full)
+                              if full.occupations[rows[0]].astype(np.int64) @ modes.mode_kx == 0))
+    k_zero = full.occupations[full.occupations.astype(np.int64) @ modes.mode_kx == 0]
+    assert sector.dim < full.dim and np.array_equal(sector.occupations, k_zero)
     amps = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, sector.dim))
     amps /= np.linalg.norm(amps)
     embedded = np.zeros(full.dim, dtype=complex)
