@@ -121,7 +121,7 @@ def cmd_manybody_evolve(args) -> int:
     traj = setup.evolve(env, args.outputs)
     out = _outdir(args, cfg)
     path = os.path.join(out, "manybody.csv")
-    proj = projectors.basis_mode_projector(basis.n_modes, 0, basis.mode_my)
+    proj = projectors.basis_mode_projector(basis.n_modes)
     with open(path, "w") as fh:
         fh.write("t,norm,energy,E_renormalized,condensate_fraction,"
                  "trace_distance_to_condensate\n")
@@ -148,17 +148,19 @@ def cmd_manybody_evolve(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    data = np.load(args.state)
-    occupations = data["occupations"]
-    amplitudes = data["amplitudes"]
+    try:
+        with np.load(args.state) as data:
+            time = float(data["time"])
+            occupations, amplitudes = data["occupations"], data["amplitudes"]
+    except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"cannot read state dump {args.state!r}: {exc}") from exc
     fock = manybody.FockBasis.from_rows(occupations)
     if amplitudes.shape != (fock.dim,):
         raise DomainError(f"dump holds {amplitudes.shape} amplitudes for {fock.dim} rows")
     amps = np.zeros(fock.dim, dtype=complex)
     amps[fock.lookup(occupations)] = amplitudes
-    state = manybody.ManyBodyState(fock, amps, float(data["time"]))
-    mode_my = data["mode_my"] if "mode_my" in data else np.zeros(fock.n_modes, dtype=np.int64)
-    proj = projectors.basis_mode_projector(fock.n_modes, args.mode, mode_my)
+    state = manybody.ManyBodyState(fock, amps, time)
+    proj = projectors.basis_mode_projector(fock.n_modes, args.mode)
     dist = projectors.counting_distribution(state, proj)
     a_n2 = projectors.alpha(state, projectors.make_weight("n2", fock.n_particles), proj)
     a_xi = projectors.alpha_xi(state, proj, args.energy_gap, 0.0, args.xi)
@@ -209,7 +211,7 @@ def cmd_aux_verify(args) -> int:
     wbar = auxiliary.quasi1d(scaled, tmode)
     report["wbar_evenness"] = wbar.evenness_defect()
     report["wbar_l1"] = wbar.l1()
-    hbar, _, hrep = auxiliary.build_h_bar(wbar, beta1=beta / 2.0,
+    hbar, _, hrep = auxiliary.build_h_bar(wbar, beta1=env.beta1,
                                           n_particles=point.n_particles, mu=scaled.range)
     report["hbar_boundary"] = max(hrep.boundary_left, hrep.boundary_right)
     report["hbar_sup_slope"] = hrep.sup_slope

@@ -47,34 +47,34 @@ class Config:
     def from_text(cls, text: str) -> "Config":
         return cls(parse_kv_text(text))
 
-    def get(self, key: str, default=None, required: bool = False) -> str:
+    def get(self, key: str, required: bool = False) -> str | None:
         """The entry for `key`; else the default table's entry (sequence.* keys
-        are never defaulted); else `default`, or ConfigError if `required`."""
+        are never defaulted); else None, or ConfigError if `required`."""
         if key in self._entries:
             return self._entries[key]
         if required:
             raise ConfigError(f"missing required key {key!r}")
-        return _FALLBACKS.get(key, default)
+        return _FALLBACKS.get(key)
 
-    def _convert(self, key, conv, default, required):
-        raw = self.get(key, None, required)
+    def _convert(self, key, conv, required):
+        raw = self.get(key, required)
         if raw is None:
-            return default
+            return None
         try:
             return conv(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from exc
 
-    def get_int(self, key, default=None, required=False) -> int:
-        return self._convert(key, lambda s: int(float(s)), default, required)
+    def get_int(self, key, required=False) -> int | None:
+        return self._convert(key, lambda s: int(float(s)), required)
 
-    def get_float(self, key, default=None, required=False) -> float:
-        return self._convert(key, float, default, required)
+    def get_float(self, key, required=False) -> float | None:
+        return self._convert(key, float, required)
 
-    def get_list(self, key, conv=str, default=None, required=False) -> list:
-        raw = self.get(key, None, required)
+    def get_list(self, key, conv=str, required=False) -> list:
+        raw = self.get(key, required)
         if raw is None:
-            return default if default is not None else []
+            return []
         try:
             return [conv(part.strip()) for part in raw.split(",") if part.strip()]
         except ValueError as exc:

@@ -158,17 +158,15 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
                                            h=setup.hamiltonian(cfg.t_final))
 
     # condensate projector at time T from the evolved NLS state
-    phi_coeffs = _phi_plane_wave_coefficients(phi_t, basis)
-    proj = projectors.condensate_projector(basis, phi_coeffs)
+    proj = projectors.condensate_projector(basis, phi_t)
     gamma = manybody.reduced_density(psi_t, 1).matrix
     p_mat = np.outer(proj.coeffs, np.conj(proj.coeffs))
     tdist = projectors.trace_distance(gamma, p_mat)
     a_xi = projectors.alpha_xi(psi_t, proj, e_psi_t, e_phi_t, cfg.xi)
     a_n2 = projectors.alpha_n2_expectation(psi_t, proj)
 
-    env_in = nls.envelope_inputs(external, e_psi0, e_phi0, cfg.t_final)
-    env = nls.envelope(env_in)
-    rate = scaling.theoretical_rate(point, scaling.RateInputs(cfg.xi, cfg.beta1, cfg.eta))
+    env = nls.envelope(external, e_psi0, e_phi0, cfg.t_final)
+    rate = scaling.theoretical_rate(point, cfg.eta)
     excited = manybody.transverse_excited_fraction(psi_t, basis)
     gamma_disc = auxiliary.discrepancy_gamma(basis.scaled, phi_t, basis.transverse).l2_norm
 
@@ -188,20 +186,6 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
         gronwall=nls.gronwall_envelope(env, cfg.t_final),
         gamma_discrepancy=gamma_disc,
     )
-
-
-def _phi_plane_wave_coefficients(phi: nls.CondensateState, basis: manybody.ModeBasis) -> np.ndarray:
-    """Coefficients of Phi over the basis plane waves e^(ikx)/sqrt(L).
-
-    The DFT runs over grid indices while the box is centered at 0, so the
-    index-k coefficient picks up (-1)^k relative to the physical wave.
-    """
-    c = phi.coefficients()          # Phi(x_j) = sum c_m e^(2 pi i m j / M)
-    out = np.zeros(len(basis.kx), dtype=complex)
-    for j, kint in enumerate(basis.kx):
-        out[j] = (c[int(kint) % phi.grid.points] * (-1.0) ** int(kint)
-                  * math.sqrt(basis.box_length))
-    return out
 
 
 def run_sweep(cfg: ExperimentConfig, out_path: str | None = None) -> SweepResult:

@@ -847,20 +847,6 @@ def renormalized_energy(state: ManyBodyState, basis: ModeBasis, t: float | None 
     return expectation(state, h) / state.fock.n_particles
 
 
-def condensate_coefficients(basis: ModeBasis, phi_x_coeffs: np.ndarray) -> np.ndarray:
-    """One-body coefficients of Phi (x) chi^eps_0 in the flat mode ordering.
-
-    phi_x_coeffs[j] multiplies the plane wave with integer momentum basis.kx[j].
-    """
-    c = np.zeros(basis.n_modes, dtype=complex)
-    for j, kint in enumerate(basis.kx):
-        c[basis.mode_index(int(kint), 0)] = phi_x_coeffs[j]
-    nrm = np.linalg.norm(c)
-    if nrm == 0:
-        raise DomainError("condensate coefficients vanish")
-    return c / nrm
-
-
 def transverse_excited_fraction(state: ManyBodyState, basis: ModeBasis) -> float:
     """||q^chi_1 psi|| = sqrt(sum_(my != 0) <n_a> / N)."""
     occ_exp = number_expectations(state)

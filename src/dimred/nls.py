@@ -176,43 +176,15 @@ def effective_energy(state: CondensateState, external: ExternalPotential | None,
     return kinetic + potential
 
 
-@dataclass(frozen=True)
-class EnvelopeInputs:
-    """Constituents of the energy envelope at a given time.
-
-    ``vpar_dot_l1_in_time`` is the accumulated integral of the sup norm of
-    dV/dt from 0 to the time of interest; ``vpar_mixed_sup`` the sup over
-    the mixed time/transverse derivatives of V.
-    """
-
-    e_psi0: float = 0.0
-    e_phi0: float = 0.0
-    vpar_dot_l1_in_time: float = 0.0
-    vpar_mixed_sup: float = 0.0
-
-    def __post_init__(self):
-        for name in ("e_psi0", "e_phi0", "vpar_dot_l1_in_time", "vpar_mixed_sup"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
-
-
-def envelope(inputs: EnvelopeInputs, t: float | None = None) -> float:
-    """e(t) >= 1 with e^2 = 1 + |E(0)| + |E_eff(0)| + int_0^t ||dV/dt||_inf + mixed sup."""
-    return math.sqrt(1.0 + inputs.e_psi0 + inputs.e_phi0
-                     + inputs.vpar_dot_l1_in_time + inputs.vpar_mixed_sup)
-
-
-def envelope_inputs(external: ExternalPotential | None, e_psi0: float, e_phi0: float,
-                    t: float) -> EnvelopeInputs:
-    """Assemble EnvelopeInputs at time t from potential metadata."""
-    if external is None:
-        return EnvelopeInputs(abs(e_psi0), abs(e_phi0), 0.0, 0.0)
-    return EnvelopeInputs(
-        abs(e_psi0),
-        abs(e_phi0),
-        external.time_derivative_sup * abs(t),
-        external.transverse_gradient_sup + external.mixed_derivative_sup,
-    )
+def envelope(external: ExternalPotential | None, e_psi0: float, e_phi0: float,
+             t: float) -> float:
+    """e(t) >= 1 with e^2 = 1 + |E(0)| + |E_eff(0)| + int_0^t ||dV/dt||_inf + mixed sup,
+    the mixed sup taken over the transverse and the time/transverse derivatives of V."""
+    dot, mixed = 0.0, 0.0
+    if external is not None:
+        dot = external.time_derivative_sup * abs(t)
+        mixed = external.transverse_gradient_sup + external.mixed_derivative_sup
+    return math.sqrt(1.0 + abs(e_psi0) + abs(e_phi0) + dot + mixed)
 
 
 def gronwall_envelope(env: float, t: float) -> float:

@@ -311,8 +311,8 @@ def gaussian_well(depth: float = 1.0, width: float = 2.0, tilt: float = 0.0) -> 
         x = np.asarray(x, dtype=float)
         return -depth * np.exp(-(x / width) ** 2) * (1.0 + tilt * (y1 + y2))
 
-    grad = depth * abs(tilt) if tilt else 0.0
-    return ExternalPotential("gaussian_well", g, depth * (1 + abs(tilt)), 0.0, grad)
+    grad = abs(depth * tilt) if tilt else 0.0
+    return ExternalPotential("gaussian_well", g, abs(depth) * (1 + abs(tilt)), 0.0, grad)
 
 
 def driven_well(depth: float = 1.0, width: float = 2.0, omega: float = 1.0) -> ExternalPotential:
@@ -321,8 +321,8 @@ def driven_well(depth: float = 1.0, width: float = 2.0, omega: float = 1.0) -> E
     def g(x, y1, y2):
         return -depth * np.exp(-(np.asarray(x, dtype=float) / width) ** 2)
 
-    return ExternalPotential("driven_well", g, 1.5 * depth, 0.5 * depth * omega, 0.0,
-                             mixed_derivative_sup=0.5 * depth * omega,
+    return ExternalPotential("driven_well", g, 1.5 * abs(depth), 0.5 * abs(depth * omega), 0.0,
+                             mixed_derivative_sup=0.5 * abs(depth * omega),
                              modulation=lambda t: 1.0 + 0.5 * math.sin(omega * t))
 
 

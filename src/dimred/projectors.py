@@ -1,7 +1,10 @@
 """Counting projectors, weighted counting operators, and alpha functionals.
 
 P_k projects an N-boson state onto the subspace with exactly k particles
-outside the condensate orbital.  Three evaluation routes are implemented:
+outside the condensate orbital.  `condensate_projector` builds that orbital,
+Phi (x) chi^eps_0, from the NLS state Phi itself; the counting functionals
+read its unit coefficient vector alone.  Three evaluation routes are
+implemented:
 
 * sector readout, exact, when the orbital is an occupation mode;
 * factorial moments F_j = |a(phi)^j psi|^2 / j! of the condensate number
@@ -25,13 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, SizeError, ToleranceError
-from .manybody import (
-    ManyBodyState,
-    ModeBasis,
-    _lowered,
-    condensate_coefficients,
-    reduced_density,
-)
+from .manybody import ManyBodyState, ModeBasis, _lowered, reduced_density
+from .nls import CondensateState
 
 MOMENTS_ROUNDOFF_LIMIT = 1e-10
 
@@ -171,33 +169,45 @@ def weight_norm_checks(n_particles: int, xi: float) -> WeightNormReport:
 
 @dataclass(frozen=True)
 class CondensateProjector:
-    """Reference orbital in the active mode basis, with its longitudinal and
-    transverse factors retained for p^Phi / p^chi questions."""
+    """Reference orbital as a unit vector over the flat modes of a basis."""
 
-    coeffs: np.ndarray            # unit vector over the flat modes
-    mode_my: np.ndarray           # transverse index per mode (chi factor is my = 0)
-    basis_mode: int | None = None  # set when the orbital IS a basis mode
+    coeffs: np.ndarray
 
     def __post_init__(self):
         nrm = np.linalg.norm(self.coeffs)
         if abs(nrm - 1.0) > 1e-10:
             raise DomainError(f"reference orbital must be normalized, |phi| = {nrm}")
 
+    @property
+    def basis_mode(self) -> int | None:
+        """The mode the orbital is, if it has a single entry above 1e-14;
+        the counting functionals then read occupations instead of lowering."""
+        nz = np.flatnonzero(np.abs(self.coeffs) > 1e-14)
+        return int(nz[0]) if len(nz) == 1 else None
 
-def basis_mode_projector(n_modes: int, index: int = 0,
-                         mode_my: np.ndarray | None = None) -> CondensateProjector:
+
+def basis_mode_projector(n_modes: int, index: int = 0) -> CondensateProjector:
     c = np.zeros(n_modes, dtype=complex)
     c[index] = 1.0
-    my = mode_my if mode_my is not None else np.zeros(n_modes, dtype=np.int64)
-    return CondensateProjector(c, my, basis_mode=index)
+    return CondensateProjector(c)
 
 
-def condensate_projector(basis: ModeBasis, phi_x_coeffs: np.ndarray) -> CondensateProjector:
-    """Projector onto Phi (x) chi^eps_0 given plane-wave coefficients of Phi."""
-    coeffs = condensate_coefficients(basis, phi_x_coeffs)
-    nz = np.nonzero(np.abs(coeffs) > 1e-14)[0]
-    mode = int(nz[0]) if len(nz) == 1 else None
-    return CondensateProjector(coeffs, basis.mode_my, basis_mode=mode)
+def condensate_projector(basis: ModeBasis, phi: CondensateState) -> CondensateProjector:
+    """Projector onto Phi (x) chi^eps_0: Phi's coefficients over the plane
+    waves e^(ikx)/sqrt(L) on the transverse ground modes, normalized.
+
+    The DFT runs over grid indices while the box is centred at 0, so the
+    index-k coefficient picks up (-1)^k relative to the physical wave.
+    """
+    ground = basis.mode_my == 0
+    k = basis.mode_kx[ground]
+    coeffs = np.zeros(basis.n_modes, dtype=complex)
+    coeffs[ground] = (phi.coefficients()[k % phi.grid.points] * (-1.0) ** k
+                      * math.sqrt(basis.box_length))
+    nrm = np.linalg.norm(coeffs)
+    if nrm == 0:
+        raise DomainError("condensate coefficients vanish")
+    return CondensateProjector(coeffs / nrm)
 
 
 @dataclass(frozen=True)

@@ -140,21 +140,6 @@ def power_law_window(beta: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class RateInputs:
-    xi: float
-    beta1: float
-    eta: float
-
-    def validate_for(self, beta: float) -> None:
-        if not (0.0 < self.xi <= beta / 4.0):
-            raise DomainError(f"xi must lie in (0, beta/4] = (0, {beta/4}], got {self.xi!r}")
-        if not (0.0 < self.beta1 <= beta):
-            raise DomainError(f"beta1 must lie in (0, beta] = (0, {beta}], got {self.beta1!r}")
-        if self.eta <= 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta!r}")
-
-
-@dataclass(frozen=True)
 class RateBreakdown:
     total: float
     confinement_term: float      # mu/eps
@@ -163,16 +148,17 @@ class RateBreakdown:
     coupling_term: float         # (N/eps^2)^(-eta)
 
 
-def theoretical_rate(point: ScalingPoint, rate: RateInputs) -> RateBreakdown:
+def theoretical_rate(point: ScalingPoint, eta: float) -> RateBreakdown:
     """Unit-constant sum of the four optimized rate terms.
 
     R = mu/eps + (eps^2/mu)^(1/2) + N^(-beta/4) + (N/eps^2)^(-eta).
     Constants hidden by the estimates are left to the sweep harness, which
     fits them by regression.
     """
-    rate.validate_for(point.beta)
+    if eta <= 0.0:
+        raise DomainError(f"eta must be positive, got {eta!r}")
     t1 = point.mu_over_eps
     t2 = math.sqrt(point.eps2_over_mu)
     t3 = float(point.n_particles) ** (-point.beta / 4.0)
-    t4 = point.density_scale ** (-rate.eta)
+    t4 = point.density_scale ** (-eta)
     return RateBreakdown(t1 + t2 + t3 + t4, t1, t2, t3, t4)

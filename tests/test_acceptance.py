@@ -85,7 +85,7 @@ def test_criterion_2_rate_bridge():
     for _ in range(40):
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)
         phi /= np.linalg.norm(phi)
-        proj = projectors.CondensateProjector(phi, np.zeros(4, dtype=np.int64))
+        proj = projectors.CondensateProjector(phi)
         amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
         if not projectors.rate_bridge(state, proj).holds:

@@ -176,6 +176,19 @@ def test_aux_verify(capsys, tmp_path):
     assert data["hbar_boundary"] < 1e-10
 
 
+def test_aux_verify_reads_rate_beta1(capsys, monkeypatch, tmp_path):
+    from dimred import auxiliary
+
+    seen = []
+    build = auxiliary.build_h_bar
+    monkeypatch.setattr(auxiliary, "build_h_bar",
+                        lambda wbar, beta1, **kw: seen.append(beta1) or build(wbar, beta1, **kw))
+    path = tmp_path / "beta1.cfg"
+    path.write_text(DEFAULT_CFG.read_text().replace("rate.beta1 = 0.25", "rate.beta1 = 0.2"))
+    assert main(["aux-verify", "--config", str(path)]) == 0
+    assert seen == [0.2]
+
+
 def test_sweep_command(capsys, sweep_cfg, tmp_path):
     rc = main(["sweep", "--config", str(sweep_cfg)])
     assert rc == 0
@@ -239,7 +252,9 @@ def test_alpha_reads_capped_dump(capsys, tmp_path):
     assert sum(data["probs"]) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("fault", ["repeated row", "extra particle", "missing amplitude"])
+@pytest.mark.parametrize("fault", ["repeated row", "extra particle", "missing amplitude",
+                                   "no file", "not an npz", "an npy array", "no time",
+                                   "no occupations", "no amplitudes"])
 def test_alpha_refuses_malformed_dump(capsys, tmp_path, fault):
     fock = manybody.FockBasis(4, 3, 2)
     occupations = fock.occupations.copy()
@@ -248,9 +263,17 @@ def test_alpha_refuses_malformed_dump(capsys, tmp_path, fault):
         occupations[1] = occupations[0]
     elif fault == "extra particle":
         occupations[0, 0] += 1
+    arrays = dict(occupations=occupations, amplitudes=amplitudes, time=0.0,
+                  mode_my=np.zeros(4, dtype=np.int64), max_excitations=2)
+    arrays.pop(fault.removeprefix("no "), None)
     path = tmp_path / "bad.npz"
-    np.savez(path, occupations=occupations, amplitudes=amplitudes, time=0.0,
-             mode_my=np.zeros(4, dtype=np.int64), max_excitations=2)
+    if fault == "not an npz":
+        path.write_text("t,norm\n0,1\n")
+    elif fault == "an npy array":
+        with open(path, "wb") as fh:
+            np.save(fh, amplitudes)
+    elif fault != "no file":
+        np.savez(path, **arrays)
     assert main(["alpha", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

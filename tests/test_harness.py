@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from dimred import harness, manybody, nls, projectors, transverse
+from dimred import harness, manybody, nls, potentials, projectors, transverse
 from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
 from dimred.errors import ConfigError, InsufficientDataError
 
@@ -69,9 +69,11 @@ def test_config_requires_sequence():
 
 
 def test_config_validates_rate_inputs():
-    bad = FAST_SWEEP.replace("rate.xi = 0.1", "rate.xi = 0.2")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_config(Config.from_text(bad))
+    # beta = 0.5: xi must lie in (0, beta/4], beta1 in (0, beta]
+    for good, bad in (("rate.xi = 0.1", "rate.xi = 0.2"),
+                      ("rate.beta1 = 0.25", "rate.beta1 = 0.6")):
+        with pytest.raises(ConfigError, match=bad.split(" = ")[0]):
+            ExperimentConfig.from_config(Config.from_text(FAST_SWEEP.replace(good, bad)))
 
 
 def test_default_config_parses():
@@ -188,7 +190,9 @@ def test_default_n8_observables_lower_onto_the_rows_they_reach(monkeypatch):
     embedded[full.lookup(state.fock.occupations)] = state.amplitudes
     on_all = manybody.ManyBodyState(full, embedded, state.time)
     phi = np.exp(0.3j * np.arange(env.m_x) - 0.5 * (np.arange(env.m_x) - env.m_x // 2) ** 2)
-    proj = projectors.condensate_projector(setup.basis, phi / np.linalg.norm(phi))
+    coeffs = np.zeros(setup.basis.n_modes, dtype=complex)
+    coeffs[[setup.basis.mode_index(int(k), 0) for k in setup.basis.kx]] = phi
+    proj = projectors.CondensateProjector(coeffs / np.linalg.norm(coeffs))
     refs = [manybody.reduced_density(on_all, k).matrix for k in (1, 2)]
     ref_probs = projectors.counting_distribution(on_all, proj).probs
     calls, init = [], manybody.FockBasis.__init__
@@ -382,13 +386,33 @@ def test_phi_plane_wave_coefficients_match_sampling():
                                  unscaled_mode=unscaled)
     grid = nls.Grid1D(length, 64)
     mix = nls.normalized(grid, np.exp(1j * grid.x) + 0.5 * np.exp(-2j * grid.x) + 0.3)
-    coeffs = harness._phi_plane_wave_coefficients(mix, basis)
+    coeffs = projectors.condensate_projector(basis, mix).coeffs
     direct = np.array([
         np.vdot(np.exp(1j * 2.0 * math.pi * k * grid.x / length) / math.sqrt(length),
                 mix.values) * grid.spacing
         for k in basis.kx
     ])
-    assert coeffs == pytest.approx(direct, abs=1e-12)
+    ground = [basis.mode_index(int(k), 0) for k in basis.kx]
+    assert coeffs[ground] == pytest.approx(direct / np.linalg.norm(direct), abs=1e-12)
+    assert np.all(np.delete(coeffs, ground) == 0.0)
+
+
+def test_condensate_projector_is_a_basis_mode_only_for_one_plane_wave():
+    # the uniform Phi(T) of the default N = 8 point is the condensate mode, so
+    # its counting functionals read occupations; a mixed Phi is no basis mode
+    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    point = env.points()[-1]
+    basis = harness.point_setup(env, point, harness.sweep_inputs(env)).basis
+    grid = nls.Grid1D(env.box_length, env.nls_points)
+    b_eff = potentials.effective_coupling(basis.scaled, basis.transverse.quartic)
+    phi_t = nls.evolve(nls.plane_wave(grid, 0), None, b_eff, env.nls_dt, env.t_final,
+                       n_outputs=1).final
+    assert point.n_particles == 8 and phi_t.time == pytest.approx(env.t_final)
+    assert projectors.condensate_projector(basis, phi_t).basis_mode == 0
+    mix = nls.normalized(grid, np.exp(1j * grid.x) + 0.3)
+    assert projectors.condensate_projector(basis, mix).basis_mode is None
+    for index in (0, 5, basis.n_modes - 1):
+        assert projectors.basis_mode_projector(basis.n_modes, index).basis_mode == index
 
 
 def test_sweep_with_external_well():

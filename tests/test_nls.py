@@ -77,23 +77,29 @@ def test_strang_self_convergence_order(grid):
 
 
 def test_envelope_values():
-    assert nls.envelope(nls.EnvelopeInputs()) == pytest.approx(1.0)
-    assert nls.envelope(nls.EnvelopeInputs(1.0, 1.0, 0.0, 0.0)) == pytest.approx(math.sqrt(3.0))
-    with pytest.raises(DomainError):
-        nls.EnvelopeInputs(e_psi0=-1.0)
+    assert nls.envelope(None, 0.0, 0.0, 5.0) == 1.0
+    # the energies enter by magnitude
+    assert nls.envelope(None, 1.0, -1.0, 0.0) == pytest.approx(math.sqrt(3.0))
+    # the sweep CSVs depend on this summation order
+    ext = potentials.external_by_name("driven_well")
+    assert nls.envelope(ext, -0.3, 0.2, -2.0) == math.sqrt(
+        1.0 + 0.3 + 0.2 + ext.time_derivative_sup * 2.0
+        + (ext.transverse_gradient_sup + ext.mixed_derivative_sup))
 
 
 def test_envelope_constant_for_static_potential():
     ext = potentials.gaussian_well(depth=1.0)
-    vals = [nls.envelope(nls.envelope_inputs(ext, 0.3, 0.2, t)) for t in (0.0, 1.0, 7.0)]
+    vals = [nls.envelope(ext, 0.3, 0.2, t) for t in (0.0, 1.0, 7.0)]
     assert max(vals) - min(vals) == 0.0
 
 
 def test_envelope_grows_for_driven_potential():
     ext = potentials.external_by_name("driven_well")
-    e1 = nls.envelope(nls.envelope_inputs(ext, 0.0, 0.0, 1.0))
-    e2 = nls.envelope(nls.envelope_inputs(ext, 0.0, 0.0, 5.0))
+    e1 = nls.envelope(ext, 0.0, 0.0, 1.0)
+    e2 = nls.envelope(ext, 0.0, 0.0, 5.0)
     assert e2 > e1 >= 1.0
+    # the sup norms of a field are magnitudes, whatever the signs of depth and omega
+    assert nls.envelope(potentials.driven_well(depth=-1.0, omega=-1.0), 0.0, 0.0, 5.0) == e2
 
 
 def test_norm_report_plane_wave(grid):
@@ -118,7 +124,7 @@ def test_h1_bounded_by_envelope_static(grid):
     b = 1.0
     state = nls.gaussian_state(grid, width=2.0)
     e_phi0 = nls.effective_energy(state, None, b)
-    env = nls.envelope(nls.envelope_inputs(None, 0.0, e_phi0, 0.0))
+    env = nls.envelope(None, 0.0, e_phi0, 0.0)
     traj = nls.evolve(state, None, b, 1e-3, 1.0, n_outputs=10)
     for s in traj.states:
         assert nls.norm_report(s).h1 <= env + 1e-9

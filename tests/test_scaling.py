@@ -92,7 +92,7 @@ def test_power_law_window_examples():
 
 def test_theoretical_rate_example():
     p = scaling.make_point(10**4, 1e-4, 0.5)
-    r = scaling.theoretical_rate(p, scaling.RateInputs(0.125, 0.5, 1.0))
+    r = scaling.theoretical_rate(p, 1.0)
     assert r.confinement_term == pytest.approx(1e-2, rel=1e-12)
     assert r.reduction_term == pytest.approx(1e-1, rel=1e-12)
     assert r.particle_term == pytest.approx(10**-0.5, rel=1e-12)
@@ -102,25 +102,24 @@ def test_theoretical_rate_example():
 
 def test_theoretical_rate_eta_limit():
     p = scaling.make_point(10**4, 1e-4, 0.5)
-    big = scaling.theoretical_rate(p, scaling.RateInputs(0.1, 0.5, 50.0))
+    big = scaling.theoretical_rate(p, 50.0)
     assert big.coupling_term < 1e-300
     assert big.total == pytest.approx(
         big.confinement_term + big.reduction_term + big.particle_term, rel=1e-14)
 
 
 def test_theoretical_rate_decreases_along_admissible_sequence():
-    inputs = scaling.RateInputs(0.1, 0.5, 1.0)
     seq = scaling.power_law_sequence(0.5, 1.0, [10**2, 10**3, 10**4, 10**5])
-    totals = [scaling.theoretical_rate(p, inputs).total for p in seq.points]
+    totals = [scaling.theoretical_rate(p, 1.0).total for p in seq.points]
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
 def test_rate_inputs_validation():
+    # xi and beta1 are checked at config load (test_config_validates_rate_inputs)
     p = scaling.make_point(100, 0.1, 0.4)
-    with pytest.raises(DomainError):
-        scaling.theoretical_rate(p, scaling.RateInputs(0.2, 0.3, 1.0))  # xi > beta/4
-    with pytest.raises(DomainError):
-        scaling.theoretical_rate(p, scaling.RateInputs(0.05, 0.5, 1.0))  # beta1 > beta
+    for eta in (0.0, -1.0):
+        with pytest.raises(DomainError, match="eta"):
+            scaling.theoretical_rate(p, eta)
 
 
 @given(
