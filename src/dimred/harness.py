@@ -399,13 +399,15 @@ def verify_all(seed: int = 0) -> VerificationReport:
     coeffs = u.conj().T @ (orb.ravel() * math.sqrt(oracle.weight()))
     fock2 = manybody.FockBasis(basis2.n_modes, 2, dim_cap=10**5)
     st2 = manybody.product_state(fock2, coeffs)
-    mode_final = manybody.evolve(st2, basis2, 0.01, 0.2, n_outputs=1, krylov_tol=1e-11).final
+    traj2 = manybody.evolve(st2, basis2, 0.01, 0.2, n_outputs=1, krylov_tol=1e-11)
     psi_t = oracle.evolve(oracle.product_state(phi_x), 2e-4, 0.2)
     g_grid = oracle.gamma1(psi_t)
     g_modes = manybody.gamma_modes_to_grid(
-        basis2, manybody.reduced_density(mode_final, 1).matrix, oracle)
-    rep.add("manybody", "two_body_oracle_trace_distance",
-            projectors.trace_distance(g_grid, g_modes), 1e-6)
+        basis2, manybody.reduced_density(traj2.final, 1).matrix, oracle)
+    td2 = projectors.trace_distance(g_grid, g_modes)
+    rep.add("manybody", "two_body_oracle_trace_distance", td2, 1e-6)
+    rep.add("manybody", "dropped_sector_norm", traj2.dropped_norm, 1e-11,
+            passed=traj2.dropped_norm <= 1e-11 and td2 <= 1e-6)
 
     # its (K, Pi) sectors partition the rows, and their blocks, each built
     # alone, hold all of the sparse H

@@ -22,8 +22,8 @@ K = sum_a n_a k_a (mod n_x on a grid-matched basis) and, for an even trap and
 a radial w, the transverse parity Pi = (-1)^(sum_a n_a p_a)
 (``ModeBasis.mode_parity``; both builders zero the pair elements that change
 Pi), so each (K, Pi) sector is an exact block of H.  ``evolve`` propagates
-each sector on its own block with one Lanczos exponential (``lanczos_expm``;
-``expm_multiply`` is a test oracle).
+each sector above the Krylov floor on its own block with one Lanczos
+exponential (``lanczos_expm``; ``expm_multiply`` is a test oracle).
 
 One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
 it lowers each row by each lower set it holds and raises each distinct
@@ -126,16 +126,18 @@ class FockBasis:
             raise DomainError(f"need rows of counts 0..255 over >= 2 modes, got {occ.shape}")
         counts = occ.sum(axis=1, dtype=np.int64)
         n_particles = int(counts[0]) if n_particles is None and len(occ) else n_particles
-        packed = cls._pack(occ)
-        order = np.argsort(packed)
         if n_particles is None or np.any(counts != n_particles):
             raise DomainError(f"occupation rows hold {sorted(set(counts.tolist()))} particles")
-        if np.any(packed[order[1:]] == packed[order[:-1]]):
-            raise DomainError("occupation rows repeat")
+        # strictly ascending rows are sorted and distinct: only others are sorted
+        step = np.diff(occ.astype(np.int16), axis=0)
+        if not np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0):
+            occ = occ[np.argsort(cls._pack(occ))]
+            if np.any(np.all(occ[1:] == occ[:-1], axis=1)):
+                raise DomainError("occupation rows repeat")
         fock = cls.__new__(cls)
         fock.n_modes, fock.n_particles, fock.dim = occ.shape[1], n_particles, len(occ)
-        fock.occupations = np.ascontiguousarray(occ[order], dtype=np.uint8)
-        fock._packed = packed[order]
+        fock.occupations = np.array(occ, dtype=np.uint8, order="C")    # not the caller's array
+        fock._packed = cls._pack(fock.occupations)
         return fock
 
     @staticmethod
@@ -667,18 +669,17 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
     """exp(-1j dt H) v for Hermitian H given by its action.
 
     Each Krylov space (at most m_max vectors) grows until it breaks down or
-    reaches the error budget tol * h / dt for the rest h of the interval.  If
-    it does not reach it, it advances by the largest h = rest / 2^k it does
-    reach, and the next space starts from the advanced vector: a shorter step
-    reuses the basis.  The vectors are the rows of one (m_max, n) array; each
-    new one is reorthogonalized against all before it by two block classical
-    Gram-Schmidt passes (CGS2), and LAPACK dstev diagonalizes the tridiagonal.
+    reaches the error budget tol * h / dt for the rest h of the interval, by
+    Saad's a-posteriori estimate, tested at every 4th vector, at a breakdown
+    and at m_max.  If it does not reach it, it advances by the largest
+    h = rest / 2^k it does reach, and the next space starts from the advanced
+    vector: a shorter step reuses the basis.  The vectors are the rows of one
+    (m_max, n) array; each new one is reorthogonalized against all before it
+    by two block classical Gram-Schmidt passes (CGS2).  LAPACK dstev
+    diagonalizes the tridiagonal once per test; every h reuses the last one.
     """
     def expm_e1(m, h):
-        # exp(-1j h T) e_1, and whether the estimate |beta_m h y_m| is in budget
-        evals, evecs, info = dstev(alphas[:m], betas[:max(m - 1, 1)])
-        if info:
-            raise ToleranceError(f"dstev failed on the Lanczos tridiagonal (info = {info})")
+        # exp(-1j h T) e_1 by the last dstev, and whether |beta_m h y_m| is in budget
         y = evecs @ (np.exp(-1j * h * evals) * evecs[0])
         return y, betas[m - 1] < 1e-14 or abs(betas[m - 1] * h * y[-1]) < tol * (h / dt)
 
@@ -703,8 +704,12 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
                 w -= (krylov @ w.conj()).conj() @ krylov
             betas[m] = np.linalg.norm(w)
             m += 1
-            if m == m_max or expm_e1(m, rest)[1]:
-                break
+            if m % 4 == 0 or m == m_max or betas[m - 1] < 1e-14:
+                evals, evecs, info = dstev(alphas[:m], betas[:max(m - 1, 1)])
+                if info:
+                    raise ToleranceError(f"dstev failed on the Lanczos tridiagonal (info = {info})")
+                if m == m_max or expm_e1(m, rest)[1]:
+                    break
             vecs[m] = w / betas[m - 1]
         for k in range(31):
             h = rest / 2**k
@@ -722,6 +727,7 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
 @dataclass
 class ManyBodyTrajectory(Trajectory):
     norm_drift: float = 0.0
+    dropped_norm: float = 0.0     # l2 norm of the sectors below the Krylov floor (``evolve``)
 
 
 def _shifted_product(apply_h, g: sp.spmatrix, shift: float, x: np.ndarray) -> np.ndarray:
@@ -739,6 +745,11 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
     cut from a prebuilt `h` = H(t0), or else assembled on the sector's rows
     alone.  A time-dependent field takes midpoint-frozen steps of dt (whole
     per interval) on H(t0) + (f(t_mid) - f(t0)) G, G built once per sector.
+
+    The Krylov budget krylov_tol ||psi|| covers the whole state: a sector of
+    norm <= krylov_tol ||psi|| / sqrt(S), S the sector count, is neither built
+    nor propagated and reads zero later.  Blocks conserve sector norms, so the
+    dropped norm (``dropped_norm``) is that of those sectors, <= krylov_tol ||psi||.
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
@@ -753,9 +764,12 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
         if abs(steps * dt - out_dt) > 1e-9 * max(1.0, t_final):
             raise DomainError("each output interval must be a whole number of dt steps")
         f = basis.external.strength
-    psi = np.empty((n_outputs + 1, fock.dim), dtype=complex)
+    psi = np.zeros((n_outputs + 1, fock.dim), dtype=complex)
     psi[0] = state.amplitudes
-    for rows in sectors(basis, fock):
+    blocks = sectors(basis, fock)
+    norms = np.array([np.linalg.norm(psi[0, rows]) for rows in blocks])
+    kept = norms > krylov_tol * state.norm / math.sqrt(len(blocks))
+    for rows in (rows for rows, keep in zip(blocks, kept) if keep):
         block = _sector_block(basis, fock, rows, h, state.time)
         apply = block.dot if sp.issparse(block) else partial(_real_block_product, block)
         if driven:
@@ -769,7 +783,7 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
                     apply_step = partial(_shifted_product, apply, g, shift)
                 v = lanczos_expm(apply_step, v, step, tol=krylov_tol)
             psi[j + 1, rows] = v
-    traj = ManyBodyTrajectory()
+    traj = ManyBodyTrajectory(dropped_norm=float(np.linalg.norm(norms[~kept])))
     traj.record(state)
     for j in range(1, n_outputs + 1):
         t = state.time + j * out_dt

@@ -187,6 +187,8 @@ class CondensateProjector:
 
 
 def basis_mode_projector(n_modes: int, index: int = 0) -> CondensateProjector:
+    if not 0 <= index < n_modes:
+        raise DomainError(f"mode {index} is outside [0, {n_modes})")
     c = np.zeros(n_modes, dtype=complex)
     c[index] = 1.0
     return CondensateProjector(c)

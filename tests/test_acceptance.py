@@ -259,17 +259,17 @@ def test_criterion_7_two_body_cross_validation():
     coeffs = u.conj().T @ (orb.ravel() * math.sqrt(oracle.weight()))
     fock = manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5)
     st0 = manybody.product_state(fock, coeffs)
-    mode_final = manybody.evolve(st0, basis, 0.01, 0.5, n_outputs=1,
-                                 krylov_tol=1e-11).final
+    traj = manybody.evolve(st0, basis, 0.01, 0.5, n_outputs=1, krylov_tol=1e-11)
     psi_t = oracle.evolve(oracle.product_state(phi_x), 2e-4, 0.5)
     g_grid = oracle.gamma1(psi_t)
     g_modes = manybody.gamma_modes_to_grid(
-        basis, manybody.reduced_density(mode_final, 1).matrix, oracle)
+        basis, manybody.reduced_density(traj.final, 1).matrix, oracle)
     td = projectors.trace_distance(g_grid, g_modes)
     elapsed = time.time() - t0
-    ok = td < 1e-6 and elapsed < 600.0
+    ok = td < 1e-6 and traj.dropped_norm <= 1e-11 and elapsed < 600.0
     assert report(7, "two-body cross-validation", ok,
-                  f"(trace distance {td:.2e}, {elapsed:.1f}s)")
+                  f"(trace distance {td:.2e}, dropped norm {traj.dropped_norm:.1e}, "
+                  f"{elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_alpha_reads_capped_dump(capsys, tmp_path):
 
 @pytest.mark.parametrize("fault", ["repeated row", "extra particle", "missing amplitude",
                                    "no file", "not an npz", "an npy array", "no time",
-                                   "no occupations", "no amplitudes"])
+                                   "no occupations", "no amplitudes", "mode -1", "mode 9"])
 def test_alpha_refuses_malformed_dump(capsys, tmp_path, fault):
     fock = manybody.FockBasis(4, 3, 2)
     occupations = fock.occupations.copy()
@@ -274,7 +274,8 @@ def test_alpha_refuses_malformed_dump(capsys, tmp_path, fault):
             np.save(fh, amplitudes)
     elif fault != "no file":
         np.savez(path, **arrays)
-    assert main(["alpha", str(path)]) == 1
+    mode = ["--mode", fault.removeprefix("mode ")] if fault.startswith("mode ") else []
+    assert main(["alpha", str(path), *mode]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
