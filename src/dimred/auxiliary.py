@@ -137,22 +137,13 @@ class BallGreenData:
 
 
 def build_h_epsilon(scaled: ScaledInteraction, eps: float | None = None,
-                    n_samples: int = 2048, grid: str = "adaptive") -> RadialFunction:
-    """Sampled h_eps.  grid='uniform' produces equispaced radii on [0, eps]
-    (what the Poisson verifier needs); 'adaptive' concentrates samples on the
-    interaction range before widening toward the boundary."""
+                    n_samples: int = 2048) -> RadialFunction:
+    """Sampled h_eps on equispaced radii over [0, eps] (what the Poisson
+    verifier needs)."""
     eps = scaled.point.epsilon if eps is None else eps
     _require_regime(scaled.range, eps)
-    data = BallGreenData(scaled, eps)
-    if grid == "uniform":
-        radii = np.linspace(0.0, eps, n_samples)
-    elif grid == "adaptive":
-        inner = np.linspace(0.0, min(3.0 * scaled.range, eps), (2 * n_samples) // 3)
-        outer = np.geomspace(max(inner[-1], 1e-300), eps, n_samples - len(inner) + 1)[1:]
-        radii = np.concatenate([inner, outer])
-    else:
-        raise DomainError(f"unknown grid kind {grid!r}")
-    values = data.value(radii)
+    radii = np.linspace(0.0, eps, n_samples)
+    values = BallGreenData(scaled, eps).value(radii)
     if abs(values[-1]) > BOUNDARY_TOL * max(1.0, np.max(np.abs(values))):
         raise ResolutionError(f"boundary value |h(eps)| = {abs(values[-1]):.2e} too large")
     return RadialFunction(radii, values, scaled.range, eps)
@@ -162,8 +153,6 @@ def build_h_epsilon(scaled: ScaledInteraction, eps: float | None = None,
 class PoissonReport:
     max_relative_residual: float
     boundary_value: float
-    n_samples: int
-    excluded_window: float
 
 
 def verify_poisson(h: RadialFunction, scaled: ScaledInteraction) -> PoissonReport:
@@ -175,7 +164,7 @@ def verify_poisson(h: RadialFunction, scaled: ScaledInteraction) -> PoissonRepor
     r, v = h.radii, h.values
     dr = np.diff(r)
     if np.max(np.abs(dr - dr[0])) > 1e-9 * dr[0]:
-        raise DomainError("verify_poisson needs a uniform radial grid (grid='uniform')")
+        raise DomainError("verify_poisson needs a uniform radial grid")
     if scaled.range / dr[0] < 16:
         raise ResolutionError("need at least 16 samples across the interaction range")
     step = dr[0]
@@ -190,7 +179,7 @@ def verify_poisson(h: RadialFunction, scaled: ScaledInteraction) -> PoissonRepor
     keep &= np.abs(r - scaled.range) > window
     keep &= np.abs(r - h.eps) > window
     res = np.abs(lap[keep] - w[keep]) / sup_w
-    return PoissonReport(float(np.max(res)), float(abs(v[-1])), len(r), window)
+    return PoissonReport(float(np.max(res)), float(abs(v[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +281,6 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> ScalingFit:
 class GradientScalingReport:
     sup_fit: ScalingFit
     l2_fit: ScalingFit
-    sup_values: np.ndarray
-    l2_values: np.ndarray
-    sup_predictors: np.ndarray
-    l2_predictors: np.ndarray
 
 
 def gradient_scaling_fit(points, profile) -> GradientScalingReport:
@@ -315,12 +300,9 @@ def gradient_scaling_fit(points, profile) -> GradientScalingReport:
         l2_vals.append(data.l2_gradient())
         sup_pred.append(p.epsilon**2 / (p.n_particles * p.mu**2))
         l2_pred.append(p.epsilon**2 / (p.n_particles * math.sqrt(p.mu)))
-    sup_pred, l2_pred = np.asarray(sup_pred), np.asarray(l2_pred)
     return GradientScalingReport(
-        sup_fit=_loglog_fit(sup_pred, np.asarray(sup_vals)),
-        l2_fit=_loglog_fit(l2_pred, np.asarray(l2_vals)),
-        sup_values=np.asarray(sup_vals), l2_values=np.asarray(l2_vals),
-        sup_predictors=sup_pred, l2_predictors=l2_pred,
+        sup_fit=_loglog_fit(np.asarray(sup_pred), np.asarray(sup_vals)),
+        l2_fit=_loglog_fit(np.asarray(l2_pred), np.asarray(l2_vals)),
     )
 
 
@@ -451,7 +433,6 @@ class DiscrepancyResult:
     gamma: LineFunction
     l2_norm: float
     convolution_part: float      # L2 of the |Phi|^2-shift contribution
-    smearing_part: float         # L2 of the transverse-smearing contribution
 
 
 def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
@@ -488,14 +469,11 @@ def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
     dens0 = np.abs(condensate.values) ** 2
     total = np.zeros(grid.points)
     conv_only = np.zeros(grid.points)
-    smear_only = np.zeros(grid.points)
     for s, sw, wt, w0 in zip(s_nodes, s_weights, wint_t, wint_0):
         dens_s = np.abs(np.fft.ifft(ft * np.exp(-1j * k * s))) ** 2
         total += sw * (dens_s * wt - dens0 * w0)
         conv_only += sw * (dens_s - dens0) * wt
-        smear_only += sw * dens0 * (wt - w0)
     gamma_vals = n_part * total
     gl2 = math.sqrt(float(np.sum(gamma_vals**2) * grid.spacing))
     c2 = math.sqrt(float(np.sum((n_part * conv_only) ** 2) * grid.spacing))
-    s2 = math.sqrt(float(np.sum((n_part * smear_only) ** 2) * grid.spacing))
-    return DiscrepancyResult(LineFunction(grid.x, gamma_vals), gl2, c2, s2)
+    return DiscrepancyResult(LineFunction(grid.x, gamma_vals), gl2, c2)

@@ -3,8 +3,11 @@
     dimred transverse|nls-evolve|manybody-evolve|alpha|aux-verify|sweep|verify-all
            [command flags]
 
-Each command accepts only the flags it reads (README, "CLI").  A config key
-the file leaves out takes its value from config.DEFAULT_CONFIG_TEXT.
+Each command accepts only the flags it reads (README, "CLI").  Every command
+reads its settings from the typed ``config.ExperimentConfig`` (the default
+table without --config) and names no config key itself.  A command that reads
+the scaling sequence or a rate input calls ``ExperimentConfig.points()``
+before any work, so an incomplete sequence exits 2 before anything is written.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 configuration
 error, 3 resource cap exceeded.
@@ -22,7 +25,7 @@ import sys
 import numpy as np
 
 from . import auxiliary, harness, manybody, nls, potentials, projectors, scaling, transverse
-from .config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
+from .config import DEFAULTS, ExperimentConfig
 from .errors import ConfigError, DimredError, DomainError, SizeError
 
 
@@ -32,12 +35,12 @@ def _add_common(p, out: bool = True):
         p.add_argument("--out", default=None, help="output directory")
 
 
-def _load_config(args) -> Config:
-    return Config.from_file(args.config) if args.config else Config.from_text(DEFAULT_CONFIG_TEXT)
+def _load_config(args) -> ExperimentConfig:
+    return ExperimentConfig.from_file(args.config) if args.config else DEFAULTS
 
 
-def _outdir(args, cfg: Config) -> str:
-    out = args.out or cfg.get("output.dir")
+def _outdir(args, env: ExperimentConfig) -> str:
+    out = args.out or env.output_dir
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -45,8 +48,9 @@ def _outdir(args, cfg: Config) -> str:
 def _point(env: ExperimentConfig, n: int | None, epsilon: float | None) -> scaling.ScalingPoint:
     """The point of --n/--epsilon.  Without --n: N of the config's first
     sequence point; without --epsilon: N^-gamma, or the listed point's epsilon."""
-    listed = {p.n_particles: p.epsilon for p in env.points()}
-    n = env.points()[0].n_particles if n is None else n
+    points = env.points()
+    listed = {p.n_particles: p.epsilon for p in points}
+    n = points[0].n_particles if n is None else n
     if epsilon is None and env.gamma is None and n not in listed:
         raise ConfigError(f"--epsilon is needed: N = {n} is not in sequence.points")
     if epsilon is None:
@@ -56,19 +60,13 @@ def _point(env: ExperimentConfig, n: int | None, epsilon: float | None) -> scali
 
 def cmd_transverse(args) -> int:
     """The sweep's unscaled transverse mode (``harness.sweep_inputs``)."""
-    cfg = _load_config(args)
-    dim = cfg.get_int("manybody.d_perp")
-    conf = potentials.with_dimension(
-        potentials.confinement_by_name(cfg.get("confinement.name")), dim)
-    grid = transverse.TransverseGrid(cfg.get_float("manybody.transverse_extent"),
-                                     cfg.get_int("manybody.transverse_points"))
-    mode = transverse.solve_modes(conf, grid, max(cfg.get_int("manybody.m_y"), 2))
+    env = _load_config(args)
+    mode = harness.sweep_inputs(env).unscaled_mode
     print(json.dumps({"energy0": mode.energy0, "gap": mode.gap, "quartic": mode.quartic}))
     if args.out:
-        out = _outdir(args, cfg)
-        path = os.path.join(out, "chi.csv")
+        path = os.path.join(_outdir(args, env), "chi.csv")
         with open(path, "w") as fh:
-            if dim == 1:
+            if mode.dimension == 1:
                 fh.write("y,chi\n")
                 for y, c in zip(mode.axis, mode.chi):
                     fh.write(f"{y:.17g},{c:.17g}\n")
@@ -82,18 +80,18 @@ def cmd_transverse(args) -> int:
 
 
 def cmd_nls_evolve(args) -> int:
-    cfg = _load_config(args)
-    points = args.points if args.points is not None else cfg.get_int("nls.points")
-    dt = args.dt if args.dt is not None else cfg.get_float("nls.dt")
-    t_final = args.t_final if args.t_final is not None else cfg.get_float("time.final")
-    external = potentials.external_by_name(args.potential or cfg.get("external.name"))
+    env = _load_config(args)
+    points = args.points if args.points is not None else env.nls_points
+    dt = args.dt if args.dt is not None else env.nls_dt
+    t_final = args.t_final if args.t_final is not None else env.t_final
+    external = potentials.external_by_name(args.potential or env.external_name)
     grid = nls.Grid1D(args.length, points)
     if args.initial == "plane":
         state = nls.plane_wave(grid, args.mode)
     else:
         state = nls.gaussian_state(grid, width=args.width)
     traj = nls.evolve(state, external, args.b, dt, t_final, n_outputs=args.outputs)
-    out = _outdir(args, cfg)
+    out = _outdir(args, env)
     path = os.path.join(out, "nls.csv")
     with open(path, "w") as fh:
         fh.write("t,l2,h1,h2,sup,energy\n")
@@ -113,13 +111,12 @@ def cmd_nls_evolve(args) -> int:
 
 
 def cmd_manybody_evolve(args) -> int:
-    cfg = _load_config(args)
-    env = ExperimentConfig.from_config(cfg)
+    env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))
     basis, fock = setup.basis, setup.fock
     traj = setup.evolve(env, args.outputs)
-    out = _outdir(args, cfg)
+    out = _outdir(args, env)
     path = os.path.join(out, "manybody.csv")
     proj = projectors.basis_mode_projector(basis.n_modes)
     with open(path, "w") as fh:
@@ -177,13 +174,14 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_aux_verify(args) -> int:
-    env = ExperimentConfig.from_config(_load_config(args))
-    beta = env.beta
+    env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
-    profile = harness.interaction_profile(env)
+    beta = env.beta
+    profile = potentials.profile_by_name(env.profile_name, env.profile_height,
+                                         env.profile_radius)
     scaled = potentials.scale(profile, point)
     report = {}
-    h_uni = auxiliary.build_h_epsilon(scaled, n_samples=4096, grid="uniform")
+    h_uni = auxiliary.build_h_epsilon(scaled, n_samples=4096)
     poisson = auxiliary.verify_poisson(h_uni, scaled)
     report["poisson_max_relative_residual"] = poisson.max_relative_residual
     report["h_boundary_value"] = poisson.boundary_value
@@ -225,10 +223,8 @@ def cmd_aux_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    env = ExperimentConfig.from_config(cfg)
-    out = _outdir(args, cfg)
-    path = os.path.join(out, "sweep.csv")
+    env = _load_config(args)
+    path = os.path.join(args.out or env.output_dir, "sweep.csv")
     result = harness.run_sweep(env, out_path=path)
     print(f"wrote {path} ({len(result.rows)} rows, {len(result.failures)} failures)")
     for failure in result.failures:
@@ -244,12 +240,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else cfg.get_int("seed")
+    env = _load_config(args)
+    seed = args.seed if args.seed is not None else env.seed
     report = harness.verify_all(seed=seed)
     print(json.dumps(report.as_dict(), indent=2))
     if args.out:
-        out = _outdir(args, cfg)
+        out = _outdir(args, env)
         with open(os.path.join(out, "verify.json"), "w") as fh:
             json.dump(report.as_dict(), fh, indent=2)
     return 0 if report.ok else 1
@@ -290,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="counting functionals of a state dump")
     p.add_argument("state", help="state .npz produced by manybody-evolve")
     p.add_argument("--mode", type=int, default=0, help="condensate basis mode")
-    p.add_argument("--xi", type=float, default=0.1)
+    p.add_argument("--xi", type=float, default=DEFAULTS.xi)
     p.add_argument("--energy-gap", dest="energy_gap", type=float, default=0.0)
     p.set_defaults(fn=cmd_alpha)
 

@@ -1,8 +1,16 @@
-"""Key-value text configuration.
+"""The one reader of key-value configuration text.
 
 Format: one ``key = value`` per line, ``#`` comments, blank lines ignored.
 Dotted keys group settings (sequence.beta, nls.dt, ...).  Lists are
 comma-separated.  Explicit scaling points use ``N:epsilon`` pairs.
+
+``ExperimentConfig`` is the only object built from config text, and this
+module is the only code that names a key.  The keys are those of the default
+table ``DEFAULT_CONFIG_TEXT`` plus ``sequence.points``; any other key is a
+ConfigError.  A key the text leaves out takes its value from the default
+table, except the ``sequence.*`` keys.  ``ExperimentConfig.points()`` checks
+the sequence and the rate inputs that sequence.beta bounds, so a command that
+reads neither runs on a config without them.
 """
 
 from __future__ import annotations
@@ -32,82 +40,8 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-class Config:
-    def __init__(self, entries: dict[str, str]):
-        self._entries = dict(entries)
-
-    @classmethod
-    def from_file(cls, path) -> "Config":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {path!r} does not exist")
-        return cls(parse_kv_text(p.read_text()))
-
-    @classmethod
-    def from_text(cls, text: str) -> "Config":
-        return cls(parse_kv_text(text))
-
-    def get(self, key: str, required: bool = False) -> str | None:
-        """The entry for `key`; else the default table's entry (sequence.* keys
-        are never defaulted); else None, or ConfigError if `required`."""
-        if key in self._entries:
-            return self._entries[key]
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return _FALLBACKS.get(key)
-
-    def _convert(self, key, conv, required):
-        raw = self.get(key, required)
-        if raw is None:
-            return None
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from exc
-
-    def get_int(self, key, required=False) -> int | None:
-        return self._convert(key, lambda s: int(float(s)), required)
-
-    def get_float(self, key, required=False) -> float | None:
-        return self._convert(key, float, required)
-
-    def get_list(self, key, conv=str, required=False) -> list:
-        raw = self.get(key, required)
-        if raw is None:
-            return []
-        try:
-            return [conv(part.strip()) for part in raw.split(",") if part.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse list {raw!r}") from exc
-
-    def get_points(self, key) -> list[tuple[int, float]]:
-        """Explicit scaling points as 'N1:eps1, N2:eps2, ...'."""
-        raw = self.get(key)
-        if raw is None:
-            return []
-        pairs = []
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if ":" not in part:
-                raise ConfigError(f"key {key!r}: expected 'N:epsilon', got {part!r}")
-            n_str, eps_str = part.split(":", 1)
-            try:
-                pairs.append((int(float(n_str)), float(eps_str)))
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: cannot parse pair {part!r}") from exc
-        return pairs
-
-    def canonical_dump(self) -> str:
-        return "\n".join(f"{k} = {self._entries[k]}" for k in sorted(self._entries))
-
-    def hash(self) -> str:
-        return hashlib.sha256(self.canonical_dump().encode()).hexdigest()[:16]
-
-
 # The default table: exactly the entries of configs/default.cfg.  Every key
-# except sequence.* falls back to it (Config.get).
+# except sequence.* falls back to it (ExperimentConfig.from_text).
 DEFAULT_CONFIG_TEXT = """
 # Condensation-persistence sweep along the admissible beta = 1/2, gamma = 1
 # power-law family (the acceptance configuration).
@@ -155,14 +89,64 @@ _FALLBACKS = {k: v for k, v in parse_kv_text(DEFAULT_CONFIG_TEXT).items()
               if not k.startswith("sequence.")}
 
 
+def _int(raw: str) -> int:
+    return int(float(raw))
+
+
+def _items(raw: str) -> list[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(_int(part) for part in _items(raw))
+
+
+def _pairs(raw: str) -> tuple[tuple[int, float], ...]:
+    pairs = []
+    for part in _items(raw):
+        n, sep, eps = part.partition(":")
+        if not sep:
+            raise ValueError(f"expected 'N:epsilon', got {part!r}")
+        pairs.append((_int(n), float(eps)))
+    return tuple(pairs)
+
+
+# key -> (ExperimentConfig field, parser), one entry per key a config may set
+FIELD_OF_KEY = {
+    "sequence.beta": ("beta", float),
+    "sequence.gamma": ("gamma", float),
+    "sequence.n_values": ("n_values", _ints),
+    "sequence.points": ("explicit_points", _pairs),
+    "interaction.profile": ("profile_name", str),
+    "interaction.height": ("profile_height", float),
+    "interaction.radius": ("profile_radius", float),
+    "confinement.name": ("confinement_name", str),
+    "external.name": ("external_name", str),
+    "manybody.d_perp": ("d_perp", _int),
+    "manybody.m_x": ("m_x", _int),
+    "manybody.m_y": ("m_y", _int),
+    "manybody.max_excitations": ("max_excitations", _int),
+    "manybody.box_length": ("box_length", float),
+    "manybody.transverse_extent": ("transverse_extent", float),
+    "manybody.transverse_points": ("transverse_points", _int),
+    "manybody.dim_cap": ("dim_cap", _int),
+    "nls.points": ("nls_points", _int),
+    "nls.dt": ("nls_dt", float),
+    "manybody.dt": ("manybody_dt", float),
+    "time.final": ("t_final", float),
+    "krylov.tol": ("krylov_tol", float),
+    "rate.xi": ("xi", float),
+    "rate.beta1": ("beta1", float),
+    "rate.eta": ("eta", float),
+    "output.dir": ("output_dir", str),
+    "seed": ("seed", _int),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Typed view of the sweep configuration."""
 
-    beta: float
-    gamma: float | None
-    n_values: tuple[int, ...]
-    explicit_points: tuple[tuple[int, float], ...]
     profile_name: str
     profile_height: float
     profile_radius: float
@@ -184,53 +168,56 @@ class ExperimentConfig:
     xi: float
     beta1: float
     eta: float
-    config_hash: str
+    output_dir: str
+    seed: int
+    config_hash: str            # of the text's own entries, defaults left out
+    # the sequence: never defaulted, checked by points()
+    beta: float | None = None
+    gamma: float | None = None
+    n_values: tuple[int, ...] = ()
+    explicit_points: tuple[tuple[int, float], ...] = ()
 
     @classmethod
-    def from_config(cls, cfg: Config) -> "ExperimentConfig":
-        beta = cfg.get_float("sequence.beta", required=True)
-        gamma = cfg.get_float("sequence.gamma")
-        n_values = tuple(cfg.get_list("sequence.n_values", conv=lambda s: int(float(s))))
-        explicit = tuple(cfg.get_points("sequence.points"))
-        if not explicit and (gamma is None or not n_values):
-            raise ConfigError("need sequence.points or (sequence.gamma and sequence.n_values)")
-        env = cls(
-            beta=beta,
-            gamma=gamma,
-            n_values=n_values,
-            explicit_points=explicit,
-            profile_name=cfg.get("interaction.profile"),
-            profile_height=cfg.get_float("interaction.height"),
-            profile_radius=cfg.get_float("interaction.radius"),
-            confinement_name=cfg.get("confinement.name"),
-            external_name=cfg.get("external.name"),
-            d_perp=cfg.get_int("manybody.d_perp"),
-            m_x=cfg.get_int("manybody.m_x"),
-            m_y=cfg.get_int("manybody.m_y"),
-            max_excitations=cfg.get_int("manybody.max_excitations"),
-            box_length=cfg.get_float("manybody.box_length"),
-            transverse_extent=cfg.get_float("manybody.transverse_extent"),
-            transverse_points=cfg.get_int("manybody.transverse_points"),
-            dim_cap=cfg.get_int("manybody.dim_cap"),
-            nls_points=cfg.get_int("nls.points"),
-            nls_dt=cfg.get_float("nls.dt"),
-            manybody_dt=cfg.get_float("manybody.dt"),
-            t_final=cfg.get_float("time.final"),
-            krylov_tol=cfg.get_float("krylov.tol"),
-            xi=cfg.get_float("rate.xi"),
-            beta1=cfg.get_float("rate.beta1"),
-            eta=cfg.get_float("rate.eta"),
-            config_hash=cfg.hash(),
-        )
-        if not (0.0 < env.xi <= beta / 4.0):
-            raise ConfigError(f"rate.xi must lie in (0, beta/4], got {env.xi}")
-        if not (0.0 < env.beta1 <= beta):
-            raise ConfigError(f"rate.beta1 must lie in (0, beta], got {env.beta1}")
-        return env
+    def from_file(cls, path) -> "ExperimentConfig":
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file {path!r} does not exist")
+        return cls.from_text(p.read_text())
+
+    @classmethod
+    def from_text(cls, text: str) -> "ExperimentConfig":
+        entries = parse_kv_text(text)
+        unknown = sorted(set(entries) - set(FIELD_OF_KEY))
+        if unknown:
+            raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
+        values = {}
+        for key, (name, parse) in FIELD_OF_KEY.items():
+            raw = entries.get(key, _FALLBACKS.get(key))
+            if raw is None:
+                continue
+            try:
+                values[name] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
+        dump = "\n".join(f"{k} = {entries[k]}" for k in sorted(entries))
+        return cls(**values, config_hash=hashlib.sha256(dump.encode()).hexdigest()[:16])
 
     def points(self):
+        """The scaling sequence, after checking it and the rate inputs that
+        sequence.beta bounds (xi <= beta/4, beta1 <= beta)."""
         from .scaling import make_point
 
+        if self.beta is None:
+            raise ConfigError("missing required key 'sequence.beta'")
+        if not self.explicit_points and (self.gamma is None or not self.n_values):
+            raise ConfigError("need sequence.points or (sequence.gamma and sequence.n_values)")
+        if not (0.0 < self.xi <= self.beta / 4.0):
+            raise ConfigError(f"rate.xi must lie in (0, beta/4], got {self.xi}")
+        if not (0.0 < self.beta1 <= self.beta):
+            raise ConfigError(f"rate.beta1 must lie in (0, beta], got {self.beta1}")
         if self.explicit_points:
             return [make_point(n, eps, self.beta) for n, eps in self.explicit_points]
         return [make_point(n, float(n) ** (-self.gamma), self.beta) for n in self.n_values]
+
+
+DEFAULTS = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)

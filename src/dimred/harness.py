@@ -72,16 +72,6 @@ class SweepResult:
         return not self.failures
 
 
-def interaction_profile(cfg: ExperimentConfig) -> potentials.InteractionProfile:
-    if cfg.profile_name == "uniform_ball":
-        return potentials.uniform_ball(cfg.profile_height, cfg.profile_radius)
-    if cfg.profile_name == "gaussian_bump":
-        return potentials.gaussian_bump(cfg.profile_height, cfg.profile_radius)
-    if cfg.profile_name.endswith(".csv"):
-        return potentials.from_csv(cfg.profile_name)
-    return potentials.profile_by_name(cfg.profile_name)
-
-
 @dataclass(frozen=True)
 class SweepInputs:
     """What every point of a sweep shares; it depends on the config alone."""
@@ -93,14 +83,14 @@ class SweepInputs:
 
 
 def sweep_inputs(cfg: ExperimentConfig) -> SweepInputs:
-    conf = potentials.with_dimension(
-        potentials.confinement_by_name(cfg.confinement_name), cfg.d_perp)
+    conf = potentials.confinement_by_name(cfg.confinement_name, cfg.d_perp)
     tgrid = transverse.TransverseGrid(cfg.transverse_extent, cfg.transverse_points)
     return SweepInputs(
         confinement=conf,
         external=potentials.external_by_name(cfg.external_name),
         unscaled_mode=transverse.solve_modes(conf, tgrid, n_modes=max(cfg.m_y, 2)),
-        profile=interaction_profile(cfg),
+        profile=potentials.profile_by_name(cfg.profile_name, cfg.profile_height,
+                                           cfg.profile_radius),
     )
 
 
@@ -189,9 +179,10 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
 
 
 def run_sweep(cfg: ExperimentConfig, out_path: str | None = None) -> SweepResult:
+    points = cfg.points()
     inputs = sweep_inputs(cfg)
     result = SweepResult(config_hash=cfg.config_hash)
-    for point in cfg.points():
+    for point in points:
         try:
             result.rows.append(run_point(cfg, point, inputs))
         except DimredError as exc:

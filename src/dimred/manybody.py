@@ -45,7 +45,7 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dstev
 from scipy.special import comb
 
-from .config import Config
+from .config import DEFAULTS
 from .errors import DomainError, InstabilityError, ResolutionError, SizeError, ToleranceError
 from .nls import Trajectory
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction
@@ -53,7 +53,6 @@ from .scaling import ScalingPoint
 from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
                          offset_quadrature, rescale)
 
-DEFAULT_DIM_CAP = Config({}).get_int("manybody.dim_cap")    # from the default table
 GRID_CAP = 2**28
 MIN_POINTS_PER_RANGE = 8
 LADDER_BATCH_BYTES = 1 << 22
@@ -88,7 +87,7 @@ class FockBasis:
     """
 
     def __init__(self, n_modes: int, n_particles: int,
-                 max_excitations: int | None = None, dim_cap: int = DEFAULT_DIM_CAP):
+                 max_excitations: int | None = None, dim_cap: int = DEFAULTS.dim_cap):
         if n_particles < 0:
             raise DomainError(f"n_particles must be >= 0, got {n_particles}")
         if n_modes < 2:
@@ -664,7 +663,7 @@ def _real_block_product(hmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (hmat @ x.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
+def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = DEFAULTS.krylov_tol,
                  m_max: int = 40) -> np.ndarray:
     """exp(-1j dt H) v for Hermitian H given by its action.
 
@@ -736,7 +735,7 @@ def _shifted_product(apply_h, g: sp.spmatrix, shift: float, x: np.ndarray) -> np
 
 
 def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
-           n_outputs: int = 5, krylov_tol: float = 1e-10,
+           n_outputs: int = 5, krylov_tol: float = DEFAULTS.krylov_tol,
            h: sp.spmatrix | None = None) -> ManyBodyTrajectory:
     """Propagate under H(t), recording n_outputs + 1 equally spaced states.
 

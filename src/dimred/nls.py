@@ -188,8 +188,12 @@ def envelope(external: ExternalPotential | None, e_psi0: float, e_phi0: float,
 
 
 def gronwall_envelope(env: float, t: float) -> float:
-    """C(t) = e(t) exp(e(t)^2 + int_0^t e(s)^2 ds) for a time-constant envelope."""
-    return env * math.exp(env**2 * (1.0 + t))
+    """C(t) = e(t) exp(e(t)^2 + int_0^t e(s)^2 ds) for a time-constant envelope;
+    inf once the exponential overflows, where the bound says nothing."""
+    try:
+        return env * math.exp(env**2 * (1.0 + t))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ along any power-law family in every dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -125,17 +125,21 @@ def from_csv(path, name: str | None = None) -> InteractionProfile:
 _BUILTIN_PROFILES = {
     "uniform_ball": uniform_ball,
     "gaussian_bump": gaussian_bump,
-    "zero": lambda: uniform_ball(height=0.0),
+    "zero": lambda height, radius: uniform_ball(height=0.0),
 }
 
 
-def profile_by_name(name: str, **kwargs) -> InteractionProfile:
+def profile_by_name(name: str, height: float, radius: float) -> InteractionProfile:
+    """The named built-in at this height and radius; a <path>.csv table, or
+    "zero", fixes its own."""
+    if name.endswith(".csv"):
+        return from_csv(name)
     try:
         factory = _BUILTIN_PROFILES[name]
     except KeyError:
         raise DomainError(f"unknown interaction profile {name!r}; "
-                          f"known: {sorted(_BUILTIN_PROFILES)}") from None
-    return factory(**kwargs)
+                          f"known: {sorted(_BUILTIN_PROFILES)} or <path>.csv") from None
+    return factory(height, radius)
 
 
 @dataclass(frozen=True)
@@ -365,12 +369,12 @@ class ConfinementPotential:
         return np.asarray(self.evaluator(np.sqrt(y1**2 + y2**2)), dtype=float)
 
 
-def harmonic_confinement(dimension: int = 2) -> ConfinementPotential:
+def harmonic_confinement(dimension: int) -> ConfinementPotential:
     return ConfinementPotential("harmonic", lambda r: np.asarray(r, dtype=float) ** 2,
                                 dimension, 0.0)
 
 
-def softened_confinement(dimension: int = 1, depth: float = 20.0, width: float = 2.0) -> ConfinementPotential:
+def softened_confinement(dimension: int, depth: float = 20.0, width: float = 2.0) -> ConfinementPotential:
     """Bounded smooth trap depth*(1 - exp(-(r/width)^2)); has bound states below the continuum."""
 
     def ev(r):
@@ -386,13 +390,9 @@ _BUILTIN_CONFINEMENT = {
 }
 
 
-def confinement_by_name(name: str, **kwargs) -> ConfinementPotential:
+def confinement_by_name(name: str, dimension: int) -> ConfinementPotential:
     try:
         factory = _BUILTIN_CONFINEMENT[name]
     except KeyError:
         raise DomainError(f"unknown confinement {name!r}; known: {sorted(_BUILTIN_CONFINEMENT)}") from None
-    return factory(**kwargs)
-
-
-def with_dimension(conf: ConfinementPotential, dimension: int) -> ConfinementPotential:
-    return replace(conf, dimension=dimension)
+    return factory(dimension)

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 from dimred import auxiliary, manybody, nls, potentials, projectors, scaling, transverse
-from dimred.config import Config, ExperimentConfig
+from dimred.config import ExperimentConfig
 from dimred.harness import run_sweep
 
 QUARTIC_1D = 1.0 / math.sqrt(2.0 * math.pi)
@@ -188,7 +188,7 @@ def test_criterion_6_auxiliary_battery():
     # closed-form oracle configuration: amplitude 1, mu = 0.1, eps = 1
     point = scaling.make_point(250, 0.5, 1.0 / 3.0)
     sc = potentials.scale(potentials.uniform_ball(), point)
-    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=4096, grid="uniform")
+    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=4096)
     a_const = 4.0 * math.pi / 3.0 * 0.1**3
     inside = h.radii <= 0.1
     exact = np.where(
@@ -203,7 +203,7 @@ def test_criterion_6_auxiliary_battery():
     scg = potentials.scale(potentials.gaussian_bump(), point)
     res = []
     for n in (512, 1024, 2048):
-        hh = auxiliary.build_h_epsilon(scg, eps=1.0, n_samples=n, grid="uniform")
+        hh = auxiliary.build_h_epsilon(scg, eps=1.0, n_samples=n)
         res.append(auxiliary.verify_poisson(hh, scg).max_relative_residual)
     ratios = (res[0] / res[1], res[1] / res[2])
 
@@ -305,7 +305,7 @@ seed = 8
 
 @pytest.fixture(scope="module")
 def persistence_sweep():
-    env = ExperimentConfig.from_config(Config.from_text(SWEEP_TEXT))
+    env = ExperimentConfig.from_text(SWEEP_TEXT)
     t0 = time.time()
     result = run_sweep(env)
     return result, time.time() - t0
@@ -362,7 +362,7 @@ def test_criterion_8_gamma_slope(persistence_sweep):
     2.0 +/- 0.15 (the quadratic decay that the cancellation predicts).
     """
     result, _ = persistence_sweep
-    env = ExperimentConfig.from_config(Config.from_text(SWEEP_TEXT))
+    env = ExperimentConfig.from_text(SWEEP_TEXT)
     prof = potentials.uniform_ball(env.profile_height, env.profile_radius)
     rows = result.rows
     ratios = np.array([r.mu / r.epsilon for r in rows])

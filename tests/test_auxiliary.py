@@ -33,7 +33,7 @@ def h_closed_form(r, c, mu, eps):
 
 def test_h_epsilon_against_closed_form():
     sc = uniform_scaled()
-    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=2048, grid="adaptive")
+    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=2048)
     exact = h_closed_form(h.radii, 1.0, 0.1, 1.0)
     scale_ = np.max(np.abs(exact))
     assert np.max(np.abs(h.values - exact)) < 1e-8 * scale_
@@ -48,7 +48,7 @@ def test_h_epsilon_spec_values():
 
 def test_h_epsilon_boundary_zero():
     sc = uniform_scaled()
-    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=1024, grid="uniform")
+    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=1024)
     assert abs(h.values[-1]) < 1e-10
     # and identically zero outside the ball by construction
     data = auxiliary.BallGreenData(sc, 1.0)
@@ -65,7 +65,7 @@ def test_h_epsilon_regime_error():
 
 def test_poisson_residual_uniform_ball():
     sc = uniform_scaled()
-    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=4096, grid="uniform")
+    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=4096)
     rep = auxiliary.verify_poisson(h, sc)
     assert rep.max_relative_residual < 1e-4
     assert rep.boundary_value < 1e-10
@@ -74,7 +74,7 @@ def test_poisson_residual_uniform_ball():
 def test_poisson_zero_interaction():
     p = oracle_point()
     sc = potentials.scale(potentials.uniform_ball(height=0.0), p)
-    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=512, grid="uniform")
+    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=512)
     rep = auxiliary.verify_poisson(h, sc)
     assert rep.max_relative_residual == 0.0
 
@@ -85,7 +85,7 @@ def test_poisson_second_order_convergence():
     sc = potentials.scale(potentials.gaussian_bump(), oracle_point())
     res = []
     for n in (512, 1024, 2048):
-        h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=n, grid="uniform")
+        h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=n)
         res.append(auxiliary.verify_poisson(h, sc).max_relative_residual)
     assert res[0] / res[1] == pytest.approx(4.0, abs=0.5)
     assert res[1] / res[2] == pytest.approx(4.0, abs=0.5)
@@ -93,7 +93,9 @@ def test_poisson_second_order_convergence():
 
 def test_poisson_requires_uniform_grid():
     sc = uniform_scaled()
-    h = auxiliary.build_h_epsilon(sc, eps=1.0, n_samples=1024, grid="adaptive")
+    # the closed form on radii that crowd the interaction range
+    radii = np.concatenate([np.linspace(0.0, 0.3, 683), np.geomspace(0.3, 1.0, 342)[1:]])
+    h = auxiliary.RadialFunction(radii, h_closed_form(radii, 1.0, 0.1, 1.0), sc.range, 1.0)
     with pytest.raises(DomainError):
         auxiliary.verify_poisson(h, sc)
 

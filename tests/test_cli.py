@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import pytest
 
 from dimred import manybody
 from dimred.cli import main
-from dimred.config import DEFAULT_CONFIG_TEXT, Config, parse_kv_text
+from dimred import config
+from dimred.config import DEFAULT_CONFIG_TEXT, ExperimentConfig, parse_kv_text
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -68,28 +71,40 @@ def test_transverse_csv_dump(capsys, tmp_path):
 
 def test_transverse_prints_the_sweep_mode(capsys):
     from dimred import harness
-    from dimred.config import ExperimentConfig
 
     assert main(["transverse", "--config", str(DEFAULT_CFG)]) == 0
     data = json.loads(capsys.readouterr().out.splitlines()[0])
-    env = ExperimentConfig.from_config(Config.from_file(DEFAULT_CFG))
+    env = ExperimentConfig.from_file(DEFAULT_CFG)
     mode = harness.sweep_inputs(env).unscaled_mode
     assert data == {"energy0": mode.energy0, "gap": mode.gap, "quartic": mode.quartic}
 
 
-def test_cli_reads_only_default_table_keys(monkeypatch, tmp_path):
-    # a key outside the default table would silently take an inline default
-    table = set(parse_kv_text(DEFAULT_CONFIG_TEXT))
-    get = Config.get
+def test_config_reads_exactly_the_default_table_keys():
+    # every key a config may set is a default-table key or sequence.points,
+    # and each fills one ExperimentConfig field
+    table = set(parse_kv_text(DEFAULT_CONFIG_TEXT)) | {"sequence.points"}
+    assert set(config.FIELD_OF_KEY) == table
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"config_hash"}
+    names = [name for name, _ in config.FIELD_OF_KEY.values()]
+    assert sorted(names) == sorted(fields)
 
-    def table_only(self, key, *args, **kwargs):
-        assert key in table or key.startswith("sequence."), key
-        return get(self, key, *args, **kwargs)
 
-    monkeypatch.setattr(Config, "get", table_only)
-    assert main(["transverse", "--config", str(DEFAULT_CFG)]) == 0
-    assert main(["nls-evolve", "--config", str(DEFAULT_CFG), "--out", str(tmp_path),
-                 "--points", "64", "--dt", "0.002", "--t-final", "0.01", "--outputs", "1"]) == 0
+def test_misspelled_key_exit_code(capsys, sweep_cfg, tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text(sweep_cfg.read_text().replace("manybody.m_x", "manybody.mx"))
+    for argv in (["sweep"], ["transverse"], ["verify-all"]):
+        assert main([*argv, "--config", str(path)]) == 2
+    assert "manybody.mx" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["manybody-evolve"], ["aux-verify"]])
+def test_incomplete_sequence_exits_before_writing(argv, tmp_path):
+    path = tmp_path / "noseq.cfg"
+    path.write_text(FAST_SWEEP.replace("sequence.n_values = 2, 3\n", "")
+                    + f"output.dir = {tmp_path / 'out'}\n")
+    assert main([*argv, "--config", str(path)]) == 2
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_nls_evolve_outputs(tmp_path):
@@ -133,7 +148,6 @@ def test_manybody_evolve_and_alpha(capsys, sweep_cfg, tmp_path):
 def test_manybody_evolve_energy_at_output_time(tmp_path):
     # a driven field: each CSV energy must use H at that row's time
     from dimred import manybody, potentials, scaling, transverse
-    from dimred.config import Config, ExperimentConfig
 
     text = FAST_SWEEP.replace("external.name = zero", "external.name = driven_well")
     path = tmp_path / "driven.cfg"
@@ -143,9 +157,9 @@ def test_manybody_evolve_energy_at_output_time(tmp_path):
                "--outputs", "2", "--dump-state", "--out", str(out)])
     assert rc == 0
     last = [float(v) for v in (out / "manybody.csv").read_text().splitlines()[-1].split(",")]
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     point = scaling.make_point(3, 3.0 ** -env.gamma, env.beta)
-    conf = potentials.with_dimension(potentials.confinement_by_name("harmonic"), 1)
+    conf = potentials.confinement_by_name("harmonic", 1)
     unscaled = transverse.solve_modes(
         conf, transverse.TransverseGrid(env.transverse_extent, env.transverse_points), 2)
     scaled = potentials.scale(potentials.uniform_ball(3.0, 1.0), point, d_perp=1)
@@ -198,6 +212,21 @@ def test_sweep_command(capsys, sweep_cfg, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[1].startswith("n_particles,epsilon,mu,t,trace_distance")
+
+
+def test_sweep_survives_gronwall_overflow(capsys, tmp_path):
+    # at height 3000 the envelope's exponential overflows at N = 3 (N = 2 stays
+    # near 4e288): the row keeps its measured columns and the vacuous bound is inf
+    path = tmp_path / "strong.cfg"
+    path.write_text(DEFAULT_CFG.read_text()
+                    .replace("interaction.height = 3.0", "interaction.height = 3000.0")
+                    .replace("sequence.n_values = 2, 3, 4, 5, 6, 7, 8", "sequence.n_values = 2, 3"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "2 rows, 0 failures" in capsys.readouterr().out
+    header, *rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    values = [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+    assert [v["gronwall"] == math.inf for v in values] == [False, True]
+    assert all(math.isfinite(x) for v in values for k, x in v.items() if k != "gronwall")
 
 
 def test_missing_config_exit_code():
@@ -282,7 +311,6 @@ def test_alpha_refuses_malformed_dump(capsys, tmp_path, fault):
 
 def test_manybody_evolve_matches_shared_setup(tmp_path):
     from dimred import harness, scaling
-    from dimred.config import Config, ExperimentConfig
 
     text = FAST_SWEEP.replace("interaction.profile = uniform_ball",
                               "interaction.profile = gaussian_bump")
@@ -293,7 +321,7 @@ def test_manybody_evolve_matches_shared_setup(tmp_path):
                "--dump-state", "--out", str(out)])
     assert rc == 0
     dump = np.load(out / "state_final.npz")
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     assert env.profile_height == 3.0
     point = scaling.make_point(3, 3.0 ** -env.gamma, env.beta)
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from dimred import harness, manybody, nls, potentials, projectors, transverse
-from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
+from dimred.config import DEFAULT_CONFIG_TEXT, DEFAULTS, ExperimentConfig, parse_kv_text
 from dimred.errors import ConfigError, InsufficientDataError
 
 FAST_SWEEP = """
@@ -43,69 +43,78 @@ seed = 7
 
 
 def test_config_parse_roundtrip():
-    cfg = Config.from_text("a.b = 1\n# comment\nc = hello  # trailing\n\nd = 1,2,3\n")
-    assert cfg.get_int("a.b") == 1
-    assert cfg.get("c") == "hello"
-    assert cfg.get_list("d", conv=int) == [1, 2, 3]
+    entries = parse_kv_text("a.b = 1\n# comment\nc = hello  # trailing\n\nd = 1,2,3\n")
+    assert entries == {"a.b": "1", "c": "hello", "d": "1,2,3"}
+    env = ExperimentConfig.from_text("seed = 1e3\nexternal.name = zero  # trailing\n"
+                                     "sequence.n_values = 2, 3,\n")
+    assert (env.seed, env.external_name, env.n_values) == (1000, "zero", (2, 3))
 
 
 def test_config_rejects_malformed():
-    with pytest.raises(ConfigError):
-        Config.from_text("not a pair\n")
-    with pytest.raises(ConfigError):
-        Config.from_text("a = 1\na = 2\n")
+    for text in ("not a pair\n", "seed = 1\nseed = 2\n", "seed = many\n",
+                 "sequence.points = 100, 0.1\n"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_text(text)
+
+
+def test_config_refuses_unknown_keys():
+    # a misspelled key must not leave its setting at the default
+    with pytest.raises(ConfigError, match="manybody.mx"):
+        ExperimentConfig.from_text(FAST_SWEEP + "manybody.mx = 5\n")
 
 
 def test_config_explicit_points():
-    cfg = Config.from_text("sequence.beta = 0.5\nsequence.points = 100:0.1, 1000:0.03\n")
-    env = ExperimentConfig.from_config(cfg)
+    env = ExperimentConfig.from_text("sequence.beta = 0.5\nsequence.points = 100:0.1, 1000:0.03\n")
     pts = env.points()
     assert [(p.n_particles, p.epsilon) for p in pts] == [(100, 0.1), (1000, 0.03)]
 
 
 def test_config_requires_sequence():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_config(Config.from_text("sequence.beta = 0.5\n"))
+    # a config without a complete sequence loads; asking for the sequence refuses
+    for text in ("sequence.beta = 0.5\n", "sequence.gamma = 1.0\nsequence.n_values = 2\n"):
+        env = ExperimentConfig.from_text(text)
+        with pytest.raises(ConfigError):
+            env.points()
 
 
 def test_config_validates_rate_inputs():
     # beta = 0.5: xi must lie in (0, beta/4], beta1 in (0, beta]
     for good, bad in (("rate.xi = 0.1", "rate.xi = 0.2"),
                       ("rate.beta1 = 0.25", "rate.beta1 = 0.6")):
+        env = ExperimentConfig.from_text(FAST_SWEEP.replace(good, bad))
         with pytest.raises(ConfigError, match=bad.split(" = ")[0]):
-            ExperimentConfig.from_config(Config.from_text(FAST_SWEEP.replace(good, bad)))
+            env.points()
+        with pytest.raises(ConfigError, match=bad.split(" = ")[0]):
+            harness.run_sweep(env)
 
 
 def test_default_config_parses():
-    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     assert env.beta == 0.5
     assert len(env.points()) == 7
+    assert DEFAULTS == env
 
 
 def test_default_table_is_default_cfg():
     from pathlib import Path
 
-    text = Config.from_text(DEFAULT_CONFIG_TEXT)
     path = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
-    cfg = Config.from_file(path)
-    assert text.hash() == cfg.hash()
-    assert ExperimentConfig.from_config(text) == ExperimentConfig.from_config(cfg)
+    assert ExperimentConfig.from_file(path) == ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
 
 
 def test_missing_keys_fall_back_to_default_table():
-    default = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
-    cfg = Config.from_text("sequence.beta = 0.5\nsequence.points = 2:0.5\n")
-    assert cfg.get("sequence.gamma") is None and cfg.get("seed") == "12345"
-    env = ExperimentConfig.from_config(cfg)
-    same = dataclasses.replace(default, gamma=None, n_values=(), explicit_points=((2, 0.5),),
-                               config_hash=cfg.hash())
+    env = ExperimentConfig.from_text("sequence.beta = 0.5\nsequence.points = 2:0.5\n")
+    assert env.gamma is None and env.seed == 12345
+    # the hash covers the text's own entries, not the defaults it fell back to
+    same = dataclasses.replace(DEFAULTS, gamma=None, n_values=(), explicit_points=((2, 0.5),),
+                               config_hash="7c49a4e8c507998e")
     assert env == same
 
 
 def test_config_hash_stable():
-    c1 = Config.from_text("a = 1\nb = 2\n")
-    c2 = Config.from_text("b = 2\na = 1\n")
-    assert c1.hash() == c2.hash()
+    c1 = ExperimentConfig.from_text("seed = 1\nnls.points = 64\n")
+    c2 = ExperimentConfig.from_text("nls.points = 64  # comment\n\nseed = 1\n")
+    assert c1.config_hash == c2.config_hash == "287ffbe823023709"
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +124,7 @@ def test_config_hash_stable():
 
 @pytest.fixture(scope="module")
 def fast_result():
-    env = ExperimentConfig.from_config(Config.from_text(FAST_SWEEP))
+    env = ExperimentConfig.from_text(FAST_SWEEP)
     return harness.run_sweep(env)
 
 
@@ -146,8 +155,8 @@ def test_sweep_excited_fraction_bound(fast_result):
 
 
 def test_sweep_noninteracting_distances_vanish():
-    env = ExperimentConfig.from_config(Config.from_text(
-        FAST_SWEEP.replace("interaction.height = 3.0", "interaction.height = 0.0")))
+    env = ExperimentConfig.from_text(
+        FAST_SWEEP.replace("interaction.height = 3.0", "interaction.height = 0.0"))
     result = harness.run_sweep(env)
     assert result.ok
     for row in result.rows:
@@ -156,7 +165,7 @@ def test_sweep_noninteracting_distances_vanish():
 
 
 def test_sweep_csv_deterministic(tmp_path, fast_result):
-    env = ExperimentConfig.from_config(Config.from_text(FAST_SWEEP))
+    env = ExperimentConfig.from_text(FAST_SWEEP)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     harness.write_csv(fast_result, str(p1))
     result2 = harness.run_sweep(env, out_path=str(p2))
@@ -167,7 +176,7 @@ def test_sweep_csv_deterministic(tmp_path, fast_result):
 
 def test_default_sweep_states_match_expm_multiply():
     # the Krylov propagator of every default-sweep point against scipy's
-    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     inputs = harness.sweep_inputs(env)
     for point in env.points():
         setup = harness.point_setup(env, point, inputs)
@@ -181,7 +190,7 @@ def test_default_n8_observables_lower_onto_the_rows_they_reach(monkeypatch):
     # onto the 416 rows of N - 1 particles it reaches, not all 3654 capped
     # ones, and enumerate no basis; embedded in every capped row the state
     # gives the same matrices and counting measure
-    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     point = env.points()[-1]
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))
     state = setup.evolve(env, 1).final
@@ -212,7 +221,7 @@ def test_default_points_run_in_their_momentum_sector():
     # without a field every default point runs on the rows of K = 0 and even
     # transverse parity, the sector of the condensate; its H is the exact
     # block of the H over all capped rows, which couples it to nothing
-    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     inputs = harness.sweep_inputs(env)
     for point in env.points():
         setup = harness.point_setup(env, point, inputs)
@@ -246,7 +255,7 @@ def test_excitation_cap_convergence():
     for cap in (3, 4):
         text = DEFAULT_CONFIG_TEXT.replace("manybody.max_excitations = 3",
                                            f"manybody.max_excitations = {cap}")
-        env = ExperimentConfig.from_config(Config.from_text(text))
+        env = ExperimentConfig.from_text(text)
         assert env.max_excitations == cap
         result = harness.run_sweep(env)
         assert result.ok
@@ -272,7 +281,7 @@ def test_sweep_failure_isolation(tmp_path):
                               "sequence.n_values = 2, 3, 12")
     text = text.replace("manybody.max_excitations = 3",
                         "manybody.max_excitations = 12\nmanybody.dim_cap = 300")
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     result = harness.run_sweep(env)
     assert len(result.rows) == 2
     assert len(result.failures) == 1
@@ -359,7 +368,7 @@ def test_initial_energy_gap_shrinks_with_n():
                               "sequence.n_values = 2, 4, 8")
     text = text.replace("time.final = 0.2", "time.final = 0.02")
     text = text.replace("nls.dt = 0.002", "nls.dt = 0.001")
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     result = harness.run_sweep(env)
     assert result.ok
     gaps = [r.energy_gap for r in result.rows]
@@ -400,7 +409,7 @@ def test_phi_plane_wave_coefficients_match_sampling():
 def test_condensate_projector_is_a_basis_mode_only_for_one_plane_wave():
     # the uniform Phi(T) of the default N = 8 point is the condensate mode, so
     # its counting functionals read occupations; a mixed Phi is no basis mode
-    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     point = env.points()[-1]
     basis = harness.point_setup(env, point, harness.sweep_inputs(env)).basis
     grid = nls.Grid1D(env.box_length, env.nls_points)
@@ -420,7 +429,7 @@ def test_sweep_with_external_well():
     # time-T projector is not a basis mode and the general counting path runs
     text = FAST_SWEEP.replace("external.name = zero", "external.name = gaussian_well")
     text = text.replace("time.final = 0.2", "time.final = 0.3")
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     result = harness.run_sweep(env)
     assert result.ok
     for row in result.rows:
@@ -434,7 +443,7 @@ def test_run_point_energy_at_final_time(monkeypatch):
     # a driven field: E(psi_T) must use H(T), not the H(0) built for E(psi_0)
     text = FAST_SWEEP.replace("external.name = zero", "external.name = driven_well")
     text = text.replace("sequence.n_values = 2, 3, 4", "sequence.n_values = 3")
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     seen = {}
 
     def spy(module, key):
@@ -470,7 +479,7 @@ def test_driven_point_assembles_the_two_body_operator_once(monkeypatch):
     # H(0) is the only assembly: evolve cuts it and adds (f - f0) G, and H(T)
     # is H(0) + (f(T) - f(0)) G
     text = FAST_SWEEP.replace("external.name = zero", "external.name = driven_well")
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     inputs = harness.sweep_inputs(env)
     calls = []
     orig = manybody.two_body_operator
@@ -487,7 +496,7 @@ def test_driven_point_assembles_the_two_body_operator_once(monkeypatch):
 def test_sweep_computes_the_mode_correlations_once(monkeypatch):
     # every point rescales the one unscaled mode, and every rescaled mode reads
     # that mode's interpolants, all cut from one FFT per sweep
-    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     calls = []
     orig = transverse.mode_correlations
 

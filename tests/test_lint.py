@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from dimred.config import DEFAULT_CONFIG_TEXT, parse_kv_text
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "dimred"
 
 
@@ -32,3 +34,25 @@ def test_unused_imports_detects_a_leftover():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_modules_import_only_what_they_use(path):
     assert unused_imports(path.read_text()) == []
+
+
+CONFIG_KEYS = set(parse_kv_text(DEFAULT_CONFIG_TEXT)) | {"sequence.points"}
+
+
+def config_key_literals(source: str) -> list[str]:
+    """String literals of a module that are config keys."""
+    return [f"line {node.lineno}: {node.value}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in CONFIG_KEYS]
+
+
+def test_config_key_literals_detects_a_read():
+    source = 'seed = cfg.get("seed")\nprint("seed = 1", f"{seed}.dir")\nd = {"nls.dt": 1}\n'
+    assert config_key_literals(source) == ["line 1: seed", "line 3: nls.dt"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "config.py"),
+                         ids=lambda p: p.name)
+def test_only_the_config_module_names_config_keys(path):
+    # config.ExperimentConfig is the one reader: no other module looks a key up
+    assert config_key_literals(path.read_text()) == []

@@ -484,10 +484,10 @@ def assert_matches_reference(h, ref):
 
 def _default_sweep(external="zero"):
     from dimred import harness
-    from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
+    from dimred.config import DEFAULT_CONFIG_TEXT, ExperimentConfig
 
     text = DEFAULT_CONFIG_TEXT.replace("external.name = zero", f"external.name = {external}")
-    env = ExperimentConfig.from_config(Config.from_text(text))
+    env = ExperimentConfig.from_text(text)
     inputs = harness.sweep_inputs(env)
     return [harness.point_setup(env, point, inputs) for point in env.points()]
 
@@ -923,9 +923,9 @@ def _random_hermitian_problem():
 
 def _sweep_default_n8_problem():
     from dimred import harness
-    from dimred.config import DEFAULT_CONFIG_TEXT, Config, ExperimentConfig
+    from dimred.config import DEFAULT_CONFIG_TEXT, ExperimentConfig
 
-    env = ExperimentConfig.from_config(Config.from_text(DEFAULT_CONFIG_TEXT))
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     point = env.points()[-1]
     assert point.n_particles == 8
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))

@@ -87,6 +87,14 @@ def test_envelope_values():
         + (ext.transverse_gradient_sup + ext.mixed_derivative_sup))
 
 
+def test_gronwall_envelope_overflows_to_inf():
+    assert nls.gronwall_envelope(1.0, 0.5) == math.exp(1.5)
+    # e^2 (1 + t) past ~709 overflows a float: the bound is vacuous, not an error
+    assert nls.gronwall_envelope(30.0, 0.5) == math.inf
+    assert nls.gronwall_envelope(1.2, 500.0) == math.inf
+    assert nls.gronwall_envelope(1e200, 0.5) == math.inf
+
+
 def test_envelope_constant_for_static_potential():
     ext = potentials.gaussian_well(depth=1.0)
     vals = [nls.envelope(ext, 0.3, 0.2, t) for t in (0.0, 1.0, 7.0)]

@@ -171,14 +171,14 @@ def test_from_table_rejects_negative():
 
 
 def test_confinement_builtins():
-    conf = potentials.confinement_by_name("harmonic")
+    conf = potentials.confinement_by_name("harmonic", 2)
     assert conf.dimension == 2
     y = np.linspace(-2, 2, 5)
-    assert potentials.with_dimension(conf, 1).on_grid(y) == pytest.approx(y**2)
+    assert potentials.confinement_by_name("harmonic", 1).on_grid(y) == pytest.approx(y**2)
     v2 = conf.on_grid(y, y)
     assert v2[0, 0] == pytest.approx(8.0)
-    soft = potentials.confinement_by_name("softened", dimension=1)
-    assert soft.negative_part_bound > 0
+    soft = potentials.confinement_by_name("softened", 1)
+    assert soft.negative_part_bound > 0 and soft.dimension == 1
 
 
 def test_external_builtins():
@@ -203,13 +203,25 @@ def test_zero_external_is_no_field():
     assert potentials.external_by_name("zero") is None
 
 
+def test_profile_by_name_covers_every_config_name(tmp_path):
+    ball = potentials.profile_by_name("uniform_ball", 3.0, 0.5)
+    assert (ball.name, ball.sup_bound, ball.support_radius) == ("uniform_ball", 3.0, 0.5)
+    bump = potentials.profile_by_name("gaussian_bump", 2.0, 1.5)
+    assert (bump.name, bump.sup_bound, bump.support_radius) == ("gaussian_bump", 2.0, 1.5)
+    table = tmp_path / "ramp.csv"
+    table.write_text("# r,w\n0.0,2.0\n1.5,0.0\n")
+    ramp = potentials.profile_by_name(str(table), 3.0, 0.5)  # the table fixes its own
+    assert (ramp.name, ramp.sup_bound, ramp.support_radius) == (str(table), 2.0, 1.5)
+    assert potentials.profile_by_name("zero", 3.0, 0.5).l1_norm == 0.0
+
+
 def test_unknown_names_rejected():
     with pytest.raises(DomainError):
-        potentials.profile_by_name("noball")
+        potentials.profile_by_name("noball", 1.0, 1.0)
     with pytest.raises(DomainError):
         potentials.external_by_name("nowell")
     with pytest.raises(DomainError):
-        potentials.confinement_by_name("notrap")
+        potentials.confinement_by_name("notrap", 1)
 
 
 @given(
