@@ -197,10 +197,10 @@ def cmd_aux_verify(args) -> int:
     report["grad_fit_beta"] = beta_fit
     report["grad_sup_slope"] = fit.sup_fit.slope
     report["grad_l2_slope"] = fit.l2_fit.slope
-    conf = potentials.harmonic_confinement(dimension=1)
+    conf = potentials.confinement_by_name(env.confinement_name, 1)
     # unscaled spacing must resolve the interaction range after rescaling:
     # spacing <= (mu/eps)/10 in units of the unscaled axis
-    extent = 8.0
+    extent = env.transverse_extent
     needed = int(min(max(481, 20.0 * extent / (point.mu_over_eps / scaled.profile.support_radius)),
                      20001))
     tgrid = transverse.TransverseGrid(extent, needed | 1)
@@ -236,6 +236,16 @@ def cmd_sweep(args) -> int:
                   f"r2={fit.r_squared:.4g}")
         except DimredError as exc:
             print(f"rate fit skipped: {exc}")
+    try:
+        verdict = scaling.classify(scaling.ScalingSequence(tuple(env.points())))
+        low, high = scaling.power_law_window(env.beta)
+        bounded = sum(r.excited_fraction <= r.envelope * r.epsilon for r in result.rows)
+        print(f"family: admissible={verdict.admissible} "
+              f"moderately_confining={verdict.moderately_confining} "
+              f"gamma={env.gamma} window=({low:g}, {high:g}) "
+              f"excited_fraction<=envelope*eps: {bounded}/{len(result.rows)} rows")
+    except DimredError as exc:
+        print(f"family check skipped: {exc}")
     return 0 if result.ok else 1
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import auxiliary, manybody, nls, potentials, projectors, scaling, transverse
-from .config import ExperimentConfig
+from .config import DEFAULTS, ExperimentConfig
 from .errors import DimredError, InsufficientDataError
 
 CSV_COLUMNS = (
@@ -368,10 +368,12 @@ def verify_all(seed: int = 0) -> VerificationReport:
     _, trep = auxiliary.theta(mu, point.epsilon)
     rep.add("auxiliary", "theta_midpoint", abs(trep.midpoint - 0.5), 1e-12)
 
-    # coupling invariance
-    quartic = 1.0 / (2.0 * math.pi)
-    b_vals = [potentials.coupling(potentials.scale(prof, scaling.make_point(n, n**-1.0, 0.5)),
-                                  quartic) for n in (100, 1000, 10000)]
+    # coupling invariance of the sweep's own b_eff (run_point) along the default family
+    inputs = sweep_inputs(DEFAULTS)
+    b_vals = [potentials.effective_coupling(
+                  potentials.scale(inputs.profile, p, d_perp=DEFAULTS.d_perp),
+                  transverse.rescale(inputs.unscaled_mode, p.epsilon).quartic)
+              for p in DEFAULTS.points()]
     rep.add("potentials", "coupling_invariance",
             max(abs(b - b_vals[0]) for b in b_vals), 1e-12 * abs(b_vals[0]))
 

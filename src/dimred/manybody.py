@@ -43,7 +43,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dstev
-from scipy.special import comb
 
 from .config import DEFAULTS
 from .errors import DomainError, InstabilityError, ResolutionError, SizeError, ToleranceError
@@ -65,8 +64,8 @@ PARITY_TOL = 1e-8
 
 def symmetric_dimension(n_modes: int, n_particles: int, max_excitations: int | None = None) -> int:
     if max_excitations is None or max_excitations >= n_particles:
-        return int(comb(n_modes + n_particles - 1, n_particles, exact=True))
-    return sum(int(comb(k + n_modes - 2, k, exact=True)) for k in range(max_excitations + 1))
+        return math.comb(n_modes + n_particles - 1, n_particles)
+    return sum(math.comb(k + n_modes - 2, k) for k in range(max_excitations + 1))
 
 
 def _row_sums(occ: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -34,8 +34,10 @@ class InteractionProfile:
     name: str
     radial_profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    sup_bound: float
-    l1_norm: float  # integral of w over R^3
+
+    def __post_init__(self):
+        if self.support_radius <= 0:
+            raise DomainError(f"support_radius must be positive, got {self.support_radius!r}")
 
     def shell_integral(self, dim: int) -> float:
         """Integral of w over R^dim (radial change of variables)."""
@@ -50,23 +52,6 @@ class InteractionProfile:
         )
         return area * val
 
-    def min_value(self, n_samples: int = 2048) -> float:
-        r = np.linspace(0.0, self.support_radius, n_samples)
-        return float(np.min(self.radial_profile(r)))
-
-
-def _build_profile(name, fn, support_radius, sup_bound=None) -> InteractionProfile:
-    if support_radius <= 0:
-        raise DomainError(f"support_radius must be positive, got {support_radius!r}")
-    r = np.linspace(0.0, support_radius, 4096)
-    vals = np.asarray(fn(r), dtype=float)
-    if sup_bound is None:
-        sup_bound = float(np.max(vals))
-    l1, _ = quad(lambda s: s**2 * float(fn(np.asarray(s))), 0.0, support_radius,
-                 epsabs=QUAD_TOL, epsrel=1e-10, limit=200)
-    return InteractionProfile(name, fn, float(support_radius), float(sup_bound),
-                              4.0 * math.pi * l1)
-
 
 def uniform_ball(height: float = 1.0, radius: float = 1.0) -> InteractionProfile:
     if height < 0:
@@ -76,7 +61,7 @@ def uniform_ball(height: float = 1.0, radius: float = 1.0) -> InteractionProfile
         r = np.asarray(r, dtype=float)
         return np.where(r <= radius, height, 0.0)
 
-    return _build_profile("uniform_ball", fn, radius, sup_bound=height)
+    return InteractionProfile("uniform_ball", fn, float(radius))
 
 
 def gaussian_bump(height: float = 1.0, radius: float = 1.0, width: float | None = None) -> InteractionProfile:
@@ -89,7 +74,7 @@ def gaussian_bump(height: float = 1.0, radius: float = 1.0, width: float | None 
         r = np.asarray(r, dtype=float)
         return np.where(r <= radius, height * np.exp(-((r / w) ** 2)), 0.0)
 
-    return _build_profile("gaussian_bump", fn, radius, sup_bound=height)
+    return InteractionProfile("gaussian_bump", fn, float(radius))
 
 
 def from_table(r_values, w_values, name: str = "table") -> InteractionProfile:
@@ -107,12 +92,7 @@ def from_table(r_values, w_values, name: str = "table") -> InteractionProfile:
         x = np.asarray(x, dtype=float)
         return np.interp(x, r, w, right=0.0)
 
-    # exact int s^2 w(s) ds of the interpolant, one linear piece at a time; the
-    # kinks at the nodes defeat adaptive quadrature
-    r0, r1, w0, w1 = r[:-1], r[1:], w[:-1], w[1:]
-    l1 = np.sum((r1 - r0) / 12.0 * (w0 * (3.0 * r0**2 + 2.0 * r0 * r1 + r1**2)
-                                    + w1 * (r0**2 + 2.0 * r0 * r1 + 3.0 * r1**2)))
-    return InteractionProfile(name, fn, float(r[-1]), float(np.max(w)), 4.0 * math.pi * float(l1))
+    return InteractionProfile(name, fn, float(r[-1]))
 
 
 def from_csv(path, name: str | None = None) -> InteractionProfile:
@@ -178,104 +158,22 @@ class ScaledInteraction:
         pref = 1.0 if power == 0.0 else p.density_scale**power
         return pref * p.epsilon**self.d_perp / p.n_particles * self.profile.shell_integral(d)
 
-    def integral_quadrature(self, dim: int | None = None) -> float:
-        """Independent radial quadrature of the scaled evaluator (cross-check)."""
-        d = (1 + self.d_perp) if dim is None else dim
-        val, _ = quad(lambda r: r ** (d - 1) * float(self(r)), 0.0, self.range,
-                      epsabs=QUAD_TOL, epsrel=1e-10, limit=200)
-        return _SHELL_AREA[d] * val
-
 
 def scale(profile: InteractionProfile, point: ScalingPoint, d_perp: int = 2) -> ScaledInteraction:
     return ScaledInteraction(point, profile, d_perp)
 
 
-def coupling(scaled: ScaledInteraction, quartic: float) -> float:
-    """Scaled coupling b_(N,eps) = (N/eps^2) * int w_scaled * int |chi|^4.
-
-    ``quartic`` refers to the unscaled transverse ground state; the 3-d
-    normalisation is used, so for any power-law family this equals
-    l1_norm * quartic independently of the point.
-    """
-    if quartic <= 0:
-        raise DomainError(f"quartic must be positive, got {quartic!r}")
-    p = scaled.point
-    # fused exponents of N and eps: exact identity along power-law families
-    e = 1.0 + (scaled.d_perp - 2.0) * p.beta
-    n_pow = 1.0 if e == 1.0 else float(p.n_particles) ** (e - 1.0)
-    eps_pow = 1.0 if e == 1.0 and scaled.d_perp == 2 else p.epsilon ** (scaled.d_perp - 2.0 * e)
-    return n_pow * eps_pow * scaled.profile.shell_integral(3) * quartic
-
-
 def effective_coupling(scaled: ScaledInteraction, rescaled_quartic: float) -> float:
-    """Dimension-consistent coupling N * int_{R^(1+dperp)} w_scaled * int |chi^eps|^4.
+    """The coupling b = N * int_{R^(1+dperp)} w_scaled * int |chi^eps|^4 of the
+    effective equation; (N, eps)-invariant along power-law families.
 
-    Used by the many-body surrogate at d_perp = 1; coincides with
-    ``coupling`` for d_perp = 2 and is equally (N, eps)-invariant along
-    power-law families.
+    For d_perp = 2 it is the paper's (N/eps^2) * int w_scaled * int |chi|^4.
     """
     if rescaled_quartic <= 0:
         raise DomainError(f"rescaled_quartic must be positive, got {rescaled_quartic!r}")
     p = scaled.point
     d = 1 + scaled.d_perp
     return p.epsilon**scaled.d_perp * scaled.profile.shell_integral(d) * rescaled_quartic
-
-
-def born_length(scaled: ScaledInteraction) -> float:
-    """First-order Born approximation to the scattering length: int w_scaled / (8 pi)."""
-    return scaled.integral(3) / (8.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    sup_ok: bool
-    nonnegative_ok: bool
-    support_ok: bool
-    coupling_ok: bool
-    sup_ratio: float
-    min_value: float
-    support_ratio: float
-    coupling_deviation: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.sup_ok and self.nonnegative_ok and self.support_ok and self.coupling_ok
-
-
-def validate_family(
-    scaled: ScaledInteraction,
-    eta: float,
-    b_limit: float,
-    quartic: float = 1.0,
-    sup_constant: float | None = None,
-    support_constant: float = 1.0,
-    coupling_tolerance: float = 1e-8,
-) -> FamilyReport:
-    """Check the four membership conditions of the scaled-interaction family.
-
-    (a) sup bound, (b) non-negativity (radial symmetry is structural),
-    (c) support inside support_constant * mu, (d) (N/eps^2)^eta-weighted
-    deviation of b_(N,eps) from the supplied limit below tolerance.
-    Failures are reported, never raised.
-    """
-    p = scaled.point
-    sup_cap = sup_constant if sup_constant is not None else scaled.profile.sup_bound * (1 + 1e-9)
-    sup_ratio = scaled.amplitude * scaled.profile.sup_bound / p.density_scale ** (-1.0 + 3.0 * p.beta)
-    sup_ok = sup_ratio <= sup_cap
-    min_val = scaled.profile.min_value()
-    support_ratio = scaled.range / p.mu
-    b_here = coupling(scaled, quartic)
-    dev = p.density_scale**eta * abs(b_here - b_limit)
-    return FamilyReport(
-        sup_ok=bool(sup_ok),
-        nonnegative_ok=bool(min_val >= 0.0),
-        support_ok=bool(support_ratio <= support_constant * (1 + 1e-12)),
-        coupling_ok=bool(dev <= coupling_tolerance),
-        sup_ratio=float(sup_ratio),
-        min_value=float(min_val),
-        support_ratio=float(support_ratio),
-        coupling_deviation=float(dev),
-    )
 
 
 @dataclass(frozen=True)

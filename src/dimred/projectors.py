@@ -133,13 +133,6 @@ def make_weight(kind: str, n_particles: int, xi: float | None = None) -> WeightF
     return WeightFunction(kind, n, vals, 0, xi)
 
 
-def custom_weight(values, n_particles: int) -> WeightFunction:
-    vals = np.asarray(values, dtype=float)
-    if np.any(vals < 0):
-        raise DomainError("custom weights must be non-negative")
-    return WeightFunction("custom", n_particles, vals)
-
-
 @dataclass(frozen=True)
 class WeightNormReport:
     n_particles: int

@@ -59,7 +59,6 @@ def make_point(n_particles: int, epsilon: float, beta: float) -> ScalingPoint:
 @dataclass(frozen=True)
 class ScalingSequence:
     points: tuple[ScalingPoint, ...]
-    gamma: float | None = None
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -74,14 +73,6 @@ class ScalingSequence:
     @property
     def beta(self) -> float:
         return self.points[0].beta
-
-
-def power_law_sequence(beta: float, gamma: float, n_values) -> ScalingSequence:
-    """Sequence with epsilon = N^(-gamma) at the given particle numbers."""
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
-    pts = tuple(make_point(int(n), float(n) ** (-gamma), beta) for n in n_values)
-    return ScalingSequence(pts, gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -268,30 +268,3 @@ def rescale(mode: TransverseMode, epsilon: float) -> TransverseMode:
         epsilon=mode.epsilon * epsilon,
         unit=mode.unit or mode,
     )
-
-
-def rayleigh_quotient(mode: TransverseMode, confinement: ConfinementPotential,
-                      which: int = 0) -> float:
-    """Discrete <chi, (-Delta + V) chi> for the stored samples (diagnostic)."""
-    chi = mode.modes[which]
-    h = mode.spacing
-    eps = mode.epsilon
-    if mode.dimension == 1:
-        lap = np.zeros_like(chi)
-        lap[1:-1] = (chi[2:] - 2 * chi[1:-1] + chi[:-2]) / h**2
-        v = confinement.on_grid(mode.axis / eps) / eps**2
-        return float(np.sum(chi * (-lap + v * chi)) * h)
-    lap = np.zeros_like(chi)
-    lap[1:-1, :] += (chi[2:, :] - 2 * chi[1:-1, :] + chi[:-2, :]) / h**2
-    lap[:, 1:-1] += (chi[:, 2:] - 2 * chi[:, 1:-1] + chi[:, :-2]) / h**2
-    v = confinement.on_grid(mode.axis / eps, mode.axis / eps) / eps**2
-    return float(np.sum(chi * (-lap + v * chi)) * h**2)
-
-
-def excited_fraction_bound(epsilon: float, envelope_value: float) -> float:
-    """A-priori ceiling envelope * eps on the one-particle transverse excitation norm."""
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    if envelope_value < 1.0:
-        raise DomainError(f"envelope values are >= 1 by construction, got {envelope_value!r}")
-    return envelope_value * epsilon

@@ -14,8 +14,8 @@ import pytest
 from scipy.integrate import quad
 
 from dimred import auxiliary, manybody, nls, potentials, projectors, scaling, transverse
-from dimred.config import ExperimentConfig
-from dimred.harness import run_sweep
+from dimred.config import DEFAULTS, ExperimentConfig
+from dimred.harness import run_sweep, sweep_inputs
 
 QUARTIC_1D = 1.0 / math.sqrt(2.0 * math.pi)
 QUARTIC_2D = 1.0 / (2.0 * math.pi)
@@ -392,19 +392,21 @@ def test_criterion_8_gamma_slope(persistence_sweep):
 
 
 def test_criterion_9_coupling_invariance():
+    # the sweep's own b_eff (harness.run_point) along configs/default.cfg's family
     t0 = time.time()
-    prof = potentials.uniform_ball()
-    b_limit = prof.shell_integral(3) * QUARTIC_2D
-    points = [scaling.make_point(n, float(n) ** -1.0, 0.5)
-              for n in (10**2, 10**3, 10**4, 10**5)]
-    b_vals = [potentials.coupling(potentials.scale(prof, p), QUARTIC_2D) for p in points]
+    env = DEFAULTS
+    inputs = sweep_inputs(env)
+    points = env.points()
+    b_vals = [potentials.effective_coupling(
+                  potentials.scale(inputs.profile, p, d_perp=env.d_perp),
+                  transverse.rescale(inputs.unscaled_mode, p.epsilon).quartic)
+              for p in points]
+    b_limit = inputs.profile.shell_integral(1 + env.d_perp) * inputs.unscaled_mode.quartic
     spread = max(abs(b - b_vals[0]) for b in b_vals)
-    cond_d = all(
-        potentials.validate_family(potentials.scale(prof, p), eta, b_limit,
-                                   quartic=QUARTIC_2D).coupling_ok
-        for p in points for eta in (0.5, 1.0, 2.0)
-    )
-    match = abs(b_vals[0] - prof.l1_norm * QUARTIC_2D)
+    # condition (d): (N/eps^2)^eta |b_(N,eps) - b| stays small
+    cond_d = all(p.density_scale**eta * abs(b - b_limit) <= 1e-8
+                 for p, b in zip(points, b_vals) for eta in (0.5, 1.0, 2.0))
+    match = abs(b_vals[0] - b_limit)
     elapsed = time.time() - t0
     ok = spread <= 1e-12 and match <= 1e-12 and cond_d and elapsed < 5.0
     assert report(9, "coupling invariance", ok,

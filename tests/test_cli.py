@@ -214,6 +214,26 @@ def test_sweep_command(capsys, sweep_cfg, tmp_path):
     assert lines[1].startswith("n_particles,epsilon,mu,t,trace_distance")
 
 
+def test_sweep_prints_the_family_check(capsys, tmp_path):
+    assert main(["sweep", "--config", str(DEFAULT_CFG), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("rate fit: ")
+    assert out[-1].startswith("family: admissible=True moderately_confining=True ")
+    assert "window=(0.5, inf)" in out[-1]
+    assert out[-1].endswith(" 7/7 rows")
+
+
+def test_sweep_skips_the_family_check_on_two_points(capsys, tmp_path):
+    # classify needs three points; the sweep itself still succeeds
+    path = tmp_path / "two.cfg"
+    path.write_text(FAST_SWEEP.replace("sequence.gamma = 1.0\nsequence.n_values = 2, 3",
+                                       "sequence.points = 2:0.5, 3:0.3"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "2 rows, 0 failures" in out[0]
+    assert out[-1].startswith("family check skipped: ")
+
+
 def test_sweep_survives_gronwall_overflow(capsys, tmp_path):
     # at height 3000 the envelope's exponential overflows at N = 3 (N = 2 stays
     # near 4e288): the row keeps its measured columns and the vacuous bound is inf
@@ -326,7 +346,8 @@ def test_manybody_evolve_matches_shared_setup(tmp_path):
     point = scaling.make_point(3, 3.0 ** -env.gamma, env.beta)
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))
     profile = setup.basis.scaled.profile
-    assert (profile.name, profile.sup_bound, profile.support_radius) == ("gaussian_bump", 3.0, 1.0)
+    assert (profile.name, profile.radial_profile(0.0), profile.support_radius) == (
+        "gaussian_bump", 3.0, 1.0)
     psi_t = setup.evolve(env, 1).final
     assert np.array_equal(dump["occupations"], setup.fock.occupations)
     assert np.max(np.abs(dump["amplitudes"] - psi_t.amplitudes)) < 1e-12
@@ -367,6 +388,23 @@ def test_aux_verify_uses_config_profile(capsys, tmp_path):
     assert main(["aux-verify"]) == 0
     ball = json.loads(capsys.readouterr().out)
     assert bump["wbar_l1"] < 0.5 * ball["wbar_l1"]
+
+
+def test_aux_verify_uses_config_trap(capsys, tmp_path):
+    path = tmp_path / "soft.cfg"
+    path.write_text(DEFAULT_CFG.read_text().replace("confinement.name = harmonic",
+                                                    "confinement.name = softened"))
+    assert main(["aux-verify", "--config", str(path)]) == 0
+    soft = json.loads(capsys.readouterr().out)
+    assert main(["aux-verify", "--config", str(DEFAULT_CFG)]) == 0
+    harmonic = json.loads(capsys.readouterr().out)
+    assert harmonic["wbar_l1"] == pytest.approx(0.1189, abs=1e-4)
+    assert soft["wbar_l1"] == pytest.approx(0.1710, abs=1e-4)
+    # only the quasi-1d quantities see the trap
+    trapped = {"wbar_evenness", "wbar_l1", "hbar_boundary", "hbar_sup_slope", "hbar_wbar_l1",
+               "green_symmetry"}
+    assert {k: v for k, v in soft.items() if k not in trapped} == {
+        k: v for k, v in harmonic.items() if k not in trapped}
 
 
 def test_verify_all_seed_falls_back_to_default_table(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,39 @@ def test_config_key_literals_detects_a_read():
 def test_only_the_config_module_names_config_keys(path):
     # config.ExperimentConfig is the one reader: no other module looks a key up
     assert config_key_literals(path.read_text()) == []
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the modules in ``sources`` that no
+    module names, by a bare name, an attribute or an import, outside their own
+    definition."""
+
+    def names(node):
+        counts = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                counts[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                counts[sub.attr] += 1
+            elif isinstance(sub, ast.alias):
+                counts[sub.name] += 1
+        return counts
+
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    everywhere = sum((names(tree) for tree in trees.values()), Counter())
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and everywhere[node.name] <= names(node)[node.name]]
+
+
+def test_unreferenced_definitions_detects_a_planted_function():
+    sources = {
+        "a.py": "def used():\n    return 1\n\n\ndef planted(n):\n    return planted(n - 1)\n",
+        "b.py": "from .a import used\n\n\nclass Kept:\n    pass\n\n\nprint(used(), Kept)\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py: planted"]
+
+
+def test_package_defines_only_what_the_package_references():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_definitions(sources) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from dimred import potentials, scaling
 from dimred.errors import DomainError
@@ -14,8 +15,8 @@ QUARTIC_2D = 1.0 / (2.0 * math.pi)
 
 def test_uniform_ball_l1_quadrature():
     prof = potentials.uniform_ball()
-    assert prof.l1_norm == pytest.approx(BALL_L1, abs=1e-10)
-    assert prof.sup_bound == 1.0
+    assert prof.shell_integral(3) == pytest.approx(BALL_L1, abs=1e-10)
+    assert prof.radial_profile(0.0) == 1.0
     assert prof.support_radius == 1.0
 
 
@@ -47,13 +48,16 @@ def test_scale_zero_interaction():
     p = scaling.make_point(100, 0.1, 0.5)
     sc = potentials.scale(potentials.uniform_ball(height=0.0), p)
     assert sc.integral(3) == 0.0
-    assert potentials.coupling(sc, QUARTIC_2D) == 0.0
+    assert potentials.effective_coupling(sc, QUARTIC_2D / p.epsilon**2) == 0.0
 
 
 def test_integral_matches_quadrature():
     p = scaling.make_point(10**3, 0.05, 0.7)
     sc = potentials.scale(potentials.gaussian_bump(height=2.0), p)
-    assert sc.integral(3) == pytest.approx(sc.integral_quadrature(3), rel=1e-8)
+    # independent radial quadrature of the scaled evaluator
+    shell, _ = quad(lambda r: r**2 * float(sc(r)), 0.0, sc.range, epsabs=1e-12, epsrel=1e-10,
+                    limit=200)
+    assert sc.integral(3) == pytest.approx(4.0 * math.pi * shell, rel=1e-8)
 
 
 def test_sup_of_scaled_family():
@@ -64,15 +68,18 @@ def test_sup_of_scaled_family():
 
 
 def test_coupling_example():
+    # at d_perp = 2 the rescaled quartic is eps^-2 times the unscaled one
     p = scaling.make_point(10**4, 0.1, 0.5)
     sc = potentials.scale(potentials.uniform_ball(), p)
-    assert potentials.coupling(sc, QUARTIC_2D) == pytest.approx(2.0 / 3.0, rel=1e-10)
+    assert potentials.effective_coupling(sc, QUARTIC_2D / p.epsilon**2) == pytest.approx(
+        2.0 / 3.0, rel=1e-10)
 
 
 def test_coupling_invariant_across_points():
     prof = potentials.uniform_ball(height=1.3)
-    b = [potentials.coupling(potentials.scale(prof, scaling.make_point(n, float(n) ** -1.0, 0.5)),
-                             QUARTIC_2D) for n in (10**2, 10**3, 10**4, 10**5)]
+    points = [scaling.make_point(n, float(n) ** -1.0, 0.5) for n in (10**2, 10**3, 10**4, 10**5)]
+    b = [potentials.effective_coupling(potentials.scale(prof, p), QUARTIC_2D / p.epsilon**2)
+         for p in points]
     for val in b[1:]:
         assert val == pytest.approx(b[0], rel=1e-12)
 
@@ -90,53 +97,6 @@ def test_effective_coupling_invariant_for_surrogate():
         assert val == pytest.approx(vals[0], rel=1e-12)
 
 
-def test_born_length_example():
-    p = scaling.make_point(10**4, 0.1, 0.5)
-    sc = potentials.scale(potentials.uniform_ball(), p)
-    assert potentials.born_length(sc) == pytest.approx(1e-6 / 6.0, rel=1e-10)
-
-
-def test_born_length_times_density_constant():
-    prof = potentials.uniform_ball()
-    vals = [potentials.born_length(potentials.scale(prof, scaling.make_point(n, float(n) ** -0.8, 0.5)))
-            * scaling.make_point(n, float(n) ** -0.8, 0.5).density_scale
-            for n in (100, 10**4)]
-    assert vals[0] == pytest.approx(vals[1], rel=1e-12)
-
-
-def test_validate_family_power_law_passes():
-    p = scaling.make_point(10**4, 0.1, 0.5)
-    prof = potentials.uniform_ball()
-    sc = potentials.scale(prof, p)
-    # the family limit is the profile's own quadrature value, so the
-    # power-law deviation is identically zero even under the eta-weighting
-    b_limit = prof.shell_integral(3) * QUARTIC_2D
-    for eta in (0.5, 1.0, 2.0):
-        rep = potentials.validate_family(sc, eta, b_limit, quartic=QUARTIC_2D)
-        assert rep.all_ok
-        assert rep.coupling_deviation <= 1e-9
-
-
-def test_validate_family_negative_dip_fails_b():
-    def dipped(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.5, 1.0, -0.1) * (x <= 1.0)
-
-    dip = potentials.InteractionProfile("dip", dipped, 1.0, 1.0, BALL_L1)
-    p = scaling.make_point(10**4, 0.1, 0.5)
-    sc = potentials.ScaledInteraction(p, dip)
-    rep = potentials.validate_family(sc, 1.0, BALL_L1 * QUARTIC_2D, quartic=QUARTIC_2D)
-    assert not rep.nonnegative_ok
-
-
-def test_validate_family_oversized_support_fails_c():
-    p = scaling.make_point(10**4, 0.1, 0.5)
-    sc = potentials.scale(potentials.uniform_ball(radius=10.0), p)
-    rep = potentials.validate_family(sc, 1.0, potentials.uniform_ball(radius=10.0).l1_norm * QUARTIC_2D,
-                                     quartic=QUARTIC_2D)
-    assert not rep.support_ok
-
-
 def test_from_table_roundtrip(tmp_path):
     r = np.linspace(0.0, 2.0, 64)
     w = np.exp(-r)
@@ -149,20 +109,25 @@ def test_from_table_roundtrip(tmp_path):
 
 
 def test_from_table_l1_norm_is_exact():
-    # s^2 w(s) is a cubic on each linear piece, where Simpson's rule is exact
     r = np.array([0.0, 0.3, 0.7, 1.2, 2.0])
     w = np.array([2.0, 1.5, 1.8, 0.4, 0.1])
     prof = potentials.from_table(r, w)
+    # oracle: exact int s^2 w(s) ds of the interpolant, one linear piece at a time
+    r0, r1, w0, w1 = r[:-1], r[1:], w[:-1], w[1:]
+    exact = np.sum((r1 - r0) / 12.0 * (w0 * (3.0 * r0**2 + 2.0 * r0 * r1 + r1**2)
+                                       + w1 * (r0**2 + 2.0 * r0 * r1 + 3.0 * r1**2)))
 
+    # s^2 w(s) is a cubic on each linear piece, where Simpson's rule is exact
     def f(s):
         return s**2 * np.interp(s, r, w)
 
     mid = 0.5 * (r[:-1] + r[1:])
     simpson = np.sum((r[1:] - r[:-1]) / 6.0 * (f(r[:-1]) + 4.0 * f(mid) + f(r[1:])))
-    assert prof.l1_norm == pytest.approx(4.0 * math.pi * simpson, rel=1e-14)
+    assert exact == pytest.approx(simpson, rel=1e-14)
+    assert prof.shell_integral(3) == pytest.approx(4.0 * math.pi * exact, rel=1e-12)
     # a straight ramp a (1 - r/R) integrates to pi a R^3 / 3
     ramp = potentials.from_table([0.0, 0.5, 1.5], [3.0, 2.0, 0.0])
-    assert ramp.l1_norm == pytest.approx(math.pi * 3.0 * 1.5**3 / 3.0, rel=1e-14)
+    assert ramp.shell_integral(3) == pytest.approx(math.pi * 3.0 * 1.5**3 / 3.0, rel=1e-14)
 
 
 def test_from_table_rejects_negative():
@@ -205,14 +170,14 @@ def test_zero_external_is_no_field():
 
 def test_profile_by_name_covers_every_config_name(tmp_path):
     ball = potentials.profile_by_name("uniform_ball", 3.0, 0.5)
-    assert (ball.name, ball.sup_bound, ball.support_radius) == ("uniform_ball", 3.0, 0.5)
+    assert (ball.name, ball.radial_profile(0.0), ball.support_radius) == ("uniform_ball", 3.0, 0.5)
     bump = potentials.profile_by_name("gaussian_bump", 2.0, 1.5)
-    assert (bump.name, bump.sup_bound, bump.support_radius) == ("gaussian_bump", 2.0, 1.5)
+    assert (bump.name, bump.radial_profile(0.0), bump.support_radius) == ("gaussian_bump", 2.0, 1.5)
     table = tmp_path / "ramp.csv"
     table.write_text("# r,w\n0.0,2.0\n1.5,0.0\n")
     ramp = potentials.profile_by_name(str(table), 3.0, 0.5)  # the table fixes its own
-    assert (ramp.name, ramp.sup_bound, ramp.support_radius) == (str(table), 2.0, 1.5)
-    assert potentials.profile_by_name("zero", 3.0, 0.5).l1_norm == 0.0
+    assert (ramp.name, ramp.radial_profile(0.0), ramp.support_radius) == (str(table), 2.0, 1.5)
+    assert potentials.profile_by_name("zero", 3.0, 0.5).shell_integral(3) == 0.0
 
 
 def test_unknown_names_rejected():

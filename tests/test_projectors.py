@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import manybody, projectors
-from dimred.errors import DomainError, ToleranceError
+from dimred.errors import ToleranceError
 
 
 def two_mode_state(c20, c11, c02):
@@ -76,13 +76,8 @@ def test_weight_shift_window():
 
 def test_weight_operator_norm_is_sup():
     vals = np.array([0.3, 2.5, 0.1, 1.0])
-    w = projectors.custom_weight(vals, 3)
+    w = projectors.WeightFunction("custom", 3, vals)
     assert w.operator_norm == pytest.approx(2.5)
-
-
-def test_custom_weight_rejects_negative():
-    with pytest.raises(DomainError):
-        projectors.custom_weight([0.1, -0.2, 0.3], 2)
 
 
 def test_weight_norm_checks_example():

@@ -45,8 +45,14 @@ def test_mu_rederivation_is_bit_identical():
     assert p.mu == p.density_scale ** (-p.beta)
 
 
+def power_law(beta, gamma, n_values):
+    """The sequence eps = N^-gamma at the given particle numbers."""
+    return scaling.ScalingSequence(tuple(scaling.make_point(n, float(n) ** -gamma, beta)
+                                         for n in n_values))
+
+
 def test_classify_power_law_example():
-    seq = scaling.power_law_sequence(0.5, 1.0, [100, 1000, 10000])
+    seq = power_law(0.5, 1.0, [100, 1000, 10000])
     c = scaling.classify(seq)
     ratios = [e.eps2_over_mu for e in c.evidence]
     assert ratios == pytest.approx([0.1, 10**-1.5, 0.01], rel=1e-12)
@@ -63,12 +69,12 @@ def test_classify_constant_epsilon_not_admissible():
 
 def test_classify_below_window_not_admissible():
     # beta = 1/3 needs gamma > 1/4; gamma = 1/8 fails
-    seq = scaling.power_law_sequence(1.0 / 3.0, 0.125, [10**3, 10**5, 10**7])
+    seq = power_law(1.0 / 3.0, 0.125, [10**3, 10**5, 10**7])
     assert not scaling.classify(seq).admissible
 
 
 def test_classify_needs_three_points():
-    seq = scaling.power_law_sequence(0.5, 1.0, [100, 1000])
+    seq = power_law(0.5, 1.0, [100, 1000])
     with pytest.raises(InsufficientDataError):
         scaling.classify(seq)
 
@@ -109,7 +115,7 @@ def test_theoretical_rate_eta_limit():
 
 
 def test_theoretical_rate_decreases_along_admissible_sequence():
-    seq = scaling.power_law_sequence(0.5, 1.0, [10**2, 10**3, 10**4, 10**5])
+    seq = power_law(0.5, 1.0, [10**2, 10**3, 10**4, 10**5])
     totals = [scaling.theoretical_rate(p, 1.0).total for p in seq.points]
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
@@ -147,7 +153,7 @@ def test_window_interior_classifies_admissible(beta, gamma_frac):
         return
     # large-N tail of a window-interior power law classifies admissible
     ns = [10**6, 10**8, 10**10]
-    seq = scaling.power_law_sequence(beta, gamma, ns)
+    seq = power_law(beta, gamma, ns)
     c = scaling.classify(seq)
     exps_adm = beta * (1 + 2 * gamma) - 2 * gamma
     if all(e.eps2_over_mu < 0.5 for e in c.evidence) and exps_adm < -0.01:

