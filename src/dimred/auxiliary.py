@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, InsufficientDataError, RegimeError, ResolutionError
 from .nls import CondensateState
-from .potentials import ScaledInteraction
+from .potentials import ScaledInteraction, gauss_legendre
 from .transverse import TransverseMode, offset_quadrature
 
 BOUNDARY_TOL = 1e-10
@@ -78,6 +77,7 @@ class BallGreenData:
 
     def mass(self, r) -> np.ndarray:
         """M(r) = int_0^r s^2 w(s) ds, exact change of variables below the range."""
+        from scipy.integrate import quad  # aux-verify only
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r)
         rng = self.scaled.range
@@ -99,6 +99,7 @@ class BallGreenData:
         return out
 
     def value(self, r) -> np.ndarray:
+        from scipy.integrate import quad  # aux-verify only
         r = np.atleast_1d(np.asarray(r, dtype=float))
         rng = self.scaled.range
         m_tot = self.scaled.integral(3) / (4.0 * math.pi)
@@ -127,6 +128,7 @@ class BallGreenData:
         return float(np.max(self.gradient(probes)))
 
     def l2_gradient(self) -> float:
+        from scipy.integrate import quad  # aux-verify only
         rng = self.scaled.range
         val1, _ = quad(lambda r: r**2 * float(self.gradient(r)[0]) ** 2, 0.0, rng,
                        epsabs=1e-14, epsrel=1e-10, limit=200)
@@ -229,6 +231,7 @@ class ThetaReport:
 
 def theta(mu: float, eps: float, n_samples: int = 2048) -> tuple[RadialFunction, ThetaReport]:
     """Radial cutoff Theta: 1 inside mu, smooth decrease to 0 at eps; 3-d norms."""
+    from scipy.integrate import quad  # aux-verify only
     _require_regime(mu, eps)
     radii = np.linspace(0.0, eps, n_samples)
     vals = smooth_step(radii, mu, eps)
@@ -454,7 +457,7 @@ def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
     if _points_across(tmode, scaled) < 8:
         raise ResolutionError("transverse grid does not resolve the interaction range")
     t0 = float(tmode.correlation(0.0, 1)[0, 0, 0, 0])
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = gauss_legendre(n_quad)
     s_nodes = r * nodes
     s_weights = r * weights
     # transverse integrals of w(s, u) against T(u) and T(0), one per s node

@@ -240,10 +240,13 @@ def cmd_sweep(args) -> int:
         verdict = scaling.classify(scaling.ScalingSequence(tuple(env.points())))
         low, high = scaling.power_law_window(env.beta)
         bounded = sum(r.excited_fraction <= r.envelope * r.epsilon for r in result.rows)
+        ratio = max((r.excited_fraction / (r.envelope * r.epsilon) for r in result.rows),
+                    default=math.nan)
         print(f"family: admissible={verdict.admissible} "
               f"moderately_confining={verdict.moderately_confining} "
               f"gamma={env.gamma} window=({low:g}, {high:g}) "
-              f"excited_fraction<=envelope*eps: {bounded}/{len(result.rows)} rows")
+              f"excited_fraction<=envelope*eps: {bounded}/{len(result.rows)} rows "
+              f"(max ratio {ratio:.3g})")
     except DimredError as exc:
         print(f"family check skipped: {exc}")
     return 0 if result.ok else 1

@@ -47,7 +47,7 @@ from scipy.linalg.lapack import dstev
 from .config import DEFAULTS
 from .errors import DomainError, InstabilityError, ResolutionError, SizeError, ToleranceError
 from .nls import Trajectory
-from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction
+from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction, gauss_legendre
 from .scaling import ScalingPoint
 from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
                          offset_quadrature, rescale)
@@ -171,8 +171,9 @@ class ManyBodyState:
 def product_state(fock: FockBasis, coeffs: np.ndarray, time: float = 0.0) -> ManyBodyState:
     """Condensate (phi)^(x N) for a one-body coefficient vector phi.
 
-    With an excitation truncation the state is the renormalized restriction;
-    the discarded weight is tiny for condensate-like phi and is checked.
+    With an excitation truncation the state is the renormalized restriction.
+    The discarded weight is tiny for condensate-like phi; a kept weight
+    (squared norm) below 0.81 raises ResolutionError.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (fock.n_modes,):
@@ -192,7 +193,7 @@ def product_state(fock: FockBasis, coeffs: np.ndarray, time: float = 0.0) -> Man
     retained = np.linalg.norm(amp)
     if retained < 0.9:
         raise ResolutionError(
-            f"excitation truncation retains only {retained**2:.3f} of the product state"
+            f"excitation truncation retains only {retained**2:.3f} of the product state's weight (< 0.81)"
         )
     return ManyBodyState(fock, amp / retained, time)
 
@@ -301,7 +302,7 @@ def _cosine_transform_x(scaled: ScaledInteraction, q_values: np.ndarray,
     if not np.any(inside):
         return out
     smax = np.sqrt(np.maximum(r**2 - u_norms[inside] ** 2, 0.0))
-    nodes, weights = np.polynomial.legendre.leggauss(n_gl)
+    nodes, weights = gauss_legendre(n_gl)
     s = 0.5 * smax[None, :] * (nodes[:, None] + 1.0)          # (n_gl, n_u_in)
     wgt = 0.5 * smax[None, :] * weights[:, None]
     rad = np.sqrt(s**2 + u_norms[inside][None, :] ** 2)

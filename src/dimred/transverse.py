@@ -17,12 +17,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.sparse.linalg import eigsh
 
 from .errors import DegeneracyError, DomainError, ResolutionError
-from .potentials import ConfinementPotential
+from .potentials import ConfinementPotential, gauss_legendre
 
 BOUNDARY_DECAY = 1e-8
 DEGENERACY_GAP = 1e-10
@@ -203,8 +202,9 @@ class ModeCorrelations:
         o = self.offsets[order]
         lead = self.values.shape[:4]
         if self.dimension == 1:
-            spline = CubicSpline(o, self.values.reshape(-1, len(o))[:, order], axis=1)
-            return lambda u: spline(u).reshape(*lead, *np.shape(u))
+            spline = cubic_spline(o, self.values.reshape(-1, len(o))[:, order].T)
+            return lambda u: np.moveaxis(spline(u), -1, 0).reshape(*lead, *np.shape(u))
+        from scipy.interpolate import RectBivariateSpline  # d_perp = 2 only
         # S is bitwise symmetric in a <-> c and b <-> d: fit a <= c, b <= d, mirror the rest
         a, c = np.triu_indices(lead[0])
         pair = np.empty(lead[:2], dtype=np.int64)
@@ -220,6 +220,33 @@ class ModeCorrelations:
             return means.reshape(len(a), len(a), *u.shape[:-1])[pair][:, :, pair]
 
         return at
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray):
+    """The not-a-knot cubic spline through y[i, :] at the ascending x[i], as
+    u -> values of shape (*u.shape, y.shape[1]), continued by the end cubics
+    beyond x.  It repeats scipy.interpolate.CubicSpline's arithmetic bit for bit."""
+    dx = np.diff(x)
+    h, d0, d1 = dx[:, None], x[2] - x[0], x[-1] - x[-3]
+    slope = np.diff(y, axis=0) / h
+    # the slopes s at the nodes solve one tridiagonal system; its end rows are not-a-knot
+    ab = np.zeros((3, len(x)))
+    ab[0, 1:], ab[2, :-1] = (d0, *dx[:-1]), (*dx[1:], d1)
+    ab[1] = (dx[1], *2 * (dx[:-1] + dx[1:]), dx[-2])
+    rhs = np.concatenate([((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1])[None] / d0,
+                          3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:]),
+                          (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1])[None] / d1])
+    s = solve_banded((1, 1), ab, rhs)
+    t = (s[:-1] + s[1:] - 2 * slope) / h
+    coeffs = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / h - t, t / h])  # powers 0..3 of u - x[i]
+
+    def at(u):
+        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
+        z = (u - x[i])[..., None]
+        c = coeffs[:, i]
+        return c[0] + c[1] * z + c[2] * (z * z) + c[3] * (z * z * z)
+
+    return at
 
 
 def mode_correlations(mode: TransverseMode, n_modes: int) -> ModeCorrelations:
@@ -241,7 +268,7 @@ def offset_quadrature(u_max, dimension: int, n: int) -> tuple[np.ndarray, np.nda
     One dimension: the signed offset on [-u_max, u_max].  Two: the radius on
     [0, u_max], with the polar weight 2 pi u.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_legendre(n)
     u_max = np.asarray(u_max, dtype=float)[..., None]
     if dimension == 1:
         return u_max * nodes, u_max * weights

@@ -1,6 +1,9 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -93,3 +96,61 @@ def test_unreferenced_definitions_detects_a_planted_function():
 def test_package_defines_only_what_the_package_references():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+# scipy submodules a sweep never needs; each loads scipy.special or scipy.optimize
+OFF_THE_SWEEP = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize")
+
+
+def module_level_imports(source: str, packages) -> list[str]:
+    """Imports of ``packages`` or their submodules that run when the module
+    loads: any outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                visit(child)
+                continue
+            found.extend(f"line {child.lineno}: {name}" for name in names
+                         if any(name == p or name.startswith(p + ".") for p in packages))
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_imports_detects_a_load_time_import():
+    source = ("import scipy.special\nfrom scipy import optimize\nfrom scipy.linalg import eigh\n"
+              "def f():\n    from scipy.integrate import quad\n\n"
+              "class C:\n    from scipy.interpolate import CubicSpline\n")
+    assert module_level_imports(source, OFF_THE_SWEEP) == [
+        "line 1: scipy.special", "line 2: scipy.optimize", "line 8: scipy.interpolate.CubicSpline"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_load_no_off_sweep_scipy(path):
+    assert module_level_imports(path.read_text(), OFF_THE_SWEEP) == []
+
+
+def test_a_default_sweep_loads_no_off_sweep_scipy():
+    # a fresh interpreter: pytest's own warning filters import scipy.integrate
+    default_cfg = SRC.parents[1] / "configs" / "default.cfg"
+    code = ("import sys\n"
+            "import dimred.cli\n"
+            "from dimred import harness\n"
+            "from dimred.config import ExperimentConfig\n"
+            f"result = harness.run_sweep(ExperimentConfig.from_file({str(default_cfg)!r}))\n"
+            "assert result.ok and len(result.rows) == 7\n"
+            f"print(sorted(m for m in {OFF_THE_SWEEP!r} if m in sys.modules))\n")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

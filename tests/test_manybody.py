@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 
 from dimred import manybody, potentials, projectors, scaling, transverse
-from dimred.errors import DomainError, SizeError, ToleranceError
+from dimred.errors import DomainError, ResolutionError, SizeError, ToleranceError
 from dimred.manybody import FockBasis, ModeBasis
 
 L = 2.0 * math.pi
@@ -1431,6 +1431,21 @@ def test_fock_enumeration_properties(n_modes, n_particles, cap):
     assert fock.dim == manybody.symmetric_dimension(n_modes, n_particles, cap)
     # lookup is a bijection on the enumerated rows
     assert np.array_equal(fock.lookup(occ), np.arange(fock.dim))
+
+
+@pytest.mark.parametrize("weight, refused", [(0.80, True), (0.82, False)])
+def test_product_state_refuses_a_retained_weight_below_081(weight, refused):
+    # with no excitation allowed only the row (2, 0) is kept, with amplitude
+    # a^2: the retained weight (squared norm) is a^4
+    fock = manybody.FockBasis(2, 2, max_excitations=0)
+    a = weight**0.25
+    coeffs = np.array([a, math.sqrt(1.0 - a * a)])
+    if refused:
+        with pytest.raises(ResolutionError,
+                           match=r"retains only 0\.800 of the product state's weight \(< 0\.81\)"):
+            manybody.product_state(fock, coeffs)
+    else:
+        assert manybody.product_state(fock, coeffs).norm == pytest.approx(1.0, abs=1e-14)
 
 
 def test_product_state_of_a_basis_mode():

@@ -10,6 +10,7 @@ from dimred import potentials, scaling
 from dimred.errors import DomainError
 
 BALL_L1 = 4.0 * math.pi / 3.0
+SHELL_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^(d-1)|
 QUARTIC_2D = 1.0 / (2.0 * math.pi)
 
 
@@ -18,6 +19,29 @@ def test_uniform_ball_l1_quadrature():
     assert prof.shell_integral(3) == pytest.approx(BALL_L1, abs=1e-10)
     assert prof.radial_profile(0.0) == 1.0
     assert prof.support_radius == 1.0
+
+
+KINKED = potentials.from_table([0.0, 0.3, 0.7, 1.2, 2.0], [2.0, 1.5, 1.8, 0.4, 0.1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("prof", [potentials.uniform_ball(3.0, 1.0),
+                                  potentials.gaussian_bump(2.0, 1.3),
+                                  KINKED], ids=lambda p: p.name)
+def test_shell_integral_matches_quad(prof, dim):
+    # oracle: adaptive quadrature, told where the table kinks
+    val, _ = quad(lambda r: r ** (dim - 1) * float(prof.radial_profile(np.asarray(r))),
+                  0.0, prof.support_radius, points=prof.kinks or None,
+                  epsabs=0.0, epsrel=1e-13, limit=400)
+    assert prof.shell_integral(dim) == pytest.approx(SHELL_AREA[dim] * val, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_uniform_ball_shell_integral_closed_form(dim):
+    # h R^d / d |S^(d-1)|
+    prof = potentials.uniform_ball(height=3.0, radius=1.7)
+    assert prof.shell_integral(dim) == pytest.approx(3.0 * 1.7**dim / dim * SHELL_AREA[dim],
+                                                     rel=1e-14)
 
 
 def test_profile_values_vanish_beyond_support():

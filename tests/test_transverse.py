@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from dimred import potentials, transverse
+from dimred import harness, potentials, transverse
+from dimred.config import ExperimentConfig
 from dimred.errors import DegeneracyError, ResolutionError
 
 QUARTIC_1D = 1.0 / math.sqrt(2.0 * math.pi)
@@ -142,6 +145,49 @@ def test_mode_correlations_1d_against_direct_sum():
     at = corr.interpolant()
     assert np.max(np.abs(at(corr.offsets) - corr.values)) < 1e-12 * np.max(np.abs(ref))
     _assert_rescaled_correlation_exact(mode, np.linspace(-2.5, 2.5, 11))
+
+
+def _assert_matches_cubic_spline(corr, u):
+    # oracle: scipy's not-a-knot CubicSpline of the same grid values
+    order = np.argsort(corr.offsets)
+    lead = corr.values.shape[:4]
+    oracle = CubicSpline(corr.offsets[order], corr.values.reshape(-1, len(order))[:, order],
+                         axis=1)
+    ref = oracle(u).reshape(*lead, *u.shape)
+    got = corr.interpolant()(u)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cubic_spline_against_scipy_on_random_data():
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(-4.0, 4.0, 57))
+    y = rng.normal(size=(57, 6))
+    # nodes, interior points, and both ends' extrapolating cubics
+    u = np.concatenate([x, rng.uniform(-4.0, 4.0, 300), [-6.0, -4.5, 4.5, 6.0]])
+    ref = CubicSpline(x, y)(u)
+    assert np.max(np.abs(transverse.cubic_spline(x, y)(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    mode = _random_mode(1, 81, 3, seed=6)
+    corr = transverse.mode_correlations(mode, 3)
+    _assert_matches_cubic_spline(corr, np.concatenate([corr.offsets, u]))
+
+
+def test_interpolant_matches_cubic_spline_on_the_default_sweep():
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parents[1] / "configs"
+                                     / "default.cfg")
+    inputs = harness.sweep_inputs(cfg)
+    mode = inputs.unscaled_mode
+    corr = transverse.mode_correlations(mode, cfg.m_y)
+    _assert_matches_cubic_spline(corr, corr.offsets)
+    # the unit-mode offsets build_basis evaluates: Gauss nodes over the range, / eps
+    assert -np.min(corr.offsets) == pytest.approx(8.0, rel=1e-12)
+    for point in cfg.points():
+        scaled = potentials.scale(inputs.profile, point, d_perp=cfg.d_perp)
+        u, _ = transverse.offset_quadrature(scaled.range, mode.dimension, 64)
+        _assert_matches_cubic_spline(corr, u / point.epsilon)
+        # |u|/eps peaks at 0.707 (N = 2), far inside the half-span 8: no point
+        # of the sweep reaches the extrapolating end cubics
+        assert np.max(np.abs(u)) / point.epsilon <= 0.71
 
 
 def test_mode_correlations_2d_against_direct_sum():
