@@ -75,21 +75,28 @@ class BallGreenData:
     scaled: ScaledInteraction
     eps: float
 
+    def _moment(self, r: np.ndarray, power: int) -> np.ndarray:
+        """int_0^r s^power w(s) ds: a 48-node Gauss-Legendre rule on each smooth
+        segment of the scaled profile below r (split at its kinks, as
+        `shell_integral` does), constant from the range on."""
+        profile = self.scaled.profile
+        edges = self.scaled.point.mu * np.array([0.0, *profile.kinks, profile.support_radius])
+        nodes, weights = gauss_legendre(48)
+
+        def segments(lo, hi):
+            half = 0.5 * (hi - lo)[:, None]
+            s = 0.5 * (lo + hi)[:, None] + half * nodes
+            return np.sum(half * weights * s**power * self.scaled(s), axis=1)
+
+        below = np.concatenate([[0.0], np.cumsum(segments(edges[:-1], edges[1:]))])
+        j = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
+        return below[j] + segments(edges[j], np.minimum(r, edges[-1]))
+
     def mass(self, r) -> np.ndarray:
-        """M(r) = int_0^r s^2 w(s) ds, exact change of variables below the range."""
-        from scipy.integrate import quad  # aux-verify only
+        """M(r) = int_0^r s^2 w(s) ds, the exact total from the range on."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        rng = self.scaled.range
         m_tot = self.scaled.integral(3) / (4.0 * math.pi)
-        for i, ri in enumerate(r):
-            if ri >= rng:
-                out[i] = m_tot
-            else:
-                val, _ = quad(lambda s: s**2 * float(self.scaled(s)), 0.0, ri,
-                              epsabs=1e-14, epsrel=1e-11, limit=200)
-                out[i] = val
-        return out
+        return np.where(r >= self.scaled.range, m_tot, self._moment(r, 2))
 
     def gradient(self, r) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -99,25 +106,13 @@ class BallGreenData:
         return out
 
     def value(self, r) -> np.ndarray:
-        from scipy.integrate import quad  # aux-verify only
+        """h(r) = u(r) - u(eps) inside the ball, u(r) = -M(r)/r - int_r^R s w(s) ds
+        (R the range), and 0 from eps on."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        rng = self.scaled.range
-        m_tot = self.scaled.integral(3) / (4.0 * math.pi)
-        u_eps = -m_tot / self.eps
-
-        def u_scalar(ri):
-            if ri >= rng:
-                return -m_tot / ri if ri > 0 else -m_tot / max(rng, 1e-300)
-            tail, _ = quad(lambda s: s * float(self.scaled(s)), ri, rng,
-                           epsabs=1e-14, epsrel=1e-11, limit=200)
-            if ri == 0.0:
-                return -tail
-            return -float(self.mass(ri)[0]) / ri - tail
-
-        out = np.zeros_like(r)
-        inside = r < self.eps
-        out[inside] = np.array([u_scalar(ri) for ri in r[inside]]) - u_eps
-        return out
+        tail = self._moment(np.array([self.scaled.range]), 1) - self._moment(r, 1)
+        u = -np.divide(self.mass(r), r, out=np.zeros_like(r), where=r > 0) - tail
+        u_eps = -self.scaled.integral(3) / (4.0 * math.pi) / self.eps
+        return np.where(r < self.eps, u - u_eps, 0.0)
 
     def sup_gradient(self, n_probe: int = 4096) -> float:
         rng = self.scaled.range

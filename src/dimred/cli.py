@@ -16,6 +16,7 @@ error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -114,7 +115,7 @@ def cmd_manybody_evolve(args) -> int:
     env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))
-    basis, fock = setup.basis, setup.fock
+    basis = setup.basis
     traj = setup.evolve(env, args.outputs)
     out = _outdir(args, env)
     path = os.path.join(out, "manybody.csv")
@@ -125,13 +126,9 @@ def cmd_manybody_evolve(args) -> int:
         for s in traj.states:
             e_ren = manybody.renormalized_energy(s, basis, s.time, h=setup.hamiltonian(s.time))
             e_abs = e_ren + basis.e0_scaled
-            occ = manybody.number_expectations(s)
-            frac = occ[0] / fock.n_particles
-            gamma = manybody.reduced_density(s, 1).matrix
-            p = np.outer(proj.coeffs, np.conj(proj.coeffs))
-            td = projectors.trace_distance(gamma, p)
+            bridge = projectors.rate_bridge(manybody.reduced_density(s, 1).matrix, proj)
             fh.write(f"{s.time:.17g},{s.norm:.17g},{e_abs:.17g},{e_ren:.17g},"
-                     f"{frac:.17g},{td:.17g}\n")
+                     f"{1.0 - bridge.alpha_n2:.17g},{bridge.trace_dist:.17g}\n")
     print(f"wrote {path}")
     if args.dump_state:
         spath = os.path.join(out, "state_final.npz")
@@ -159,13 +156,12 @@ def cmd_alpha(args) -> int:
     state = manybody.ManyBodyState(fock, amps, time)
     proj = projectors.basis_mode_projector(fock.n_modes, args.mode)
     dist = projectors.counting_distribution(state, proj)
-    a_n2 = projectors.alpha(state, projectors.make_weight("n2", fock.n_particles), proj)
-    a_xi = projectors.alpha_xi(state, proj, args.energy_gap, 0.0, args.xi)
-    bridge = projectors.rate_bridge(state, proj)
+    a_m = projectors.alpha(state, projectors.make_weight("m", fock.n_particles, args.xi), proj)
+    bridge = projectors.rate_bridge(manybody.reduced_density(state, 1).matrix, proj)
     print(json.dumps({
-        "alpha_n2": a_n2,
-        "alpha_m": a_xi.alpha_m,
-        "alpha_xi": a_xi.total,
+        "alpha_n2": bridge.alpha_n2,
+        "alpha_m": a_m,
+        "alpha_xi": a_m + abs(args.energy_gap),
         "trace_distance": bridge.trace_dist,
         "sandwich_holds": bridge.holds,
         "probs": dist.probs.tolist(),
@@ -254,8 +250,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_all(args) -> int:
     env = _load_config(args)
-    seed = args.seed if args.seed is not None else env.seed
-    report = harness.verify_all(seed=seed)
+    env = dataclasses.replace(env, seed=env.seed if args.seed is None else args.seed)
+    report = harness.verify_all(seed=env.seed)
     print(json.dumps(report.as_dict(), indent=2))
     if args.out:
         out = _outdir(args, env)

@@ -177,6 +177,10 @@ class ExperimentConfig:
     n_values: tuple[int, ...] = ()
     explicit_points: tuple[tuple[int, float], ...] = ()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         p = Path(path)

@@ -147,17 +147,16 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     e_psi_t = manybody.renormalized_energy(psi_t, basis, cfg.t_final,
                                            h=setup.hamiltonian(cfg.t_final))
 
-    # condensate projector at time T from the evolved NLS state
+    # condensate projector at time T from the evolved NLS state; alpha_n2, the
+    # trace distance and the excited fraction read the one-body density
     proj = projectors.condensate_projector(basis, phi_t)
     gamma = manybody.reduced_density(psi_t, 1).matrix
-    p_mat = np.outer(proj.coeffs, np.conj(proj.coeffs))
-    tdist = projectors.trace_distance(gamma, p_mat)
-    a_xi = projectors.alpha_xi(psi_t, proj, e_psi_t, e_phi_t, cfg.xi)
-    a_n2 = projectors.alpha_n2_expectation(psi_t, proj)
+    bridge = projectors.rate_bridge(gamma, proj)
+    a_m = projectors.alpha(psi_t, projectors.make_weight("m", point.n_particles, cfg.xi), proj)
+    gap = abs(e_psi_t - e_phi_t)
 
     env = nls.envelope(external, e_psi0, e_phi0, cfg.t_final)
     rate = scaling.theoretical_rate(point, cfg.eta)
-    excited = manybody.transverse_excited_fraction(psi_t, basis)
     gamma_disc = auxiliary.discrepancy_gamma(basis.scaled, phi_t, basis.transverse).l2_norm
 
     return SweepRow(
@@ -165,13 +164,13 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
         epsilon=point.epsilon,
         mu=point.mu,
         t=cfg.t_final,
-        trace_distance=tdist,
-        alpha_n2=a_n2,
-        alpha_m=a_xi.alpha_m,
-        alpha_xi=a_xi.total,
-        energy_gap=a_xi.energy_gap,
+        trace_distance=bridge.trace_dist,
+        alpha_n2=bridge.alpha_n2,
+        alpha_m=a_m,
+        alpha_xi=a_m + gap,
+        energy_gap=gap,
         theoretical_rate=rate.total,
-        excited_fraction=excited,
+        excited_fraction=manybody.transverse_excited_fraction(gamma, basis),
         envelope=env,
         gronwall=nls.gronwall_envelope(env, cfg.t_final),
         gamma_discrepancy=gamma_disc,
@@ -321,7 +320,7 @@ def verify_all(seed: int = 0) -> VerificationReport:
     for _ in range(20):
         amp = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         state = manybody.ManyBodyState(fock, amp / np.linalg.norm(amp))
-        br = projectors.rate_bridge(state, proj)
+        br = projectors.rate_bridge(manybody.reduced_density(state, 1).matrix, proj)
         worst_gap = max(worst_gap,
                         max(br.alpha_n2 - br.trace_dist, br.trace_dist - br.upper))
     rep.add("projectors", "rate_bridge_sandwich", worst_gap, 1e-10)

@@ -574,12 +574,6 @@ def one_body_operator(fock: FockBasis, h: np.ndarray) -> sp.csr_matrix:
         lambda c, l: off[np.ix_(c[:, 0], l[:, 0])])
 
 
-def number_expectations(state: ManyBodyState) -> np.ndarray:
-    """<n_a> for every mode."""
-    w = np.abs(state.amplitudes) ** 2
-    return state.fock.occupations.astype(float).T @ w
-
-
 def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
     """1/2 W[(a, b), (c, d)] over the pairs of one class, W_abcd the sum of
     <ab|w|cd> = vq[k_a - k_c, m_a, m_b, m_c, m_d] / L over the distinct
@@ -860,10 +854,9 @@ def renormalized_energy(state: ManyBodyState, basis: ModeBasis, t: float | None 
     return expectation(state, h) / state.fock.n_particles
 
 
-def transverse_excited_fraction(state: ManyBodyState, basis: ModeBasis) -> float:
-    """||q^chi_1 psi|| = sqrt(sum_(my != 0) <n_a> / N)."""
-    occ_exp = number_expectations(state)
-    frac = occ_exp[basis.mode_my != 0].sum() / state.fock.n_particles
+def transverse_excited_fraction(gamma: np.ndarray, basis: ModeBasis) -> float:
+    """||q^chi_1 psi|| = sqrt(sum_(my != 0) gamma_aa), gamma the one-body density."""
+    frac = float(np.real(np.diagonal(gamma))[basis.mode_my != 0].sum())
     return math.sqrt(max(frac, 0.0))
 
 

@@ -85,6 +85,8 @@ def gaussian_state(grid: Grid1D, width: float = 2.0, center: float = 0.0,
 
 
 def plane_wave(grid: Grid1D, mode: int = 0) -> CondensateState:
+    if 2 * abs(mode) >= grid.points:  # the grid aliases it onto a mode below points/2
+        raise DomainError(f"mode {mode} aliases on {grid.points} points: need |mode| < points/2")
     k = 2.0 * math.pi * mode / grid.length
     psi = np.exp(1j * k * grid.x) / math.sqrt(grid.length)
     return CondensateState(grid, psi)

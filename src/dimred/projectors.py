@@ -3,8 +3,8 @@
 P_k projects an N-boson state onto the subspace with exactly k particles
 outside the condensate orbital.  `condensate_projector` builds that orbital,
 Phi (x) chi^eps_0, from the NLS state Phi itself; the counting functionals
-read its unit coefficient vector alone.  Three evaluation routes are
-implemented:
+read its unit coefficient vector alone.  The counting distribution <psi, P_k psi>,
+and with it every weighted alpha_f, has three evaluation routes:
 
 * sector readout, exact, when the orbital is an occupation mode;
 * factorial moments F_j = |a(phi)^j psi|^2 / j! of the condensate number
@@ -13,6 +13,9 @@ implemented:
   lowers occupations and never leaves the capped basis;
 * a dense tensor-space oracle (`DenseSystem`) for small systems, expanding
   P_k literally as the symmetrized sum over q/p factor placements.
+
+alpha_n2 = <psi, q_1 psi> = 1 - <phi, gamma phi> and Tr|gamma - |phi><phi||
+need only the one-body density gamma: `rate_bridge` reads both from it.
 
 The weighted operators are diagonal in the counting decomposition, so all
 weight algebra (shifts, the operator max in l, norms) reduces to tables
@@ -28,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, SizeError, ToleranceError
-from .manybody import ManyBodyState, ModeBasis, _lowered, reduced_density
+from .manybody import ManyBodyState, ModeBasis, _lowered
 from .nls import CondensateState
 
 MOMENTS_ROUNDOFF_LIMIT = 1e-10
@@ -290,31 +293,6 @@ def alpha(state: ManyBodyState, weight: WeightFunction,
     return float(np.sum(weight(k) * dist.probs))
 
 
-@dataclass(frozen=True)
-class AlphaXi:
-    total: float
-    alpha_m: float
-    energy_gap: float
-
-
-def alpha_xi(state: ManyBodyState, projector: CondensateProjector,
-             e_psi: float, e_phi: float, xi: float) -> AlphaXi:
-    """alpha_xi = alpha_m + |E^psi - E^Phi| (the Gronwall quantity)."""
-    am = alpha(state, make_weight("m", state.fock.n_particles, xi), projector)
-    gap = abs(e_psi - e_phi)
-    return AlphaXi(am + gap, am, gap)
-
-
-def alpha_n2_expectation(state: ManyBodyState, projector: CondensateProjector) -> float:
-    """<n-hat^2> = 1 - <n_phi>/N with <n_phi> = |a(phi) psi|^2 (no sector grouping)."""
-    if projector.basis_mode is not None:
-        occ = state.fock.occupations[:, projector.basis_mode].astype(float)
-        mean = float(np.sum(occ * np.abs(state.amplitudes) ** 2))
-    else:
-        mean = _lower_along(state, projector.coeffs).norm ** 2
-    return 1.0 - mean / state.fock.n_particles
-
-
 # ---------------------------------------------------------------------------
 # trace distances and the alpha <-> trace-norm bridge
 # ---------------------------------------------------------------------------
@@ -335,14 +313,15 @@ class RateBridge:
     holds: bool
 
 
-def rate_bridge(state: ManyBodyState, projector: CondensateProjector,
+def rate_bridge(gamma: np.ndarray, projector: CondensateProjector,
                 slack: float = 1e-10) -> RateBridge:
-    """Sandwich alpha_n2 <= Tr|gamma - p| <= sqrt(8 alpha_n2)."""
-    a2 = alpha_n2_expectation(state, projector)
-    gamma = reduced_density(state, 1).matrix
-    p = np.outer(projector.coeffs, np.conj(projector.coeffs))
-    td = trace_distance(gamma, p)
-    upper = math.sqrt(max(8.0 * a2, 0.0))
+    """alpha_n2 = 1 - <phi, gamma phi>, clamped at 0 against the roundoff of a
+    condensed gamma, and Tr|gamma - |phi><phi|| from the one-body density gamma,
+    with the sandwich alpha_n2 <= Tr|.| <= sqrt(8 alpha_n2)."""
+    c = projector.coeffs
+    a2 = max(1.0 - float(np.real(np.vdot(c, gamma @ c))), 0.0)
+    td = trace_distance(gamma, np.outer(c, np.conj(c)))
+    upper = math.sqrt(8.0 * a2)
     holds = (a2 <= td + slack) and (td <= upper + slack)
     return RateBridge(a2, td, upper, holds)
 

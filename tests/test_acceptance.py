@@ -77,10 +77,11 @@ def test_criterion_2_rate_bridge():
         for _ in range(15):
             amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
             state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
-            if not projectors.rate_bridge(state, proj).holds:
+            gamma = manybody.reduced_density(state, 1).matrix
+            if not projectors.rate_bridge(gamma, proj).holds:
                 violations += 1
             checked += 1
-    # general (rotated) condensate orbitals through the a(phi) lowering path
+    # general (rotated) condensate orbitals
     fock = manybody.FockBasis(4, 4)
     for _ in range(40):
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -88,7 +89,8 @@ def test_criterion_2_rate_bridge():
         proj = projectors.CondensateProjector(phi)
         amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
-        if not projectors.rate_bridge(state, proj).holds:
+        gamma = manybody.reduced_density(state, 1).matrix
+        if not projectors.rate_bridge(gamma, proj).holds:
             violations += 1
         checked += 1
     elapsed = time.time() - t0

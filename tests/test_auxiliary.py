@@ -55,6 +55,52 @@ def test_h_epsilon_boundary_zero():
     assert np.all(data.value(np.array([1.1, 2.0])) == 0.0)
 
 
+@pytest.mark.parametrize("prof", [potentials.uniform_ball(3.0, 1.0),
+                                  potentials.gaussian_bump(2.0, 1.3),
+                                  potentials.from_table([0.0, 0.3, 0.7, 1.2, 2.0],
+                                                        [2.0, 1.5, 1.8, 0.4, 0.1])],
+                         ids=lambda p: p.name)
+def test_ball_mass_matches_quad(prof):
+    # oracle: adaptive quadrature of s^2 w(s) over [0, r], told where the table kinks
+    point = scaling.make_point(1000, 0.1, 0.5)
+    sc = potentials.scale(prof, point)
+    data = auxiliary.BallGreenData(sc, point.epsilon)
+    kinks = [point.mu * k for k in prof.kinks]
+    radii = np.concatenate([np.linspace(0.0, sc.range, 41)[1:], kinks, [1.5 * sc.range]])
+    for r, got in zip(radii, data.mass(radii)):
+        ref, _ = quad(lambda s: s**2 * float(sc(s)), 0.0, min(r, sc.range),
+                      points=[k for k in kinks if k < r] or None,
+                      epsabs=0.0, epsrel=1e-13, limit=400)
+        assert got == pytest.approx(ref, rel=1e-12), r
+    assert data.mass(0.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("prof", [potentials.gaussian_bump(2.0, 1.3),
+                                  potentials.from_table([0.0, 0.3, 0.7, 1.2, 2.0],
+                                                        [2.0, 1.5, 1.8, 0.4, 0.1])],
+                         ids=lambda p: p.name)
+def test_ball_value_matches_quad(prof):
+    # oracle: u(r) = -M(r)/r - int_r^R s w(s) ds by adaptive quadrature, h = u - u(eps)
+    point = scaling.make_point(1000, 0.1, 0.5)
+    sc = potentials.scale(prof, point)
+    data = auxiliary.BallGreenData(sc, point.epsilon)
+    kinks = [point.mu * k for k in prof.kinks]
+
+    def integral(power, lo, hi):
+        return quad(lambda s: s**power * float(sc(s)), lo, hi, epsabs=0.0, epsrel=1e-13,
+                    points=[k for k in kinks if lo < k < hi] or None, limit=400)[0]
+
+    m_tot = integral(2, 0.0, sc.range)
+    radii = np.concatenate([[0.0], np.linspace(0.0, sc.range, 9)[1:], kinks, [2.0 * sc.range]])
+    ref = [-integral(1, 0.0, sc.range) if r == 0.0 else
+           -integral(2, 0.0, min(r, sc.range)) / r - integral(1, min(r, sc.range), sc.range)
+           for r in radii]
+    ref = np.array(ref) + m_tot / point.epsilon
+    got = data.value(radii)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert np.all(data.value(np.array([point.epsilon, 2.0 * point.epsilon])) == 0.0)
+
+
 def test_h_epsilon_regime_error():
     p = scaling.make_point(2, 0.2, 0.1)  # mu = 50^-0.1 = 0.68 > eps = 0.2
     sc = potentials.scale(potentials.uniform_ball(), p)

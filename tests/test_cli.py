@@ -126,6 +126,19 @@ def test_nls_evolve_outputs(tmp_path):
     assert np.sum(np.abs(values.astype(complex)) ** 2) * h == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("mode", [1000, -64, 64])
+def test_nls_evolve_refuses_an_aliased_plane_wave(capsys, mode, tmp_path):
+    # on 128 points mode 1000 is mode -24, which runs, and +-64 the Nyquist mode
+    rc = main(["nls-evolve", "--out", str(tmp_path), "--points", "128", "--t-final", "0.01",
+               "--initial", "plane", "--mode", str(mode)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: mode {mode} aliases on 128 points") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["nls-evolve", "--out", str(tmp_path), "--points", "128", "--t-final", "0.01",
+                 "--initial", "plane", "--mode", "-24"]) == 0
+
+
 def test_manybody_evolve_and_alpha(capsys, sweep_cfg, tmp_path):
     out = tmp_path / "out"
     rc = main(["manybody-evolve", "--config", str(sweep_cfg), "--n", "3",
@@ -421,6 +434,18 @@ def test_verify_all_seed_falls_back_to_default_table(monkeypatch, tmp_path):
     assert main(["verify-all", "--config", str(path)]) == 0
     assert main(["verify-all", "--seed", "4"]) == 0
     assert seeds == [12345, 4]
+
+
+def test_verify_all_refuses_a_negative_seed(capsys, monkeypatch, tmp_path):
+    from dimred import harness
+
+    monkeypatch.setattr(harness, "verify_all", lambda seed: pytest.fail("ran verify_all"))
+    path = tmp_path / "negative.cfg"
+    path.write_text("sequence.beta = 0.5\nseed = -3\n")
+    for argv in (["--seed", "-1"], ["--config", str(path)]):
+        assert main(["verify-all", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: seed must be >= 0") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -88,6 +88,12 @@ def test_config_validates_rate_inputs():
             harness.run_sweep(env)
 
 
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+        ExperimentConfig.from_text(FAST_SWEEP.replace("seed = 7", "seed = -3"))
+    assert ExperimentConfig.from_text(FAST_SWEEP.replace("seed = 7", "seed = 0")).seed == 0
+
+
 def test_default_config_parses():
     env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     assert env.beta == 0.5
@@ -215,6 +221,23 @@ def test_default_n8_observables_lower_onto_the_rows_they_reach(monkeypatch):
     assert got.source == "moments"
     assert np.max(np.abs(got.probs - ref_probs)) < projectors._moments_roundoff(8)
     assert calls == []
+
+
+def test_well_n8_alpha_n2_agrees_with_the_counting_measure(monkeypatch):
+    # in the Gaussian well the orbital at T is no basis mode, so P_k comes from
+    # the factorial moments: at N = 8 their sum_k (k/N) P_k agrees with the
+    # row's alpha_n2, read from gamma, within the moments' roundoff bound
+    env = ExperimentConfig.from_text(
+        DEFAULT_CONFIG_TEXT.replace("external.name = zero", "external.name = gaussian_well"))
+    point = env.points()[-1]
+    seen, alpha = [], projectors.alpha
+    monkeypatch.setattr(projectors, "alpha", lambda state, weight, proj:
+                        seen.append((state, proj)) or alpha(state, weight, proj))
+    row = harness.run_point(env, point, harness.sweep_inputs(env))
+    (state, proj), = seen
+    dist = projectors.counting_distribution(state, proj)
+    assert point.n_particles == 8 and dist.source == "moments"
+    assert abs(np.arange(9) / 8 @ dist.probs - row.alpha_n2) < projectors._moments_roundoff(8)
 
 
 def test_default_points_run_in_their_momentum_sector():

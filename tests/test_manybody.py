@@ -1229,8 +1229,17 @@ def test_transverse_excited_fraction(setup):
     amps = np.zeros(fock.dim, dtype=complex)
     amps[fock.lookup(occ)[0]] = 1.0
     state = manybody.ManyBodyState(fock, amps)
-    assert manybody.transverse_excited_fraction(state, basis) == pytest.approx(
+    gamma = manybody.reduced_density(state, 1).matrix
+    assert manybody.transverse_excited_fraction(gamma, basis) == pytest.approx(
         math.sqrt(1.0 / n), rel=1e-12)
+    # a spread state: the occupations of the my != 0 modes, weighted by |amplitude|^2
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+    state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
+    excited = fock.occupations[:, basis.mode_my != 0].sum(axis=1) @ np.abs(state.amplitudes) ** 2
+    gamma = manybody.reduced_density(state, 1).matrix
+    assert manybody.transverse_excited_fraction(gamma, basis) == pytest.approx(
+        math.sqrt(excited / n), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -191,7 +192,7 @@ def test_counting_capped_state_against_untruncated_measure(cap):
         assert dist.source == "moments"
         assert np.max(np.abs(dist.probs - expected)) < 1e-12
         k = np.arange(7)
-        assert projectors.alpha_n2_expectation(state, proj) == pytest.approx(
+        assert gamma_bridge(state, proj).alpha_n2 == pytest.approx(
             float(np.sum(k * expected)) / 6, abs=1e-12)
 
 
@@ -237,8 +238,8 @@ def test_general_orbital_counting_of_a_momentum_sector_state(cap):
     got = projectors.counting_distribution(in_sector, proj).probs
     ref = projectors.counting_distribution(on_all, proj).probs
     assert np.max(np.abs(got - ref)) < 1e-12
-    assert projectors.alpha_n2_expectation(in_sector, proj) == pytest.approx(
-        projectors.alpha_n2_expectation(on_all, proj), abs=1e-14)
+    assert gamma_bridge(in_sector, proj).alpha_n2 == pytest.approx(
+        gamma_bridge(on_all, proj).alpha_n2, abs=1e-14)
 
 
 def test_alpha_n2_condensed_zero():
@@ -275,24 +276,39 @@ def test_alpha_monotone_in_weight():
     assert a_n <= a_m <= a_n + 0.5 * 20**-xi + 1e-12
 
 
-def test_alpha_xi_condensed():
+def alpha_command(capsys, tmp_path, state, *flags) -> dict:
+    """The JSON of `dimred alpha` on a dump of the state."""
+    from dimred.cli import main
+
+    path = tmp_path / "state.npz"
+    np.savez(path, occupations=state.fock.occupations, amplitudes=state.amplitudes,
+             time=state.time)
+    capsys.readouterr()
+    assert main(["alpha", str(path), *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_alpha_xi_condensed(capsys, tmp_path):
+    # alpha_xi = alpha_m + |E^psi - E^Phi|; on the condensate with no gap it is m(0)
     n, xi = 16, 0.1
     fock = manybody.FockBasis(2, n)
     amps = np.zeros(fock.dim, dtype=complex)
     amps[fock.lookup(np.array([[n, 0]], dtype=np.uint8))[0]] = 1.0
     state = manybody.ManyBodyState(fock, amps)
-    proj = projectors.basis_mode_projector(2)
-    ax = projectors.alpha_xi(state, proj, e_psi=1.5, e_phi=1.5, xi=xi)
-    assert ax.total == pytest.approx(0.5 * n**-xi, rel=1e-12)
-    assert ax.alpha_m == ax.total and ax.energy_gap == 0.0
+    out = alpha_command(capsys, tmp_path, state, "--xi", str(xi))
+    assert out["alpha_xi"] == pytest.approx(0.5 * n**-xi, rel=1e-12)
+    assert out["alpha_m"] == out["alpha_xi"]
+    assert out["alpha_n2"] == 0.0 and out["trace_distance"] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_alpha_xi_sum_and_lower_bound():
+def test_alpha_xi_sum_and_lower_bound(capsys, tmp_path):
     state = two_mode_state(0.8, 0.4, 0.2)
-    proj = projectors.basis_mode_projector(2)
-    ax = projectors.alpha_xi(state, proj, e_psi=0.45, e_phi=0.15, xi=0.1)
-    assert ax.total == pytest.approx(ax.alpha_m + 0.3, rel=1e-12)
-    assert ax.total >= ax.alpha_m
+    out = alpha_command(capsys, tmp_path, state, "--xi", "0.1", "--energy-gap", "-0.3")
+    assert out["alpha_m"] == pytest.approx(
+        projectors.alpha(state, projectors.make_weight("m", 2, 0.1),
+                         projectors.basis_mode_projector(2)), rel=1e-15)
+    assert out["alpha_xi"] == pytest.approx(out["alpha_m"] + 0.3, rel=1e-12)
+    assert out["alpha_xi"] >= out["alpha_m"]
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +316,44 @@ def test_alpha_xi_sum_and_lower_bound():
 # ---------------------------------------------------------------------------
 
 
+def gamma_bridge(state, proj):
+    return projectors.rate_bridge(manybody.reduced_density(state, 1).matrix, proj)
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["basis mode", "general orbital"])
+def test_rate_bridge_alpha_n2_is_the_lowered_norm(general):
+    # alpha_n2 = 1 - <n_phi>/N with <n_phi> = |a(phi) psi|^2
+    rng = np.random.default_rng(31)
+    fock = manybody.FockBasis(5, 4, 3)
+    if general:
+        phi = rng.normal(size=5) + 1j * rng.normal(size=5)
+        proj = projectors.CondensateProjector(phi / np.linalg.norm(phi))
+    else:
+        proj = projectors.basis_mode_projector(5, 1)
+    for _ in range(10):
+        amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+        state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
+        lowered = projectors._lower_along(state, proj.coeffs).norm ** 2
+        assert gamma_bridge(state, proj).alpha_n2 == pytest.approx(1.0 - lowered / 4, abs=1e-13)
+
+
+def test_rate_bridge_reads_the_dense_q1_norm():
+    # <psi, q_1 psi> of the tensor-space oracle, from its own gamma^(1)
+    rng = np.random.default_rng(8)
+    for dx, dy, n in ((2, 2, 3), (3, 1, 4), (2, 1, 2)):
+        sys_ = projectors.DenseSystem(dx, dy, n, rng=rng)
+        psi = sys_.random_state(rng, condensate_weight=1.0)
+        br = projectors.rate_bridge(sys_.gamma1(psi), projectors.CondensateProjector(sys_.phi))
+        assert br.alpha_n2 == pytest.approx(sys_.q1_norm_sq(psi), abs=1e-13)
+        assert br.holds
+
+
 def test_rate_bridge_condensed():
     fock = manybody.FockBasis(3, 4)
     amps = np.zeros(fock.dim, dtype=complex)
     amps[fock.lookup(np.array([[4, 0, 0]], dtype=np.uint8))[0]] = 1.0
     state = manybody.ManyBodyState(fock, amps)
-    br = projectors.rate_bridge(state, projectors.basis_mode_projector(3))
+    br = gamma_bridge(state, projectors.basis_mode_projector(3))
     assert br.alpha_n2 == pytest.approx(0.0, abs=1e-12)
     assert br.trace_dist == pytest.approx(0.0, abs=1e-10)
     assert br.holds
@@ -313,7 +361,7 @@ def test_rate_bridge_condensed():
 
 def test_rate_bridge_two_mode_example():
     state = two_mode_state(1.0, 0.0, 1.0)
-    br = projectors.rate_bridge(state, projectors.basis_mode_projector(2))
+    br = gamma_bridge(state, projectors.basis_mode_projector(2))
     assert br.alpha_n2 == pytest.approx(0.5, abs=1e-12)
     assert br.trace_dist == pytest.approx(1.0, abs=1e-10)
     assert br.upper == pytest.approx(2.0, abs=1e-12)
@@ -327,7 +375,7 @@ def test_rate_bridge_random_states():
     for _ in range(100):
         amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
-        assert projectors.rate_bridge(state, proj).holds
+        assert gamma_bridge(state, proj).holds
 
 
 def test_equivalence_family_alpha_to_zero_iff_trace_to_zero():
@@ -344,7 +392,7 @@ def test_equivalence_family_alpha_to_zero_iff_trace_to_zero():
     for lam in (1.0, 0.3, 0.1, 0.03, 0.01):
         amps = cond + lam * noise
         state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
-        br = projectors.rate_bridge(state, proj)
+        br = gamma_bridge(state, proj)
         alphas.append(br.alpha_n2)
         tds.append(br.trace_dist)
         assert br.holds
