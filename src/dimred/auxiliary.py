@@ -2,7 +2,7 @@
 interaction, its line Green's solution, and the effective-potential discrepancy.
 
 For a radial source the Dirichlet problem Delta h = w on the ball of radius
-eps with h = 0 on the boundary collapses to one-dimensional quadratures by
+eps with h = 0 on the boundary collapses to one-dimensional integrals by
 the shell theorem:
 
     h'(r) = M(r)/r^2,   M(r) = int_0^r s^2 w(s) ds,
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, RegimeError, ResolutionError
 from .nls import CondensateState
 from .potentials import ScaledInteraction, gauss_legendre
-from .transverse import TransverseMode, offset_quadrature
+from .transverse import TransverseMode, offset_rule
 
 BOUNDARY_TOL = 1e-10
 
@@ -54,9 +54,6 @@ class LineFunction:
     def l1(self) -> float:
         return float(np.trapezoid(np.abs(self.values), self.xs))
 
-    def l2(self) -> float:
-        return float(np.sqrt(np.trapezoid(self.values**2, self.xs)))
-
 
 def _require_regime(mu: float, eps: float) -> None:
     if mu >= eps:
@@ -76,17 +73,14 @@ class BallGreenData:
     eps: float
 
     def _moment(self, r: np.ndarray, power: int) -> np.ndarray:
-        """int_0^r s^power w(s) ds: a 48-node Gauss-Legendre rule on each smooth
+        """int_0^r s^power w(s) ds: a 48-node `gauss_legendre` rule on each smooth
         segment of the scaled profile below r (split at its kinks, as
         `shell_integral` does), constant from the range on."""
-        profile = self.scaled.profile
-        edges = self.scaled.point.mu * np.array([0.0, *profile.kinks, profile.support_radius])
-        nodes, weights = gauss_legendre(48)
+        edges = self.scaled.point.mu * self.scaled.profile.edges
 
         def segments(lo, hi):
-            half = 0.5 * (hi - lo)[:, None]
-            s = 0.5 * (lo + hi)[:, None] + half * nodes
-            return np.sum(half * weights * s**power * self.scaled(s), axis=1)
+            s, w = gauss_legendre(lo, hi, 48)
+            return np.sum(w * s**power * self.scaled(s), axis=-1)
 
         below = np.concatenate([[0.0], np.cumsum(segments(edges[:-1], edges[1:]))])
         j = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
@@ -123,10 +117,12 @@ class BallGreenData:
         return float(np.max(self.gradient(probes)))
 
     def l2_gradient(self) -> float:
-        from scipy.integrate import quad  # aux-verify only
+        """3-d L2 norm of grad h: a 48-node `gauss_legendre` rule on each smooth
+        segment of [0, range], the exact tail from the range to eps."""
         rng = self.scaled.range
-        val1, _ = quad(lambda r: r**2 * float(self.gradient(r)[0]) ** 2, 0.0, rng,
-                       epsabs=1e-14, epsrel=1e-10, limit=200)
+        edges = self.scaled.point.mu * self.scaled.profile.edges
+        r, w = gauss_legendre(edges[:-1], edges[1:], 48)
+        val1 = float(np.sum(w * r**2 * self.gradient(r) ** 2))
         m_tot = self.scaled.integral(3) / (4.0 * math.pi)
         # outside the support the gradient is m_tot/r^2, integrable analytically
         val2 = m_tot**2 * (1.0 / rng - 1.0 / self.eps)
@@ -225,16 +221,15 @@ class ThetaReport:
 
 
 def theta(mu: float, eps: float, n_samples: int = 2048) -> tuple[RadialFunction, ThetaReport]:
-    """Radial cutoff Theta: 1 inside mu, smooth decrease to 0 at eps; 3-d norms."""
-    from scipy.integrate import quad  # aux-verify only
+    """Radial cutoff Theta: 1 inside mu, smooth decrease to 0 at eps; 3-d norms
+    by a 48-node `gauss_legendre` rule on [0, mu] and on [mu, eps]."""
     _require_regime(mu, eps)
     radii = np.linspace(0.0, eps, n_samples)
     vals = smooth_step(radii, mu, eps)
-    l2sq, _ = quad(lambda r: 4.0 * math.pi * r**2 * float(smooth_step(np.asarray(r), mu, eps)) ** 2,
-                   0.0, eps, epsabs=1e-14, epsrel=1e-10, limit=200)
-    g2sq, _ = quad(lambda r: 4.0 * math.pi * r**2
-                   * float(smooth_step_derivative(np.asarray(r), mu, eps)) ** 2,
-                   mu, eps, epsabs=1e-14, epsrel=1e-10, limit=400)
+    r, w = gauss_legendre(np.array([0.0, mu]), np.array([mu, eps]), 48)
+    shell = 4.0 * math.pi * w * r**2
+    l2sq = float(np.sum(shell * smooth_step(r, mu, eps) ** 2))
+    g2sq = float(np.sum(shell * smooth_step_derivative(r, mu, eps) ** 2))
     probe = np.linspace(mu, eps, 8192)
     grad_sup = float(np.max(np.abs(smooth_step_derivative(probe, mu, eps))))
     rep = ThetaReport(
@@ -313,15 +308,15 @@ def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
             n_samples: int = 513, pad: float = 1.5) -> LineFunction:
     """w-bar(x) = intint |chi^eps(y1)|^2 |chi^eps(y2)|^2 w(x, y1-y2) dy1 dy2.
 
-    Reduced to int T(u) w(x, u) du over the transverse-offset correlation T.
+    Reduced to int T(u) w(x, u) du over the transverse-offset correlation T,
+    by a 64-node `offset_rule` at each x inside the range.
     """
     r = scaled.range
-    if _points_across(tmode, scaled) < 8:
-        raise ResolutionError("transverse grid does not resolve the interaction range")
+    _require_transverse_match(scaled, tmode)
     xs = np.linspace(-pad * r, pad * r, n_samples)
     inside = np.abs(xs) < r
     x = xs[inside, None]
-    u, uw = offset_quadrature(np.sqrt(r**2 - x[:, 0] ** 2), tmode.dimension, 64)
+    u, uw = offset_rule(np.sqrt(r**2 - x[:, 0] ** 2), tmode.dimension, 64)
     wv = scaled(np.sqrt(x**2 + u**2))
     vals = np.zeros_like(xs)
     vals[inside] = np.sum(uw * wv * tmode.correlation(u, 1)[0, 0, 0, 0], axis=1)
@@ -329,18 +324,14 @@ def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
     return LineFunction(xs, vals)
 
 
-def _points_across(tmode: TransverseMode, scaled: ScaledInteraction) -> float:
-    return scaled.range / tmode.spacing
-
-
-def greens_line(x_src, x_fld, half_width: float) -> np.ndarray:
-    """Green's function of d^2/dx^2 on [-a, a] with zero boundary values."""
-    a = half_width
-    xs = np.asarray(x_src, dtype=float)
-    xf = np.asarray(x_fld, dtype=float)
-    lo = np.minimum(xs, xf)
-    hi = np.maximum(xs, xf)
-    return (lo + a) * (hi - a) / (2.0 * a)
+def _require_transverse_match(scaled: ScaledInteraction, tmode: TransverseMode) -> None:
+    """The interaction lives in the trap's transverse dimension and the
+    transverse grid puts at least 8 points across its range."""
+    if scaled.d_perp != tmode.dimension:
+        raise DomainError(f"interaction d_perp = {scaled.d_perp} must match the "
+                          f"transverse dimension {tmode.dimension}")
+    if scaled.range / tmode.spacing < 8:
+        raise ResolutionError("transverse grid does not resolve the interaction range")
 
 
 @dataclass(frozen=True)
@@ -351,7 +342,6 @@ class LineGreenReport:
     sup_slope: float
     wing_slope: float
     wbar_l1: float
-    green_symmetry: float
 
 
 def build_h_bar(wbar: LineFunction, beta1: float, n_particles: int,
@@ -397,11 +387,6 @@ def build_h_bar(wbar: LineFunction, beta1: float, n_particles: int,
     hstep = xs[1] - xs[0]
     outside = np.abs(xs) > support + 3.0 * hstep if support > 0 else np.abs(xs) > 0
     wing = float(np.max(np.abs(hprime[outside]))) if np.any(outside) else 0.0
-    # Green symmetry spot check
-    rng = np.random.default_rng(7)
-    xa = rng.uniform(-half, half, 64)
-    xb = rng.uniform(-half, half, 64)
-    gsym = float(np.max(np.abs(greens_line(xa, xb, half) - greens_line(xb, xa, half))))
     theta_line = LineFunction(xs, smooth_step(np.abs(xs), mu, half))
     report = LineGreenReport(
         boundary_left=float(abs(h[0])),
@@ -409,8 +394,7 @@ def build_h_bar(wbar: LineFunction, beta1: float, n_particles: int,
         residual=residual,
         sup_slope=float(np.max(np.abs(hprime))),
         wing_slope=wing,
-        wbar_l1=float(np.trapezoid(np.abs(wbar.values), wbar.xs)),
-        green_symmetry=gsym,
+        wbar_l1=wbar.l1(),
     )
     return LineFunction(xs, h), theta_line, report
 
@@ -434,30 +418,27 @@ class DiscrepancyResult:
 
 
 def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
-                      tmode: TransverseMode, n_quad: int = 24) -> DiscrepancyResult:
+                      tmode: TransverseMode) -> DiscrepancyResult:
     """Gamma(x1) = N int |chi^eps|^2 [ (|phi^eps|^2 * w)(z) - |phi^eps(z)|^2 |w|_L1 ] dy.
 
-    Separability reduces this to a quadrature over the interaction support:
+    Separability reduces this to an integral over the interaction support:
 
         Gamma(x1) = N intint w(s, u) [ |Phi(x1-s)|^2 T(u) - |Phi(x1)|^2 T(0) ] ds du,
 
-    with T the transverse-density autocorrelation.  Longitudinal shifts are
-    evaluated spectrally (exact for the band-limited grid state), so the small
-    difference survives in floating point.
+    with T the transverse-density autocorrelation, by 24-node `gauss_legendre`
+    rules in s on [-range, range] and in u over the offsets of each s.
+    Longitudinal shifts are evaluated spectrally (exact for the band-limited
+    grid state), so the small difference survives in floating point.
     """
     r = scaled.range
     grid = condensate.grid
     if r < 2.0 * grid.spacing / 16.0:
         raise ResolutionError("interaction range is far below the condensate grid scale")
-    if _points_across(tmode, scaled) < 8:
-        raise ResolutionError("transverse grid does not resolve the interaction range")
+    _require_transverse_match(scaled, tmode)
     t0 = float(tmode.correlation(0.0, 1)[0, 0, 0, 0])
-    nodes, weights = gauss_legendre(n_quad)
-    s_nodes = r * nodes
-    s_weights = r * weights
+    s_nodes, s_weights = gauss_legendre(-r, r, 24)
     # transverse integrals of w(s, u) against T(u) and T(0), one per s node
-    u, uw = offset_quadrature(np.sqrt(np.maximum(r**2 - s_nodes**2, 0.0)),
-                              tmode.dimension, n_quad)
+    u, uw = offset_rule(np.sqrt(np.maximum(r**2 - s_nodes**2, 0.0)), tmode.dimension, 24)
     wv = uw * scaled(np.sqrt(s_nodes[:, None] ** 2 + u**2))
     wint_t = np.sum(wv * tmode.correlation(u, 1)[0, 0, 0, 0], axis=1)
     wint_0 = np.sum(wv, axis=1) * t0

@@ -156,7 +156,7 @@ def cmd_alpha(args) -> int:
     state = manybody.ManyBodyState(fock, amps, time)
     proj = projectors.basis_mode_projector(fock.n_modes, args.mode)
     dist = projectors.counting_distribution(state, proj)
-    a_m = projectors.alpha(state, projectors.make_weight("m", fock.n_particles, args.xi), proj)
+    a_m = float(np.sum(projectors.make_weight("m", fock.n_particles, args.xi).values * dist.probs))
     bridge = projectors.rate_bridge(manybody.reduced_density(state, 1).matrix, proj)
     print(json.dumps({
         "alpha_n2": bridge.alpha_n2,
@@ -202,7 +202,7 @@ def cmd_aux_verify(args) -> int:
     tgrid = transverse.TransverseGrid(extent, needed | 1)
     unscaled = transverse.solve_modes(conf, tgrid, 2)
     tmode = transverse.rescale(unscaled, point.epsilon)
-    wbar = auxiliary.quasi1d(scaled, tmode)
+    wbar = auxiliary.quasi1d(potentials.scale(profile, point, conf.dimension), tmode)
     report["wbar_evenness"] = wbar.evenness_defect()
     report["wbar_l1"] = wbar.l1()
     hbar, _, hrep = auxiliary.build_h_bar(wbar, beta1=env.beta1,
@@ -210,7 +210,7 @@ def cmd_aux_verify(args) -> int:
     report["hbar_boundary"] = max(hrep.boundary_left, hrep.boundary_right)
     report["hbar_sup_slope"] = hrep.sup_slope
     report["hbar_wbar_l1"] = hrep.wbar_l1
-    report["green_symmetry"] = hrep.green_symmetry
+    report["hbar_residual"] = hrep.residual
     print(json.dumps(report, indent=2))
     ok = (poisson.max_relative_residual < 1e-3
           and abs(trep.midpoint - 0.5) < 1e-12

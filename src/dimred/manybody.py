@@ -5,8 +5,8 @@ the lowest eigenmodes of the rescaled transverse trap.  Pair matrix elements
 exploit the structure of w(z - z'): longitudinal momentum is conserved
 exactly, so the two-body tensor is stored as V[q, ma, mb, mc, md] with
 q = k_a - k_c, assembled by one ``_assemble_vq`` from a cosine transform in x
-and the circular transverse mode correlations in y over the offsets of a
-quadrature: the grid offsets of ``transverse.mode_correlations`` for the
+and the circular transverse mode correlations in y over one set of
+offsets: the grid offsets of ``transverse.mode_correlations`` for the
 grid-matched basis, Gauss nodes of ``TransverseMode.correlation`` (the one
 interpolant of the unscaled mode, shared by a sweep) for the continuum basis.
 
@@ -50,7 +50,7 @@ from .nls import Trajectory
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction, gauss_legendre
 from .scaling import ScalingPoint
 from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
-                         offset_quadrature, rescale)
+                         offset_rule, rescale)
 
 GRID_CAP = 2**28
 MIN_POINTS_PER_RANGE = 8
@@ -283,7 +283,7 @@ class ModeBasis:
         y1, y2 = ((y, np.zeros_like(y)) if self.transverse.dimension == 1
                   else (a.ravel() for a in np.meshgrid(y, y, indexing="ij")))
         vxy = np.asarray(self.external.profile(x[:, None], y1[None], y2[None]), dtype=float)
-        # transverse quadrature: (n_aux, My, My)
+        # transverse integral on the grid: (n_aux, My, My)
         v_t = np.einsum("xg,mg,ng->xmn", vxy, tau, tau) * self.transverse.weight
         # (1/L) int e^{i dk (2 pi/L) x} V dx over the centered box: the inverse
         # FFT gives the +dk coefficients and (-1)^dk restores the -L/2 origin
@@ -294,20 +294,19 @@ class ModeBasis:
 
 
 def _cosine_transform_x(scaled: ScaledInteraction, q_values: np.ndarray,
-                        u_norms: np.ndarray, n_gl: int = 48) -> np.ndarray:
-    """W[qi, u] = int w(sqrt(s^2 + |u|^2)) e^(-i q s) ds by Gauss-Legendre in s."""
+                        u_norms: np.ndarray) -> np.ndarray:
+    """W[qi, u] = int w(sqrt(s^2 + |u|^2)) e^(-i q s) ds = 2 int_0^smax cos(q s) w ds
+    by a 48-node `gauss_legendre` rule on [0, smax(u)]."""
     r = scaled.range
     out = np.zeros((len(q_values), len(u_norms)))
     inside = u_norms < r
     if not np.any(inside):
         return out
     smax = np.sqrt(np.maximum(r**2 - u_norms[inside] ** 2, 0.0))
-    nodes, weights = gauss_legendre(n_gl)
-    s = 0.5 * smax[None, :] * (nodes[:, None] + 1.0)          # (n_gl, n_u_in)
-    wgt = 0.5 * smax[None, :] * weights[:, None]
-    rad = np.sqrt(s**2 + u_norms[inside][None, :] ** 2)
-    wv = scaled(rad)
-    cosqs = np.cos(q_values[:, None, None] * s[None, :, :])   # (n_q, n_gl, n_u_in)
+    # nodes on the first axis, so einsum adds the 48 terms of each W in node order
+    s, wgt = (np.ascontiguousarray(a.T) for a in gauss_legendre(0.0, smax, 48))
+    wv = scaled(np.sqrt(s**2 + u_norms[inside] ** 2))
+    cosqs = np.cos(q_values[:, None, None] * s)               # (n_q, 48, n_u_in)
     out[:, inside] = 2.0 * np.einsum("qgu,gu->qu", cosqs, wv * wgt)
     return out
 
@@ -339,7 +338,7 @@ def _periodic_modes(confinement: ConfinementPotential, epsilon: float, n_y: int,
 
 def _assemble_vq(what: np.ndarray, s: np.ndarray, weights) -> np.ndarray:
     """V[qi, ma, mb, mc, md] = sum_u weights_u What[qi, u] S_(ma mc),(mb md)(u) over
-    the offsets u of one quadrature, S in the index order (ma, mc, mb, md, u)."""
+    the offsets u of one rule, S in the index order (ma, mc, mb, md, u)."""
     my = s.shape[0]
     vq = np.einsum("qu,pu,u->qp", what, s.reshape(my**4, -1),
                    np.broadcast_to(weights, what.shape[1:]))
@@ -422,7 +421,7 @@ def build_basis(
             f"(need >= {MIN_POINTS_PER_RANGE}); refine the unscaled grid"
         )
     q_ints = np.arange(-(m_x - 1), m_x, dtype=np.int64)
-    u, weights = offset_quadrature(scaled.range, tmode.dimension, 64)
+    u, weights = offset_rule(scaled.range, tmode.dimension, 64)
     what = _cosine_transform_x(scaled, 2.0 * math.pi * q_ints / box_length, np.abs(u))
     vq = _assemble_vq(what, tmode.correlation(u, m_y), weights)
     kx = np.arange(-(m_x // 2), m_x // 2 + 1, dtype=np.int64)

@@ -26,11 +26,28 @@ _SHELL_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^(d-1)|
 
 
 @cache
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's leggauss(n), read-only and computed once per n (about 1 ms each)."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def gauss_legendre(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on each interval [lo, hi] (scalars
+    or arrays; nodes on a new last axis), the rule of every radial, offset and
+    chord integral of the package; split a kinked integrand at its kinks.
+
+    Nodes are half * (x + mid/half), so [-a, a] maps to a * x and [0, a] to
+    (a/2)(x + 1) with no midpoint rounding; an empty interval has its nodes at
+    its point.
+    """
+    nodes, weights = _legendre_rule(n)
+    lo, hi = (np.asarray(end, dtype=float)[..., None] for end in (lo, hi))
+    half = 0.5 * (hi - lo)
+    empty = hi == lo
+    c = np.divide(lo + hi, hi - lo, out=np.zeros_like(half), where=~empty)
+    return np.where(empty, lo, half * (nodes + c)), half * weights
 
 
 @dataclass(frozen=True)
@@ -46,15 +63,16 @@ class InteractionProfile:
         if self.support_radius <= 0:
             raise DomainError(f"support_radius must be positive, got {self.support_radius!r}")
 
+    @property
+    def edges(self) -> np.ndarray:
+        """0, the kinks and the support radius: the ends of the smooth segments."""
+        return np.array([0.0, *self.kinks, self.support_radius])
+
     def shell_integral(self, dim: int) -> float:
         """Integral of w over R^dim (radial change of variables), by a 48-node
-        Gauss-Legendre rule on each smooth segment of [0, support_radius]."""
-        edges = np.array([0.0, *self.kinks, self.support_radius])
-        nodes, weights = gauss_legendre(48)
-        half = 0.5 * np.diff(edges)[:, None]
-        r = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
-        return _SHELL_AREA[dim] * float(np.sum(half * weights * r ** (dim - 1)
-                                               * self.radial_profile(r)))
+        `gauss_legendre` rule on each smooth segment of [0, support_radius]."""
+        r, w = gauss_legendre(self.edges[:-1], self.edges[1:], 48)
+        return _SHELL_AREA[dim] * float(np.sum(w * r ** (dim - 1) * self.radial_profile(r)))
 
 
 def uniform_ball(height: float = 1.0, radius: float = 1.0) -> InteractionProfile:

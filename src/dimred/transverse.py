@@ -261,19 +261,17 @@ def mode_correlations(mode: TransverseMode, n_modes: int) -> ModeCorrelations:
     return ModeCorrelations(wrapped_offsets(mode.axis), values, mode.dimension)
 
 
-def offset_quadrature(u_max, dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights over the transverse offsets
+def offset_rule(u_max, dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point `gauss_legendre` nodes and weights over the transverse offsets
     of length at most u_max (a scalar or an array; nodes on a last axis).
 
     One dimension: the signed offset on [-u_max, u_max].  Two: the radius on
     [0, u_max], with the polar weight 2 pi u.
     """
-    nodes, weights = gauss_legendre(n)
-    u_max = np.asarray(u_max, dtype=float)[..., None]
     if dimension == 1:
-        return u_max * nodes, u_max * weights
-    u = 0.5 * u_max * (nodes + 1.0)
-    return u, 0.5 * u_max * weights * 2.0 * math.pi * u
+        return gauss_legendre(-u_max, u_max, n)
+    u, weights = gauss_legendre(0.0, u_max, n)
+    return u, weights * 2.0 * math.pi * u
 
 
 def rescale(mode: TransverseMode, epsilon: float) -> TransverseMode:

@@ -138,6 +138,36 @@ def test_package_modules_load_no_off_sweep_scipy(path):
     assert module_level_imports(path.read_text(), OFF_THE_SWEEP) == []
 
 
+def imports_anywhere(source: str, packages) -> list[str]:
+    """Imports of ``packages`` or their submodules anywhere in the module,
+    function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if any(name == p or name.startswith(p + ".") for p in packages))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_imports_anywhere_detects_an_import_in_a_function():
+    source = ("import scipy.linalg\n"
+              "def f():\n    def g():\n        from scipy.integrate import quad\n"
+              "    from scipy import integrate\n")
+    assert imports_anywhere(source, ("scipy.integrate",)) == [
+        "line 4: scipy.integrate.quad", "line 5: scipy.integrate"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_never_import_scipy_integrate(path):
+    # every integral goes through potentials.gauss_legendre; quad is a test oracle
+    assert imports_anywhere(path.read_text(), ("scipy.integrate",)) == []
+
+
 def test_a_default_sweep_loads_no_off_sweep_scipy():
     # a fresh interpreter: pytest's own warning filters import scipy.integrate
     default_cfg = SRC.parents[1] / "configs" / "default.cfg"

@@ -14,6 +14,24 @@ SHELL_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^(d-1)|
 QUARTIC_2D = 1.0 / (2.0 * math.pi)
 
 
+def test_gauss_legendre_on_intervals():
+    lo, hi = np.array([0.0, -1.5, 0.3]), np.array([2.0, 1.5, 0.7])
+    x, w = potentials.gauss_legendre(lo, hi, 24)
+    assert x.shape == w.shape == (3, 24)
+    assert np.all((x > lo[:, None]) & (x < hi[:, None]))
+    # exact for polynomials of degree 2n - 1
+    assert np.sum(w * x**47, axis=-1) == pytest.approx((hi**48 - lo**48) / 48.0, rel=1e-13)
+    # [-a, a] maps to a x and [0, a] to (a/2)(x + 1), with no midpoint rounding
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    a = 0.1 * math.pi
+    assert np.array_equal(potentials.gauss_legendre(-a, a, 24)[0], a * nodes)
+    assert np.array_equal(potentials.gauss_legendre(0.0, a, 24)[0], 0.5 * a * (nodes + 1.0))
+    assert np.array_equal(potentials.gauss_legendre(0.0, a, 24)[1], 0.5 * a * weights)
+    # an empty interval has zero weight and every node at its point
+    x0, w0 = potentials.gauss_legendre(0.4, 0.4, 24)
+    assert np.all(x0 == 0.4) and np.all(w0 == 0.0)
+
+
 def test_uniform_ball_l1_quadrature():
     prof = potentials.uniform_ball()
     assert prof.shell_integral(3) == pytest.approx(BALL_L1, abs=1e-10)

@@ -183,7 +183,7 @@ def test_interpolant_matches_cubic_spline_on_the_default_sweep():
     assert -np.min(corr.offsets) == pytest.approx(8.0, rel=1e-12)
     for point in cfg.points():
         scaled = potentials.scale(inputs.profile, point, d_perp=cfg.d_perp)
-        u, _ = transverse.offset_quadrature(scaled.range, mode.dimension, 64)
+        u, _ = transverse.offset_rule(scaled.range, mode.dimension, 64)
         _assert_matches_cubic_spline(corr, u / point.epsilon)
         # |u|/eps peaks at 0.707 (N = 2), far inside the half-span 8: no point
         # of the sweep reaches the extrapolating end cubics
