@@ -24,14 +24,11 @@ from .nls import CondensateState
 from .potentials import ScaledInteraction, gauss_legendre
 from .transverse import TransverseMode, offset_rule
 
-BOUNDARY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class RadialFunction:
     radii: np.ndarray
     values: np.ndarray
-    mu: float
     eps: float
 
     def __post_init__(self):
@@ -45,11 +42,6 @@ class RadialFunction:
 class LineFunction:
     xs: np.ndarray
     values: np.ndarray
-
-    def evenness_defect(self) -> float:
-        v, vr = self.values, self.values[::-1]
-        scale = np.max(np.abs(v)) or 1.0
-        return float(np.max(np.abs(v - vr)) / scale)
 
     def l1(self) -> float:
         return float(np.trapezoid(np.abs(self.values), self.xs))
@@ -136,24 +128,13 @@ def build_h_epsilon(scaled: ScaledInteraction, eps: float | None = None,
     eps = scaled.point.epsilon if eps is None else eps
     _require_regime(scaled.range, eps)
     radii = np.linspace(0.0, eps, n_samples)
-    values = BallGreenData(scaled, eps).value(radii)
-    if abs(values[-1]) > BOUNDARY_TOL * max(1.0, np.max(np.abs(values))):
-        raise ResolutionError(f"boundary value |h(eps)| = {abs(values[-1]):.2e} too large")
-    return RadialFunction(radii, values, scaled.range, eps)
+    return RadialFunction(radii, BallGreenData(scaled, eps).value(radii), eps)
 
 
-@dataclass(frozen=True)
-class PoissonReport:
-    max_relative_residual: float
-    boundary_value: float
-
-
-def verify_poisson(h: RadialFunction, scaled: ScaledInteraction) -> PoissonReport:
-    """Second-order radial Laplacian of the samples against the source.
-
-    Residuals are reported relative to sup|w|; nodes straddling the kinks at
-    the support edge (where w jumps) and the two endpoints are excluded.
-    """
+def verify_poisson(h: RadialFunction, scaled: ScaledInteraction) -> float:
+    """Largest residual of the second-order radial Laplacian of the samples
+    against the source, relative to sup|w|; nodes straddling the kinks at the
+    support edge (where w jumps) and the two endpoints are excluded."""
     r, v = h.radii, h.values
     dr = np.diff(r)
     if np.max(np.abs(dr - dr[0])) > 1e-9 * dr[0]:
@@ -171,8 +152,7 @@ def verify_poisson(h: RadialFunction, scaled: ScaledInteraction) -> PoissonRepor
     keep[[0, -1]] = False
     keep &= np.abs(r - scaled.range) > window
     keep &= np.abs(r - h.eps) > window
-    res = np.abs(lap[keep] - w[keep]) / sup_w
-    return PoissonReport(float(np.max(res)), float(abs(v[-1])))
+    return float(np.max(np.abs(lap[keep] - w[keep])) / sup_w)
 
 
 # ---------------------------------------------------------------------------
@@ -211,37 +191,23 @@ def smooth_step_derivative(x, lo: float, hi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThetaReport:
-    sup: float
     l2: float
     grad_sup: float
     grad_l2: float
-    midpoint: float
-    value_at_mu: float
-    value_at_eps: float
 
 
-def theta(mu: float, eps: float, n_samples: int = 2048) -> tuple[RadialFunction, ThetaReport]:
-    """Radial cutoff Theta: 1 inside mu, smooth decrease to 0 at eps; 3-d norms
-    by a 48-node `gauss_legendre` rule on [0, mu] and on [mu, eps]."""
+def theta(mu: float, eps: float) -> ThetaReport:
+    """Norms of the radial cutoff Theta = smooth_step(r, mu, eps): 1 inside mu,
+    smooth decrease to 0 at eps; 3-d norms by a 48-node `gauss_legendre` rule
+    on [0, mu] and on [mu, eps]."""
     _require_regime(mu, eps)
-    radii = np.linspace(0.0, eps, n_samples)
-    vals = smooth_step(radii, mu, eps)
     r, w = gauss_legendre(np.array([0.0, mu]), np.array([mu, eps]), 48)
     shell = 4.0 * math.pi * w * r**2
     l2sq = float(np.sum(shell * smooth_step(r, mu, eps) ** 2))
     g2sq = float(np.sum(shell * smooth_step_derivative(r, mu, eps) ** 2))
     probe = np.linspace(mu, eps, 8192)
     grad_sup = float(np.max(np.abs(smooth_step_derivative(probe, mu, eps))))
-    rep = ThetaReport(
-        sup=1.0,
-        l2=math.sqrt(l2sq),
-        grad_sup=grad_sup,
-        grad_l2=math.sqrt(g2sq),
-        midpoint=float(smooth_step(np.asarray((mu + eps) / 2.0), mu, eps)),
-        value_at_mu=float(smooth_step(np.asarray(mu), mu, eps)),
-        value_at_eps=float(smooth_step(np.asarray(eps), mu, eps)),
-    )
-    return RadialFunction(radii, vals, mu, eps), rep
+    return ThetaReport(math.sqrt(l2sq), grad_sup, math.sqrt(g2sq))
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +236,21 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), 1.0 - ss_res / ss_tot)
 
 
-@dataclass(frozen=True)
-class GradientScalingReport:
-    sup_fit: ScalingFit
-    l2_fit: ScalingFit
-
-
-def gradient_scaling_fit(points, profile) -> GradientScalingReport:
-    """Regress measured sup/L2 norms of grad h_eps against N^-1 mu^-2 eps^2 and
-    N^-1 mu^-1/2 eps^2 along a scaling sequence (expected slopes: 1)."""
+def gradient_scaling_fit(points, profile) -> ScalingFit:
+    """Regress the measured L2 norm of grad h_eps against N^-1 mu^-1/2 eps^2
+    along a scaling sequence (expected slope: 1)."""
     from .potentials import scale
 
     pts = list(points)
     if len(pts) < 4:
         raise InsufficientDataError(f"need >= 4 scaling points, got {len(pts)}")
-    sup_vals, l2_vals, sup_pred, l2_pred = [], [], [], []
+    l2_vals, l2_pred = [], []
     for p in pts:
         sc = scale(profile, p)
         _require_regime(sc.range, p.epsilon)
-        data = BallGreenData(sc, p.epsilon)
-        sup_vals.append(data.sup_gradient())
-        l2_vals.append(data.l2_gradient())
-        sup_pred.append(p.epsilon**2 / (p.n_particles * p.mu**2))
+        l2_vals.append(BallGreenData(sc, p.epsilon).l2_gradient())
         l2_pred.append(p.epsilon**2 / (p.n_particles * math.sqrt(p.mu)))
-    return GradientScalingReport(
-        sup_fit=_loglog_fit(np.asarray(sup_pred), np.asarray(sup_vals)),
-        l2_fit=_loglog_fit(np.asarray(l2_pred), np.asarray(l2_vals)),
-    )
+    return _loglog_fit(np.asarray(l2_pred), np.asarray(l2_vals))
 
 
 # ---------------------------------------------------------------------------
@@ -336,67 +290,43 @@ def _require_transverse_match(scaled: ScaledInteraction, tmode: TransverseMode) 
 
 @dataclass(frozen=True)
 class LineGreenReport:
-    boundary_left: float
-    boundary_right: float
     residual: float
-    sup_slope: float
     wing_slope: float
-    wbar_l1: float
 
 
-def build_h_bar(wbar: LineFunction, beta1: float, n_particles: int,
-                mu: float, n_samples: int = 2049) -> tuple[LineFunction, LineFunction, LineGreenReport]:
-    """Solve h'' = w-bar on [-N^-beta1, N^-beta1] with zero boundary values,
-    plus the matching smooth step on [mu, N^-beta1]."""
+def build_h_bar(wbar: LineFunction, beta1: float, n_particles: int) -> LineGreenReport:
+    """Solve h'' = w-bar on [-a, a], a = N^-beta1, with zero boundary values:
+
+        h(x) = [(x - a) int_-a^x (x'+a) w + (x + a) int_x^a (x'-a) w] / (2a),
+
+    on the w-bar grid itself (no resampling of a possibly discontinuous
+    profile; the weighted trapezoid is exact for piecewise-linear data).
+    Reports the second difference of h against w-bar and the slope |h'|
+    outside the support of w-bar."""
     half = float(n_particles) ** (-beta1)
     support = np.max(np.abs(wbar.xs[np.abs(wbar.values) > 0])) if np.any(wbar.values != 0) else 0.0
     if support >= half:
         raise DomainError(
             f"support of w-bar ({support:.3g}) must lie inside (-{half:.3g}, {half:.3g})"
         )
-    if mu >= half:
-        raise RegimeError(f"need mu < N^-beta1, got mu={mu}, N^-beta1={half}")
-    # source integrals on the w-bar grid itself (no resampling of a possibly
-    # discontinuous profile); the cumulatives are continuous, so evaluating
-    # them on the output grid by linear interpolation is benign, and the
-    # weighted trapezoid is exact for piecewise-linear data
     src_lo = _cumtrapz(wbar.values * (wbar.xs + half), wbar.xs)
-    src_hi_c = _cumtrapz(wbar.values * (wbar.xs - half), wbar.xs)
-    xs = np.linspace(-half, half, n_samples)
-    cums_xw = np.interp(xs, wbar.xs, src_lo, left=0.0, right=src_lo[-1])
-    cum_hi = np.interp(xs, wbar.xs, src_hi_c, left=0.0, right=src_hi_c[-1])
-    tail_hi = src_hi_c[-1] - cum_hi               # int_x^half (x'-half) w
-    h = ((xs - half) * cums_xw + (xs + half) * tail_hi) / (2.0 * half)
-    hprime = (cums_xw + tail_hi) / (2.0 * half)
-    # residual of the second difference against w-bar on the source grid,
-    # where the trapezoid cumulatives are consistent (interior, off the kinks)
+    src_hi = _cumtrapz(wbar.values * (wbar.xs - half), wbar.xs)
+    h = ((wbar.xs - half) * src_lo + (wbar.xs + half) * (src_hi[-1] - src_hi)) / (2.0 * half)
+    # residual of the second difference against w-bar, interior, off the kinks
     sstep = np.diff(wbar.xs)
-    h_src = ((wbar.xs - half) * src_lo + (wbar.xs + half) * (src_hi_c[-1] - src_hi_c)) \
-        / (2.0 * half)
     sup_w = float(np.max(np.abs(wbar.values))) or 1.0
     if np.max(np.abs(sstep - sstep[0])) < 1e-9 * sstep[0]:
         step0 = sstep[0]
-        lap = (h_src[2:] - 2.0 * h_src[1:-1] + h_src[:-2]) / step0**2
+        lap = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / step0**2
         keep = np.ones(len(wbar.xs) - 2, dtype=bool)
         if support > 0:
             keep &= np.abs(np.abs(wbar.xs[1:-1]) - support) > 3.0 * step0
         residual = float(np.max(np.abs(lap[keep] - wbar.values[1:-1][keep])) / sup_w)
     else:
         residual = math.nan
-    # wing slope: |h'| just outside the support
-    hstep = xs[1] - xs[0]
-    outside = np.abs(xs) > support + 3.0 * hstep if support > 0 else np.abs(xs) > 0
-    wing = float(np.max(np.abs(hprime[outside]))) if np.any(outside) else 0.0
-    theta_line = LineFunction(xs, smooth_step(np.abs(xs), mu, half))
-    report = LineGreenReport(
-        boundary_left=float(abs(h[0])),
-        boundary_right=float(abs(h[-1])),
-        residual=residual,
-        sup_slope=float(np.max(np.abs(hprime))),
-        wing_slope=wing,
-        wbar_l1=wbar.l1(),
-    )
-    return LineFunction(xs, h), theta_line, report
+    # outside the support h' is constant: int (x'+a) w / 2a right, int (x'-a) w / 2a left
+    wing = max(abs(src_lo[-1]), abs(src_hi[-1])) / (2.0 * half)
+    return LineGreenReport(residual, float(wing))
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -170,29 +170,23 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_aux_verify(args) -> int:
+    """The auxiliary objects at the config's point: exit 1 unless the Poisson
+    residual of h_eps is below 1e-3 and int w-bar is b/N to within the
+    paper's O(mu/eps)."""
     env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
-    beta = env.beta
     profile = potentials.profile_by_name(env.profile_name, env.profile_height,
                                          env.profile_radius)
     scaled = potentials.scale(profile, point)
     report = {}
     h_uni = auxiliary.build_h_epsilon(scaled, n_samples=4096)
     poisson = auxiliary.verify_poisson(h_uni, scaled)
-    report["poisson_max_relative_residual"] = poisson.max_relative_residual
-    report["h_boundary_value"] = poisson.boundary_value
-    _, trep = auxiliary.theta(scaled.range, point.epsilon)
-    report["theta_midpoint"] = trep.midpoint
-    report["theta_grad_sup_times_eps"] = trep.grad_sup * point.epsilon
-    # the sup-gradient predictor is constant at beta = 1/2 (both sides scale
-    # as (N/eps^2)^0); run the regression diagnostic at a non-degenerate beta
-    beta_fit = beta if abs(beta - 0.5) > 0.01 else 0.4
-    seq = [scaling.make_point(m, float(m) ** -1.0, beta_fit)
+    report["poisson_max_relative_residual"] = poisson
+    grad_sup = auxiliary.theta(scaled.range, point.epsilon).grad_sup
+    report["theta_grad_sup_times_eps"] = grad_sup * point.epsilon
+    seq = [scaling.make_point(m, float(m) ** -1.0, env.beta)
            for m in (10**3, 10**4, 10**5, 10**6)]
-    fit = auxiliary.gradient_scaling_fit(seq, profile)
-    report["grad_fit_beta"] = beta_fit
-    report["grad_sup_slope"] = fit.sup_fit.slope
-    report["grad_l2_slope"] = fit.l2_fit.slope
+    report["grad_l2_slope"] = auxiliary.gradient_scaling_fit(seq, profile).slope
     conf = potentials.confinement_by_name(env.confinement_name, 1)
     # unscaled spacing must resolve the interaction range after rescaling:
     # spacing <= (mu/eps)/10 in units of the unscaled axis
@@ -202,19 +196,16 @@ def cmd_aux_verify(args) -> int:
     tgrid = transverse.TransverseGrid(extent, needed | 1)
     unscaled = transverse.solve_modes(conf, tgrid, 2)
     tmode = transverse.rescale(unscaled, point.epsilon)
-    wbar = auxiliary.quasi1d(potentials.scale(profile, point, conf.dimension), tmode)
-    report["wbar_evenness"] = wbar.evenness_defect()
-    report["wbar_l1"] = wbar.l1()
-    hbar, _, hrep = auxiliary.build_h_bar(wbar, beta1=env.beta1,
-                                          n_particles=point.n_particles, mu=scaled.range)
-    report["hbar_boundary"] = max(hrep.boundary_left, hrep.boundary_right)
-    report["hbar_sup_slope"] = hrep.sup_slope
-    report["hbar_wbar_l1"] = hrep.wbar_l1
-    report["hbar_residual"] = hrep.residual
+    trapped = potentials.scale(profile, point, conf.dimension)
+    wbar = auxiliary.quasi1d(trapped, tmode)
+    wbar_l1 = wbar.l1()
+    b_over_n = potentials.effective_coupling(trapped, tmode.quartic) / point.n_particles
+    report["wbar_l1"] = wbar_l1
+    report["b_over_n"] = b_over_n
+    report["hbar_residual"] = auxiliary.build_h_bar(wbar, beta1=env.beta1,
+                                                    n_particles=point.n_particles).residual
     print(json.dumps(report, indent=2))
-    ok = (poisson.max_relative_residual < 1e-3
-          and abs(trep.midpoint - 0.5) < 1e-12
-          and abs(fit.sup_fit.slope - 1.0) < 0.15)
+    ok = poisson < 1e-3 and abs(wbar_l1 - b_over_n) <= point.mu_over_eps * b_over_n
     return 0 if ok else 1
 
 

@@ -304,19 +304,17 @@ def verify_all(seed: int = 0) -> VerificationReport:
     for name, val in worst.items():
         rep.add("projectors", name, val, 1e-10)
 
-    # weight norms (the bound is attained on the linear branch, so the float
-    # comparison carries the report's relative slack)
+    # weight norms
     for n in (100, 1000, 10000):
         for xi in (0.05, 0.1, 0.2):
             w = projectors.weight_norm_checks(n, xi)
-            rep.add("projectors", f"l_norm N={n} xi={xi}", w.l_norm, w.l_bound,
-                    passed=w.l_norm_ok)
+            rep.add("projectors", f"l_norm N={n} xi={xi}", w.l_norm, w.l_bound)
             rep.add("projectors", f"l_n_norm N={n} xi={xi}", w.l_n_norm, 4.0)
 
     # rate bridge on random occupation states
     fock = manybody.FockBasis(4, 4)
     proj = projectors.basis_mode_projector(4)
-    worst_gap = 0.0
+    worst_gap = -math.inf
     for _ in range(20):
         amp = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         state = manybody.ManyBodyState(fock, amp / np.linalg.norm(amp))
@@ -364,8 +362,6 @@ def verify_all(seed: int = 0) -> VerificationReport:
             abs(float(data.value(np.array([0.0]))[0]) - h0_exact) / abs(h0_exact), 1e-8)
     rep.add("auxiliary", "sup_grad_closed_form",
             abs(data.sup_gradient() - c * mu / 3.0) / (c * mu / 3.0), 1e-8)
-    _, trep = auxiliary.theta(mu, point.epsilon)
-    rep.add("auxiliary", "theta_midpoint", abs(trep.midpoint - 0.5), 1e-12)
 
     # coupling invariance of the sweep's own b_eff (run_point) along the default family
     inputs = sweep_inputs(DEFAULTS)

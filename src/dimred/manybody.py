@@ -793,7 +793,6 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
 
 @dataclass(frozen=True)
 class ReducedDensity:
-    order: int
     matrix: np.ndarray
 
     @property
@@ -837,7 +836,7 @@ def reduced_density(state: ManyBodyState, k: int = 1) -> ReducedDensity:
         gamma = small[np.ix_(pair.ravel(), pair.ravel())]
         gamma /= np.real(np.trace(gamma))
     gamma = (gamma + gamma.conj().T) / 2.0
-    return ReducedDensity(k, gamma)
+    return ReducedDensity(gamma)
 
 
 def expectation(state: ManyBodyState, op: sp.spmatrix) -> float:

@@ -141,9 +141,8 @@ class WeightNormReport:
     n_particles: int
     xi: float
     l_norm: float
-    l_bound: float           # N^xi, exact ceiling
+    l_bound: float           # N^xi with 1e-12 relative float slack: |l| attains N^xi
     l_n_norm: float
-    l_norm_ok: bool
 
 
 def weight_norm_checks(n_particles: int, xi: float) -> WeightNormReport:
@@ -153,9 +152,7 @@ def weight_norm_checks(n_particles: int, xi: float) -> WeightNormReport:
     k = np.arange(n_particles + 1)
     l_norm = float(np.max(lw(k)))
     l_n = float(np.max(lw(k) * nw(k)))
-    bound = float(n_particles) ** xi
-    return WeightNormReport(n_particles, xi, l_norm, bound, l_n,
-                            l_norm <= bound * (1 + 1e-12))
+    return WeightNormReport(n_particles, xi, l_norm, float(n_particles) ** xi * (1 + 1e-12), l_n)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,6 @@ class Classification:
     admissible: bool
     moderately_confining: bool
     evidence: tuple[PointEvidence, ...]
-    threshold: float
 
 
 def _tail_converges(values, threshold) -> bool:
@@ -112,7 +111,7 @@ def classify(seq: ScalingSequence, threshold: float = DEFAULT_LIMIT_THRESHOLD) -
     )
     adm = _tail_converges([e.eps2_over_mu for e in evidence], threshold)
     mod = _tail_converges([e.mu_over_eps for e in evidence], threshold)
-    return Classification(adm, mod, evidence, threshold)
+    return Classification(adm, mod, evidence)
 
 
 def power_law_window(beta: float) -> tuple[float, float]:

@@ -151,7 +151,10 @@ def solve_modes(confinement: ConfinementPotential, grid: TransverseGrid,
         eye = sp.identity(n, format="csr")
         ham = (sp.kron(lap1, eye) + sp.kron(eye, lap1) + sp.diags(v)).tocsc()
         sigma = float(np.min(v)) - 1.0
-        vals, vecs = eigsh(ham, k=n_modes, sigma=sigma, which="LM")
+        # a fixed start vector makes the modes reproducible; a random one, so
+        # that it is not orthogonal to the odd modes as a symmetric vector is
+        v0 = np.random.default_rng(0).standard_normal(n * n)
+        vals, vecs = eigsh(ham, k=n_modes, sigma=sigma, which="LM", v0=v0)
         order = np.argsort(vals)
         vals = vals[order]
         vecs = vecs[:, order]

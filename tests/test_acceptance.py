@@ -111,9 +111,9 @@ def test_criterion_3_weight_norms():
     for n in (10**2, 10**3, 10**4, 10**5):
         for xi in (0.05, 0.1, 0.2):
             rep = projectors.weight_norm_checks(n, xi)
-            # the ceiling N^xi is attained on the linear branch; the comparison
-            # carries one-ulp relative slack for the float equality case
-            ok = ok and rep.l_norm <= rep.l_bound * (1 + 1e-12)
+            # the ceiling N^xi is attained on the linear branch; l_bound
+            # carries 1e-12 relative slack for the float equality case
+            ok = ok and rep.l_norm <= rep.l_bound
             ok = ok and rep.l_n_norm <= 4.0
             worst_ln = max(worst_ln, rep.l_n_norm)
     elapsed = time.time() - t0
@@ -206,36 +206,39 @@ def test_criterion_6_auxiliary_battery():
     res = []
     for n in (512, 1024, 2048):
         hh = auxiliary.build_h_epsilon(scg, eps=1.0, n_samples=n)
-        res.append(auxiliary.verify_poisson(hh, scg).max_relative_residual)
+        res.append(auxiliary.verify_poisson(hh, scg))
     ratios = (res[0] / res[1], res[1] / res[2])
 
     # the midpoint identity is exact up to one ulp in the argument split
-    _, trep = auxiliary.theta(0.1, 1.0)
-    midpoint_err = abs(trep.midpoint - 0.5)
+    midpoint_err = abs(float(auxiliary.smooth_step(np.array([0.55]), 0.1, 1.0)[0]) - 0.5)
 
     # wings of the line Green solution: slope exactly cbar * a
     cbar, a = 1.7, 0.05
     xs = np.linspace(-0.2, 0.2, 16385)
     vals = np.where(np.abs(xs) < a, cbar, 0.0)
     vals[np.isclose(np.abs(xs), a)] = cbar / 2.0
-    _, _, hrep = auxiliary.build_h_bar(auxiliary.LineFunction(xs, vals), 0.5, 16, mu=0.01)
+    hrep = auxiliary.build_h_bar(auxiliary.LineFunction(xs, vals), 0.5, 16)
     wing_err = abs(hrep.wing_slope - cbar * a) / (cbar * a)
 
     pts = [scaling.make_point(n, float(n) ** -1.0, 0.4)
            for n in (10**3, 10**4, 10**5, 10**6)]
     fit = auxiliary.gradient_scaling_fit(pts, potentials.uniform_ball())
+    sup_grad = [auxiliary.BallGreenData(potentials.scale(potentials.uniform_ball(), p),
+                                        p.epsilon).sup_gradient() for p in pts]
+    sup_pred = [p.epsilon**2 / (p.n_particles * p.mu**2) for p in pts]
+    sup_slope = float(np.polyfit(np.log(sup_pred), np.log(sup_grad), 1)[0])
     elapsed = time.time() - t0
     ok = (h_err < 1e-6 and boundary < 1e-10
           and abs(ratios[0] - 4.0) < 0.5 and abs(ratios[1] - 4.0) < 0.5
           and midpoint_err <= 1e-12
           and wing_err < 1e-8
-          and abs(fit.sup_fit.slope - 1.0) <= 0.15
-          and abs(fit.l2_fit.slope - 1.0) <= 0.15
+          and abs(sup_slope - 1.0) <= 0.15
+          and abs(fit.slope - 1.0) <= 0.15
           and elapsed < 120.0)
     assert report(6, "auxiliary battery", ok,
                   f"(h err {h_err:.1e}, ratios {ratios[0]:.2f}/{ratios[1]:.2f}, "
-                  f"wing err {wing_err:.1e}, slopes {fit.sup_fit.slope:.3f}/"
-                  f"{fit.l2_fit.slope:.3f}, {elapsed:.1f}s)")
+                  f"wing err {wing_err:.1e}, slopes {sup_slope:.3f}/"
+                  f"{fit.slope:.3f}, {elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -193,14 +193,36 @@ def test_manybody_evolve_energy_at_output_time(tmp_path):
     assert abs(energy(0.0) - energy(env.t_final)) > 1e-3
 
 
+AUX_KEYS = {"poisson_max_relative_residual", "theta_grad_sup_times_eps", "grad_l2_slope",
+            "wbar_l1", "b_over_n", "hbar_residual"}
+
+
 def test_aux_verify(capsys, tmp_path):
     rc = main(["aux-verify", "--n", "1000"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
+    assert set(data) == AUX_KEYS
     assert data["poisson_max_relative_residual"] < 1e-3
-    assert data["theta_midpoint"] == pytest.approx(0.5, abs=1e-12)
-    assert data["grad_sup_slope"] == pytest.approx(1.0, abs=0.15)
-    assert data["hbar_boundary"] < 1e-10
+    # int w-bar = b/N up to the O(mu/eps) spread of the transverse correlation;
+    # mu/eps = N^-1/2 at the default beta = 1/2, gamma = 1
+    mu_over_eps = 1000.0 ** -0.5
+    assert abs(data["wbar_l1"] - data["b_over_n"]) <= mu_over_eps * data["b_over_n"]
+    assert data["grad_l2_slope"] == pytest.approx(1.0, abs=0.15)
+
+
+def test_aux_verify_fails_when_wbar_misses_the_coupling(capsys, monkeypatch):
+    from dimred import auxiliary
+
+    quasi1d = auxiliary.quasi1d
+
+    def doubled(scaled, tmode):
+        wbar = quasi1d(scaled, tmode)
+        return auxiliary.LineFunction(wbar.xs, 2.0 * wbar.values)
+
+    monkeypatch.setattr(auxiliary, "quasi1d", doubled)
+    assert main(["aux-verify", "--n", "1000"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["wbar_l1"] == pytest.approx(2.0 * data["b_over_n"], rel=1e-3)
 
 
 def test_aux_verify_reads_rate_beta1(capsys, monkeypatch, tmp_path):
@@ -435,8 +457,7 @@ def test_aux_verify_uses_config_trap(capsys, tmp_path):
     assert harmonic["wbar_l1"] == pytest.approx(coupling_per_particle(DEFAULT_CFG), rel=1e-3)
     assert soft["wbar_l1"] == pytest.approx(coupling_per_particle(path), rel=1e-3)
     # only the quasi-1d quantities see the trap
-    trapped = {"wbar_evenness", "wbar_l1", "hbar_boundary", "hbar_sup_slope", "hbar_wbar_l1",
-               "hbar_residual"}
+    trapped = {"wbar_l1", "b_over_n", "hbar_residual"}
     assert {k: v for k, v in soft.items() if k not in trapped} == {
         k: v for k, v in harmonic.items() if k not in trapped}
 

@@ -98,6 +98,37 @@ def test_package_defines_only_what_the_package_references():
     assert unreferenced_definitions(sources) == []
 
 
+def unread_fields(sources: dict[str, str], readers) -> list[str]:
+    """Annotated class fields of the modules in ``sources`` that no source in
+    ``readers`` reads, by an attribute load or a string constant."""
+    read = set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{module}: {cls.name}.{stmt.target.id}" for module, text in sources.items()
+            for cls in ast.walk(ast.parse(text)) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_unread_fields_detects_a_planted_field():
+    source = ("@dataclass\nclass Report:\n    kept: float\n    named: int\n    planted: bool\n"
+              "    LIMIT = 3\n\n\ndef f(rep):\n    rep.planted = True\n"
+              "    return rep.kept, getattr(rep, 'named')\n")
+    assert unread_fields({"a.py": source}, [source]) == ["a.py: Report.planted"]
+
+
+def test_package_fields_are_all_read():
+    tests = Path(__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [*sources.values(), *(path.read_text() for path in sorted(tests.glob("*.py")))]
+    assert unread_fields(sources, readers) == []
+
+
 # scipy submodules a sweep never needs; each loads scipy.special or scipy.optimize
 OFF_THE_SWEEP = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize")
 

@@ -84,7 +84,7 @@ def test_weight_operator_norm_is_sup():
 def test_weight_norm_checks_example():
     rep = projectors.weight_norm_checks(100, 0.2)
     assert rep.l_norm <= 100**0.2 + 1e-12
-    assert rep.l_norm_ok
+    assert rep.l_norm <= rep.l_bound
     assert rep.l_n_norm <= 4.0
 
 

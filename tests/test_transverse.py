@@ -50,6 +50,16 @@ def test_harmonic_2d_analytics():
     assert m.quartic == pytest.approx(QUARTIC_2D, abs=2e-4)
 
 
+def test_2d_solve_is_reproducible():
+    # the excited pair is degenerate, so a random Arnoldi start picks a
+    # different combination of it each call; a fixed start picks one
+    conf = potentials.harmonic_confinement(dimension=2)
+    a, b = (transverse.solve_modes(conf, transverse.TransverseGrid(6.5, 81), 2)
+            for _ in range(2))
+    assert np.array_equal(a.energies, b.energies)
+    assert np.array_equal(a.modes, b.modes)
+
+
 def test_constant_shift_moves_energy_not_state(harmonic_1d):
     shifted = potentials.ConfinementPotential(
         "shifted", lambda r: np.asarray(r) ** 2 + 3.0, 1, 0.0)
