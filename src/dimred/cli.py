@@ -60,7 +60,9 @@ def _point(env: ExperimentConfig, n: int | None, epsilon: float | None) -> scali
 
 
 def cmd_transverse(args) -> int:
-    """The sweep's unscaled transverse mode (``harness.sweep_inputs``)."""
+    """The unscaled transverse mode on the floor grid (``harness.sweep_inputs``
+    without points); a sweep whose smallest range needs more points solves on
+    a finer grid."""
     env = _load_config(args)
     mode = harness.sweep_inputs(env).unscaled_mode
     print(json.dumps({"energy0": mode.energy0, "gap": mode.gap, "quartic": mode.quartic}))
@@ -114,7 +116,7 @@ def cmd_nls_evolve(args) -> int:
 def cmd_manybody_evolve(args) -> int:
     env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
-    setup = harness.point_setup(env, point, harness.sweep_inputs(env))
+    setup = harness.point_setup(env, point, harness.sweep_inputs(env, [point]))
     basis = setup.basis
     traj = setup.evolve(env, args.outputs)
     out = _outdir(args, env)
@@ -170,33 +172,25 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_aux_verify(args) -> int:
-    """The auxiliary objects at the config's point: exit 1 unless the Poisson
+    """The auxiliary objects at the config's point, in the config's trap on the
+    grid a 1d sweep over that point solves on: exit 1 unless the Poisson
     residual of h_eps is below 1e-3 and int w-bar is b/N to within the
     paper's O(mu/eps)."""
     env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
-    profile = potentials.profile_by_name(env.profile_name, env.profile_height,
-                                         env.profile_radius)
-    scaled = potentials.scale(profile, point)
+    inputs = harness.sweep_inputs(dataclasses.replace(env, d_perp=1), [point])
+    scaled = potentials.scale(inputs.profile, point)
     report = {}
     h_uni = auxiliary.build_h_epsilon(scaled, n_samples=4096)
     poisson = auxiliary.verify_poisson(h_uni, scaled)
     report["poisson_max_relative_residual"] = poisson
-    grad_sup = auxiliary.theta(scaled.range, point.epsilon).grad_sup
+    grad_sup = auxiliary.theta(scaled.range, point.epsilon)
     report["theta_grad_sup_times_eps"] = grad_sup * point.epsilon
     seq = [scaling.make_point(m, float(m) ** -1.0, env.beta)
            for m in (10**3, 10**4, 10**5, 10**6)]
-    report["grad_l2_slope"] = auxiliary.gradient_scaling_fit(seq, profile).slope
-    conf = potentials.confinement_by_name(env.confinement_name, 1)
-    # unscaled spacing must resolve the interaction range after rescaling:
-    # spacing <= (mu/eps)/10 in units of the unscaled axis
-    extent = env.transverse_extent
-    needed = int(min(max(481, 20.0 * extent / (point.mu_over_eps / scaled.profile.support_radius)),
-                     20001))
-    tgrid = transverse.TransverseGrid(extent, needed | 1)
-    unscaled = transverse.solve_modes(conf, tgrid, 2)
-    tmode = transverse.rescale(unscaled, point.epsilon)
-    trapped = potentials.scale(profile, point, conf.dimension)
+    report["grad_l2_slope"] = auxiliary.gradient_scaling_fit(seq, inputs.profile).slope
+    tmode = transverse.rescale(inputs.unscaled_mode, point.epsilon)
+    trapped = potentials.scale(inputs.profile, point, 1)
     wbar = auxiliary.quasi1d(trapped, tmode)
     wbar_l1 = wbar.l1()
     b_over_n = potentials.effective_coupling(trapped, tmode.quartic) / point.n_particles

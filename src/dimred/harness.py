@@ -74,7 +74,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class SweepInputs:
-    """What every point of a sweep shares; it depends on the config alone."""
+    """What every point of a sweep shares; it depends on the config and its points."""
 
     confinement: potentials.ConfinementPotential
     external: potentials.ExternalPotential | None
@@ -82,15 +82,36 @@ class SweepInputs:
     profile: potentials.InteractionProfile
 
 
-def sweep_inputs(cfg: ExperimentConfig) -> SweepInputs:
+MAX_TRANSVERSE_GRID = 20001    # points^d_perp of the largest grid sweep_inputs grows to
+
+
+def sweep_inputs(cfg: ExperimentConfig, points=()) -> SweepInputs:
+    """The shared inputs of a sweep over `points`.  The unscaled transverse grid
+    has manybody.transverse_points as a floor and grows to the fewest odd points
+    that put MIN_POINTS_PER_RANGE scaled points across the smallest scaled range
+    mu R / eps among `points` (R the profile's support radius), in
+    `manybody.build_basis`'s own arithmetic, up to MAX_TRANSVERSE_GRID points^d_perp."""
     conf = potentials.confinement_by_name(cfg.confinement_name, cfg.d_perp)
-    tgrid = transverse.TransverseGrid(cfg.transverse_extent, cfg.transverse_points)
+    profile = potentials.profile_by_name(cfg.profile_name, cfg.profile_height,
+                                         cfg.profile_radius)
+    extent = cfg.transverse_extent
+    ranges = [(potentials.scale(profile, p).range, p.epsilon) for p in points]
+
+    def resolves(n):
+        y0, y1 = transverse.TransverseGrid(extent, n).axis[:2]    # rescale(mode, eps).spacing
+        return all(r / float(y1 * eps - y0 * eps) >= transverse.MIN_POINTS_PER_RANGE
+                   for r, eps in ranges)
+
+    n = cfg.transverse_points
+    if not resolves(n):
+        top = int(MAX_TRANSVERSE_GRID ** (1.0 / cfg.d_perp))
+        n = next((m for m in range(n | 1, top + 1, 2) if resolves(m)), n)
+    tgrid = transverse.TransverseGrid(extent, n)
     return SweepInputs(
         confinement=conf,
         external=potentials.external_by_name(cfg.external_name),
         unscaled_mode=transverse.solve_modes(conf, tgrid, n_modes=max(cfg.m_y, 2)),
-        profile=potentials.profile_by_name(cfg.profile_name, cfg.profile_height,
-                                           cfg.profile_radius),
+        profile=profile,
     )
 
 
@@ -179,7 +200,7 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
 
 def run_sweep(cfg: ExperimentConfig, out_path: str | None = None) -> SweepResult:
     points = cfg.points()
-    inputs = sweep_inputs(cfg)
+    inputs = sweep_inputs(cfg, points)
     result = SweepResult(config_hash=cfg.config_hash)
     for point in points:
         try:
@@ -364,7 +385,7 @@ def verify_all(seed: int = 0) -> VerificationReport:
             abs(data.sup_gradient() - c * mu / 3.0) / (c * mu / 3.0), 1e-8)
 
     # coupling invariance of the sweep's own b_eff (run_point) along the default family
-    inputs = sweep_inputs(DEFAULTS)
+    inputs = sweep_inputs(DEFAULTS, DEFAULTS.points())
     b_vals = [potentials.effective_coupling(
                   potentials.scale(inputs.profile, p, d_perp=DEFAULTS.d_perp),
                   transverse.rescale(inputs.unscaled_mode, p.epsilon).quartic)

@@ -49,11 +49,10 @@ from .errors import DomainError, InstabilityError, ResolutionError, SizeError, T
 from .nls import Trajectory
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction, gauss_legendre
 from .scaling import ScalingPoint
-from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
-                         offset_rule, rescale)
+from .transverse import (MIN_POINTS_PER_RANGE, TransverseMode, _normalize_and_sign,
+                         mode_correlations, offset_rule, rescale)
 
 GRID_CAP = 2**28
-MIN_POINTS_PER_RANGE = 8
 LADDER_BATCH_BYTES = 1 << 22
 PARITY_TOL = 1e-8
 
@@ -87,8 +86,8 @@ class FockBasis:
 
     def __init__(self, n_modes: int, n_particles: int,
                  max_excitations: int | None = None, dim_cap: int = DEFAULTS.dim_cap):
-        if n_particles < 0:
-            raise DomainError(f"n_particles must be >= 0, got {n_particles}")
+        if not 0 <= n_particles <= 255:    # the rows are uint8
+            raise DomainError(f"n_particles must lie in 0..255, got {n_particles}")
         if n_modes < 2:
             raise DomainError(f"need at least 2 modes, got {n_modes}")
         dim = symmetric_dimension(n_modes, n_particles, max_excitations)

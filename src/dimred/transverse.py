@@ -25,6 +25,7 @@ from .potentials import ConfinementPotential, gauss_legendre
 
 BOUNDARY_DECAY = 1e-8
 DEGENERACY_GAP = 1e-10
+MIN_POINTS_PER_RANGE = 8       # scaled grid points across an interaction range
 
 
 @dataclass(frozen=True)

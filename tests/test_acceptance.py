@@ -209,8 +209,10 @@ def test_criterion_6_auxiliary_battery():
         res.append(auxiliary.verify_poisson(hh, scg))
     ratios = (res[0] / res[1], res[1] / res[2])
 
-    # the midpoint identity is exact up to one ulp in the argument split
-    midpoint_err = abs(float(auxiliary.smooth_step(np.array([0.55]), 0.1, 1.0)[0]) - 0.5)
+    # the midpoint symmetry of the cutoff step: its slope there is -2/(hi - lo)
+    # up to one ulp in the argument split
+    midpoint_err = abs(float(auxiliary.smooth_step_derivative(np.array([0.55]), 0.1, 1.0)[0])
+                       * 0.9 / 2.0 + 1.0)
 
     # wings of the line Green solution: slope exactly cbar * a
     cbar, a = 1.7, 0.05
@@ -389,6 +391,37 @@ def test_criterion_8_gamma_slope(persistence_sweep):
                   f"(predicted exponent 2, measured slope {fit.slope:.3f}, r2 {fit.r_squared:.4f}, "
                   f"worst closed-form deviation {worst:.1e}, Gamma/(mu/eps) "
                   f"{bound_ratio[0]:.3f} -> {bound_ratio[-1]:.3f}, decreasing={decreasing})")
+
+
+@pytest.fixture(scope="module")
+def large_n_sweep():
+    env = ExperimentConfig.from_text(SWEEP_TEXT.replace(
+        "sequence.n_values = 2, 3, 4, 5, 6, 7, 8",
+        "sequence.n_values = 2, 4, 8, 16, 32, 64, 128, 255"))
+    return env, run_sweep(env)
+
+
+def test_large_n_family_runs_without_failures(large_n_sweep):
+    # the sweep's grid grows to resolve the smallest range (2045 points at N = 255)
+    env, result = large_n_sweep
+    assert result.ok
+    assert [r.n_particles for r in result.rows] == [2, 4, 8, 16, 32, 64, 128, 255]
+    assert len(sweep_inputs(env, env.points()).unscaled_mode.axis) == 2045
+
+
+def test_large_n_gamma_matches_its_closed_form(large_n_sweep):
+    # Gamma's accuracy is the transverse grid's, not the NLS grid's: at N >= 32
+    # the range lies below 2/16 of the NLS spacing, and Gamma still matches 8g's
+    # closed form
+    env, result = large_n_sweep
+    prof = potentials.uniform_ball(env.profile_height, env.profile_radius)
+    for r in result.rows[4:]:
+        point = scaling.make_point(r.n_particles, r.epsilon, env.beta)
+        assert point.mu * env.profile_radius < 2.0 * env.box_length / env.nls_points / 16.0
+        exact = flat_gamma_closed_form(
+            r.n_particles, float(potentials.scale(prof, point, d_perp=1)(0.0)),
+            point.mu * env.profile_radius, r.epsilon, env.box_length)
+        assert r.gamma_discrepancy == pytest.approx(exact, rel=1e-4), r.n_particles
 
 
 # ---------------------------------------------------------------------------

@@ -168,44 +168,21 @@ def test_poisson_requires_uniform_grid():
 
 
 def test_theta_values_and_midpoint():
-    # Theta = smooth_step(r, mu, eps), and smooth_step(lo + hi - x) = 1 - smooth_step(x)
+    # Theta' = smooth_step_derivative(r, mu, eps) vanishes at mu and eps, and the
+    # step's symmetry about the midpoint (a = b there) puts its peak -2/(eps - mu) there
     mu, eps = 1e-3, 1e-1
-    v = auxiliary.smooth_step(np.array([mu, (mu + eps) / 2.0, eps]), mu, eps)
-    assert v[0] == 1.0
-    assert v[1] == pytest.approx(0.5, abs=1e-15)
-    assert v[2] == 0.0
+    d = auxiliary.smooth_step_derivative(np.array([mu, (mu + eps) / 2.0, eps]), mu, eps)
+    assert d[0] == 0.0 and d[2] == 0.0
+    assert d[1] == pytest.approx(-2.0 / (eps - mu), rel=1e-15)
 
 
 def test_theta_gradient_bound_across_scales():
     # |theta'| <= 2/(eps - mu): the measured sup times eps stays below 3
     for eps in (1e-1, 3e-2, 1e-2):
         mu = eps / 100.0
-        rep = auxiliary.theta(mu, eps)
-        assert rep.grad_sup * eps <= 3.0
-        assert rep.grad_sup <= 2.0 / (eps - mu) * 1.001
-
-
-def test_theta_norm_scalings():
-    vals = []
-    for eps in (0.2, 0.1, 0.05):
-        rep = auxiliary.theta(eps / 50.0, eps)
-        vals.append((rep.l2 / eps**1.5, rep.grad_l2 / eps**0.5))
-    l2c = [v[0] for v in vals]
-    g2c = [v[1] for v in vals]
-    assert max(l2c) / min(l2c) < 1.05
-    assert max(g2c) / min(g2c) < 1.05
-
-
-@pytest.mark.parametrize("mu, eps", [(1e-3, 1e-1), (0.0316, 0.1), (0.3162, 1.0)])
-def test_theta_norms_match_quad(mu, eps):
-    rep = auxiliary.theta(mu, eps)
-    l2sq, _ = quad(lambda r: 4.0 * math.pi * r**2 * float(auxiliary.smooth_step(r, mu, eps)) ** 2,
-                   0.0, eps, points=[mu], epsabs=0.0, epsrel=1e-13, limit=500)
-    g2sq, _ = quad(lambda r: 4.0 * math.pi * r**2
-                   * float(auxiliary.smooth_step_derivative(r, mu, eps)) ** 2,
-                   0.0, eps, points=[mu], epsabs=0.0, epsrel=1e-13, limit=500)
-    assert rep.l2 == pytest.approx(math.sqrt(l2sq), rel=1e-13)
-    assert rep.grad_l2 == pytest.approx(math.sqrt(g2sq), rel=1e-12)
+        grad_sup = auxiliary.theta(mu, eps)
+        assert grad_sup * eps <= 3.0
+        assert grad_sup <= 2.0 / (eps - mu) * 1.001
 
 
 def test_theta_regime_error():
@@ -215,8 +192,7 @@ def test_theta_regime_error():
 
 def test_smooth_step_monotone():
     x = np.linspace(0.01, 0.1, 500)
-    v = auxiliary.smooth_step(x, 0.01, 0.1)
-    assert np.all(np.diff(v) <= 1e-12)
+    assert np.all(auxiliary.smooth_step_derivative(x, 0.01, 0.1) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +459,11 @@ from hypothesis import strategies as st
 def test_smooth_step_properties(lo, ratio):
     hi = lo * ratio
     x = np.linspace(0.0, 1.5 * hi, 400)
-    v = auxiliary.smooth_step(x, lo, hi)
-    assert np.all((v >= 0.0) & (v <= 1.0))
-    assert np.all(np.diff(v) <= 1e-12)
-    assert v[x <= lo].min() == 1.0
-    assert np.all(v[x >= hi] == 0.0)
-    # derivative bound 2/(hi - lo) from the profile
-    d = auxiliary.smooth_step_derivative(np.linspace(lo, hi, 2000), lo, hi)
+    d = auxiliary.smooth_step_derivative(x, lo, hi)
+    assert np.all(d <= 0.0)
+    assert np.all(d[(x <= lo) | (x >= hi)] == 0.0)
+    # the step falls from 1 at lo to 0 at hi, with the derivative bound 2/(hi - lo)
+    x = np.linspace(lo, hi, 4001)
+    d = auxiliary.smooth_step_derivative(x, lo, hi)
+    assert np.trapezoid(d, x) == pytest.approx(-1.0, abs=1e-12)
     assert np.max(np.abs(d)) <= 2.0 / (hi - lo) * 1.01

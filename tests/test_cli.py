@@ -238,6 +238,39 @@ def test_aux_verify_reads_rate_beta1(capsys, monkeypatch, tmp_path):
     assert seen == [0.2]
 
 
+@pytest.mark.parametrize("radius, grid_points", [(0.5, 8097), (2.0, 2025)])
+def test_aux_verify_grid_resolves_any_interaction_radius(capsys, monkeypatch, tmp_path,
+                                                         radius, grid_points):
+    # the sweep's rule: the fewest odd points that put 8 scaled points across
+    # mu R / eps, here R = radius at N = 1000
+    from dimred import transverse
+
+    grids = []
+    solve = transverse.solve_modes
+    monkeypatch.setattr(transverse, "solve_modes",
+                        lambda conf, grid, **kw: grids.append(grid.points) or solve(conf, grid, **kw))
+    path = tmp_path / "radius.cfg"
+    path.write_text(DEFAULT_CFG.read_text().replace("interaction.radius = 1.0",
+                                                    f"interaction.radius = {radius}"))
+    assert main(["aux-verify", "--config", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert grids == [grid_points]
+    assert abs(data["wbar_l1"] - data["b_over_n"]) <= 1000.0 ** -0.5 * data["b_over_n"]
+
+
+def test_sweep_records_n_256_as_a_failed_point(capsys, tmp_path):
+    # occupation rows are uint8: N = 256 is a DomainError row, not a crash
+    path = tmp_path / "n256.cfg"
+    path.write_text(DEFAULT_CFG.read_text().replace("sequence.n_values = 2, 3, 4, 5, 6, 7, 8",
+                                                    "sequence.n_values = 128, 255, 256"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "2 rows, 1 failures" in capsys.readouterr().out
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[2:4]] == ["128", "255"]
+    assert lines[4].startswith("# FAILED N=256 eps=0.00390625: DomainError: ")
+    assert len(lines) == 5
+
+
 def test_sweep_command(capsys, sweep_cfg, tmp_path):
     rc = main(["sweep", "--config", str(sweep_cfg)])
     assert rc == 0

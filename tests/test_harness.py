@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from dimred import harness, manybody, nls, potentials, projectors, transverse
+from dimred import harness, manybody, nls, potentials, projectors, scaling, transverse
 from dimred.config import DEFAULT_CONFIG_TEXT, DEFAULTS, ExperimentConfig, parse_kv_text
-from dimred.errors import ConfigError, InsufficientDataError
+from dimred.errors import ConfigError, InsufficientDataError, ResolutionError
 
 FAST_SWEEP = """
 sequence.beta = 0.5
@@ -315,6 +315,34 @@ def test_sweep_failure_isolation(tmp_path):
     text_out = path.read_text()
     assert "# FAILED N=12" in text_out
     assert text_out.count("\n") == 2 + 2 + 1  # hash, header, 2 rows, 1 failure
+
+
+@pytest.mark.parametrize("n_particles, points", [(64, 1025), (128, 1451), (255, 2045)])
+def test_sweep_grid_is_the_fewest_odd_points_build_basis_accepts(n_particles, points):
+    # the default floor (961 points) puts fewer than 8 scaled points across the
+    # range from N = 64 on; sweep_inputs grows the grid in build_basis's own
+    # arithmetic, so its grid passes that check and the next odd grid down fails
+    env = DEFAULTS
+    point = scaling.make_point(n_particles, float(n_particles) ** -1.0, env.beta)
+    inputs = harness.sweep_inputs(env, [point])
+    assert len(inputs.unscaled_mode.axis) == points
+    scaled = potentials.scale(inputs.profile, point, d_perp=env.d_perp)
+
+    def build(mode):
+        return manybody.build_basis(point, inputs.confinement, None, scaled, env.m_x, env.m_y,
+                                    env.box_length, unscaled_mode=mode)
+
+    build(inputs.unscaled_mode)
+    coarser = transverse.TransverseGrid(env.transverse_extent, points - 2)
+    with pytest.raises(ResolutionError, match="points across the interaction range"):
+        build(transverse.solve_modes(inputs.confinement, coarser, env.m_y))
+
+
+def test_sweep_grid_keeps_the_floor_it_cannot_outgrow():
+    # no points, or a range that needs more than 20001 points: the floor stays
+    assert len(harness.sweep_inputs(DEFAULTS).unscaled_mode.axis) == 961
+    far = scaling.make_point(10**6, 1e-6, DEFAULTS.beta)
+    assert len(harness.sweep_inputs(DEFAULTS, [far]).unscaled_mode.axis) == 961
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,41 @@ def test_a_default_sweep_loads_no_off_sweep_scipy():
                          timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def transverse_setup_calls(sources: dict[str, str]) -> list[str]:
+    """Calls of ``TransverseGrid`` or ``solve_modes``, by bare name or
+    attribute, as ``module.definition: name`` with the enclosing top-level
+    definition (``<module>`` outside one)."""
+    found = []
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("TransverseGrid", "solve_modes"):
+                    found.append(f"{module.removesuffix('.py')}."
+                                 f"{getattr(top, 'name', '<module>')}: {name}")
+    return found
+
+
+def test_transverse_setup_calls_detects_a_planted_grid():
+    sources = {
+        "a.py": ("from .transverse import TransverseGrid, solve_modes\n\n\n"
+                 "def f(conf):\n    return solve_modes(conf, TransverseGrid(8.0, 33))\n"),
+        "b.py": ("from . import transverse\n\n\nclass K:\n    def g(self, conf, grid):\n"
+                 "        return transverse.solve_modes(conf, grid, 2)\n\n\n"
+                 "GRID = transverse.TransverseGrid(1.0, 17)\n"),
+    }
+    assert transverse_setup_calls(sources) == [
+        "a.f: solve_modes", "a.f: TransverseGrid", "b.K: solve_modes", "b.<module>: TransverseGrid"]
+
+
+def test_only_the_harness_sets_up_a_transverse_grid():
+    # one rule sizes the grid (harness.sweep_inputs); verify_all's analytic
+    # harmonic check is the only other solve
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sorted(set(transverse_setup_calls(sources))) == [
+        "harness.sweep_inputs: TransverseGrid", "harness.sweep_inputs: solve_modes",
+        "harness.verify_all: TransverseGrid", "harness.verify_all: solve_modes"]

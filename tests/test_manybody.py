@@ -75,6 +75,13 @@ def test_fock_vacuum_is_one_empty_row():
         manybody.FockBasis(4, -1)
 
 
+def test_fock_refuses_more_particles_than_a_uint8_row_holds():
+    # 256 would wrap the condensate count to 0; from_rows refuses such rows too
+    assert manybody.FockBasis(3, 255, max_excitations=2).occupations.max() == 255
+    with pytest.raises(DomainError, match="0..255"):
+        manybody.FockBasis(3, 256, max_excitations=2)
+
+
 def test_fock_lookup_roundtrip():
     fock = manybody.FockBasis(5, 3)
     idx = fock.lookup(fock.occupations)
