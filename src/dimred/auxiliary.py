@@ -319,7 +319,6 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 class DiscrepancyResult:
     gamma: LineFunction
     l2_norm: float
-    convolution_part: float      # L2 of the |Phi|^2-shift contribution
 
 
 def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
@@ -350,12 +349,9 @@ def discrepancy_gamma(scaled: ScaledInteraction, condensate: CondensateState,
     n_part = scaled.point.n_particles
     dens0 = np.abs(condensate.values) ** 2
     total = np.zeros(grid.points)
-    conv_only = np.zeros(grid.points)
     for s, sw, wt, w0 in zip(s_nodes, s_weights, wint_t, wint_0):
         dens_s = np.abs(np.fft.ifft(ft * np.exp(-1j * k * s))) ** 2
         total += sw * (dens_s * wt - dens0 * w0)
-        conv_only += sw * (dens_s - dens0) * wt
     gamma_vals = n_part * total
     gl2 = math.sqrt(float(np.sum(gamma_vals**2) * grid.spacing))
-    c2 = math.sqrt(float(np.sum((n_part * conv_only) ** 2) * grid.spacing))
-    return DiscrepancyResult(LineFunction(grid.x, gamma_vals), gl2, c2)
+    return DiscrepancyResult(LineFunction(grid.x, gamma_vals), gl2)

@@ -84,16 +84,13 @@ def cmd_transverse(args) -> int:
 
 def cmd_nls_evolve(args) -> int:
     env = _load_config(args)
-    points = args.points if args.points is not None else env.nls_points
-    dt = args.dt if args.dt is not None else env.nls_dt
-    t_final = args.t_final if args.t_final is not None else env.t_final
-    external = potentials.external_by_name(args.potential or env.external_name)
-    grid = nls.Grid1D(args.length, points)
+    external = potentials.external_by_name(env.external_name)
+    grid = nls.Grid1D(args.length, env.nls_points)
     if args.initial == "plane":
         state = nls.plane_wave(grid, args.mode)
     else:
         state = nls.gaussian_state(grid, width=args.width)
-    traj = nls.evolve(state, external, args.b, dt, t_final, n_outputs=args.outputs)
+    traj = nls.evolve(state, external, args.b, env.nls_dt, env.t_final, n_outputs=args.outputs)
     out = _outdir(args, env)
     path = os.path.join(out, "nls.csv")
     with open(path, "w") as fh:
@@ -107,7 +104,7 @@ def cmd_nls_evolve(args) -> int:
     if args.dump_state:
         spath = os.path.join(out, "phi_final.bin")
         with open(spath, "wb") as fh:
-            fh.write(struct.pack("<Id", points, args.length))
+            fh.write(struct.pack("<Id", env.nls_points, args.length))
             fh.write(traj.final.values.astype("<c8").tobytes())
         print(f"wrote {spath}")
     return 0
@@ -158,7 +155,7 @@ def cmd_alpha(args) -> int:
     state = manybody.ManyBodyState(fock, amps, time)
     proj = projectors.basis_mode_projector(fock.n_modes, args.mode)
     dist = projectors.counting_distribution(state, proj)
-    a_m = float(np.sum(projectors.make_weight("m", fock.n_particles, args.xi).values * dist.probs))
+    a_m = float(np.sum(projectors.make_weight("m", fock.n_particles, args.xi) * dist.probs))
     bridge = projectors.rate_bridge(manybody.reduced_density(state, 1).matrix, proj)
     print(json.dumps({
         "alpha_n2": bridge.alpha_n2,
@@ -213,12 +210,12 @@ def cmd_sweep(args) -> int:
     if len(result.rows) >= 4:
         try:
             fit = harness.fit_rate(result.rows)
-            print(f"rate fit: constant={fit.constant:.4g} slope={fit.slope:.4g} "
+            print(f"rate fit: constant={math.exp(fit.log_constant):.4g} slope={fit.slope:.4g} "
                   f"r2={fit.r_squared:.4g}")
         except DimredError as exc:
             print(f"rate fit skipped: {exc}")
     try:
-        verdict = scaling.classify(scaling.ScalingSequence(tuple(env.points())))
+        verdict = scaling.classify(env.points())
         low, high = scaling.power_law_window(env.beta)
         bounded = sum(r.excited_fraction <= r.envelope * r.epsilon for r in result.rows)
         ratio = max((r.excited_fraction / (r.envelope * r.epsilon) for r in result.rows),
@@ -235,7 +232,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_all(args) -> int:
     env = _load_config(args)
-    env = dataclasses.replace(env, seed=env.seed if args.seed is None else args.seed)
     report = harness.verify_all(seed=env.seed)
     print(json.dumps(report.as_dict(), indent=2))
     if args.out:
@@ -257,11 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nls-evolve", help="run the effective 1D equation")
     _add_common(p)
     p.add_argument("--length", type=float, default=16 * math.pi)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-final", dest="t_final", type=float, default=None)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--potential", default=None)
     p.add_argument("--initial", choices=["gaussian", "plane"], default="gaussian")
     p.add_argument("--width", type=float, default=2.0)
     p.add_argument("--mode", type=int, default=0)
@@ -296,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="cross-module verification battery")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.set_defaults(fn=cmd_verify_all)
     return ap
 

@@ -90,7 +90,11 @@ _FALLBACKS = {k: v for k, v in parse_kv_text(DEFAULT_CONFIG_TEXT).items()
 
 
 def _int(raw: str) -> int:
-    return int(float(raw))
+    """An integer, also in float notation (1e3); a fraction is refused, not truncated."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"{raw.strip()!r} is not an integer")
+    return int(value)
 
 
 def _items(raw: str) -> list[str]:

@@ -234,14 +234,7 @@ def write_csv(result: SweepResult, path: str) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class RateFit:
-    constant: float
-    slope: float
-    r_squared: float
-
-
-def fit_rate(rows) -> RateFit:
+def fit_rate(rows) -> auxiliary.ScalingFit:
     """Regress log(trace distance) on log(sqrt(theoretical rate))."""
     rows = list(rows)
     if len(rows) < 4:
@@ -254,8 +247,7 @@ def fit_rate(rows) -> RateFit:
     mask = td > 1e-14
     if mask.sum() < 4:
         raise InsufficientDataError("fewer than 4 non-degenerate rows after filtering")
-    fit = auxiliary._loglog_fit(np.sqrt(rt[mask]), td[mask])
-    return RateFit(float(np.exp(fit.log_constant)), fit.slope, fit.r_squared)
+    return auxiliary._loglog_fit(np.sqrt(rt[mask]), td[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +276,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
     def as_dict(self) -> dict:
         return {

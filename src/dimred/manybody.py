@@ -247,12 +247,6 @@ class ModeBasis:
         order = np.argsort(label, kind="stable")
         return np.column_stack([a, b])[order], label[order]
 
-    def mode_index(self, kx_int: int, my: int) -> int:
-        hit = np.where((self.mode_kx == kx_int) & (self.mode_my == my))[0]
-        if len(hit) == 0:
-            raise DomainError(f"mode (kx={kx_int}, my={my}) not in basis")
-        return int(hit[0])
-
     def w_element(self, a: int, b: int, c: int, d: int) -> complex:
         """<ab|w|cd>; zero unless longitudinal momentum is conserved."""
         ktot = int(self.mode_kx[c] + self.mode_kx[d] - self.mode_kx[a] - self.mode_kx[b])
@@ -794,13 +788,6 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
 class ReducedDensity:
     matrix: np.ndarray
 
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 def _lowered(state: ManyBodyState, lower: np.ndarray) -> tuple[FockBasis, np.ndarray]:
     """One row per row of `lower` (T, j): the (N-j)-particle vector
@@ -959,10 +946,6 @@ class GridOracle:
         mat = psi.reshape(g, g) * self.weight()
         gamma = mat @ mat.conj().T
         return gamma / np.real(np.trace(gamma))
-
-    def symmetry_defect(self, psi: np.ndarray) -> float:
-        return float(np.linalg.norm(psi - psi.transpose(2, 3, 0, 1)) /
-                     np.linalg.norm(psi))
 
 
 def _minimal_image(delta: np.ndarray, span: float) -> np.ndarray:

@@ -173,7 +173,8 @@ def effective_energy(state: CondensateState, external: ExternalPotential | None,
     c = state.coefficients()
     kinetic = grid.length * float(np.sum(grid.wavenumbers**2 * np.abs(c) ** 2))
     dens = np.abs(state.values) ** 2
-    v = external.on_axis(t, grid.x) if external is not None else 0.0
+    # V(t, (x, 0)) = f(t) g(x, 0), as evolve reads it
+    v = 0.0 if external is None else external.strength(t) * external.profile(grid.x, 0.0, 0.0)
     potential = float(np.sum((v + 0.5 * b * dens) * dens) * grid.spacing)
     return kinetic + potential
 

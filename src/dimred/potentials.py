@@ -205,7 +205,6 @@ class ExternalPotential:
 
     name: str
     profile: Callable  # g(x, y1, y2), vectorized
-    sup_norm: float
     time_derivative_sup: float
     transverse_gradient_sup: float
     mixed_derivative_sup: float = 0.0
@@ -219,14 +218,6 @@ class ExternalPotential:
         """f(t); 1 for a static field."""
         return 1.0 if self.modulation is None else float(self.modulation(t))
 
-    def value(self, t: float, x, y1=0.0, y2=0.0) -> np.ndarray:
-        """V(t, x, y) = f(t) g(x, y)."""
-        return self.strength(t) * np.asarray(self.profile(x, y1, y2), dtype=float)
-
-    def on_axis(self, t: float, x: np.ndarray) -> np.ndarray:
-        """V(t, (x, 0)), the restriction entering the effective equation."""
-        return self.value(t, np.asarray(x, dtype=float))
-
 
 def gaussian_well(depth: float = 1.0, width: float = 2.0, tilt: float = 0.0) -> ExternalPotential:
     """Static well -depth*exp(-x^2/width^2) with optional linear transverse tilt."""
@@ -236,7 +227,7 @@ def gaussian_well(depth: float = 1.0, width: float = 2.0, tilt: float = 0.0) -> 
         return -depth * np.exp(-(x / width) ** 2) * (1.0 + tilt * (y1 + y2))
 
     grad = abs(depth * tilt) if tilt else 0.0
-    return ExternalPotential("gaussian_well", g, abs(depth) * (1 + abs(tilt)), 0.0, grad)
+    return ExternalPotential("gaussian_well", g, 0.0, grad)
 
 
 def driven_well(depth: float = 1.0, width: float = 2.0, omega: float = 1.0) -> ExternalPotential:
@@ -245,7 +236,7 @@ def driven_well(depth: float = 1.0, width: float = 2.0, omega: float = 1.0) -> E
     def g(x, y1, y2):
         return -depth * np.exp(-(np.asarray(x, dtype=float) / width) ** 2)
 
-    return ExternalPotential("driven_well", g, 1.5 * abs(depth), 0.5 * abs(depth * omega), 0.0,
+    return ExternalPotential("driven_well", g, 0.5 * abs(depth * omega), 0.0,
                              mixed_derivative_sup=0.5 * abs(depth * omega),
                              modulation=lambda t: 1.0 + 0.5 * math.sin(omega * t))
 
@@ -275,7 +266,6 @@ class ConfinementPotential:
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray]  # radial or per-axis-sum evaluator on |y|
     dimension: int
-    negative_part_bound: float
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -291,7 +281,7 @@ class ConfinementPotential:
 
 def harmonic_confinement(dimension: int) -> ConfinementPotential:
     return ConfinementPotential("harmonic", lambda r: np.asarray(r, dtype=float) ** 2,
-                                dimension, 0.0)
+                                dimension)
 
 
 def softened_confinement(dimension: int, depth: float = 20.0, width: float = 2.0) -> ConfinementPotential:
@@ -301,7 +291,7 @@ def softened_confinement(dimension: int, depth: float = 20.0, width: float = 2.0
         r = np.asarray(r, dtype=float)
         return depth * (1.0 - np.exp(-((r / width) ** 2)))
 
-    return ConfinementPotential("softened", ev, dimension, depth)
+    return ConfinementPotential("softened", ev, dimension)
 
 
 _BUILTIN_CONFINEMENT = {

@@ -1,4 +1,4 @@
-"""Counting projectors, weighted counting operators, and alpha functionals.
+"""Counting projectors, weight tables, and alpha functionals.
 
 P_k projects an N-boson state onto the subspace with exactly k particles
 outside the condensate orbital.  `condensate_projector` builds that orbital,
@@ -17,9 +17,9 @@ and with it every weighted alpha_f, has three evaluation routes:
 alpha_n2 = <psi, q_1 psi> = 1 - <phi, gamma phi> and Tr|gamma - |phi><phi||
 need only the one-body density gamma: `rate_bridge` reads both from it.
 
-The weighted operators are diagonal in the counting decomposition, so all
-weight algebra (shifts, the operator max in l, norms) reduces to tables
-indexed by k.
+The weighted operators are diagonal in the counting decomposition, so each
+weight is a table f(0..N) indexed by k, and its operator norm is the table's
+max.
 """
 
 from __future__ import annotations
@@ -37,14 +37,8 @@ from .nls import CondensateState
 MOMENTS_ROUNDOFF_LIMIT = 1e-10
 
 # ---------------------------------------------------------------------------
-# weight functions
+# weight tables
 # ---------------------------------------------------------------------------
-
-
-def _m_scalar(k: float, n: int, xi: float) -> float:
-    if k >= float(n) ** (1.0 - 2.0 * xi):
-        return math.sqrt(k / n)
-    return 0.5 * (float(n) ** (-1.0 + xi) * k + float(n) ** (-xi))
 
 
 def _m_diff(k: np.ndarray, j: int, n: int, xi: float) -> np.ndarray:
@@ -74,66 +68,27 @@ def _m_diff(k: np.ndarray, j: int, n: int, xi: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    kind: str
-    n_particles: int
-    values: np.ndarray           # f(k) for k = 0..N
-    shift: int = 0
-    xi: float | None = None
-
-    def __post_init__(self):
-        if len(self.values) != self.n_particles + 1:
-            raise DomainError("weight table must have N+1 entries")
-
-    def __call__(self, k) -> np.ndarray:
-        """Tabulated weight including the shift: f(k + shift), zero outside."""
-        k = np.asarray(k, dtype=np.int64)
-        ks = k + self.shift
-        inside = (ks >= 0) & (ks <= self.n_particles) & (k >= 0) & (k <= self.n_particles)
-        out = np.zeros(k.shape, dtype=float)
-        out[inside] = self.values[ks[inside]]
-        return out
-
-    def shifted(self, d: int) -> "WeightFunction":
-        return WeightFunction(self.kind, self.n_particles, self.values, self.shift + d, self.xi)
-
-    @property
-    def operator_norm(self) -> float:
-        """sup over admissible sectors, which equals max_k f(k) while any shift
-        keeps at least one sector in range."""
-        return float(np.max(self(np.arange(self.n_particles + 1))))
-
-
-def make_weight(kind: str, n_particles: int, xi: float | None = None) -> WeightFunction:
-    """Weight tables: n, n2, m(xi), m_a(xi), m_b(xi), l(xi)."""
+def make_weight(kind: str, n_particles: int, xi: float | None = None) -> np.ndarray:
+    """The weight table f(k), k = 0..N, of kind n, m(xi) or l(xi)."""
     n = n_particles
     if n < 1:
         raise DomainError(f"n_particles must be >= 1, got {n}")
     k = np.arange(n + 1, dtype=float)
     if kind == "n":
-        vals = np.sqrt(k / n)
-    elif kind == "n2":
-        vals = k / n
-    else:
-        if xi is None or not (0.0 < xi < 0.5):
-            raise DomainError(f"kind {kind!r} needs xi in (0, 1/2), got {xi!r}")
-        if kind == "m":
-            vals = np.array([_m_scalar(float(j), n, xi) for j in range(n + 1)])
-        elif kind == "m_a":
-            vals = _m_diff(k, 1, n, xi)
-        elif kind == "m_b":
-            vals = _m_diff(k, 2, n, xi)
-        elif kind == "l":
-            ma = _m_diff(k, 1, n, xi)
-            mb = _m_diff(k, 2, n, xi)
-            kk = np.arange(n + 1)
-            a_part = np.where(kk >= 1, np.abs(ma[np.maximum(kk - 1, 0)]), 0.0)
-            b_part = np.where(kk >= 2, np.abs(mb[np.maximum(kk - 2, 0)]), 0.0)
-            vals = n * np.maximum(a_part, b_part)
-        else:
-            raise DomainError(f"unknown weight kind {kind!r}")
-    return WeightFunction(kind, n, vals, 0, xi)
+        return np.sqrt(k / n)
+    if xi is None or not (0.0 < xi < 0.5):
+        raise DomainError(f"kind {kind!r} needs xi in (0, 1/2), got {xi!r}")
+    if kind == "m":
+        return np.where(k >= float(n) ** (1.0 - 2.0 * xi), np.sqrt(k / n),
+                        0.5 * (float(n) ** (-1.0 + xi) * k + float(n) ** (-xi)))
+    if kind == "l":
+        ma = _m_diff(k, 1, n, xi)
+        mb = _m_diff(k, 2, n, xi)
+        kk = np.arange(n + 1)
+        a_part = np.where(kk >= 1, np.abs(ma[np.maximum(kk - 1, 0)]), 0.0)
+        b_part = np.where(kk >= 2, np.abs(mb[np.maximum(kk - 2, 0)]), 0.0)
+        return n * np.maximum(a_part, b_part)
+    raise DomainError(f"unknown weight kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -148,10 +103,8 @@ class WeightNormReport:
 def weight_norm_checks(n_particles: int, xi: float) -> WeightNormReport:
     """Exhaustive-k evaluation of |l| and |l n| against the stated ceilings."""
     lw = make_weight("l", n_particles, xi)
-    nw = make_weight("n", n_particles)
-    k = np.arange(n_particles + 1)
-    l_norm = float(np.max(lw(k)))
-    l_n = float(np.max(lw(k) * nw(k)))
+    l_norm = float(np.max(lw))
+    l_n = float(np.max(lw * make_weight("n", n_particles)))
     return WeightNormReport(n_particles, xi, l_norm, float(n_particles) ** xi * (1 + 1e-12), l_n)
 
 
@@ -280,14 +233,12 @@ def counting_distribution(state: ManyBodyState,
     return CountingDistribution(probs, source, raw)
 
 
-def alpha(state: ManyBodyState, weight: WeightFunction,
+def alpha(state: ManyBodyState, weight: np.ndarray,
           projector: CondensateProjector) -> float:
-    """alpha_f = sum_k f(k) <psi, P_k psi>."""
-    if weight.n_particles != state.fock.n_particles:
+    """alpha_f = sum_k f(k) <psi, P_k psi> for the weight table f(0..N)."""
+    if len(weight) != state.fock.n_particles + 1:
         raise DomainError("weight table and state disagree on N")
-    dist = counting_distribution(state, projector)
-    k = np.arange(state.fock.n_particles + 1)
-    return float(np.sum(weight(k) * dist.probs))
+    return float(np.sum(weight * counting_distribution(state, projector).probs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scaling points and sequences, admissibility classification, convergence rate.
+"""Scaling points, admissibility classification of a sequence, convergence rate.
 
 Conventions: a scaling point carries (N, epsilon, beta) with the derived
 density scale N/eps^2 and interaction range mu = (N/eps^2)^(-beta).  A
@@ -57,37 +57,9 @@ def make_point(n_particles: int, epsilon: float, beta: float) -> ScalingPoint:
 
 
 @dataclass(frozen=True)
-class ScalingSequence:
-    points: tuple[ScalingPoint, ...]
-
-    def __post_init__(self):
-        if len(self.points) == 0:
-            raise DomainError("sequence must contain at least one point")
-        betas = {p.beta for p in self.points}
-        if len(betas) != 1:
-            raise DomainError(f"all points must share one beta, got {sorted(betas)}")
-        ns = [p.n_particles for p in self.points]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise DomainError("points must be strictly increasing in n_particles")
-
-    @property
-    def beta(self) -> float:
-        return self.points[0].beta
-
-
-@dataclass(frozen=True)
-class PointEvidence:
-    n_particles: int
-    epsilon: float
-    eps2_over_mu: float
-    mu_over_eps: float
-
-
-@dataclass(frozen=True)
 class Classification:
     admissible: bool
     moderately_confining: bool
-    evidence: tuple[PointEvidence, ...]
 
 
 def _tail_converges(values, threshold) -> bool:
@@ -95,23 +67,26 @@ def _tail_converges(values, threshold) -> bool:
     return decreasing and values[-1] < threshold
 
 
-def classify(seq: ScalingSequence, threshold: float = DEFAULT_LIMIT_THRESHOLD) -> Classification:
-    """Finite-sequence proxy for the two limit conditions.
+def classify(points, threshold: float = DEFAULT_LIMIT_THRESHOLD) -> Classification:
+    """Finite-sequence proxy for the two limit conditions on scaling points
+    that share one beta and increase strictly in N.
 
     A ratio "converges" when it is strictly decreasing across consecutive
     points and its final value is below ``threshold``.
     """
-    if len(seq.points) < 3:
+    points = list(points)
+    betas = {p.beta for p in points}
+    if len(betas) > 1:
+        raise DomainError(f"all points must share one beta, got {sorted(betas)}")
+    ns = [p.n_particles for p in points]
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise DomainError("points must be strictly increasing in n_particles")
+    if len(points) < 3:
         raise InsufficientDataError(
-            f"classification needs at least 3 points, got {len(seq.points)}"
+            f"classification needs at least 3 points, got {len(points)}"
         )
-    evidence = tuple(
-        PointEvidence(p.n_particles, p.epsilon, p.eps2_over_mu, p.mu_over_eps)
-        for p in seq.points
-    )
-    adm = _tail_converges([e.eps2_over_mu for e in evidence], threshold)
-    mod = _tail_converges([e.mu_over_eps for e in evidence], threshold)
-    return Classification(adm, mod, evidence)
+    return Classification(_tail_converges([p.eps2_over_mu for p in points], threshold),
+                          _tail_converges([p.mu_over_eps for p in points], threshold))
 
 
 def power_law_window(beta: float) -> tuple[float, float]:

@@ -102,9 +102,6 @@ class TransverseMode:
     def quartic(self) -> float:
         return float(np.sum(np.abs(self.chi) ** 4) * self.weight)
 
-    def norm(self, which: int = 0) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.modes[which]) ** 2) * self.weight))
-
 
 def _normalize_and_sign(vec: np.ndarray, weight: float) -> np.ndarray:
     vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2) * weight)

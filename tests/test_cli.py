@@ -108,9 +108,11 @@ def test_incomplete_sequence_exits_before_writing(argv, tmp_path):
 
 
 def test_nls_evolve_outputs(tmp_path):
-    rc = main(["nls-evolve", "--out", str(tmp_path), "--points", "64",
-               "--length", "25.13", "--dt", "0.002", "--t-final", "0.2",
-               "--b", "1.0", "--initial", "gaussian", "--dump-state"])
+    cfg = tmp_path / "nls.cfg"
+    cfg.write_text("nls.points = 64\nnls.dt = 0.002\ntime.final = 0.2\n")
+    rc = main(["nls-evolve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--length", "25.13", "--b", "1.0", "--initial", "gaussian", "--dump-state"])
+    tmp_path = tmp_path / "o"
     assert rc == 0
     csv = (tmp_path / "nls.csv").read_text().splitlines()
     assert csv[0] == "t,l2,h1,h2,sup,energy"
@@ -129,13 +131,16 @@ def test_nls_evolve_outputs(tmp_path):
 @pytest.mark.parametrize("mode", [1000, -64, 64])
 def test_nls_evolve_refuses_an_aliased_plane_wave(capsys, mode, tmp_path):
     # on 128 points mode 1000 is mode -24, which runs, and +-64 the Nyquist mode
-    rc = main(["nls-evolve", "--out", str(tmp_path), "--points", "128", "--t-final", "0.01",
+    cfg = tmp_path / "nls.cfg"
+    cfg.write_text("nls.points = 128\ntime.final = 0.01\n")
+    out = tmp_path / "o"
+    rc = main(["nls-evolve", "--config", str(cfg), "--out", str(out),
                "--initial", "plane", "--mode", str(mode)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: mode {mode} aliases on 128 points") and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
-    assert main(["nls-evolve", "--out", str(tmp_path), "--points", "128", "--t-final", "0.01",
+    assert list(tmp_path.iterdir()) == [cfg]
+    assert main(["nls-evolve", "--config", str(cfg), "--out", str(out),
                  "--initial", "plane", "--mode", "-24"]) == 0
 
 
@@ -318,6 +323,23 @@ def test_sweep_survives_gronwall_overflow(capsys, tmp_path):
     values = [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
     assert [v["gronwall"] == math.inf for v in values] == [False, True]
     assert all(math.isfinite(x) for v in values for k, x in v.items() if k != "gronwall")
+
+
+@pytest.mark.parametrize("key, fraction", [
+    ("manybody.m_x = 5", "manybody.m_x = 9.7"),
+    ("sequence.n_values = 2, 3", "sequence.n_values = 2.5, 3, 4"),
+    ("manybody.d_perp = 1", "manybody.d_perp = 1.9"),
+    ("seed = 3", "seed = 3.99"),
+], ids=["m_x", "n_values", "d_perp", "seed"])
+def test_a_fractional_integer_key_exits_2(capsys, sweep_cfg, tmp_path, key, fraction):
+    # refused, not truncated to int(float(value))
+    path = tmp_path / "fraction.cfg"
+    path.write_text(sweep_cfg.read_text().replace(key, fraction))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: key {key.split(' = ')[0]!r}")
+    assert "is not an integer" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exit_code():
@@ -504,7 +526,9 @@ def test_verify_all_seed_falls_back_to_default_table(monkeypatch, tmp_path):
     path = tmp_path / "noseed.cfg"
     path.write_text("sequence.beta = 0.5\n")
     assert main(["verify-all", "--config", str(path)]) == 0
-    assert main(["verify-all", "--seed", "4"]) == 0
+    seeded = tmp_path / "seed.cfg"
+    seeded.write_text("seed = 4\n")
+    assert main(["verify-all", "--config", str(seeded)]) == 0
     assert seeds == [12345, 4]
 
 
@@ -514,10 +538,9 @@ def test_verify_all_refuses_a_negative_seed(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "verify_all", lambda seed: pytest.fail("ran verify_all"))
     path = tmp_path / "negative.cfg"
     path.write_text("sequence.beta = 0.5\nseed = -3\n")
-    for argv in (["--seed", "-1"], ["--config", str(path)]):
-        assert main(["verify-all", *argv]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: seed must be >= 0") and "Traceback" not in err
+    assert main(["verify-all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: seed must be >= 0") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -526,6 +549,11 @@ def test_verify_all_refuses_a_negative_seed(capsys, monkeypatch, tmp_path):
     ["alpha", "state.npz", "--out", "o"],
     ["aux-verify", "--out", "o"],
     ["transverse", "--seed", "1"],
+    ["verify-all", "--seed", "1"],
+    ["nls-evolve", "--points", "64"],
+    ["nls-evolve", "--dt", "0.01"],
+    ["nls-evolve", "--t-final", "1"],
+    ["nls-evolve", "--potential", "gaussian_well"],
 ])
 def test_unread_flags_are_argparse_errors(argv):
     with pytest.raises(SystemExit) as exc:

@@ -30,7 +30,7 @@ def two_mode_state(c20, c11, c02):
 def test_weight_n_exact():
     w = projectors.make_weight("n", 100)
     k = np.arange(101)
-    assert np.array_equal(w(k), np.sqrt(k / 100.0))
+    assert np.array_equal(w, np.sqrt(k / 100.0))
 
 
 def test_weight_m_branches():
@@ -39,46 +39,26 @@ def test_weight_m_branches():
     cut = n ** (1 - 2 * xi)  # ~15.85
     for k in range(n + 1):
         if k >= cut:
-            assert w(np.array([k]))[0] == pytest.approx(math.sqrt(k / n), rel=1e-14)
+            assert w[k] == pytest.approx(math.sqrt(k / n), rel=1e-14)
         else:
-            assert w(np.array([k]))[0] == pytest.approx(
+            assert w[k] == pytest.approx(
                 0.5 * (n ** (-1 + xi) * k + n**-xi), rel=1e-14)
 
 
 def test_weight_m0_value():
     n, xi = 64, 0.1
     w = projectors.make_weight("m", n, xi)
-    assert w(np.array([0]))[0] == pytest.approx(0.5 * n**-xi, rel=1e-14)
+    assert w[0] == pytest.approx(0.5 * n**-xi, rel=1e-14)
 
 
 @given(n=st.integers(min_value=4, max_value=5000),
        xi=st.floats(min_value=0.01, max_value=0.49))
 @settings(max_examples=100, deadline=None)
 def test_weight_n_m_sandwich(n, xi):
-    k = np.arange(n + 1)
-    wn = projectors.make_weight("n", n)(k)
-    wm = projectors.make_weight("m", n, xi)(k)
+    wn = projectors.make_weight("n", n)
+    wm = projectors.make_weight("m", n, xi)
     assert np.all(wn <= wm + 1e-14)
     assert np.all(wm <= wn + 0.5 * n**-xi + 1e-14)
-
-
-def test_weight_shift_window():
-    n = 10
-    w = projectors.make_weight("n", n)
-    shifted = w.shifted(-2)     # f(k - 2), supported on k = 2..N (and k <= N)
-    k = np.arange(n + 1)
-    vals = shifted(k)
-    assert vals[0] == 0.0 and vals[1] == 0.0
-    assert vals[5] == pytest.approx(math.sqrt(3.0 / n))
-    up = w.shifted(3)           # f(k + 3): zero weight once k + 3 > N
-    assert up(np.array([n]))[0] == 0.0
-    assert up(np.array([2]))[0] == pytest.approx(math.sqrt(5.0 / n))
-
-
-def test_weight_operator_norm_is_sup():
-    vals = np.array([0.3, 2.5, 0.1, 1.0])
-    w = projectors.WeightFunction("custom", 3, vals)
-    assert w.operator_norm == pytest.approx(2.5)
 
 
 def test_weight_norm_checks_example():
@@ -213,7 +193,7 @@ def test_counting_negative_atom_raises(monkeypatch):
     with pytest.raises(ToleranceError):
         projectors.counting_distribution(state, proj)
     with pytest.raises(ToleranceError):
-        projectors.alpha(state, projectors.make_weight("n2", 2), proj)
+        projectors.alpha(state, projectors.make_weight("n", 2), proj)
 
 
 @pytest.mark.parametrize("cap", [None, 2])
@@ -248,13 +228,14 @@ def test_alpha_n2_condensed_zero():
     amps[fock.lookup(np.array([[5, 0, 0]], dtype=np.uint8))[0]] = 1.0
     state = manybody.ManyBodyState(fock, amps)
     proj = projectors.basis_mode_projector(3)
-    assert projectors.alpha(state, projectors.make_weight("n2", 5), proj) == pytest.approx(0.0, abs=1e-14)
+    # alpha_n2 is alpha_f for the table f(k) = k/N
+    assert projectors.alpha(state, np.arange(6) / 5, proj) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_alpha_n2_two_mode_equals_half_and_q1_norm():
     state = two_mode_state(1.0, 0.0, 1.0)
     proj = projectors.basis_mode_projector(2)
-    a = projectors.alpha(state, projectors.make_weight("n2", 2), proj)
+    a = projectors.alpha(state, np.arange(3) / 2, proj)
     assert a == pytest.approx(0.5, abs=1e-12)
     # dense oracle on the 2-mode, N=2 tensor space
     sys_ = projectors.DenseSystem(2, 1, 2, phi_x=np.array([1.0, 0.0]), chi_y=np.array([1.0]))

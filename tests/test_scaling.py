@@ -47,22 +47,21 @@ def test_mu_rederivation_is_bit_identical():
 
 def power_law(beta, gamma, n_values):
     """The sequence eps = N^-gamma at the given particle numbers."""
-    return scaling.ScalingSequence(tuple(scaling.make_point(n, float(n) ** -gamma, beta)
-                                         for n in n_values))
+    return [scaling.make_point(n, float(n) ** -gamma, beta) for n in n_values]
 
 
 def test_classify_power_law_example():
     seq = power_law(0.5, 1.0, [100, 1000, 10000])
     c = scaling.classify(seq)
-    ratios = [e.eps2_over_mu for e in c.evidence]
+    ratios = [p.eps2_over_mu for p in seq]
     assert ratios == pytest.approx([0.1, 10**-1.5, 0.01], rel=1e-12)
-    assert [e.mu_over_eps for e in c.evidence] == pytest.approx(ratios, rel=1e-12)
+    assert [p.mu_over_eps for p in seq] == pytest.approx(ratios, rel=1e-12)
     assert c.admissible and c.moderately_confining
 
 
 def test_classify_constant_epsilon_not_admissible():
     pts = tuple(scaling.make_point(n, 0.1, 0.5) for n in (100, 1000, 10000))
-    c = scaling.classify(scaling.ScalingSequence(pts))
+    c = scaling.classify(pts)
     assert not c.admissible  # eps^2/mu grows as mu shrinks at fixed eps
     assert c.moderately_confining
 
@@ -80,9 +79,16 @@ def test_classify_needs_three_points():
 
 
 def test_sequence_must_increase():
-    pts = (scaling.make_point(100, 0.1, 0.5), scaling.make_point(100, 0.05, 0.5))
-    with pytest.raises(DomainError):
-        scaling.ScalingSequence(pts)
+    pts = [scaling.make_point(n, eps, 0.5) for n, eps in ((100, 0.1), (100, 0.05), (1000, 0.01))]
+    with pytest.raises(DomainError, match="increasing"):
+        scaling.classify(pts)
+
+
+def test_sequence_must_share_one_beta():
+    pts = [scaling.make_point(n, 1.0 / n, beta)
+           for n, beta in ((100, 0.5), (1000, 0.4), (10**4, 0.5))]
+    with pytest.raises(DomainError, match="one beta"):
+        scaling.classify(pts)
 
 
 def test_power_law_window_examples():
@@ -116,7 +122,7 @@ def test_theoretical_rate_eta_limit():
 
 def test_theoretical_rate_decreases_along_admissible_sequence():
     seq = power_law(0.5, 1.0, [10**2, 10**3, 10**4, 10**5])
-    totals = [scaling.theoretical_rate(p, 1.0).total for p in seq.points]
+    totals = [scaling.theoretical_rate(p, 1.0).total for p in seq]
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
@@ -156,5 +162,5 @@ def test_window_interior_classifies_admissible(beta, gamma_frac):
     seq = power_law(beta, gamma, ns)
     c = scaling.classify(seq)
     exps_adm = beta * (1 + 2 * gamma) - 2 * gamma
-    if all(e.eps2_over_mu < 0.5 for e in c.evidence) and exps_adm < -0.01:
+    if all(p.eps2_over_mu < 0.5 for p in seq) and exps_adm < -0.01:
         assert c.admissible

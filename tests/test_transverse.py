@@ -62,7 +62,7 @@ def test_2d_solve_is_reproducible():
 
 def test_constant_shift_moves_energy_not_state(harmonic_1d):
     shifted = potentials.ConfinementPotential(
-        "shifted", lambda r: np.asarray(r) ** 2 + 3.0, 1, 0.0)
+        "shifted", lambda r: np.asarray(r) ** 2 + 3.0, 1)
     m = transverse.solve_modes(shifted, transverse.TransverseGrid(9.0, 4001), 2)
     assert m.energy0 == pytest.approx(harmonic_1d.energy0 + 3.0, abs=1e-10)
     assert np.max(np.abs(m.chi - harmonic_1d.chi)) < 1e-9
@@ -90,7 +90,7 @@ def test_degeneracy_detected():
         r = np.asarray(r, dtype=float)
         return np.minimum((r - 12.0) ** 2, (r + 12.0) ** 2)
 
-    conf = potentials.ConfinementPotential("double", double_well, 1, 0.0)
+    conf = potentials.ConfinementPotential("double", double_well, 1)
     with pytest.raises(DegeneracyError):
         transverse.solve_modes(conf, transverse.TransverseGrid(25.0, 2001), 2)
 
@@ -98,7 +98,7 @@ def test_degeneracy_detected():
 def test_rescale_normalization_and_quartic(harmonic_1d):
     for eps in (0.25, 0.1):
         m = transverse.rescale(harmonic_1d, eps)
-        assert m.norm(0) == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(m.modes[0] ** 2) * m.weight == pytest.approx(1.0, abs=1e-10)
         assert m.quartic == pytest.approx(harmonic_1d.quartic / eps, rel=1e-10)
         assert m.energies[0] == pytest.approx(harmonic_1d.energies[0] / eps**2, rel=1e-12)
 
@@ -108,7 +108,7 @@ def test_rescale_2d_power_law():
     m = transverse.solve_modes(conf, transverse.TransverseGrid(6.5, 201), 2)
     m_eps = transverse.rescale(m, 0.1)
     assert m_eps.quartic == pytest.approx(100.0 * m.quartic, rel=1e-10)
-    assert m_eps.norm(0) == pytest.approx(1.0, abs=1e-10)
+    assert np.sum(m_eps.modes[0] ** 2) * m_eps.weight == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rescale_identity(harmonic_1d):
