@@ -16,6 +16,7 @@ reads neither runs on a config without them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,9 +90,16 @@ _FALLBACKS = {k: v for k, v in parse_kv_text(DEFAULT_CONFIG_TEXT).items()
               if not k.startswith("sequence.")}
 
 
+def _float(raw: str) -> float:
+    """A finite float; inf and nan are refused, as no key means either."""
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"{raw.strip()!r} is not finite")
+    return value
+
+
 def _int(raw: str) -> int:
     """An integer, also in float notation (1e3); a fraction is refused, not truncated."""
-    value = float(raw)
+    value = _float(raw)
     if not value.is_integer():
         raise ValueError(f"{raw.strip()!r} is not an integer")
     return int(value)
@@ -111,37 +119,37 @@ def _pairs(raw: str) -> tuple[tuple[int, float], ...]:
         n, sep, eps = part.partition(":")
         if not sep:
             raise ValueError(f"expected 'N:epsilon', got {part!r}")
-        pairs.append((_int(n), float(eps)))
+        pairs.append((_int(n), _float(eps)))
     return tuple(pairs)
 
 
 # key -> (ExperimentConfig field, parser), one entry per key a config may set
 FIELD_OF_KEY = {
-    "sequence.beta": ("beta", float),
-    "sequence.gamma": ("gamma", float),
+    "sequence.beta": ("beta", _float),
+    "sequence.gamma": ("gamma", _float),
     "sequence.n_values": ("n_values", _ints),
     "sequence.points": ("explicit_points", _pairs),
     "interaction.profile": ("profile_name", str),
-    "interaction.height": ("profile_height", float),
-    "interaction.radius": ("profile_radius", float),
+    "interaction.height": ("profile_height", _float),
+    "interaction.radius": ("profile_radius", _float),
     "confinement.name": ("confinement_name", str),
     "external.name": ("external_name", str),
     "manybody.d_perp": ("d_perp", _int),
     "manybody.m_x": ("m_x", _int),
     "manybody.m_y": ("m_y", _int),
     "manybody.max_excitations": ("max_excitations", _int),
-    "manybody.box_length": ("box_length", float),
-    "manybody.transverse_extent": ("transverse_extent", float),
+    "manybody.box_length": ("box_length", _float),
+    "manybody.transverse_extent": ("transverse_extent", _float),
     "manybody.transverse_points": ("transverse_points", _int),
     "manybody.dim_cap": ("dim_cap", _int),
     "nls.points": ("nls_points", _int),
-    "nls.dt": ("nls_dt", float),
-    "manybody.dt": ("manybody_dt", float),
-    "time.final": ("t_final", float),
-    "krylov.tol": ("krylov_tol", float),
-    "rate.xi": ("xi", float),
-    "rate.beta1": ("beta1", float),
-    "rate.eta": ("eta", float),
+    "nls.dt": ("nls_dt", _float),
+    "manybody.dt": ("manybody_dt", _float),
+    "time.final": ("t_final", _float),
+    "krylov.tol": ("krylov_tol", _float),
+    "rate.xi": ("xi", _float),
+    "rate.beta1": ("beta1", _float),
+    "rate.eta": ("eta", _float),
     "output.dir": ("output_dir", str),
     "seed": ("seed", _int),
 }

@@ -26,8 +26,13 @@ each sector above the Krylov floor on its own block with one Lanczos
 exponential (``lanczos_expm``; ``expm_multiply`` is a test oracle).
 
 One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
-it lowers each row by each lower set it holds and raises each distinct
-intermediate row once per create set, with a dense weight block per class.
+it lowers each row by each lower set its occupied entries hold and raises
+each distinct intermediate row once per create set, with a dense weight
+block per class, and yields the elements in batches of LADDER_BATCH_BYTES;
+a field-free block over a third full is summed into a dense array as they
+come (``_operator``).  No kernel widens or copies a whole occupation table:
+on acceptance 7 (18528 x 192) ``FockBasis``, ``product_state``, the largest
+sector block and ``reduced_density`` peak at 4.0, 2.0, 9.3 and 4.6 MB traced.
 A ``FockBasis`` is a sorted set of occupation rows: the capped enumeration,
 a (K, Pi) sector of it (``sectors``), or the rows a lowering reaches.
 """
@@ -38,6 +43,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +59,7 @@ from .transverse import (MIN_POINTS_PER_RANGE, TransverseMode, _normalize_and_si
                          mode_correlations, offset_rule, rescale)
 
 GRID_CAP = 2**28
-LADDER_BATCH_BYTES = 1 << 22
+LADDER_BATCH_BYTES = 1 << 20
 PARITY_TOL = 1e-8
 
 
@@ -67,11 +73,19 @@ def symmetric_dimension(n_modes: int, n_particles: int, max_excitations: int | N
     return sum(math.comb(k + n_modes - 2, k) for k in range(max_excitations + 1))
 
 
+def _nonzero(occ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, mode, count) of every occupied entry of an occupation table, row by
+    row, from boolean masks of LADDER_BATCH_BYTES (a uint8 nonzero is up to 6x slower)."""
+    m, step = occ.shape[1], max(1, LADDER_BATCH_BYTES // occ.shape[1])
+    rows, modes = np.divmod(np.concatenate([np.flatnonzero(occ[a:a + step] > 0) + a * m
+                                            for a in range(0, max(len(occ), 1), step)]), m)
+    return rows, modes, occ[rows, modes]
+
+
 def _row_sums(occ: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_a n_a v_a of every occupation row, added over its occupied modes in order."""
-    rows, modes = np.divmod(np.flatnonzero(occ > 0), occ.shape[1])
-    weights = occ[rows, modes] * np.asarray(values, dtype=float)[modes]
-    return np.bincount(rows, weights, minlength=len(occ))
+    rows, modes, counts = _nonzero(occ)
+    return np.bincount(rows, counts * np.asarray(values, dtype=float)[modes], minlength=len(occ))
 
 
 class FockBasis:
@@ -96,23 +110,20 @@ class FockBasis:
                 f"symmetric sector has dimension {dim} > cap {dim_cap}; "
                 f"reduce the mode count, N, or the excitation truncation"
             )
-        self.n_modes = n_modes
-        self.n_particles = n_particles
+        self.n_modes, self.n_particles = n_modes, n_particles
         cap = n_particles if max_excitations is None else min(max_excitations, n_particles)
-        # one excited mode at a time: repeat each row over the occupations that fit
-        occ = np.zeros((1, 0), dtype=np.uint8)
-        used = np.zeros(1, dtype=np.int64)
-        for _ in range(n_modes - 1):
-            reps = cap - used + 1
-            row = np.repeat(np.arange(len(used)), reps)
-            extra = np.arange(len(row)) - np.repeat(np.cumsum(reps) - reps, reps)
-            occ = np.column_stack([occ[row], extra.astype(np.uint8)])
-            used = used[row] + extra
-        occ = np.column_stack([(n_particles - used).astype(np.uint8), occ])
-        order = np.argsort(self._pack(occ))
-        self.occupations = np.ascontiguousarray(occ[order])
+        # byte order puts k = cap excitations first, each k in reverse lexicographic
+        # order of its excited-mode multisets: fill each k's rows from its last one up
+        self.occupations, self.dim, end = np.zeros((dim, n_modes), dtype=np.uint8), dim, dim
+        for k in range(cap + 1):
+            count = math.comb(n_modes - 2 + k, k)
+            multisets = combinations_with_replacement(range(1, n_modes), k)
+            sets = np.fromiter(chain.from_iterable(multisets), np.int64, count * k).reshape(count, k)
+            rows, end = np.arange(end - 1, end - count - 1, -1), end - count
+            self.occupations[rows, 0] = n_particles - k
+            for mode in sets.T:
+                self.occupations[rows, mode] += 1
         self._packed = self._pack(self.occupations)
-        self.dim = len(self.occupations)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, n_particles: int | None = None) -> FockBasis:
@@ -181,14 +192,15 @@ def product_state(fock: FockBasis, coeffs: np.ndarray, time: float = 0.0) -> Man
     if abs(nrm - 1.0) > 1e-8:
         coeffs = coeffs / nrm
     n = fock.n_particles
-    occ = fock.occupations.astype(np.int64)
+    rows, modes, counts = _nonzero(fock.occupations)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n + 1)))))
-    log_multinomial = log_fact[n] - log_fact[occ].sum(axis=1)
     mag = np.abs(coeffs)
-    log_mag = np.log(np.where(mag > 0, mag, 1.0))
-    amp = np.exp(0.5 * log_multinomial + occ @ log_mag) * np.exp(1j * (occ @ np.angle(coeffs)))
+    log_multinomial, log_mag, phase = (np.bincount(rows, w, minlength=fock.dim) for w in (
+        log_fact[counts], counts * np.log(np.where(mag > 0, mag, 1.0))[modes],
+        counts * np.angle(coeffs)[modes]))
+    amp = np.exp(0.5 * (log_fact[n] - log_multinomial) + log_mag) * np.exp(1j * phase)
     # rows that occupy a mode phi leaves empty
-    amp[(occ[:, mag == 0] > 0).any(axis=1)] = 0.0
+    amp[rows[mag[modes] == 0]] = 0.0
     retained = np.linalg.norm(amp)
     if retained < 0.9:
         raise ResolutionError(
@@ -457,40 +469,50 @@ def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create
     arrays ascend, and W = weights(create sets, lower sets of the class).  A
     lowering alone (empty create sets) may pass `target` None for the rows it reaches.
 
-    Each source row is lowered by each lower set it holds; each distinct
-    (class, intermediate row) is raised by every create set of its class,
-    resolved by one lookup.  The amplitude is sqrt(product of the counts
-    before each annihilation and after each creation); zero weights are
-    dropped, in batches of LADDER_BATCH_BYTES.  Returns the target and (lower
-    set, target row, source row, value) by target row, then class, intermediate
-    and source row, an order a block of rows closed under the terms gets alone
-    as in more rows.
+    Each source row is lowered by each lower set its occupied entries hold;
+    each distinct (class, intermediate row) is raised by every create set of
+    its class, resolved by one lookup.  The amplitude is sqrt(product of the
+    counts before each annihilation and after each creation); zero weights are
+    dropped.  Yields the target and the number of candidates, then (lower set,
+    target row, source row, value) in batches of LADDER_BATCH_BYTES (as are
+    the intermediate rows) by target row, then class, intermediate and source
+    row, an order a block of rows closed under the terms gets alone as in more rows.
     """
     m = fock.n_modes
-    lowered = np.isin(np.arange(m), lower)
-    # step 1: every sorted lower set each source row holds, from the left
-    src, rest, amp_lower = np.arange(fock.dim, dtype=np.int32), fock.occupations, np.ones(fock.dim)
-    key = last = np.zeros(fock.dim, dtype=np.int64)
-    for _ in range(lower.shape[1]):
-        held = (rest > 0) & lowered & (np.arange(m) >= last[:, None])
-        part, mode = np.divmod(np.flatnonzero(held), m)
-        rest = rest[part]
-        amp_lower = amp_lower[part] * rest[np.arange(len(part)), mode]
-        rest[np.arange(len(part)), mode] -= 1
-        src, key, last = src[part], key[part] * m + mode, mode
+    # step 1: every sorted lower set each source row holds, from the left, as
+    # positions `at` in the list of occupied entries (row, mode, count)
+    row, mode, count = _nonzero(fock.occupations)
+    row_end, at = np.searchsorted(row, row, side="right"), np.arange(len(row))
+    amp_lower, key, left = count.astype(float), mode, count - 1
+    for _ in range(lower.shape[1] - 1):
+        start = at + (left == 0)    # the same entry while it holds a particle, or a later one
+        n_next = row_end[at] - start
+        prev = np.repeat(np.arange(len(at)), n_next)
+        nxt = np.arange(len(prev)) + np.repeat(start - np.cumsum(n_next) + n_next, n_next)
+        before = np.where(nxt == at[prev], left[prev], count[nxt])
+        amp_lower, left = amp_lower[prev] * before, before - 1
+        key, at = key[prev] * m + mode[nxt], nxt
     table = np.full(m ** lower.shape[1], -1, dtype=np.int32)
     table[(lower * m ** np.arange(lower.shape[1])[::-1]).sum(axis=1)] = np.arange(len(lower))
     term = table[key]
     held = term >= 0
-    term, src, rest, amp_lower = term[held], src[held], rest[held], np.sqrt(amp_lower[held])
-    # the distinct (class, intermediate row) groups, intermediate rows in lexicographic order
-    _, index, mid = np.unique(FockBasis._pack(rest), return_index=True, return_inverse=True)
+    term, src, amp_lower = term[held], row[at[held]], np.sqrt(amp_lower[held])
+    # the distinct intermediate rows, in lexicographic order, a batch at a time
+    step, found, local = max(1, LADDER_BATCH_BYTES // (2 * m)), [], []
+    for a in range(0, max(len(src), 1), step):
+        rest = fock.occupations[src[a:a + step]]
+        for col in lower[term[a:a + step]].T:
+            rest[np.arange(len(rest)), col] -= 1
+        batch, back = np.unique(FockBasis._pack(rest), return_inverse=True)
+        found, local = found + [batch], local + [back + sum(map(len, found))]
+    mids, back = np.unique(np.concatenate(found), return_inverse=True)
+    mid, mids = back[np.concatenate(local)], mids.view(np.uint8).reshape(-1, m)
     if target is None:
-        target = FockBasis.from_rows(rest[index], fock.n_particles - lower.shape[1])
+        target = FockBasis.from_rows(mids, fock.n_particles - lower.shape[1])
+    del row, mode, count, row_end, key, left, found, local, rest, back    # else held while yielding
     klass = lower_class[term]
     order = np.lexsort((src, mid, klass))
-    term, src, rest, amp_lower, klass, mid = (
-        x[order] for x in (term, src, rest, amp_lower, klass, mid))
+    term, src, amp_lower, klass, mid = (x[order] for x in (term, src, amp_lower, klass, mid))
     first = (np.diff(klass, prepend=-1) != 0) | (np.diff(mid, prepend=-1) != 0)
     group = np.cumsum(first) - 1
     # the classes reached: their create and lower sets, and their weights
@@ -506,7 +528,7 @@ def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create
     n_raise = (c1 - c0)[at]
     raised = np.repeat(np.arange(len(at)), n_raise)
     made = np.arange(len(raised)) - np.repeat(np.cumsum(n_raise) - n_raise - c0[at], n_raise)
-    occ = rest[first][raised]
+    occ = mids[mid[first]][raised]
     amp_create = np.ones(len(raised))
     every = np.arange(len(raised))
     for mode in create[made].T:
@@ -523,9 +545,8 @@ def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create
     size = n_entry[raised[seg]]
     skip = (np.cumsum(n_entry) - n_entry)[raised[seg]] - (np.cumsum(size) - size)
     ends = np.cumsum(size)
-    total = int(ends[-1]) if len(ends) else 0
-    out = [np.empty(total, dtype=np.int32) for _ in range(3)] + [np.empty(total, dtype=complex)]
-    step, a, n = max(1, LADDER_BATCH_BYTES // 64), 0, 0    # ~64 B of temporaries per element
+    yield target, int(ends[-1]) if len(ends) else 0
+    step, a = max(1, LADDER_BATCH_BYTES // 64), 0    # ~64 B of temporaries per element
     while a < len(seg):
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - size[a] + step, side="right")))
         pick = np.repeat(seg[a:b], size[a:b])
@@ -535,24 +556,30 @@ def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create
         if not np.all(w):
             keep = w != 0.0
             entry, pick, value, w = entry[keep], pick[keep], value[keep], w[keep]
-        value = w * value
-        k = n + len(entry)
-        np.take(term, entry, out=out[0][n:k])
-        np.take(rows, pick, out=out[1][n:k])
-        np.take(src, entry, out=out[2][n:k])
-        out[3][n:k] = value
-        a, n = b, k
-    return target, *(part[:n] for part in out)
+        yield term.take(entry), rows.take(pick), src.take(entry), w * value
+        a = b
 
 
-def _operator(fock: FockBasis, sets: np.ndarray, label: np.ndarray, weights) -> sp.csr_matrix:
-    """Sparse sum of W[c, l] adag_c a_l over the sets c, l of each class, W =
-    weights(sets of the class, same), the sets sorted by their class `label`."""
-    _, _, rows, cols, data = _ladder(fock, fock, sets, sets, label, label, weights)
-    indptr = np.searchsorted(rows, np.arange(fock.dim + 1))
-    h = sp.csr_matrix((data, cols, indptr), shape=(fock.dim, fock.dim))
+def _operator(fock: FockBasis, sets: np.ndarray, label: np.ndarray, weights, diagonal=None):
+    """Sum of W[c, l] adag_c a_l over the sets c, l of each class, W = weights(sets of
+    the class, same), the sets sorted by their class `label`: sparse, or, for real
+    weights plus a real `diagonal`, a dense float64 array when over a third full."""
+    batches = _ladder(fock, fock, sets, sets, label, label, weights)
+    n, total = fock.dim, next(batches)[1]
+    if diagonal is not None and 3 * (total + n) > n * n:
+        block = np.diag(diagonal)
+        for _, rows, cols, value in batches:    # into the batch's consecutive rows alone
+            part = block[rows[0]:rows[-1] + 1].ravel() if len(rows) else np.zeros(0)
+            part += np.bincount((rows - rows[:1]) * np.int64(n) + cols, value, minlength=part.size)
+        return block if 3 * np.count_nonzero(block) > n * n else sp.csr_matrix(block)
+    rows, cols, data = (np.empty(total, dtype=t) for t in (np.int32, np.int32, complex))
+    k = 0
+    for _, r, c, value in batches:
+        rows[k:k + len(r)], cols[k:k + len(r)], data[k:k + len(r)] = r, c, value
+        k += len(r)
+    h = sp.csr_matrix((data[:k], cols[:k], np.searchsorted(rows[:k], np.arange(n + 1))), (n, n))
     h.sum_duplicates()
-    return h
+    return h if diagonal is None else h + sp.diags(diagonal.astype(complex), format="csr")
 
 
 def one_body_operator(fock: FockBasis, h: np.ndarray) -> sp.csr_matrix:
@@ -576,11 +603,11 @@ def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
     q = k_values[:, None] - basis.mode_kx
     q = q % basis.momentum_modulus if basis.momentum_modulus is not None else q + basis.m_x - 1
     a, b = pairs.T
-    ab = (my[a] * n**3 + my[b] * n**2).astype(np.int32)[:, None]
+    ab = (my[a] * n**3 + my[b] * n**2)[:, None]
 
     def gather(c, d):
         # the flat vq index; its (k_a, c, d) part is read as rows of a small table
-        index = (q[:, c] * n**4 + my[c] * n + my[d]).astype(np.int32)[k_at[a]] + ab
+        index = (q[:, c] * n**4 + my[c] * n + my[d])[k_at[a]] + ab
         return basis.vq.ravel().take(index) / basis.box_length
 
     same = a == b
@@ -591,11 +618,11 @@ def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
     return w
 
 
-def two_body_operator(basis: ModeBasis, fock: FockBasis) -> sp.csr_matrix:
-    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis,
-    with one dense weight block per pair class that the rows reach."""
+def two_body_operator(basis: ModeBasis, fock: FockBasis, diagonal: np.ndarray | None = None):
+    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis, with
+    one dense weight block per pair class that the rows reach, plus `diagonal` (``_operator``)."""
     pairs, label = basis.pair_classes
-    return _operator(fock, pairs, label, lambda c, l: _pair_weights(basis, l))
+    return _operator(fock, pairs, label, lambda c, l: _pair_weights(basis, l), diagonal)
 
 
 def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_matrix:
@@ -633,8 +660,12 @@ def sectors(basis: ModeBasis, fock: FockBasis) -> list:
 def _sector_block(basis: ModeBasis, fock: FockBasis, rows: np.ndarray,
                   h: sp.spmatrix | None, t: float):
     """H on the given rows: cut from a prebuilt `h`, or else assembled on them
-    alone.  A real block more than a third full is a dense float64 array."""
+    alone.  A real block more than a third full is a dense float64 array, into
+    which a field-free block is summed batch by batch (``_operator``): the
+    largest of acceptance 7, 604 rows, peaks at 9.3 MB traced, 17.0 through CSR."""
     sector = fock.subset(rows)
+    if h is None and basis.external is None:
+        return two_body_operator(basis, sector, _row_sums(sector.occupations, basis.energies))
     # hamiltonian(basis, sector, t), which perfbench traces as whole-basis assembly
     block = (h[rows][:, rows] if h is not None else
              one_body_operator(sector, basis.one_body(t)) + two_body_operator(basis, sector))
@@ -793,10 +824,12 @@ def _lowered(state: ManyBodyState, lower: np.ndarray) -> tuple[FockBasis, np.nda
     """One row per row of `lower` (T, j): the (N-j)-particle vector
     a_(lower[t, j-1]) ... a_(lower[t, 0]) psi on the rows the lowerings reach."""
     zero = np.zeros(len(lower), dtype=np.int64)
-    sub, term, rows, cols, amp = _ladder(state.fock, None, lower, np.zeros((1, 0), dtype=np.int64),
-                                         zero, zero[:1], lambda c, l: np.ones((1, len(l))))
+    batches = _ladder(state.fock, None, lower, np.zeros((1, 0), dtype=np.int64),
+                      zero, zero[:1], lambda c, l: np.ones((1, len(l))))
+    sub, _ = next(batches)
     vecs = np.zeros((len(lower), sub.dim), dtype=complex)
-    vecs[term, rows] = amp * state.amplitudes[cols]
+    for term, rows, cols, amp in batches:
+        vecs[term, rows] = amp * state.amplitudes[cols]
     return sub, vecs
 
 

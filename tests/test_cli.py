@@ -342,6 +342,23 @@ def test_a_fractional_integer_key_exits_2(capsys, sweep_cfg, tmp_path, key, frac
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "nls-evolve"])
+@pytest.mark.parametrize("key, value", [
+    ("time.final", "inf"), ("nls.dt", "nan"), ("manybody.dt", "nan"), ("krylov.tol", "nan"),
+    ("sequence.points", "4:inf"),
+], ids=["time.final", "nls.dt", "manybody.dt", "krylov.tol", "sequence.points"])
+def test_a_non_finite_float_key_exits_2(capsys, sweep_cfg, tmp_path, command, key, value):
+    # refused when the config is read: no OverflowError or ValueError
+    # traceback, and no run that never reads the step
+    path = tmp_path / "nonfinite.cfg"
+    kept = [line for line in sweep_cfg.read_text().splitlines() if not line.startswith(key)]
+    path.write_text("\n".join(kept) + f"\n{key} = {value}\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: key {key!r}") and "is not finite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nonfinite.cfg", "sweep.cfg"]
+
+
 def test_missing_config_exit_code():
     assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 

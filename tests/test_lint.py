@@ -319,3 +319,26 @@ def test_only_the_harness_sets_up_a_transverse_grid():
     assert sorted(set(transverse_setup_calls(sources))) == [
         "harness.sweep_inputs: TransverseGrid", "harness.sweep_inputs: solve_modes",
         "harness.verify_all: TransverseGrid", "harness.verify_all: solve_modes"]
+
+
+def widened_occupation_tables(source: str) -> list[str]:
+    """Calls ``<x>.occupations.astype(...)``: a widened copy of a whole
+    occupation table.  A column, ``occupations[:, j].astype``, is not one."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype" and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "occupations"]
+
+
+def test_widened_occupation_tables_detects_a_planted_copy():
+    source = ("occ = fock.occupations.astype(np.int64)\n"
+              "col = fock.occupations[:, 0].astype(np.int64)\n"
+              "# fock.occupations.astype(float) in a comment\n"
+              "big = (state.fock.occupations.astype(float) @ v)\n")
+    assert widened_occupation_tables(source) == ["line 1", "line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_widens_a_whole_occupation_table(path):
+    # the Fock kernels read the occupied entries of each row (manybody._nonzero)
+    assert widened_occupation_tables(path.read_text()) == []

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -52,9 +53,11 @@ def test_fock_dimension_formula():
     assert manybody.FockBasis(27, 8, max_excitations=3).dim == 3654
 
 
-@pytest.mark.parametrize("n_modes, n_particles, cap", [(5, 4, None), (6, 4, 2)])
+@pytest.mark.parametrize("n_modes, n_particles, cap", [
+    (5, 4, None), (6, 4, 2), (7, 6, 3), (2, 5, None), (4, 0, None), (192, 2, None)])
 def test_fock_occupations_match_reference(n_modes, n_particles, cap):
-    rows = [np.bincount(c, minlength=n_modes)
+    # the rows of every multiset of N modes, capped, in byte order; (192, 2) is acceptance 7's
+    rows = [np.bincount(np.array(c, dtype=np.int64), minlength=n_modes)
             for c in combinations_with_replacement(range(n_modes), n_particles)]
     ref = np.array([r for r in rows if cap is None or n_particles - r[0] <= cap],
                    dtype=np.uint8)
@@ -1481,3 +1484,141 @@ def test_product_state_of_a_basis_mode():
     row = fock.lookup(np.array([[2, 1, 0, 0]], dtype=np.uint8))[0]
     assert abs(mixed.amplitudes[row]) > 0.0
     assert np.all(mixed.amplitudes[fock.occupations[:, 2:].sum(axis=1) > 0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the Fock kernels against the dense formulas they replace, and their memory
+# ---------------------------------------------------------------------------
+
+
+def _dense_product_state(fock, coeffs):
+    """The product state's amplitudes by the earlier dense multinomial formula
+    over the whole widened occupation table, not yet renormalized."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = coeffs / np.linalg.norm(coeffs)
+    n = fock.n_particles
+    occ = fock.occupations.astype(np.int64)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n + 1)))))
+    log_multinomial = log_fact[n] - log_fact[occ].sum(axis=1)
+    mag = np.abs(coeffs)
+    log_mag = np.log(np.where(mag > 0, mag, 1.0))
+    amp = np.exp(0.5 * log_multinomial + occ @ log_mag) * np.exp(1j * (occ @ np.angle(coeffs)))
+    amp[(occ[:, mag == 0] > 0).any(axis=1)] = 0.0
+    return amp
+
+
+@given(n_modes=st.integers(min_value=2, max_value=7),
+       n_particles=st.integers(min_value=0, max_value=6),
+       cap=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_product_state_matches_the_dense_multinomial_formula(n_modes, n_particles, cap, seed):
+    # random coefficients, about a third of them exactly zero; within 4e-15 of
+    # the largest amplitude (the dense formula's occ @ log|phi| adds a row's
+    # terms in another order: 2.1e-15 at worst over 2101 draws), or the same
+    # ResolutionError below 0.81 retained weight
+    fock = manybody.FockBasis(n_modes, n_particles, max_excitations=cap)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    coeffs[rng.random(n_modes) < 0.3] = 0.0
+    if not coeffs.any():
+        coeffs[0] = 1.0
+    ref = _dense_product_state(fock, coeffs)
+    retained = np.linalg.norm(ref)
+    if retained < 0.9:
+        with pytest.raises(ResolutionError):
+            manybody.product_state(fock, coeffs)
+        return
+    ref /= retained
+    got = manybody.product_state(fock, coeffs).amplitudes
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+
+def _assert_sector_blocks_match_csr(basis, fock, rel):
+    """Every field-free (K, Pi) block assembled on its rows against the CSR
+    sum of the one- and two-body operators: the same dense-or-sparse choice
+    (a real block over a third full is dense), and elements within `rel` of
+    the largest (bit for bit at 0).  Returns how many blocks were dense."""
+    dense = 0
+    for rows in manybody.sectors(basis, fock):
+        sector = fock.subset(rows)
+        ref = manybody.one_body_operator(sector, basis.one_body()) + \
+            manybody.two_body_operator(basis, sector)
+        block = manybody._sector_block(basis, fock, rows, None, 0.0)
+        full = 3 * ref.nnz > len(rows) ** 2 and not np.any(ref.data.imag)
+        assert isinstance(block, np.ndarray) == full
+        if full:
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+        diff = abs(block - ref.real.toarray() if full else block - ref)
+        assert np.max(diff) <= rel * abs(ref).max()
+        dense += full
+    return dense
+
+
+@pytest.mark.parametrize("n_x, n_y", [(16, 12), (10, 8)], ids=["acceptance_7", "verify_all"])
+def test_dense_pair_blocks_equal_the_csr_sum(n_x, n_y):
+    basis = grid_matched_basis(n_x, n_y)
+    fock = manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5)
+    # N = 2: no element is summed from two terms, so the blocks are bit for bit
+    assert _assert_sector_blocks_match_csr(basis, fock, 0.0) == len(manybody.sectors(basis, fock))
+
+
+def test_sector_blocks_choose_dense_or_sparse_as_the_csr_sum(setup):
+    # N = 4 over 15 modes: 16 of the 34 blocks are dense, and in many of the
+    # sparse ones the candidate elements alone would fill over a third
+    basis = setup[4]
+    fock = manybody.FockBasis(basis.n_modes, 4)
+    assert _assert_sector_blocks_match_csr(basis, fock, 1e-15) == 16
+
+
+@pytest.fixture(scope="module")
+def acceptance_7_state():
+    # acceptance 7's 16 x 12 basis (192 modes, N = 2, 18528 rows) and its initial state
+    point = scaling.make_point(2, 0.5, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    sc = potentials.scale(potentials.gaussian_bump(height=3.0, radius=4.0, width=1.5), point,
+                          d_perp=1)
+    basis = manybody.build_grid_matched_basis(point, conf, sc, 16, 12, L, 6.0)
+    oracle = manybody.GridOracle(point, conf, sc, L, 16, 12, 6.0)
+    phi_x = np.exp(-oracle.x**2 / (2.0 * 1.2**2)) * np.exp(0.5j * oracle.x)
+    orb = phi_x[:, None] * oracle.tau[None, :]
+    u = manybody.modes_on_grid(basis, oracle)
+    coeffs = u.conj().T @ orb.ravel()
+    basis.pair_classes    # cached before any peak is read
+    fock = manybody.FockBasis(basis.n_modes, 2, dim_cap=10**5)
+    return basis, coeffs, manybody.product_state(fock, coeffs)
+
+
+def _traced_peak(build):
+    """(result, the traced peak of the allocations while it is built, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# traced peaks (MB) on acceptance 7, while each kernel widened or gathered the
+# whole 18528 x 192 occupation table -> now, and what each returns:
+#   FockBasis(192, 2)           11.2 -> 4.0   the 3.6 MB table
+#   product_state               57.4 -> 2.0   0.30 MB of amplitudes
+#   _sector_block, 604 rows     17.0 -> 9.3   the 2.9 MB dense block
+#   reduced_density(state, 1)   23.7 -> 4.6   the 0.59 MB gamma
+@pytest.mark.parametrize("kernel, multiple", [("FockBasis", 1.5), ("product_state", 10),
+                                              ("sector_block", 4), ("reduced_density", 10)])
+def test_fock_kernel_peaks_at_a_small_multiple_of_what_it_returns(acceptance_7_state, kernel,
+                                                                 multiple):
+    basis, coeffs, state = acceptance_7_state
+    fock = state.fock
+    rows = max(manybody.sectors(basis, fock), key=len)
+    assert len(rows) == 604
+    build = {
+        "FockBasis": lambda: manybody.FockBasis(192, 2, dim_cap=10**5).occupations,
+        "product_state": lambda: manybody.product_state(fock, coeffs).amplitudes,
+        "sector_block": lambda: manybody._sector_block(basis, fock, rows, None, 0.0),
+        "reduced_density": lambda: manybody.reduced_density(state, 1).matrix,
+    }[kernel]
+    result, peak = _traced_peak(build)
+    assert peak <= multiple * result.nbytes
