@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import auxiliary, harness, manybody, nls, potentials, projectors, scaling, transverse
-from .config import DEFAULTS, ExperimentConfig
+from .config import DEFAULTS, ExperimentConfig, _float
 from .errors import ConfigError, DimredError, DomainError, SizeError
 
 
@@ -122,8 +122,7 @@ def cmd_manybody_evolve(args) -> int:
     with open(path, "w") as fh:
         fh.write("t,norm,energy,E_renormalized,condensate_fraction,"
                  "trace_distance_to_condensate\n")
-        for s in traj.states:
-            e_ren = manybody.renormalized_energy(s, basis, s.time, h=setup.hamiltonian(s.time))
+        for s, e_ren in zip(traj.states, traj.energies):
             e_abs = e_ren + basis.e0_scaled
             bridge = projectors.rate_bridge(manybody.reduced_density(s, 1).matrix, proj)
             fh.write(f"{s.time:.17g},{s.norm:.17g},{e_abs:.17g},{e_ren:.17g},"
@@ -252,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nls-evolve", help="run the effective 1D equation")
     _add_common(p)
-    p.add_argument("--length", type=float, default=16 * math.pi)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--length", type=_float, default=16 * math.pi)
+    p.add_argument("--b", type=_float, default=1.0)
     p.add_argument("--initial", choices=["gaussian", "plane"], default="gaussian")
-    p.add_argument("--width", type=float, default=2.0)
+    p.add_argument("--width", type=_float, default=2.0)
     p.add_argument("--mode", type=int, default=0)
     p.add_argument("--outputs", type=int, default=10)
     p.add_argument("--dump-state", action="store_true")
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("manybody-evolve", help="run the N-boson dynamics")
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_float, default=None)
     p.add_argument("--outputs", type=int, default=5)
     p.add_argument("--dump-state", action="store_true")
     p.set_defaults(fn=cmd_manybody_evolve)
@@ -272,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="counting functionals of a state dump")
     p.add_argument("state", help="state .npz produced by manybody-evolve")
     p.add_argument("--mode", type=int, default=0, help="condensate basis mode")
-    p.add_argument("--xi", type=float, default=DEFAULTS.xi)
-    p.add_argument("--energy-gap", dest="energy_gap", type=float, default=0.0)
+    p.add_argument("--xi", type=_float, default=DEFAULTS.xi)
+    p.add_argument("--energy-gap", dest="energy_gap", type=_float, default=0.0)
     p.set_defaults(fn=cmd_alpha)
 
     p = sub.add_parser("aux-verify", help="integration-by-parts battery")
     _add_common(p, out=False)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_float, default=None)
     p.set_defaults(fn=cmd_aux_verify)
 
     p = sub.add_parser("sweep", help="convergence sweep over a scaling sequence")

@@ -124,9 +124,6 @@ class PointSetup:
     psi0: manybody.ManyBodyState
     h0: sp.csr_matrix           # H(0)
 
-    def hamiltonian(self, t: float):
-        return manybody.hamiltonian_at(self.h0, self.basis, self.fock, 0.0, t)
-
     def evolve(self, cfg: ExperimentConfig, n_outputs: int) -> manybody.ManyBodyTrajectory:
         return manybody.evolve(self.psi0, self.basis, cfg.manybody_dt, cfg.t_final,
                                n_outputs=n_outputs, krylov_tol=cfg.krylov_tol, h=self.h0)
@@ -162,11 +159,9 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     e_phi0 = nls.effective_energy(phi0, external, b_eff, 0.0)
     e_phi_t = nls.effective_energy(phi_t, external, b_eff, cfg.t_final)
 
-    # N-body dynamics from the matching product state
-    e_psi0 = manybody.renormalized_energy(setup.psi0, basis, 0.0, h=setup.h0)
-    psi_t = setup.evolve(cfg, 1).final
-    e_psi_t = manybody.renormalized_energy(psi_t, basis, cfg.t_final,
-                                           h=setup.hamiltonian(cfg.t_final))
+    # N-body dynamics from the matching product state, with its energies at 0 and T
+    mtraj = setup.evolve(cfg, 1)
+    psi_t, (e_psi0, e_psi_t) = mtraj.final, mtraj.energies
 
     # condensate projector at time T from the evolved NLS state; alpha_n2, the
     # trace distance and the excited fraction read the one-body density

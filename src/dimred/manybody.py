@@ -22,8 +22,9 @@ K = sum_a n_a k_a (mod n_x on a grid-matched basis) and, for an even trap and
 a radial w, the transverse parity Pi = (-1)^(sum_a n_a p_a)
 (``ModeBasis.mode_parity``; both builders zero the pair elements that change
 Pi), so each (K, Pi) sector is an exact block of H.  ``evolve`` propagates
-each sector above the Krylov floor on its own block with one Lanczos
-exponential (``lanczos_expm``; ``expm_multiply`` is a test oracle).
+each sector above the Krylov floor, and reads its energies, on its own H(t) =
+B + (f(t) - f_B) G, the one home of a field f(t) g (``_sector_hamiltonian``),
+by Lanczos exponentials (``lanczos_expm``; ``expm_multiply`` is a test oracle).
 
 One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
 it lowers each row by each lower set its occupied entries hold and raises
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, combinations_with_replacement
 
@@ -123,7 +124,6 @@ class FockBasis:
             self.occupations[rows, 0] = n_particles - k
             for mode in sets.T:
                 self.occupations[rows, mode] += 1
-        self._packed = self._pack(self.occupations)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, n_particles: int | None = None) -> FockBasis:
@@ -145,7 +145,6 @@ class FockBasis:
         fock = cls.__new__(cls)
         fock.n_modes, fock.n_particles, fock.dim = occ.shape[1], n_particles, len(occ)
         fock.occupations = np.array(occ, dtype=np.uint8, order="C")    # not the caller's array
-        fock._packed = cls._pack(fock.occupations)
         return fock
 
     @staticmethod
@@ -153,11 +152,14 @@ class FockBasis:
         occ = np.ascontiguousarray(occ, dtype=np.uint8)
         return occ.view(np.dtype((np.void, occ.shape[1]))).ravel()
 
+    @property
+    def _packed(self) -> np.ndarray:    # the rows as byte strings, a view of occupations
+        return self._pack(self.occupations)
+
     def subset(self, rows: np.ndarray) -> FockBasis:
         """The basis of the given rows, an ascending index array, in their order."""
         sub = copy.copy(self)
-        sub.occupations, sub._packed = self.occupations[rows], self._packed[rows]
-        sub.dim = len(rows)
+        sub.occupations, sub.dim = self.occupations[rows], len(rows)
         return sub
 
     def lookup(self, occ: np.ndarray) -> np.ndarray:
@@ -630,16 +632,6 @@ def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_mat
     return one_body_operator(fock, basis.one_body(t)) + two_body_operator(basis, fock)
 
 
-def hamiltonian_at(h: sp.spmatrix, basis: ModeBasis, fock: FockBasis, t0: float,
-                   t: float) -> sp.spmatrix:
-    """H(t) = H(t0) + (f(t) - f(t0)) G from h = H(t0), G the one-body operator
-    of the field profile (``ModeBasis.field_matrix``); h itself for a static field."""
-    if not basis.time_dependent:
-        return h
-    f = basis.external.strength
-    return h + (f(t) - f(t0)) * one_body_operator(fock, basis.field_matrix)
-
-
 # ---------------------------------------------------------------------------
 # propagation, one Lanczos step per (K, Pi) sector
 # ---------------------------------------------------------------------------
@@ -657,18 +649,15 @@ def sectors(basis: ModeBasis, fock: FockBasis) -> list:
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
-def _sector_block(basis: ModeBasis, fock: FockBasis, rows: np.ndarray,
-                  h: sp.spmatrix | None, t: float):
+def _sector_block(basis: ModeBasis, fock: FockBasis, rows: np.ndarray, h: sp.spmatrix | None):
     """H on the given rows: cut from a prebuilt `h`, or else assembled on them
-    alone.  A real block more than a third full is a dense float64 array, into
-    which a field-free block is summed batch by batch (``_operator``): the
-    largest of acceptance 7, 604 rows, peaks at 9.3 MB traced, 17.0 through CSR."""
-    sector = fock.subset(rows)
-    if h is None and basis.external is None:
+    alone without the field.  A real block over a third full is a dense float64
+    array, into which an assembled one is summed batch by batch (``_operator``):
+    acceptance 7's largest, 604 rows, peaks at 9.3 MB traced, 17.0 through CSR."""
+    if h is None:
+        sector = fock.subset(rows)
         return two_body_operator(basis, sector, _row_sums(sector.occupations, basis.energies))
-    # hamiltonian(basis, sector, t), which perfbench traces as whole-basis assembly
-    block = (h[rows][:, rows] if h is not None else
-             one_body_operator(sector, basis.one_body(t)) + two_body_operator(basis, sector))
+    block = h[rows][:, rows]
     if 3 * block.nnz > len(rows) ** 2 and not np.any(block.data.imag):
         return block.real.toarray()
     return block
@@ -744,70 +733,75 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = DEFAULTS.krylov
 class ManyBodyTrajectory(Trajectory):
     norm_drift: float = 0.0
     dropped_norm: float = 0.0     # l2 norm of the sectors below the Krylov floor (``evolve``)
+    energies: list = field(default_factory=list)    # <H(t)>/N per state (``evolve``)
 
 
-def _shifted_product(apply_h, g: sp.spmatrix, shift: float, x: np.ndarray) -> np.ndarray:
-    """(H(t0) + shift G) x."""
-    return apply_h(x) + shift * g.dot(x)
+def _sector_hamiltonian(basis: ModeBasis, fock: FockBasis, rows: np.ndarray, h, t0: float):
+    """(t, x) -> H(t) x on one sector's rows, H(t) = B + (f(t) - f_B) G: B its block
+    (``_sector_block``) with the field at f_B (f(t0) cut from h = H(t0), 0
+    assembled) and G its field operator, built only if B lacks f(t) g at some t."""
+    block = _sector_block(basis, fock, rows, h)
+    apply = block.dot if sp.issparse(block) else partial(_real_block_product, block)
+    if basis.external is None or (h is not None and not basis.time_dependent):
+        return lambda t, x: apply(x)
+    f, g = basis.external.strength, one_body_operator(fock.subset(rows), basis.field_matrix)
+    f_block = 0.0 if h is None else f(t0)
+    return lambda t, x: apply(x) + (f(t) - f_block) * g.dot(x)
 
 
 def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
            n_outputs: int = 5, krylov_tol: float = DEFAULTS.krylov_tol,
            h: sp.spmatrix | None = None) -> ManyBodyTrajectory:
-    """Propagate under H(t), recording n_outputs + 1 equally spaced states.
+    """Propagate under H(t), recording n_outputs + 1 equally spaced states and
+    their energies <psi, H(t) psi>/(N <psi, psi>) from the H(t) they propagate with.
 
-    Each (K, Pi) sector of psi (``sectors``) runs through all outputs, one
-    Krylov step per interval, on its own block of H(t0), t0 the state time:
-    cut from a prebuilt `h` = H(t0), or else assembled on the sector's rows
-    alone.  A time-dependent field takes midpoint-frozen steps of dt (whole
-    per interval) on H(t0) + (f(t_mid) - f(t0)) G, G built once per sector.
+    Each (K, Pi) sector of psi (``sectors``) runs through all outputs on its own
+    H(t) (``_sector_hamiltonian``; `h` = H(t0), t0 the state time, if given), one
+    Krylov step per interval, or midpoint-frozen steps of dt (whole per
+    interval) in a time-dependent field.
 
     The Krylov budget krylov_tol ||psi|| covers the whole state: a sector of
     norm <= krylov_tol ||psi|| / sqrt(S), S the sector count, is neither built
-    nor propagated and reads zero later.  Blocks conserve sector norms, so the
-    dropped norm (``dropped_norm``) is that of those sectors, <= krylov_tol ||psi||.
+    nor propagated, reads zero later and adds nothing to the energies.  Blocks
+    conserve sector norms, so the dropped norm (``dropped_norm``) is that of
+    those sectors, <= krylov_tol ||psi||.
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
     if n_outputs < 1:
         raise DomainError(f"n_outputs must be >= 1, got {n_outputs!r}")
-    fock = state.fock
-    out_dt = (t_final - state.time) / n_outputs
+    fock, t0 = state.fock, state.time
+    out_dt = (t_final - t0) / n_outputs
     steps, step = 1, out_dt
-    driven = basis.time_dependent
-    if driven:
+    if basis.time_dependent:
         steps, step = int(round(out_dt / dt)), dt
         if abs(steps * dt - out_dt) > 1e-9 * max(1.0, t_final):
             raise DomainError("each output interval must be a whole number of dt steps")
-        f = basis.external.strength
-    psi = np.zeros((n_outputs + 1, fock.dim), dtype=complex)
+    psi, energy = np.zeros((n_outputs + 1, fock.dim), dtype=complex), np.zeros(n_outputs + 1)
     psi[0] = state.amplitudes
     blocks = sectors(basis, fock)
     norms = np.array([np.linalg.norm(psi[0, rows]) for rows in blocks])
     kept = norms > krylov_tol * state.norm / math.sqrt(len(blocks))
     for rows in (rows for rows, keep in zip(blocks, kept) if keep):
-        block = _sector_block(basis, fock, rows, h, state.time)
-        apply = block.dot if sp.issparse(block) else partial(_real_block_product, block)
-        if driven:
-            g = one_body_operator(fock.subset(rows), basis.field_matrix)
-        for j in range(n_outputs):
-            v = psi[j, rows]
-            for s in range(steps):
-                apply_step = apply
-                if driven:
-                    shift = f(state.time + j * out_dt + (s + 0.5) * dt) - f(state.time)
-                    apply_step = partial(_shifted_product, apply, g, shift)
-                v = lanczos_expm(apply_step, v, step, tol=krylov_tol)
-            psi[j + 1, rows] = v
+        h_at = _sector_hamiltonian(basis, fock, rows, h, t0)
+        for j in range(n_outputs + 1):
+            t, v = t0 + j * out_dt, psi[j, rows]
+            energy[j] += np.vdot(v, h_at(t, v)).real
+            if j < n_outputs:
+                for s in range(steps):
+                    v = lanczos_expm(partial(h_at, t + (s + 0.5) * step), v, step, tol=krylov_tol)
+                psi[j + 1, rows] = v
+        del h_at    # the block, else held while the next one is built
     traj = ManyBodyTrajectory(dropped_norm=float(np.linalg.norm(norms[~kept])))
     traj.record(state)
     for j in range(1, n_outputs + 1):
-        t = state.time + j * out_dt
+        t = t0 + j * out_dt
         if not np.all(np.isfinite(psi[j].view(float))):
             raise InstabilityError(f"non-finite amplitudes at t = {t:.6g}")
         norm = np.linalg.norm(psi[j])
         traj.norm_drift = max(traj.norm_drift, abs(norm / np.linalg.norm(psi[j - 1]) - 1.0))
         traj.record(ManyBodyState(fock, psi[j] / norm, t))
+    traj.energies = (energy / np.linalg.norm(psi, axis=1) ** 2 / fock.n_particles).tolist()
     return traj
 
 

@@ -79,6 +79,8 @@ def normalized(grid: Grid1D, values: np.ndarray, time: float = 0.0) -> Condensat
 
 def gaussian_state(grid: Grid1D, width: float = 2.0, center: float = 0.0,
                    momentum: float = 0.0) -> CondensateState:
+    if not width > 0.0:
+        raise DomainError(f"width must be > 0, got {width}")
     x = grid.x
     psi = np.exp(-((x - center) ** 2) / (2.0 * width**2)) * np.exp(1j * momentum * x)
     return normalized(grid, psi)

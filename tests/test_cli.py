@@ -576,3 +576,29 @@ def test_unread_flags_are_argparse_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["nls-evolve", "--length", "inf"],
+    ["nls-evolve", "--b", "nan"],
+    ["nls-evolve", "--width", "nan"],
+    ["manybody-evolve", "--epsilon", "inf"],
+    ["alpha", "state.npz", "--xi", "nan"],
+    ["alpha", "state.npz", "--energy-gap", "inf"],
+], ids=["length", "b", "width", "epsilon", "xi", "energy-gap"])
+def test_a_non_finite_float_flag_exits_2(capsys, argv):
+    # the config's finiteness rule: refused by argparse, before any work, not
+    # printed as NaN or Infinity nor run into an InstabilityError
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
+
+
+def test_nls_evolve_refuses_a_zero_width(capsys, tmp_path):
+    cfg = tmp_path / "nls.cfg"
+    cfg.write_text("nls.points = 64\ntime.final = 0.01\n")
+    assert main(["nls-evolve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--width", "0"]) == 1
+    assert capsys.readouterr().err == "error: width must be > 0, got 0.0\n"
+    assert list(tmp_path.iterdir()) == [cfg]

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from dimred import harness, manybody, nls, potentials, projectors, scaling, transverse
+from dimred.cli import main
 from dimred.config import DEFAULT_CONFIG_TEXT, DEFAULTS, ExperimentConfig, parse_kv_text
 from dimred.errors import ConfigError, InsufficientDataError, ResolutionError
 
@@ -531,22 +532,53 @@ def test_run_point_energy_at_final_time(monkeypatch):
     assert abs(abs(energy(0.0) - e_phi) - gap) > 1e-3
 
 
-def test_driven_point_assembles_the_two_body_operator_once(monkeypatch):
-    # H(0) is the only assembly: evolve cuts it and adds (f - f0) G, and H(T)
-    # is H(0) + (f(T) - f(0)) G
+@pytest.fixture()
+def operator_builds(monkeypatch):
+    """() -> how many two-body operators were assembled and how many one-body
+    operators were built on a field profile (``ModeBasis.field_matrix``) so far."""
+    def spy(name):
+        orig, seen = getattr(manybody, name), []
+
+        def counted(*args, **kwargs):
+            seen.append((args, orig(*args, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(manybody, name, counted)
+        return seen
+
+    bases, one_body, two_body = map(spy, ("build_basis", "one_body_operator",
+                                          "two_body_operator"))
+    return lambda: (len(two_body), sum(args[1] is basis.field_matrix
+                                       for args, _ in one_body for _, basis in bases))
+
+
+def test_driven_point_assembles_the_two_body_operator_once(operator_builds):
+    # H(0) is the only assembly and G, the field operator, is built once: evolve
+    # cuts H(0), adds (f - f0) G, and reads both energies from that H(t).  With
+    # H(T) = H(0) + (f(T) - f(0)) G built apart, G was built twice.
     text = FAST_SWEEP.replace("external.name = zero", "external.name = driven_well")
     env = ExperimentConfig.from_text(text)
     inputs = harness.sweep_inputs(env)
-    calls = []
-    orig = manybody.two_body_operator
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(manybody, "two_body_operator", counted)
     harness.run_point(env, env.points()[0], inputs)
-    assert len(calls) == 1
+    assert operator_builds() == (1, 1)
+
+
+def test_static_field_point_builds_no_field_operator(operator_builds):
+    # the field is in H(0) at every t, so evolve only cuts it
+    text = FAST_SWEEP.replace("external.name = zero", "external.name = gaussian_well")
+    env = ExperimentConfig.from_text(text)
+    harness.run_point(env, env.points()[0], harness.sweep_inputs(env))
+    assert operator_builds() == (1, 0)
+
+
+def test_manybody_evolve_builds_the_field_operator_once(operator_builds, tmp_path):
+    # its CSV energies come from evolve: no H(t) is rebuilt per output (7 G builds)
+    path = tmp_path / "driven.cfg"
+    path.write_text(FAST_SWEEP.replace("external.name = zero", "external.name = driven_well"))
+    assert main(["manybody-evolve", "--config", str(path), "--outputs", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "manybody.csv").read_text().splitlines()) == 7
+    assert operator_builds() == (1, 1)
 
 
 def test_sweep_computes_the_mode_correlations_once(monkeypatch):

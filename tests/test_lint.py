@@ -342,3 +342,33 @@ def test_widened_occupation_tables_detects_a_planted_copy():
 def test_package_never_widens_a_whole_occupation_table(path):
     # the Fock kernels read the occupied entries of each row (manybody._nonzero)
     assert widened_occupation_tables(path.read_text()) == []
+
+
+def field_operator_builds(sources: dict[str, str]) -> list[str]:
+    """Calls of ``one_body_operator``, by bare name or attribute, that pass a
+    ``field_matrix`` (name or attribute) as an argument, as ``module: line``."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "one_body_operator"):
+                continue
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(getattr(a, "id", getattr(a, "attr", None)) == "field_matrix" for a in args):
+                found.append(f"{module}: line {node.lineno}")
+    return found
+
+
+def test_field_operator_builds_detects_a_planted_build():
+    sources = {"a.py": ("g = one_body_operator(fock, basis.field_matrix)\n"
+                        "h = one_body_operator(fock, basis.one_body(t))\n"
+                        "# one_body_operator(fock, basis.field_matrix) in a comment\n"
+                        "k = manybody.one_body_operator(sub, h=field_matrix)\n")}
+    assert field_operator_builds(sources) == ["a.py: line 1", "a.py: line 4"]
+
+
+def test_the_field_operator_has_one_home():
+    # H(t) = B + (f(t) - f_B) G is formed in manybody._sector_hamiltonian alone
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert len(field_operator_builds(sources)) == 1

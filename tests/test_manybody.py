@@ -98,6 +98,20 @@ def test_fock_lookup_roundtrip():
     assert fock.lookup(missing)[0] == -1
 
 
+def test_packed_rows_are_a_view_of_the_one_table():
+    # every constructor sets the occupation table alone; the byte strings that
+    # lookup bisects are a view of it, so a sector does not hold its rows twice
+    full = manybody.FockBasis(5, 3)
+    rows = np.arange(1, full.dim, 3)
+    sub = full.subset(rows)
+    for fock in (full, FockBasis.from_rows(full.occupations[::-1]), sub):
+        assert np.shares_memory(fock._packed, fock.occupations)
+        assert np.array_equal(fock.lookup(fock.occupations), np.arange(fock.dim))
+    expected = np.full(full.dim, -1)
+    expected[rows] = np.arange(len(rows))
+    assert np.array_equal(sub.lookup(full.occupations), expected)
+
+
 def test_from_rows_sorts_only_rows_out_of_order():
     fock = manybody.FockBasis(5, 3, 2)
     shuffled = fock.occupations[np.random.default_rng(3).permutation(fock.dim)]
@@ -718,7 +732,7 @@ def test_pair_blocks_match_sparse_hamiltonian(pair_hamiltonians, which):
         assert len(set(k_row[rows])) == 1 and len(set(pi_row[rows])) == 1
         ref = h[rows][:, rows].toarray()
         # vq is real and an N = 2 block is full, so it is a dense float64 array
-        block = manybody._sector_block(basis, fock, rows, None, 0.0)
+        block = manybody._sector_block(basis, fock, rows, None)
         assert block.dtype == np.float64 and block.flags.c_contiguous
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
         frob += np.sum(np.abs(ref) ** 2)
@@ -1403,19 +1417,38 @@ def test_field_profile_evaluated_once_per_basis(setup, field):
     assert len(traj.states) == 5 and len(calls) == 1
 
 
-@pytest.mark.parametrize("field", [potentials.driven_well(depth=0.5, omega=4.0), OFF_CENTRE])
-def test_hamiltonian_at_is_the_field_identity(setup, field):
-    # H(t) = H(t0) + (f(t) - f(t0)) G against H(t) assembled afresh
+@pytest.mark.parametrize("prebuilt", [False, True], ids=["assembled", "prebuilt"])
+@pytest.mark.parametrize("field", [potentials.driven_well(depth=0.5, omega=4.0), OFF_CENTRE,
+                                   potentials.gaussian_well(depth=1.0, width=2.0), None],
+                         ids=["driven_well", "off_centre", "static_well", "no_field"])
+def test_evolve_energies_and_states_against_fresh_hamiltonians(setup, field, prebuilt):
+    # evolve's one H(t) = B + (f(t) - f_B) G, from t0 = 0.1 with or without
+    # h = H(t0): at every output the energy against <psi, H(t) psi>/N with
+    # H(t) assembled afresh, and the state against expm_multiply with a fresh
+    # H at each step's midpoint.  A random state fills every field-free sector.
     point, conf, unscaled, sc, _ = setup
     basis = manybody.build_basis(point, conf, field, sc, 5, 3, L, unscaled_mode=unscaled)
     fock = manybody.FockBasis(basis.n_modes, 3, max_excitations=2)
-    h0 = manybody.hamiltonian(basis, fock, 0.1)
-    for t in (0.1, 0.37, 1.3):
-        ref = manybody.hamiltonian(basis, fock, t)
-        diff = manybody.hamiltonian_at(h0, basis, fock, 0.1, t) - ref
-        assert abs(diff).max() <= 1e-13 * abs(ref).max()
-    g = manybody.one_body_operator(fock, basis.field_matrix).data
-    if field is OFF_CENTRE:                                      # complex elements
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+    state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps), 0.1)
+    h = manybody.hamiltonian(basis, fock, 0.1) if prebuilt else None
+    traj = manybody.evolve(state, basis, 0.05, 0.3, n_outputs=2, krylov_tol=1e-12, h=h)
+    assert len(manybody.sectors(basis, fock)) == (1 if field else 18)
+    assert traj.dropped_norm == 0.0 and len(traj.energies) == 3
+    step = 0.05 if basis.time_dependent else 0.1
+    psi = state.amplitudes
+    for j, (t, s) in enumerate(zip(traj.times, traj.states)):
+        assert t == pytest.approx(0.1 + 0.1 * j, abs=1e-15)
+        if j:
+            for t_mid in np.arange(t - 0.1 + step / 2, t, step):
+                psi = expm_multiply(-1j * step * manybody.hamiltonian(basis, fock, t_mid).tocsc(),
+                                    psi)
+            assert np.linalg.norm(s.amplitudes - psi) < 1e-9
+        fresh = manybody.expectation(s, manybody.hamiltonian(basis, fock, t)) / 3
+        assert traj.energies[j] == pytest.approx(fresh, rel=1e-12)
+    if field is OFF_CENTRE:                                      # complex elements in G
+        g = manybody.one_body_operator(fock, basis.field_matrix).data
         assert np.max(np.abs(g.imag)) > 1e-3 * np.max(np.abs(g))
 
 
@@ -1545,7 +1578,7 @@ def _assert_sector_blocks_match_csr(basis, fock, rel):
         sector = fock.subset(rows)
         ref = manybody.one_body_operator(sector, basis.one_body()) + \
             manybody.two_body_operator(basis, sector)
-        block = manybody._sector_block(basis, fock, rows, None, 0.0)
+        block = manybody._sector_block(basis, fock, rows, None)
         full = 3 * ref.nnz > len(rows) ** 2 and not np.any(ref.data.imag)
         assert isinstance(block, np.ndarray) == full
         if full:
@@ -1617,8 +1650,18 @@ def test_fock_kernel_peaks_at_a_small_multiple_of_what_it_returns(acceptance_7_s
     build = {
         "FockBasis": lambda: manybody.FockBasis(192, 2, dim_cap=10**5).occupations,
         "product_state": lambda: manybody.product_state(fock, coeffs).amplitudes,
-        "sector_block": lambda: manybody._sector_block(basis, fock, rows, None, 0.0),
+        "sector_block": lambda: manybody._sector_block(basis, fock, rows, None),
         "reduced_density": lambda: manybody.reduced_density(state, 1).matrix,
     }[kernel]
     result, peak = _traced_peak(build)
     assert peak <= multiple * result.nbytes
+
+
+def test_evolve_holds_one_sector_block_at_a_time(acceptance_7_state):
+    # traced peak of evolve on acceptance 7 (its 604-row block alone peaks at
+    # 9.3 MB): 12.9 MB while the previous sector's block was still held while
+    # the next was built, now 10.0 MB; the bound is 1.15 x 9.3 MB
+    basis, _, state = acceptance_7_state
+    traj, peak = _traced_peak(lambda: manybody.evolve(state, basis, 0.01, 0.05, n_outputs=1))
+    assert peak <= 10.7e6
+    assert traj.final.time == 0.05 and traj.norm_drift < 1e-9
