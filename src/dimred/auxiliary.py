@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, RegimeError, ResolutionError
 from .nls import CondensateState
 from .potentials import ScaledInteraction, gauss_legendre
-from .transverse import MIN_POINTS_PER_RANGE, TransverseMode, offset_rule
+from .transverse import TransverseMode, offset_rule
 
 
 @dataclass(frozen=True)
@@ -254,13 +254,10 @@ def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
 
 
 def _require_transverse_match(scaled: ScaledInteraction, tmode: TransverseMode) -> None:
-    """The interaction lives in the trap's transverse dimension and the
-    transverse grid puts at least MIN_POINTS_PER_RANGE points across its range."""
+    """The interaction lives in the trap's transverse dimension."""
     if scaled.d_perp != tmode.dimension:
         raise DomainError(f"interaction d_perp = {scaled.d_perp} must match the "
                           f"transverse dimension {tmode.dimension}")
-    if scaled.range / tmode.spacing < MIN_POINTS_PER_RANGE:
-        raise ResolutionError("transverse grid does not resolve the interaction range")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,14 @@ from .config import DEFAULTS, ExperimentConfig, _float
 from .errors import ConfigError, DimredError, DomainError, SizeError
 
 
+def _float_flag(raw: str) -> float:
+    """``config._float`` as an argparse type: a refused flag prints its reason."""
+    try:
+        return _float(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(p, out: bool = True):
     p.add_argument("--config", help="key=value config file")
     if out:
@@ -60,9 +68,8 @@ def _point(env: ExperimentConfig, n: int | None, epsilon: float | None) -> scali
 
 
 def cmd_transverse(args) -> int:
-    """The unscaled transverse mode on the floor grid (``harness.sweep_inputs``
-    without points); a sweep whose smallest range needs more points solves on
-    a finer grid."""
+    """The unscaled transverse mode on the config's grid, the one every sweep
+    point of the config rescales (``harness.sweep_inputs``)."""
     env = _load_config(args)
     mode = harness.sweep_inputs(env).unscaled_mode
     print(json.dumps({"energy0": mode.energy0, "gap": mode.gap, "quartic": mode.quartic}))
@@ -113,7 +120,7 @@ def cmd_nls_evolve(args) -> int:
 def cmd_manybody_evolve(args) -> int:
     env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
-    setup = harness.point_setup(env, point, harness.sweep_inputs(env, [point]))
+    setup = harness.point_setup(env, point, harness.sweep_inputs(env))
     basis = setup.basis
     traj = setup.evolve(env, args.outputs)
     out = _outdir(args, env)
@@ -169,12 +176,12 @@ def cmd_alpha(args) -> int:
 
 def cmd_aux_verify(args) -> int:
     """The auxiliary objects at the config's point, in the config's trap on the
-    grid a 1d sweep over that point solves on: exit 1 unless the Poisson
+    config's grid, solved in one transverse dimension: exit 1 unless the Poisson
     residual of h_eps is below 1e-3 and int w-bar is b/N to within the
     paper's O(mu/eps)."""
     env = _load_config(args)
     point = _point(env, args.n, args.epsilon)
-    inputs = harness.sweep_inputs(dataclasses.replace(env, d_perp=1), [point])
+    inputs = harness.sweep_inputs(dataclasses.replace(env, d_perp=1))
     scaled = potentials.scale(inputs.profile, point)
     report = {}
     h_uni = auxiliary.build_h_epsilon(scaled, n_samples=4096)
@@ -251,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nls-evolve", help="run the effective 1D equation")
     _add_common(p)
-    p.add_argument("--length", type=_float, default=16 * math.pi)
-    p.add_argument("--b", type=_float, default=1.0)
+    p.add_argument("--length", type=_float_flag, default=16 * math.pi)
+    p.add_argument("--b", type=_float_flag, default=1.0)
     p.add_argument("--initial", choices=["gaussian", "plane"], default="gaussian")
-    p.add_argument("--width", type=_float, default=2.0)
+    p.add_argument("--width", type=_float_flag, default=2.0)
     p.add_argument("--mode", type=int, default=0)
     p.add_argument("--outputs", type=int, default=10)
     p.add_argument("--dump-state", action="store_true")
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("manybody-evolve", help="run the N-boson dynamics")
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--epsilon", type=_float, default=None)
+    p.add_argument("--epsilon", type=_float_flag, default=None)
     p.add_argument("--outputs", type=int, default=5)
     p.add_argument("--dump-state", action="store_true")
     p.set_defaults(fn=cmd_manybody_evolve)
@@ -271,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="counting functionals of a state dump")
     p.add_argument("state", help="state .npz produced by manybody-evolve")
     p.add_argument("--mode", type=int, default=0, help="condensate basis mode")
-    p.add_argument("--xi", type=_float, default=DEFAULTS.xi)
-    p.add_argument("--energy-gap", dest="energy_gap", type=_float, default=0.0)
+    p.add_argument("--xi", type=_float_flag, default=DEFAULTS.xi)
+    p.add_argument("--energy-gap", dest="energy_gap", type=_float_flag, default=0.0)
     p.set_defaults(fn=cmd_alpha)
 
     p = sub.add_parser("aux-verify", help="integration-by-parts battery")
     _add_common(p, out=False)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--epsilon", type=_float, default=None)
+    p.add_argument("--epsilon", type=_float_flag, default=None)
     p.set_defaults(fn=cmd_aux_verify)
 
     p = sub.add_parser("sweep", help="convergence sweep over a scaling sequence")

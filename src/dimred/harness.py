@@ -74,7 +74,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class SweepInputs:
-    """What every point of a sweep shares; it depends on the config and its points."""
+    """What every point of a sweep shares; it depends on the config alone."""
 
     confinement: potentials.ConfinementPotential
     external: potentials.ExternalPotential | None
@@ -82,36 +82,17 @@ class SweepInputs:
     profile: potentials.InteractionProfile
 
 
-MAX_TRANSVERSE_GRID = 20001    # points^d_perp of the largest grid sweep_inputs grows to
-
-
-def sweep_inputs(cfg: ExperimentConfig, points=()) -> SweepInputs:
-    """The shared inputs of a sweep over `points`.  The unscaled transverse grid
-    has manybody.transverse_points as a floor and grows to the fewest odd points
-    that put MIN_POINTS_PER_RANGE scaled points across the smallest scaled range
-    mu R / eps among `points` (R the profile's support radius), in
-    `manybody.build_basis`'s own arithmetic, up to MAX_TRANSVERSE_GRID points^d_perp."""
+def sweep_inputs(cfg: ExperimentConfig) -> SweepInputs:
+    """The shared inputs of a sweep: the trap, the field, the interaction
+    profile and the unscaled transverse modes on the config's grid."""
     conf = potentials.confinement_by_name(cfg.confinement_name, cfg.d_perp)
-    profile = potentials.profile_by_name(cfg.profile_name, cfg.profile_height,
-                                         cfg.profile_radius)
-    extent = cfg.transverse_extent
-    ranges = [(potentials.scale(profile, p).range, p.epsilon) for p in points]
-
-    def resolves(n):
-        y0, y1 = transverse.TransverseGrid(extent, n).axis[:2]    # rescale(mode, eps).spacing
-        return all(r / float(y1 * eps - y0 * eps) >= transverse.MIN_POINTS_PER_RANGE
-                   for r, eps in ranges)
-
-    n = cfg.transverse_points
-    if not resolves(n):
-        top = int(MAX_TRANSVERSE_GRID ** (1.0 / cfg.d_perp))
-        n = next((m for m in range(n | 1, top + 1, 2) if resolves(m)), n)
-    tgrid = transverse.TransverseGrid(extent, n)
+    tgrid = transverse.TransverseGrid(cfg.transverse_extent, cfg.transverse_points)
     return SweepInputs(
         confinement=conf,
         external=potentials.external_by_name(cfg.external_name),
         unscaled_mode=transverse.solve_modes(conf, tgrid, n_modes=max(cfg.m_y, 2)),
-        profile=profile,
+        profile=potentials.profile_by_name(cfg.profile_name, cfg.profile_height,
+                                           cfg.profile_radius),
     )
 
 
@@ -120,7 +101,6 @@ class PointSetup:
     """The N-body problem of one scaling point, started from the condensate."""
 
     basis: manybody.ModeBasis
-    fock: manybody.FockBasis
     psi0: manybody.ManyBodyState
     h0: sp.csr_matrix           # H(0)
 
@@ -141,7 +121,7 @@ def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     condensate = full.occupations[:, 0] == point.n_particles
     fock = full.subset(next(r for r in manybody.sectors(basis, full) if condensate[r].any()))
     psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
-    return PointSetup(basis, fock, psi0, manybody.hamiltonian(basis, fock, 0.0))
+    return PointSetup(basis, psi0, manybody.hamiltonian(basis, fock, 0.0))
 
 
 def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
@@ -195,7 +175,7 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
 
 def run_sweep(cfg: ExperimentConfig, out_path: str | None = None) -> SweepResult:
     points = cfg.points()
-    inputs = sweep_inputs(cfg, points)
+    inputs = sweep_inputs(cfg)
     result = SweepResult(config_hash=cfg.config_hash)
     for point in points:
         try:
@@ -349,10 +329,10 @@ def verify_all(seed: int = 0) -> VerificationReport:
     # transverse analytics (1d harmonic)
     conf = potentials.harmonic_confinement(dimension=1)
     mode = transverse.solve_modes(conf, transverse.TransverseGrid(9.0, 4001), 2)
-    rep.add("transverse", "harmonic_e0", abs(mode.energy0 - 1.0), 5e-6)
-    rep.add("transverse", "harmonic_gap", abs(mode.gap - 2.0), 3e-5)
+    rep.add("transverse", "harmonic_e0", abs(mode.energy0 - 1.0), 1e-10)
+    rep.add("transverse", "harmonic_gap", abs(mode.gap - 2.0), 1e-11)
     rep.add("transverse", "harmonic_quartic",
-            abs(mode.quartic - 1.0 / math.sqrt(2.0 * math.pi)), 5e-6)
+            abs(mode.quartic - 1.0 / math.sqrt(2.0 * math.pi)), 1e-12)
 
     # ball Green toolkit on the closed-form case
     point = scaling.make_point(1000, 0.1, 0.5)
@@ -369,7 +349,7 @@ def verify_all(seed: int = 0) -> VerificationReport:
             abs(data.sup_gradient() - c * mu / 3.0) / (c * mu / 3.0), 1e-8)
 
     # coupling invariance of the sweep's own b_eff (run_point) along the default family
-    inputs = sweep_inputs(DEFAULTS, DEFAULTS.points())
+    inputs = sweep_inputs(DEFAULTS)
     b_vals = [potentials.effective_coupling(
                   potentials.scale(inputs.profile, p, d_perp=DEFAULTS.d_perp),
                   transverse.rescale(inputs.unscaled_mode, p.epsilon).quartic)

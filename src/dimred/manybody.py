@@ -56,8 +56,8 @@ from .errors import DomainError, InstabilityError, ResolutionError, SizeError, T
 from .nls import Trajectory
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction, gauss_legendre
 from .scaling import ScalingPoint
-from .transverse import (MIN_POINTS_PER_RANGE, TransverseMode, _normalize_and_sign,
-                         mode_correlations, offset_rule, rescale)
+from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
+                         offset_rule, rescale)
 
 GRID_CAP = 2**28
 LADDER_BATCH_BYTES = 1 << 20
@@ -421,12 +421,6 @@ def build_basis(
     if unscaled_mode.modes.shape[0] < m_y:
         raise DomainError("unscaled_mode holds fewer than m_y eigenmodes")
     tmode = rescale(unscaled_mode, point.epsilon)
-    ppr = scaled.range / tmode.spacing
-    if ppr < MIN_POINTS_PER_RANGE:
-        raise ResolutionError(
-            f"transverse grid has {ppr:.1f} points across the interaction range "
-            f"(need >= {MIN_POINTS_PER_RANGE}); refine the unscaled grid"
-        )
     q_ints = np.arange(-(m_x - 1), m_x, dtype=np.int64)
     u, weights = offset_rule(scaled.range, tmode.dimension, 64)
     what = _cosine_transform_x(scaled, 2.0 * math.pi * q_ints / box_length, np.abs(u))
@@ -450,8 +444,6 @@ def build_grid_matched_basis(
     if scaled.d_perp != 1 or confinement.dimension != 1:
         raise DomainError("the grid-matched basis is implemented for d_perp = 1")
     tmode = _periodic_modes(confinement, point.epsilon, n_y, y_span)
-    # no points-per-range gate here: the pair potential is discretized on the
-    # shared grid, and the mode basis is complete for exactly that model
     corr = mode_correlations(tmode, n_y)
     what = _grid_transform_x(scaled, box_length, n_x, np.abs(corr.offsets))
     vq = _assemble_vq(what, corr.values, tmode.weight)

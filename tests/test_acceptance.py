@@ -6,6 +6,7 @@ were computed with the independent oracles in the module test files; here the
 frozen numbers are asserted at their stated tolerances.
 """
 
+import dataclasses
 import math
 import time
 
@@ -402,11 +403,22 @@ def large_n_sweep():
 
 
 def test_large_n_family_runs_without_failures(large_n_sweep):
-    # the sweep's grid grows to resolve the smallest range (2045 points at N = 255)
+    # every point runs on the config's 961-point grid, also N = 255, where it
+    # puts 3.8 scaled points across the range
     env, result = large_n_sweep
     assert result.ok
     assert [r.n_particles for r in result.rows] == [2, 4, 8, 16, 32, 64, 128, 255]
-    assert len(sweep_inputs(env, env.points()).unscaled_mode.axis) == 2045
+    assert len(sweep_inputs(env).unscaled_mode.axis) == 961
+
+
+def test_a_row_does_not_depend_on_the_other_points_of_its_sweep(large_n_sweep):
+    # N = 128's row is the same bytes in the sweep over 2, 4, ..., 255 and in
+    # the sweep over 128, 255: a point's grid is the config's, not its sweep's
+    env, result = large_n_sweep
+    short = run_sweep(dataclasses.replace(env, n_values=(128, 255)))
+    row, = (r for r in result.rows if r.n_particles == 128)
+    assert short.rows[0].n_particles == 128
+    assert short.rows[0].as_csv() == row.as_csv()
 
 
 def test_large_n_gamma_matches_its_closed_form(large_n_sweep):

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import expm_multiply
 from dimred import harness, manybody, nls, potentials, projectors, scaling, transverse
 from dimred.cli import main
 from dimred.config import DEFAULT_CONFIG_TEXT, DEFAULTS, ExperimentConfig, parse_kv_text
-from dimred.errors import ConfigError, InsufficientDataError, ResolutionError
+from dimred.errors import ConfigError, InsufficientDataError
 
 FAST_SWEEP = """
 sequence.beta = 0.5
@@ -255,21 +255,21 @@ def test_default_points_run_in_their_momentum_sector():
     for point in env.points():
         setup = harness.point_setup(env, point, inputs)
         n = point.n_particles
-        assert setup.fock.dim == (24 if n == 2 else 158), n
-        assert np.all(setup.fock.occupations.astype(np.int64) @ setup.basis.mode_kx == 0)
+        assert setup.psi0.fock.dim == (24 if n == 2 else 158), n
+        assert np.all(setup.psi0.fock.occupations.astype(np.int64) @ setup.basis.mode_kx == 0)
         full = manybody.FockBasis(setup.basis.n_modes, n, env.max_excitations, env.dim_cap)
         # a brute-force (K, Pi) filter of the capped rows, one row at a time
         kx, parity = setup.basis.mode_kx.tolist(), setup.basis.mode_parity.tolist()
         sector = [row for row in full.occupations
                   if sum(int(c) * k for c, k in zip(row, kx)) == 0
                   and sum(int(c) * p for c, p in zip(row, parity)) % 2 == 0]
-        assert np.array_equal(setup.fock.occupations, np.array(sector)), n
+        assert np.array_equal(setup.psi0.fock.occupations, np.array(sector)), n
         h_full = manybody.hamiltonian(setup.basis, full).tocsr()
-        rows = full.lookup(setup.fock.occupations)
+        rows = full.lookup(setup.psi0.fock.occupations)
         rest = np.setdiff1d(np.arange(full.dim), rows)
         assert np.array_equal(setup.h0.toarray(), h_full[rows][:, rows].toarray()), n
         assert h_full[rest][:, rows].count_nonzero() == 0, n
-        assert setup.psi0.amplitudes.shape == (setup.fock.dim,)
+        assert setup.psi0.amplitudes.shape == (setup.psi0.fock.dim,)
         # psi0 lies in the sector: the condensate on all capped rows loses nothing there
         whole = manybody.product_state(full, np.eye(full.n_modes)[0]).amplitudes
         assert np.array_equal(whole[rows], setup.psi0.amplitudes), n
@@ -323,32 +323,36 @@ def test_sweep_failure_isolation(tmp_path):
     assert text_out.count("\n") == 2 + 2 + 1  # hash, header, 2 rows, 1 failure
 
 
-@pytest.mark.parametrize("n_particles, points", [(64, 1025), (128, 1451), (255, 2045)])
-def test_sweep_grid_is_the_fewest_odd_points_build_basis_accepts(n_particles, points):
-    # the default floor (961 points) puts fewer than 8 scaled points across the
-    # range from N = 64 on; sweep_inputs grows the grid in build_basis's own
-    # arithmetic, so its grid passes that check and the next odd grid down fails
-    env = DEFAULTS
-    point = scaling.make_point(n_particles, float(n_particles) ** -1.0, env.beta)
-    inputs = harness.sweep_inputs(env, [point])
-    assert len(inputs.unscaled_mode.axis) == points
+def test_sweep_solves_on_the_config_grid_at_any_n(monkeypatch):
+    # no point grows the grid: every sweep, whatever its points, solves once
+    # on manybody.transverse_points, and build_basis takes that grid at
+    # N = 255, where it puts fewer than 4 scaled points across the range
+    grids = []
+    solve = transverse.solve_modes
+    monkeypatch.setattr(transverse, "solve_modes",
+                        lambda conf, grid, **kw: grids.append(grid.points) or solve(conf, grid, **kw))
+    env = dataclasses.replace(DEFAULTS, n_values=(255,), t_final=0.01)
+    result = harness.run_sweep(env)
+    assert result.ok and grids == [DEFAULTS.transverse_points] == [961]
+    point = env.points()[0]
+    inputs = harness.sweep_inputs(env)
     scaled = potentials.scale(inputs.profile, point, d_perp=env.d_perp)
-
-    def build(mode):
-        return manybody.build_basis(point, inputs.confinement, None, scaled, env.m_x, env.m_y,
-                                    env.box_length, unscaled_mode=mode)
-
-    build(inputs.unscaled_mode)
-    coarser = transverse.TransverseGrid(env.transverse_extent, points - 2)
-    with pytest.raises(ResolutionError, match="points across the interaction range"):
-        build(transverse.solve_modes(inputs.confinement, coarser, env.m_y))
+    assert scaled.range / transverse.rescale(inputs.unscaled_mode, point.epsilon).spacing < 4
 
 
-def test_sweep_grid_keeps_the_floor_it_cannot_outgrow():
-    # no points, or a range that needs more than 20001 points: the floor stays
-    assert len(harness.sweep_inputs(DEFAULTS).unscaled_mode.axis) == 961
-    far = scaling.make_point(10**6, 1e-6, DEFAULTS.beta)
-    assert len(harness.sweep_inputs(DEFAULTS, [far]).unscaled_mode.axis) == 961
+def test_n255_excited_fraction_converges_on_the_floor_grid():
+    # rescaling multiplies the energies' discretization error by N^2 = 65025;
+    # the sixth-order solve keeps the floor grid's row within 1e-5 relative of
+    # a 16001-point run (5.3e-7 measured), where the second-order one was 40 % off
+    point = scaling.make_point(255, 1.0 / 255, DEFAULTS.beta)
+    rows = []
+    for n in (961, 16001):
+        env = dataclasses.replace(DEFAULTS, transverse_points=n)
+        rows.append(harness.run_point(env, point, harness.sweep_inputs(env)))
+    floor, fine = rows
+    assert floor.excited_fraction == pytest.approx(fine.excited_fraction, rel=1e-5)
+    assert floor.trace_distance == pytest.approx(fine.trace_distance, rel=1e-8)
+    assert floor.gamma_discrepancy == pytest.approx(fine.gamma_discrepancy, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

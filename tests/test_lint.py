@@ -313,8 +313,8 @@ def test_transverse_setup_calls_detects_a_planted_grid():
 
 
 def test_only_the_harness_sets_up_a_transverse_grid():
-    # one rule sizes the grid (harness.sweep_inputs); verify_all's analytic
-    # harmonic check is the only other solve
+    # the sweep solves on the config's grid (harness.sweep_inputs); verify_all's
+    # analytic harmonic check is the only other solve
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sorted(set(transverse_setup_calls(sources))) == [
         "harness.sweep_inputs: TransverseGrid", "harness.sweep_inputs: solve_modes",

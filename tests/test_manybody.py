@@ -524,14 +524,14 @@ def _default_sweep(external="zero"):
 def test_hamiltonian_matches_reference_kernel_on_default_sectors():
     # every sweep_default point, N = 2..8, in its (K, Pi) sector
     for setup in _default_sweep():
-        assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.fock))
+        assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.psi0.fock))
 
 
 def test_hamiltonian_matches_reference_kernel_on_capped_well_basis():
     # the static well breaks translation invariance: all 3654 capped rows at N = 8
     setup = _default_sweep("gaussian_well")[-1]
-    assert setup.fock.dim == 3654 and setup.fock.n_particles == 8
-    assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.fock))
+    assert setup.psi0.fock.dim == 3654 and setup.psi0.fock.n_particles == 8
+    assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.psi0.fock))
 
 
 def test_hamiltonian_matches_reference_kernel_on_grid_matched_pairs(pair_hamiltonians):
@@ -572,11 +572,22 @@ def test_hamiltonian_zero_interaction_is_one_body(setup):
     assert np.max(np.abs(h - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
-def test_under_resolved_transverse_grid_rejected(setup):
-    point, conf, _, sc, _ = setup
-    coarse = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, 33), 3)
-    with pytest.raises(manybody.ResolutionError):
-        manybody.build_basis(point, conf, None, sc, 5, 3, L, unscaled_mode=coarse)
+def test_vq_below_one_scaled_point_per_range_matches_a_fine_grid():
+    # what a points-per-range floor would guard: at N = 4096 the 961-point grid
+    # puts 0.94 scaled points across the range, and the pair factors vq still
+    # match a 16001-point run (3.6e-9 of the largest entry measured)
+    point = scaling.make_point(4096, 1.0 / 4096, 0.5)
+    conf = potentials.harmonic_confinement(dimension=1)
+    sc = potentials.scale(potentials.uniform_ball(height=3.0), point, d_perp=1)
+    vqs = []
+    for n in (961, 16001):
+        unscaled = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, n), 3)
+        if n == 961:
+            assert sc.range / transverse.rescale(unscaled, point.epsilon).spacing < 1.0
+        vqs.append(manybody.build_basis(point, conf, None, sc, 5, 3, L,
+                                        unscaled_mode=unscaled).vq)
+    coarse, fine = vqs
+    assert np.max(np.abs(coarse - fine)) < 1e-7 * np.max(np.abs(fine))
 
 
 # ---------------------------------------------------------------------------

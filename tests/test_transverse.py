@@ -21,9 +21,9 @@ def harmonic_1d():
 
 def test_harmonic_1d_analytics(harmonic_1d):
     m = harmonic_1d
-    assert m.energy0 == pytest.approx(1.0, abs=2e-5)
-    assert m.gap == pytest.approx(2.0, abs=1e-4)
-    assert m.quartic == pytest.approx(QUARTIC_1D, abs=1e-5)
+    assert m.energy0 == pytest.approx(1.0, abs=1e-10)
+    assert m.gap == pytest.approx(2.0, abs=1e-10)
+    assert m.quartic == pytest.approx(QUARTIC_1D, abs=1e-12)
 
 
 def test_harmonic_1d_chi_properties(harmonic_1d):
@@ -34,11 +34,13 @@ def test_harmonic_1d_chi_properties(harmonic_1d):
 
 
 def test_rayleigh_quotient_matches_eigenvalue(harmonic_1d):
-    # discrete <chi, (-Delta + V) chi> of the stored samples
+    # discrete <chi, (-Delta + V) chi> of the stored samples, -Delta by the
+    # 7-point sixth-order stencil with zeros beyond the grid
     chi, h, y = harmonic_1d.chi, harmonic_1d.spacing, harmonic_1d.axis
-    lap = np.zeros_like(chi)
-    lap[1:-1] = (chi[2:] - 2 * chi[1:-1] + chi[:-2]) / h**2
-    r = float(np.sum(chi * (-lap + y**2 * chi)) * h)
+    weights = (-1 / 90, 3 / 20, -3 / 2, 49 / 18, -3 / 2, 3 / 20, -1 / 90)
+    padded = np.pad(chi, 3)
+    minus_lap = sum(c * padded[k:k + len(chi)] for k, c in enumerate(weights)) / h**2
+    r = float(np.sum(chi * (minus_lap + y**2 * chi)) * h)
     assert r == pytest.approx(harmonic_1d.energy0, abs=1e-9)
 
 
@@ -68,14 +70,15 @@ def test_constant_shift_moves_energy_not_state(harmonic_1d):
     assert np.max(np.abs(m.chi - harmonic_1d.chi)) < 1e-9
 
 
-def test_second_order_eigenvalue_convergence():
+def test_sixth_order_eigenvalue_convergence():
+    # halving h divides the energy error by 2^6 (61 and 63 measured)
     conf = potentials.harmonic_confinement(dimension=1)
     errs = []
-    for n in (501, 1001, 2001):
-        m = transverse.solve_modes(conf, transverse.TransverseGrid(9.0, n), 2)
+    for n in (65, 129, 257):
+        m = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, n), 2)
         errs.append(abs(m.energy0 - 1.0))
-    assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.4)
-    assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.4)
+    assert errs[0] / errs[1] == pytest.approx(64.0, rel=0.1)
+    assert errs[1] / errs[2] == pytest.approx(64.0, rel=0.1)
 
 
 def test_boundary_decay_check():
