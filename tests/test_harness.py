@@ -340,6 +340,47 @@ def test_sweep_solves_on_the_config_grid_at_any_n(monkeypatch):
     assert scaled.range / transverse.rescale(inputs.unscaled_mode, point.epsilon).spacing < 4
 
 
+def _floor_and_finer_bases(point, points):
+    # the mode basis of `point` on the config's grid and on a `points` grid
+    bases = []
+    for n in (DEFAULTS.transverse_points, points):
+        env = dataclasses.replace(DEFAULTS, transverse_points=n)
+        inputs = harness.sweep_inputs(env)
+        assert len(inputs.unscaled_mode.axis) == n
+        scaled = potentials.scale(inputs.profile, point, d_perp=env.d_perp)
+        spacing = transverse.rescale(inputs.unscaled_mode, point.epsilon).spacing
+        bases.append((scaled.range / spacing,
+                      manybody.build_basis(point, inputs.confinement, None, scaled, env.m_x,
+                                           env.m_y, env.box_length, unscaled_mode=inputs.unscaled_mode)))
+    return bases
+
+
+def _assert_same_basis(coarse, fine, vq_rel):
+    scale = np.max(np.abs(fine.energies))
+    assert np.max(np.abs(coarse.energies - fine.energies)) < 1e-10 * scale
+    assert np.max(np.abs(coarse.vq - fine.vq)) < vq_rel * np.max(np.abs(fine.vq))
+
+
+@pytest.mark.parametrize("n_particles, points", [(64, 1025), (128, 1451)])
+def test_sweep_grid_is_the_fewest_odd_points_build_basis_accepts(n_particles, points):
+    # the config's 961 points are the fewest a sweep solves on: build_basis
+    # takes them where fewer than 8 scaled points cross the range, and the
+    # fewest odd grid putting 8 across (`points`) moves the basis by < 1e-8
+    point = scaling.make_point(n_particles, float(n_particles) ** -1.0, DEFAULTS.beta)
+    (floor_per_range, floor), (per_range, finer) = _floor_and_finer_bases(point, points)
+    assert floor_per_range < 8 <= per_range
+    _assert_same_basis(floor, finer, 1e-8)
+
+
+def test_sweep_grid_keeps_the_floor_it_cannot_outgrow():
+    # at N = 10^6 the floor puts 0.06 scaled points across the range and
+    # 20001 points put 1.25; the floor's basis is that grid's to 1e-9
+    far = scaling.make_point(10**6, 1e-6, DEFAULTS.beta)
+    (floor_per_range, floor), (per_range, finer) = _floor_and_finer_bases(far, 20001)
+    assert floor_per_range < 0.1 and per_range > 1
+    _assert_same_basis(floor, finer, 1e-9)
+
+
 def test_n255_excited_fraction_converges_on_the_floor_grid():
     # rescaling multiplies the energies' discretization error by N^2 = 65025;
     # the sixth-order solve keeps the floor grid's row within 1e-5 relative of
