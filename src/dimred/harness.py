@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,12 +21,6 @@ import scipy.sparse as sp
 from . import auxiliary, manybody, nls, potentials, projectors, scaling, transverse
 from .config import DEFAULTS, ExperimentConfig
 from .errors import DimredError, InsufficientDataError
-
-CSV_COLUMNS = (
-    "n_particles", "epsilon", "mu", "t", "trace_distance", "alpha_n2", "alpha_m",
-    "alpha_xi", "energy_gap", "theoretical_rate", "excited_fraction", "envelope",
-    "gronwall", "gamma_discrepancy",
-)
 
 
 @dataclass(frozen=True)
@@ -59,6 +53,9 @@ class SweepRow:
             format(getattr(self, c), ".17g") for c in CSV_COLUMNS[1:]
         ]
         return ",".join(vals)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass
@@ -333,6 +330,11 @@ def verify_all(seed: int = 0) -> VerificationReport:
     rep.add("transverse", "harmonic_gap", abs(mode.gap - 2.0), 1e-11)
     rep.add("transverse", "harmonic_quartic",
             abs(mode.quartic - 1.0 / math.sqrt(2.0 * math.pi)), 1e-12)
+    # 2d harmonic: E0 = gap = 2; 61^2 points miss them by 2.4e-6 and 9.3e-6
+    mode = transverse.solve_modes(potentials.harmonic_confinement(dimension=2),
+                                  transverse.TransverseGrid(6.5, 61), 2)
+    rep.add("transverse", "harmonic_2d_e0", abs(mode.energy0 - 2.0), 5e-6)
+    rep.add("transverse", "harmonic_2d_gap", abs(mode.gap - 2.0), 2e-5)
 
     # ball Green toolkit on the closed-form case
     point = scaling.make_point(1000, 0.1, 0.5)

@@ -599,15 +599,19 @@ def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
     a, b = pairs.T
     ab = (my[a] * n**3 + my[b] * n**2)[:, None]
 
-    def gather(c, d):
-        # the flat vq index; its (k_a, c, d) part is read as rows of a small table
-        index = (q[:, c] * n**4 + my[c] * n + my[d])[k_at[a]] + ab
+    def gather(c, d, rows):
+        # the flat vq index of these rows; its (k_a, c, d) part is read as rows of a small table
+        index = (q[:, c] * n**4 + my[c] * n + my[d])[k_at[a[rows]]]
+        index += ab[rows]
         return basis.vq.ravel().take(index) / basis.box_length
 
-    same = a == b
-    w = gather(b, a)
-    w[:, same] = 0.0
-    w += gather(a, b)
+    # a batch of rows at a time: no index or gathered copy spans the whole table
+    same, w = a == b, np.empty((len(a), len(a)), dtype=basis.vq.dtype)
+    step = max(1, LADDER_BATCH_BYTES // (16 * len(a)))
+    for rows in (slice(i, i + step) for i in range(0, len(a), step)):
+        w[rows] = gather(b, a, rows)
+        w[rows, same] = 0.0
+        w[rows] += gather(a, b, rows)
     w[same] *= 0.5
     return w
 
@@ -645,7 +649,7 @@ def _sector_block(basis: ModeBasis, fock: FockBasis, rows: np.ndarray, h: sp.spm
     """H on the given rows: cut from a prebuilt `h`, or else assembled on them
     alone without the field.  A real block over a third full is a dense float64
     array, into which an assembled one is summed batch by batch (``_operator``):
-    acceptance 7's largest, 604 rows, peaks at 9.3 MB traced, 17.0 through CSR."""
+    acceptance 7's largest, 604 rows, peaks at 7.7 MB traced, 17.0 through CSR."""
     if h is None:
         sector = fock.subset(rows)
         return two_body_operator(basis, sector, _row_sums(sector.occupations, basis.energies))

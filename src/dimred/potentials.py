@@ -272,11 +272,9 @@ class ConfinementPotential:
             raise DomainError(f"confinement dimension must be 1 or 2, got {self.dimension!r}")
 
     def on_grid(self, *axes) -> np.ndarray:
-        if self.dimension == 1:
-            (y,) = axes
-            return np.asarray(self.evaluator(np.abs(np.asarray(y, dtype=float))), dtype=float)
-        y1, y2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.asarray(self.evaluator(np.sqrt(y1**2 + y2**2)), dtype=float)
+        """V_perp at the radius of every point of the grid that ``axes`` span."""
+        radius = np.sqrt(sum(y**2 for y in np.meshgrid(*axes, indexing="ij", sparse=True)))
+        return np.asarray(self.evaluator(radius), dtype=float)
 
 
 def harmonic_confinement(dimension: int) -> ConfinementPotential:

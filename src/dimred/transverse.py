@@ -1,9 +1,9 @@
 """Ground state of the confined transverse problem -Delta_y + V_perp.
 
 The solver returns the lowest eigenpairs of the finite-difference operator by
-shift-invert Lanczos: the 7-point, sixth-order stencil in one transverse
-dimension, the 5-point stencil in two.  Rescaling multiplies the energies, and
-their O(h^p) error, by eps^(-2); at sixth order the config's grid keeps them
+shift-invert Lanczos: the 7-point, sixth-order stencil on every transverse
+axis, summed over the axes.  Rescaling multiplies the energies, and their
+O(h^6) error, by eps^(-2); at sixth order the config's grid keeps them
 accurate at every eps a sweep reaches, with no grid refinement.  Rescaling
 chi^eps(y) = eps^(-d/2) chi(y/eps) is exact on the discrete level, so the
 scaled eigenproblem is never re-solved, and the mode correlations are never
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +54,7 @@ class TransverseMode:
     """Discretized eigendata of -Delta_y + V_perp (or its eps-rescaling)."""
 
     axis: np.ndarray           # sample positions along one transverse axis
-    chi: np.ndarray            # shape (n,) for d=1, (n, n) for d=2; mode 0
+    chi: np.ndarray            # shape (n,) * dimension; mode 0
     modes: np.ndarray          # shape (n_modes, ...) stacked eigenfunctions
     energies: np.ndarray       # corresponding eigenvalues, ascending
     dimension: int
@@ -113,11 +113,7 @@ def _normalize_and_sign(vec: np.ndarray, weight: float) -> np.ndarray:
 
 
 def _check_boundary_decay(chi: np.ndarray) -> None:
-    if chi.ndim == 1:
-        edge = max(abs(chi[0]), abs(chi[-1]))
-    else:
-        edge = max(np.abs(chi[0, :]).max(), np.abs(chi[-1, :]).max(),
-                   np.abs(chi[:, 0]).max(), np.abs(chi[:, -1]).max())
+    edge = max(np.abs(np.take(chi, [0, -1], axis=k)).max() for k in range(chi.ndim))
     if edge > BOUNDARY_DECAY * np.abs(chi).max():
         raise ResolutionError(
             f"ground state does not decay at the boundary "
@@ -126,10 +122,9 @@ def _check_boundary_decay(chi: np.ndarray) -> None:
         )
 
 
-# -d^2/dy^2 times h^2 at the offsets -k..k: the centred second-difference
-# weights (Fornberg, Math. Comp. 51, 699 (1988)), sixth order in 1d, second in 2d
-STENCIL = {1: (-1 / 90, 3 / 20, -3 / 2, 49 / 18, -3 / 2, 3 / 20, -1 / 90),
-           2: (-1.0, 2.0, -1.0)}
+# -d^2/dy^2 times h^2 at the offsets -3..3: the centred sixth-order
+# second-difference weights (Fornberg, Math. Comp. 51, 699 (1988))
+STENCIL = (-1 / 90, 3 / 20, -3 / 2, 49 / 18, -3 / 2, 3 / 20, -1 / 90)
 
 
 def solve_modes(confinement: ConfinementPotential, grid: TransverseGrid,
@@ -139,15 +134,12 @@ def solve_modes(confinement: ConfinementPotential, grid: TransverseGrid,
     if n_modes < 2:
         raise DomainError(f"n_modes must be >= 2 (gap is always reported), got {n_modes}")
     y, h, n, d = grid.axis, grid.spacing, grid.points, confinement.dimension
-    weights = STENCIL[d]
-    offsets = range(-(len(weights) // 2), len(weights) // 2 + 1)
-    lap1 = sp.diags([np.full(n - abs(k), c / h**2) for k, c in zip(offsets, weights)],
+    offsets = range(-(len(STENCIL) // 2), len(STENCIL) // 2 + 1)
+    lap1 = sp.diags([np.full(n - abs(k), c / h**2) for k, c in zip(offsets, STENCIL)],
                     list(offsets), format="csr")
-    if d == 1:
-        v, lap = confinement.on_grid(y), lap1
-    else:
-        eye = sp.identity(n, format="csr")
-        v, lap = confinement.on_grid(y, y).ravel(), sp.kron(lap1, eye) + sp.kron(eye, lap1)
+    # -Delta on the d-fold grid: the sum of lap1 on each axis, I x .. x lap1 x .. x I
+    lap = reduce(lambda acc, _: sp.kronsum(acc, lap1), range(d - 1), lap1)
+    v = confinement.on_grid(*(y,) * d).ravel()
     # a fixed start vector makes the modes reproducible; a random one, so
     # that it is not orthogonal to the odd modes as a symmetric vector is
     v0 = np.random.default_rng(0).standard_normal(n**d)
@@ -182,7 +174,7 @@ class ModeCorrelations:
     """
 
     offsets: np.ndarray        # wrapped offsets along one axis
-    values: np.ndarray         # (n, n, n, n, n_y) for d = 1, (n, n, n, n, n_y, n_y) for d = 2
+    values: np.ndarray         # (n, n, n, n) + (n_y,) * dimension
     dimension: int
 
     def interpolant(self):

@@ -134,12 +134,13 @@ def test_criterion_4_transverse_analytics():
     conf1 = potentials.harmonic_confinement(dimension=1)
     m1 = transverse.solve_modes(conf1, transverse.TransverseGrid(9.0, 14001), 2)
     err1 = (abs(m1.energy0 - 1.0), abs(m1.gap - 2.0), abs(m1.quartic - QUARTIC_1D))
+    # the sixth-order stencil misses the 2d E0 and quartic by 4.2e-7 and 2.0e-7 on 81^2 points
     conf2 = potentials.harmonic_confinement(dimension=2)
-    m2 = transverse.solve_modes(conf2, transverse.TransverseGrid(6.5, 591), 2)
+    m2 = transverse.solve_modes(conf2, transverse.TransverseGrid(6.5, 81), 2)
     err2 = (abs(m2.energy0 - 2.0), abs(m2.quartic - QUARTIC_2D))
     elapsed = time.time() - t0
     ok = (err1[0] < 1e-6 and err1[1] < 1e-6 and err1[2] < 1e-6
-          and err2[0] < 1e-4 and err2[1] < 1e-4 and elapsed < 60.0)
+          and err2[0] < 1e-6 and err2[1] < 1e-6 and elapsed < 60.0)
     assert report(4, "transverse analytics", ok,
                   f"(1d errs {err1[0]:.1e}/{err1[1]:.1e}/{err1[2]:.1e}, "
                   f"2d errs {err2[0]:.1e}/{err2[1]:.1e}, {elapsed:.1f}s)")

@@ -388,7 +388,8 @@ def test_gamma_sweep_decay_confirms_bound():
 @pytest.fixture(scope="module")
 def tmode_2d():
     conf = potentials.harmonic_confinement(dimension=2)
-    unscaled = transverse.solve_modes(conf, transverse.TransverseGrid(6.0, 321), 2)
+    # at extent 6 the sixth-order mode's edge/peak (1.2e-8 on 81^2 points) trips the boundary check
+    unscaled = transverse.solve_modes(conf, transverse.TransverseGrid(6.5, 81), 2)
     return transverse.rescale(unscaled, 0.5)
 
 
@@ -401,7 +402,7 @@ def test_quasi1d_2d_gaussian_closed_form(tmode_2d):
     i0 = int(np.argmin(np.abs(wbar.xs)))
     r, eps = sc.range, point.epsilon
     exact = float(sc(0.0)) * (1.0 - math.exp(-(r**2) / (2.0 * eps**2)))
-    assert wbar.values[i0] == pytest.approx(exact, rel=1e-3)
+    assert wbar.values[i0] == pytest.approx(exact, rel=1e-5)    # 4.2e-6 measured
     assert np.array_equal(wbar.values, wbar.values[::-1])
 
 
@@ -425,7 +426,7 @@ def test_discrepancy_2d_uniform_condensate(tmode_2d):
         t_of_u = np.exp(-(u**2) / (2.0 * eps**2)) / (2.0 * math.pi * eps**2)
         tot += swi * float(np.sum(uw * wv * (t_of_u - 1.0 / (2.0 * math.pi * eps**2))))
     exact = abs(point.n_particles / grid.length * tot) * math.sqrt(grid.length)
-    assert res.l2_norm == pytest.approx(exact, rel=5e-3)
+    assert res.l2_norm == pytest.approx(exact, rel=3e-4)    # 1.7e-4 measured
 
 
 def test_discrepancy_1d_uniform_condensate(tmode_eps):

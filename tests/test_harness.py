@@ -396,6 +396,23 @@ def test_n255_excited_fraction_converges_on_the_floor_grid():
     assert floor.gamma_discrepancy == pytest.approx(fine.gamma_discrepancy, rel=1e-5)
 
 
+def test_d_perp_2_default_family_agrees_between_121_and_161_points():
+    # the sixth-order 2d solve: every column of the 121-point rows lies within
+    # 1e-5 relative of the 161-point rows (energy_gap 4.5e-6 and excited_fraction
+    # 2.4e-6 measured), the Gamma discrepancy within 1e-4 (3.0e-5); the 5-point
+    # stencil put excited_fraction 1.4e-2 apart
+    rows = []
+    for n in (121, 161):
+        env = dataclasses.replace(DEFAULTS, d_perp=2, transverse_extent=6.5, transverse_points=n)
+        result = harness.run_sweep(env)
+        assert result.ok and len(result.rows) == 7
+        rows.append(result.rows)
+    for coarse, fine in zip(*rows):
+        for name in harness.CSV_COLUMNS:
+            rel = 1e-4 if name == "gamma_discrepancy" else 1e-5
+            assert getattr(coarse, name) == pytest.approx(getattr(fine, name), rel=rel, abs=0.0), name
+
+
 # ---------------------------------------------------------------------------
 # rate fit
 # ---------------------------------------------------------------------------
@@ -572,6 +589,9 @@ def test_run_point_energy_at_final_time(monkeypatch):
         return manybody.expectation(mtraj.final, h) / psi0.fock.n_particles
 
     gap = abs(energy(t_final) - e_phi)
+    # the row names the time both states reached
+    assert row.t == t_final
+    assert mtraj.final.time == pytest.approx(t_final) and ntraj.final.time == pytest.approx(t_final)
     assert row.energy_gap == pytest.approx(gap, rel=1e-9)
     assert row.alpha_xi == pytest.approx(row.alpha_m + gap, rel=1e-9)
     assert abs(abs(energy(0.0) - e_phi) - gap) > 1e-3

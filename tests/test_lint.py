@@ -372,3 +372,60 @@ def test_the_field_operator_has_one_home():
     # H(t) = B + (f(t) - f_B) G is formed in manybody._sector_hamiltonian alone
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert len(field_operator_builds(sources)) == 1
+
+
+# names that hold a transverse or array dimension
+DIMENSION_NAMES = ("d", "d_perp", "dimension", "ndim")
+
+
+def dimension_branches(sources: dict[str, str]) -> list[str]:
+    """Functions, as ``module: Class.function``, that compare a dimension (a
+    name or attribute in DIMENSION_NAMES) with a literal or a tuple of literals."""
+
+    def literal(node):
+        return isinstance(node, ast.Constant) or (
+            isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and all(isinstance(e, ast.Constant) for e in node.elts))
+
+    def dimension(node):
+        return getattr(node, "id", getattr(node, "attr", None)) in DIMENSION_NAMES
+
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Compare):
+                sides = [child.left, *child.comparators]
+                if any(map(dimension, sides)) and any(map(literal, sides)):
+                    found.append(f"{module}: {'.'.join(scope) or '<module>'}")
+            visit(child, module, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, [])
+    return list(dict.fromkeys(found))
+
+
+def test_dimension_branches_detects_a_planted_branch():
+    source = ("class Mode:\n    def __post_init__(self):\n        if self.dimension not in (1, 2):\n"
+              "            raise ValueError\n\n"
+              "    def planted(self, chi):\n        return chi[0] if chi.ndim == 1 else chi[0, 0]\n\n\n"
+              "def solve(d, n):\n    if n == 1:\n        return d\n    return d + 1 if 2 > d else d\n\n\n"
+              "def loop(d, ndim):\n    return [k for k in range(d) if k != ndim]\n")
+    assert dimension_branches({"a.py": source}) == [
+        "a.py: Mode.__post_init__", "a.py: Mode.planted", "a.py: solve"]
+
+
+def test_only_the_rules_whose_mathematics_differ_branch_on_the_dimension():
+    # one stencil, summed over the axes, serves every transverse dimension; the
+    # offset rule (signed offset or polar radius) and the correlation
+    # interpolant (a spline or an angular mean) differ, and the constructors
+    # check the range of a dimension or the shape of a table
+    sources = {name: (SRC / name).read_text() for name in ("potentials.py", "transverse.py")}
+    assert dimension_branches(sources) == [
+        "potentials.py: from_table", "potentials.py: from_csv",
+        "potentials.py: ScaledInteraction.__post_init__",
+        "potentials.py: ConfinementPotential.__post_init__",
+        "transverse.py: ModeCorrelations.interpolant", "transverse.py: offset_rule"]

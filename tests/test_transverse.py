@@ -45,11 +45,12 @@ def test_rayleigh_quotient_matches_eigenvalue(harmonic_1d):
 
 
 def test_harmonic_2d_analytics():
+    # errors 1.5e-8, 6.0e-8 and 7.0e-9 on 141^2 points
     conf = potentials.harmonic_confinement(dimension=2)
-    m = transverse.solve_modes(conf, transverse.TransverseGrid(6.5, 301), 2)
-    assert m.energy0 == pytest.approx(2.0, abs=5e-4)
-    assert m.gap == pytest.approx(2.0, abs=5e-3)
-    assert m.quartic == pytest.approx(QUARTIC_2D, abs=2e-4)
+    m = transverse.solve_modes(conf, transverse.TransverseGrid(6.5, 141), 2)
+    assert m.energy0 == pytest.approx(2.0, abs=2e-8)
+    assert m.gap == pytest.approx(2.0, abs=1e-7)
+    assert m.quartic == pytest.approx(QUARTIC_2D, abs=1e-8)
 
 
 def test_2d_solve_is_reproducible():
@@ -71,14 +72,14 @@ def test_constant_shift_moves_energy_not_state(harmonic_1d):
 
 
 def test_sixth_order_eigenvalue_convergence():
-    # halving h divides the energy error by 2^6 (61 and 63 measured)
-    conf = potentials.harmonic_confinement(dimension=1)
-    errs = []
-    for n in (65, 129, 257):
-        m = transverse.solve_modes(conf, transverse.TransverseGrid(8.0, n), 2)
-        errs.append(abs(m.energy0 - 1.0))
-    assert errs[0] / errs[1] == pytest.approx(64.0, rel=0.1)
-    assert errs[1] / errs[2] == pytest.approx(64.0, rel=0.1)
+    # halving h divides the energy error by 2^6: 61 and 63 measured from 65 to
+    # 129 to 257 points in 1d, 62 from 51^2 to 101^2 points in 2d
+    for dimension, extent, sizes in ((1, 8.0, (65, 129, 257)), (2, 6.5, (51, 101))):
+        conf = potentials.harmonic_confinement(dimension=dimension)
+        errs = [abs(transverse.solve_modes(conf, transverse.TransverseGrid(extent, n), 2).energy0
+                    - dimension) for n in sizes]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(64.0, rel=0.1)
 
 
 def test_boundary_decay_check():
@@ -108,7 +109,7 @@ def test_rescale_normalization_and_quartic(harmonic_1d):
 
 def test_rescale_2d_power_law():
     conf = potentials.harmonic_confinement(dimension=2)
-    m = transverse.solve_modes(conf, transverse.TransverseGrid(6.5, 201), 2)
+    m = transverse.solve_modes(conf, transverse.TransverseGrid(6.5, 41), 2)
     m_eps = transverse.rescale(m, 0.1)
     assert m_eps.quartic == pytest.approx(100.0 * m.quartic, rel=1e-10)
     assert np.sum(m_eps.modes[0] ** 2) * m_eps.weight == pytest.approx(1.0, abs=1e-10)
