@@ -196,7 +196,7 @@ def cmd_aux_verify(args) -> int:
     trapped = potentials.scale(inputs.profile, point, 1)
     wbar = auxiliary.quasi1d(trapped, tmode)
     wbar_l1 = wbar.l1()
-    b_over_n = potentials.effective_coupling(trapped, tmode.quartic) / point.n_particles
+    b_over_n = inputs.b_eff / point.n_particles
     report["wbar_l1"] = wbar_l1
     report["b_over_n"] = b_over_n
     report["hbar_residual"] = auxiliary.build_h_bar(wbar, beta1=env.beta1,

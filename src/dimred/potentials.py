@@ -189,8 +189,9 @@ def effective_coupling(scaled: ScaledInteraction, rescaled_quartic: float) -> fl
     """The coupling b = N * int_{R^(1+dperp)} w_scaled * int |chi^eps|^4 of the
     effective equation; (N, eps)-invariant along power-law families.
 
-    For d_perp = 2 it is the paper's (N/eps^2) * int w_scaled * int |chi|^4.
-    """
+    For d_perp = 2 it is the paper's (N/eps^2) * int w_scaled * int |chi|^4.  The
+    sweep uses its eps-free limit (``harness.SweepInputs.b_eff``); only
+    verify-all's coupling_invariance check still calls this scaled route."""
     if rescaled_quartic <= 0:
         raise DomainError(f"rescaled_quartic must be positive, got {rescaled_quartic!r}")
     p = scaled.point

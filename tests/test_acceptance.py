@@ -9,6 +9,7 @@ frozen numbers are asserted at their stated tolerances.
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,21 +396,35 @@ def test_criterion_8_gamma_slope(persistence_sweep):
                   f"{bound_ratio[0]:.3f} -> {bound_ratio[-1]:.3f}, decreasing={decreasing})")
 
 
+LARGE_N_CFG = Path(__file__).resolve().parents[1] / "configs" / "large_n.cfg"
+
+
 @pytest.fixture(scope="module")
 def large_n_sweep():
-    env = ExperimentConfig.from_text(SWEEP_TEXT.replace(
-        "sequence.n_values = 2, 3, 4, 5, 6, 7, 8",
-        "sequence.n_values = 2, 4, 8, 16, 32, 64, 128, 255"))
+    env = ExperimentConfig.from_file(LARGE_N_CFG)
     return env, run_sweep(env)
 
 
 def test_large_n_family_runs_without_failures(large_n_sweep):
-    # every point runs on the config's 961-point grid, also N = 255, where it
-    # puts 3.8 scaled points across the range
+    # configs/large_n.cfg is configs/default.cfg but for its N; every point runs
+    # on the config's 961-point grid, also N = 255, where it puts 3.8 scaled
+    # points across the range
     env, result = large_n_sweep
     assert result.ok
     assert [r.n_particles for r in result.rows] == [2, 4, 8, 16, 32, 64, 128, 255]
+    assert dataclasses.replace(env, n_values=(), config_hash="") == dataclasses.replace(
+        DEFAULTS, n_values=(), config_hash="")
     assert len(sweep_inputs(env).unscaled_mode.axis) == 961
+
+
+def test_large_n_trace_distance_falls_as_one_over_n(large_n_sweep):
+    # N * trace distance levels off: over N >= 32 the log-log slope is -1
+    # (-0.987 measured)
+    _, result = large_n_sweep
+    rows = [r for r in result.rows if r.n_particles >= 32]
+    fit = auxiliary._loglog_fit(np.array([float(r.n_particles) for r in rows]),
+                                np.array([r.trace_distance for r in rows]))
+    assert len(rows) == 4 and -1.05 <= fit.slope <= -0.95, fit.slope
 
 
 def test_a_row_does_not_depend_on_the_other_points_of_its_sweep(large_n_sweep):
@@ -443,7 +458,8 @@ def test_large_n_gamma_matches_its_closed_form(large_n_sweep):
 
 
 def test_criterion_9_coupling_invariance():
-    # the sweep's own b_eff (harness.run_point) along configs/default.cfg's family
+    # the scaled b of each point of configs/default.cfg's family against its
+    # eps-free limit, the sweep's b (harness.SweepInputs.b_eff)
     t0 = time.time()
     env = DEFAULTS
     inputs = sweep_inputs(env)
@@ -459,6 +475,7 @@ def test_criterion_9_coupling_invariance():
                  for p, b in zip(points, b_vals) for eta in (0.5, 1.0, 2.0))
     match = abs(b_vals[0] - b_limit)
     elapsed = time.time() - t0
-    ok = spread <= 1e-12 and match <= 1e-12 and cond_d and elapsed < 5.0
+    ok = (spread <= 1e-12 and match <= 1e-12 and cond_d and inputs.b_eff == b_limit
+          and elapsed < 5.0)
     assert report(9, "coupling invariance", ok,
                   f"(spread {spread:.1e}, condition (d) {cond_d}, {elapsed:.1f}s)")

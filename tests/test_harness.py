@@ -530,10 +530,10 @@ def test_condensate_projector_is_a_basis_mode_only_for_one_plane_wave():
     # its counting functionals read occupations; a mixed Phi is no basis mode
     env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     point = env.points()[-1]
-    basis = harness.point_setup(env, point, harness.sweep_inputs(env)).basis
+    inputs = harness.sweep_inputs(env)
+    basis = harness.point_setup(env, point, inputs).basis
     grid = nls.Grid1D(env.box_length, env.nls_points)
-    b_eff = potentials.effective_coupling(basis.scaled, basis.transverse.quartic)
-    phi_t = nls.evolve(nls.plane_wave(grid, 0), None, b_eff, env.nls_dt, env.t_final,
+    phi_t = nls.evolve(nls.plane_wave(grid, 0), None, inputs.b_eff, env.nls_dt, env.t_final,
                        n_outputs=1).final
     assert point.n_particles == 8 and phi_t.time == pytest.approx(env.t_final)
     assert projectors.condensate_projector(basis, phi_t).basis_mode == 0
@@ -556,6 +556,25 @@ def test_sweep_with_external_well():
         assert row.trace_distance <= math.sqrt(8.0 * row.alpha_n2) + 1e-9
         assert row.envelope >= 1.0
         assert 0.0 < row.trace_distance < 2.0
+
+
+def test_default_sweep_integrates_the_effective_equation_once(monkeypatch, tmp_path):
+    # b is a sweep constant, so every point asks nls.evolve for the same run:
+    # the Strang loop runs once, and a sweep that clears the memo before every
+    # point writes the same bytes
+    nls._strang.cache_clear()
+    harness.run_sweep(DEFAULTS, out_path=str(tmp_path / "memo.csv"))
+    info = nls._strang.cache_info()
+    assert (info.misses, info.hits) == (1, len(DEFAULTS.points()) - 1)
+    run_point = harness.run_point
+
+    def cleared(*args):
+        nls._strang.cache_clear()
+        return run_point(*args)
+
+    monkeypatch.setattr(harness, "run_point", cleared)
+    harness.run_sweep(DEFAULTS, out_path=str(tmp_path / "cleared.csv"))
+    assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "cleared.csv").read_bytes()
 
 
 def test_run_point_energy_at_final_time(monkeypatch):

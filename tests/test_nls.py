@@ -201,3 +201,53 @@ def test_field_profile_evaluated_once_per_run(grid):
     ref = nls.evolve(state, ext, 1.0, 1e-2, 0.2, n_outputs=4)
     assert len(calls) == 1 and len(traj.states) == 5
     assert np.array_equal(traj.final.values, ref.final.values)
+
+
+def _memo_inputs(grid):
+    return dict(state=nls.gaussian_state(grid, width=2.0),
+                external=potentials.gaussian_well(depth=0.5, width=3.0),
+                b=1.0, dt=1e-2, t_final=0.2, n_outputs=4)
+
+
+def test_a_repeat_call_returns_the_same_trajectory(grid):
+    # equal inputs, the values compared by their bytes, get the memoized run
+    kw = _memo_inputs(grid)
+    first = nls.evolve(**kw)
+    twin = nls.CondensateState(grid, kw["state"].values.copy(), 0.0)
+    assert nls.evolve(**dict(kw, state=twin)) is first
+
+
+def _one_bit_off(state):
+    values = state.values.copy()
+    values.view(np.uint64)[0] ^= 1
+    return nls.CondensateState(state.grid, values, state.time)
+
+
+@pytest.mark.parametrize("change", [
+    lambda kw: {"b": math.nextafter(kw["b"], math.inf)},
+    lambda kw: {"dt": 5e-3},
+    lambda kw: {"t_final": 0.24},
+    lambda kw: {"n_outputs": 2},
+    lambda kw: {"external": potentials.gaussian_well(depth=0.5, width=3.0)},
+    lambda kw: {"state": _one_bit_off(kw["state"])},
+    lambda kw: {"state": dataclasses.replace(kw["state"], time=0.04)},
+], ids=["b_one_ulp", "dt", "t_final", "n_outputs", "external", "values_one_bit", "time"])
+def test_changing_any_one_input_recomputes(grid, change):
+    kw = _memo_inputs(grid)
+    first = nls.evolve(**kw)
+    misses = nls._strang.cache_info().misses
+    other = dict(kw, **change(kw))
+    again = nls.evolve(**other)
+    assert again is not first and nls._strang.cache_info().misses == misses + 1
+    assert again.final.time == pytest.approx(other["t_final"])
+
+
+def test_a_memoized_state_cannot_be_written(grid):
+    # the memo hands one Trajectory to every equal call: a write must raise,
+    # not corrupt the next caller's state
+    traj = nls.evolve(**_memo_inputs(grid))
+    with pytest.raises(ValueError, match="read-only"):
+        traj.final.values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.final.values *= 2.0
+    assert not any(s.values.flags.writeable for s in traj.states)
