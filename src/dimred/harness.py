@@ -330,11 +330,20 @@ def verify_all(seed: int = 0) -> VerificationReport:
     rep.add("transverse", "harmonic_gap", abs(mode.gap - 2.0), 1e-11)
     rep.add("transverse", "harmonic_quartic",
             abs(mode.quartic - 1.0 / math.sqrt(2.0 * math.pi)), 1e-12)
+    # the density correlation T(u) = exp(-u^2/2) T(0) off the grid offsets,
+    # relative to T(0) = 1/sqrt(2 pi) in 1d and 1/(2 pi) in 2d
+    u = np.linspace(0.05, 2.95, 30)
+    rep.add("transverse", "harmonic_correlation",
+            np.max(np.abs(mode.correlation(u, 1)[0, 0, 0, 0] * math.sqrt(2.0 * math.pi)
+                          - np.exp(-u**2 / 2.0))), 1e-12)
     # 2d harmonic: E0 = gap = 2; 61^2 points miss them by 2.4e-6 and 9.3e-6
     mode = transverse.solve_modes(potentials.harmonic_confinement(dimension=2),
                                   transverse.TransverseGrid(6.5, 61), 2)
     rep.add("transverse", "harmonic_2d_e0", abs(mode.energy0 - 2.0), 5e-6)
     rep.add("transverse", "harmonic_2d_gap", abs(mode.gap - 2.0), 2e-5)
+    rep.add("transverse", "harmonic_2d_correlation",
+            np.max(np.abs(mode.correlation(u, 1)[0, 0, 0, 0] * 2.0 * math.pi
+                          - np.exp(-u**2 / 2.0))), 1e-5)
 
     # ball Green toolkit on the closed-form case
     point = scaling.make_point(1000, 0.1, 0.5)

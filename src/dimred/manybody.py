@@ -5,10 +5,11 @@ the lowest eigenmodes of the rescaled transverse trap.  Pair matrix elements
 exploit the structure of w(z - z'): longitudinal momentum is conserved
 exactly, so the two-body tensor is stored as V[q, ma, mb, mc, md] with
 q = k_a - k_c, assembled by one ``_assemble_vq`` from a cosine transform in x
-and the circular transverse mode correlations in y over one set of
-offsets: the grid offsets of ``transverse.mode_correlations`` for the
-grid-matched basis, Gauss nodes of ``TransverseMode.correlation`` (the one
-interpolant of the unscaled mode, shared by a sweep) for the continuum basis.
+and the transverse mode correlations in y, ``TransverseMode.correlation``,
+over one set of offsets: the grid offsets (``wrapped_offsets``), where it is
+the circular correlation, for the grid-matched basis, and Gauss nodes for
+the continuum basis, which read the one spectrum of the unscaled mode a
+sweep shares.
 
 Transverse energies enter shifted by the ground energy E0/eps^2
 ("renormalized convention"): propagation then happens without the fast
@@ -56,8 +57,8 @@ from .errors import DomainError, InstabilityError, ResolutionError, SizeError, T
 from .nls import Trajectory
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction, gauss_legendre
 from .scaling import ScalingPoint
-from .transverse import (TransverseMode, _normalize_and_sign, mode_correlations,
-                         offset_rule, rescale)
+from .transverse import (TransverseMode, _normalize_and_sign, offset_rule, rescale,
+                         wrapped_offsets)
 
 GRID_CAP = 2**28
 LADDER_BATCH_BYTES = 1 << 20
@@ -444,9 +445,9 @@ def build_grid_matched_basis(
     if scaled.d_perp != 1 or confinement.dimension != 1:
         raise DomainError("the grid-matched basis is implemented for d_perp = 1")
     tmode = _periodic_modes(confinement, point.epsilon, n_y, y_span)
-    corr = mode_correlations(tmode, n_y)
-    what = _grid_transform_x(scaled, box_length, n_x, np.abs(corr.offsets))
-    vq = _assemble_vq(what, corr.values, tmode.weight)
+    u = wrapped_offsets(tmode.axis)
+    what = _grid_transform_x(scaled, box_length, n_x, np.abs(u))
+    vq = _assemble_vq(what, tmode.correlation(u, n_y), tmode.weight)
     kx = np.sort(np.fft.fftfreq(n_x, d=1.0 / n_x).astype(np.int64))
     return _mode_basis(point, scaled, box_length, kx, tmode, vq, np.arange(n_x), n_x, None)
 

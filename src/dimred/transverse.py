@@ -8,18 +8,18 @@ accurate at every eps a sweep reaches, with no grid refinement.  Rescaling
 chi^eps(y) = eps^(-d/2) chi(y/eps) is exact on the discrete level, so the
 scaled eigenproblem is never re-solved, and the mode correlations are never
 recomputed: S^eps(u) = eps^(-d) S(u/eps) reads the unscaled mode's one
-interpolant (``TransverseMode.correlation``).
+spectrum (``TransverseMode.correlation``), the exact trigonometric
+interpolant of the circular grid correlations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import eigsh
 
 from .errors import DegeneracyError, DomainError, ResolutionError
@@ -62,26 +62,54 @@ class TransverseMode:
     unit: TransverseMode | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def _correlations(self) -> ModeCorrelations:
-        return mode_correlations(self, len(self.modes))
-
-    @cached_property
-    def _interpolants(self) -> dict:
-        return {}
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The exact trigonometric interpolant of the circular correlations of
+        the pair products tau_a tau_c, a <= c, of every mode, from one FFT:
+        wavevectors k of shape (K, d); the real and the imaginary parts of the
+        coefficients c_k = w F_ac conj(F_bd) / n^d, one row per pair of pairs;
+        and the row of each S[a, c, b, d].  Wavevectors whose every coefficient
+        lies below roundoff of the largest are dropped."""
+        n = len(self.modes)
+        a, c = np.triu_indices(n)
+        pair = np.empty((n, n), dtype=np.int64)
+        pair[a, c] = pair[c, a] = np.arange(len(a))
+        axes = tuple(range(1, self.dimension + 1))
+        f = np.fft.fftn(self.modes[a] * self.modes[c], axes=axes).reshape(len(a), -1)
+        peak = np.max(np.abs(f), axis=0) ** 2      # the largest |c_k| over the pairs, / (w / n^d)
+        keep = peak > np.finfo(float).eps * peak.max()
+        freqs = 2.0 * math.pi * np.fft.fftfreq(len(self.axis), d=self.spacing)
+        k = np.stack(np.meshgrid(*(freqs,) * self.dimension, indexing="ij"), axis=-1)
+        f = f[:, keep]
+        coef = (self.weight / len(self.axis) ** self.dimension
+                * f[:, None] * np.conj(f[None, :])).reshape(len(a) ** 2, -1)
+        rows = pair[:, :, None, None] * len(a) + pair
+        return k.reshape(-1, self.dimension)[keep], coef.real.copy(), coef.imag.copy(), rows
 
     def correlation(self, u, n_modes: int):
-        """S(u) of the first `n_modes` modes, shape (n, n, n, n, *u.shape) as in
-        ``ModeCorrelations.interpolant``.  A rescaled mode evaluates the
-        interpolant of the mode it was rescaled from, S^s(u) = s^(-d) S(u/s);
-        the interpolant of each mode count is cut from one FFT of all modes."""
+        """S[a, c, b, d](u) = w sum_y tau_a tau_c(y) tau_b tau_d(y - u) of the
+        first `n_modes` modes, shape (n, n, n, n, *u.shape): the exact
+        trigonometric interpolant of the circular grid correlations, so equal to
+        them at the grid offsets (`wrapped_offsets`).  The transverse-density
+        correlation T(u) = int |chi(y)|^2 |chi(y - u)|^2 dy is the (0, 0, 0, 0) entry.
+
+        In one dimension u is the signed offset, S(u) = sum_k Re(c_k e^(iku)).  In
+        two, u is the offset radius and S the exact angular mean, sum_k Re(c_k)
+        J0(|k| u).  A rescaled mode reads the spectrum of the mode it was
+        rescaled from, S^s(u) = s^(-d) S(u/s).  All pairs are evaluated, then
+        the first `n_modes` cut, so S of fewer modes is a sub-block bit for bit.
+        """
         ref = self.unit or self
-        at = ref._interpolants.get(n_modes)
-        if at is None:
-            c = ref._correlations
-            lead = (slice(n_modes),) * 4
-            at = ref._interpolants[n_modes] = replace(c, values=c.values[lead]).interpolant()
+        k, re, im, rows = ref._spectrum
         s = self.epsilon / ref.epsilon
-        return s ** -self.dimension * at(np.asarray(u, dtype=float) / s)
+        u = np.asarray(u, dtype=float) / s
+        if self.dimension == 1:
+            ku = np.outer(k[:, 0], u)
+            vals = re @ np.cos(ku) - im @ np.sin(ku)
+        else:
+            from scipy.special import j0  # d_perp = 2 only
+            vals = re @ j0(np.outer(np.linalg.norm(k, axis=1), u))
+        cut = rows[(slice(n_modes),) * 4]
+        return s ** -self.dimension * vals[cut].reshape(*cut.shape, *u.shape)
 
     @property
     def spacing(self) -> float:
@@ -162,91 +190,6 @@ def wrapped_offsets(axis: np.ndarray) -> np.ndarray:
     h = axis[1] - axis[0]
     span = len(axis) * h
     return (np.arange(len(axis)) * h + span / 2.0) % span - span / 2.0
-
-
-@dataclass(frozen=True)
-class ModeCorrelations:
-    """S[a, c, b, d](u) = w sum_y tau_a tau_c(y) tau_b tau_d(y - u) on the
-    circular grid offsets (`wrapped_offsets` per axis, FFT order).
-
-    The transverse-density correlation T(u) = int |chi(y)|^2 |chi(y - u)|^2 dy
-    is the (0, 0, 0, 0) entry.
-    """
-
-    offsets: np.ndarray        # wrapped offsets along one axis
-    values: np.ndarray         # (n, n, n, n) + (n_y,) * dimension
-    dimension: int
-
-    def interpolant(self):
-        """Cubic interpolant u -> S(u) of shape (n, n, n, n, *u.shape).
-
-        In one dimension u is the signed offset and S a cubic spline of the
-        grid values.  In two, u is the offset radius and S the mean of a
-        bicubic spline over 32 angles.  Cubic splines keep the interpolation
-        error far below the mu^2-scale signals these integrals carry (a
-        bilinear angular mean misses the 2d Gamma closed form by 7e-3).
-        """
-        order = np.argsort(self.offsets)
-        o = self.offsets[order]
-        lead = self.values.shape[:4]
-        if self.dimension == 1:
-            spline = cubic_spline(o, self.values.reshape(-1, len(o))[:, order].T)
-            return lambda u: np.moveaxis(spline(u), -1, 0).reshape(*lead, *np.shape(u))
-        from scipy.interpolate import RectBivariateSpline  # d_perp = 2 only
-        # S is bitwise symmetric in a <-> c and b <-> d: fit a <= c, b <= d, mirror the rest
-        a, c = np.triu_indices(lead[0])
-        pair = np.empty(lead[:2], dtype=np.int64)
-        pair[a, c] = pair[c, a] = np.arange(len(a))
-        grids = self.values[a, c][:, a, c][..., order, :][..., order].reshape(-1, len(o), len(o))
-        splines = [RectBivariateSpline(o, o, g) for g in grids]
-        theta = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
-
-        def at(u):
-            u = np.asarray(u, dtype=float)[..., None]
-            y1, y2 = u * np.cos(theta), u * np.sin(theta)
-            means = np.stack([s.ev(y1, y2).mean(axis=-1) for s in splines])
-            return means.reshape(len(a), len(a), *u.shape[:-1])[pair][:, :, pair]
-
-        return at
-
-
-def cubic_spline(x: np.ndarray, y: np.ndarray):
-    """The not-a-knot cubic spline through y[i, :] at the ascending x[i], as
-    u -> values of shape (*u.shape, y.shape[1]), continued by the end cubics
-    beyond x.  It repeats scipy.interpolate.CubicSpline's arithmetic bit for bit."""
-    dx = np.diff(x)
-    h, d0, d1 = dx[:, None], x[2] - x[0], x[-1] - x[-3]
-    slope = np.diff(y, axis=0) / h
-    # the slopes s at the nodes solve one tridiagonal system; its end rows are not-a-knot
-    ab = np.zeros((3, len(x)))
-    ab[0, 1:], ab[2, :-1] = (d0, *dx[:-1]), (*dx[1:], d1)
-    ab[1] = (dx[1], *2 * (dx[:-1] + dx[1:]), dx[-2])
-    rhs = np.concatenate([((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1])[None] / d0,
-                          3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:]),
-                          (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1])[None] / d1])
-    s = solve_banded((1, 1), ab, rhs)
-    t = (s[:-1] + s[1:] - 2 * slope) / h
-    coeffs = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / h - t, t / h])  # powers 0..3 of u - x[i]
-
-    def at(u):
-        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
-        z = (u - x[i])[..., None]
-        c = coeffs[:, i]
-        return c[0] + c[1] * z + c[2] * (z * z) + c[3] * (z * z * z)
-
-    return at
-
-
-def mode_correlations(mode: TransverseMode, n_modes: int) -> ModeCorrelations:
-    """Circular correlations of the pair products tau_a tau_c of the first
-    `n_modes` modes, by one FFT over the transverse grid."""
-    tau = mode.modes[:n_modes]
-    pairs = (tau[:, None] * tau[None, :]).reshape(n_modes**2, *tau.shape[1:])
-    axes = tuple(range(-mode.dimension, 0))
-    f = np.fft.fftn(pairs, axes=axes)
-    corr = np.fft.ifftn(f[:, None] * np.conj(f[None, :]), axes=axes).real
-    values = mode.weight * corr.reshape((n_modes,) * 4 + tau.shape[1:])
-    return ModeCorrelations(wrapped_offsets(mode.axis), values, mode.dimension)
 
 
 def offset_rule(u_max, dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -288,12 +288,11 @@ def test_quasi1d_integral_identity(tmode_eps):
     # W1(u) = 2 sqrt(r^2 - u^2) * amplitude of the ball
     sc = surrogate_scaled()
     wbar = auxiliary.quasi1d(sc, tmode_eps, n_samples=4097)
-    corr = transverse.mode_correlations(tmode_eps, 1).interpolant()
     r = sc.range
     nodes, weights = np.polynomial.legendre.leggauss(96)
     u = r * nodes
     w1 = 2.0 * np.sqrt(np.maximum(r**2 - u**2, 0.0)) * float(sc(0.0))
-    rhs = float(np.sum(r * weights * corr(u)[0, 0, 0, 0] * w1))
+    rhs = float(np.sum(r * weights * tmode_eps.correlation(u, 1)[0, 0, 0, 0] * w1))
     assert wbar.l1() == pytest.approx(rhs, rel=2e-4)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 
@@ -397,10 +398,11 @@ def test_n255_excited_fraction_converges_on_the_floor_grid():
 
 
 def test_d_perp_2_default_family_agrees_between_121_and_161_points():
-    # the sixth-order 2d solve: every column of the 121-point rows lies within
-    # 1e-5 relative of the 161-point rows (energy_gap 4.5e-6 and excited_fraction
-    # 2.4e-6 measured), the Gamma discrepancy within 1e-4 (3.0e-5); the 5-point
-    # stencil put excited_fraction 1.4e-2 apart
+    # the sixth-order 2d solve and the spectral angular mean of S: every column
+    # of the 121-point rows lies within 3e-6 relative of the 161-point rows
+    # (excited_fraction 1.4e-6 measured), the Gamma discrepancy within 1e-6
+    # (2.1e-7); a bicubic angular mean put it 3.0e-5 apart, and the 5-point
+    # stencil excited_fraction 1.4e-2
     rows = []
     for n in (121, 161):
         env = dataclasses.replace(DEFAULTS, d_perp=2, transverse_extent=6.5, transverse_points=n)
@@ -409,7 +411,7 @@ def test_d_perp_2_default_family_agrees_between_121_and_161_points():
         rows.append(result.rows)
     for coarse, fine in zip(*rows):
         for name in harness.CSV_COLUMNS:
-            rel = 1e-4 if name == "gamma_discrepancy" else 1e-5
+            rel = 1e-6 if name == "gamma_discrepancy" else 3e-6
             assert getattr(coarse, name) == pytest.approx(getattr(fine, name), rel=rel, abs=0.0), name
 
 
@@ -667,16 +669,18 @@ def test_manybody_evolve_builds_the_field_operator_once(operator_builds, tmp_pat
 
 def test_sweep_computes_the_mode_correlations_once(monkeypatch):
     # every point rescales the one unscaled mode, and every rescaled mode reads
-    # that mode's interpolants, all cut from one FFT per sweep
+    # that mode's spectrum: one FFT per sweep
     env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
     calls = []
-    orig = transverse.mode_correlations
+    orig = transverse.TransverseMode._spectrum.func
 
-    def counted(*args, **kwargs):
+    def counted(mode):
         calls.append(1)
-        return orig(*args, **kwargs)
+        return orig(mode)
 
-    monkeypatch.setattr(transverse, "mode_correlations", counted)
+    spectrum = functools.cached_property(counted)
+    spectrum.__set_name__(transverse.TransverseMode, "_spectrum")
+    monkeypatch.setattr(transverse.TransverseMode, "_spectrum", spectrum)
     result = harness.run_sweep(env)
     assert result.ok and len(result.rows) == 7
     assert len(calls) == 1

@@ -234,8 +234,9 @@ def test_imports_anywhere_detects_an_import_in_a_function():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_modules_never_import_scipy_integrate(path):
-    # every integral goes through potentials.gauss_legendre; quad is a test oracle
-    assert imports_anywhere(path.read_text(), ("scipy.integrate",)) == []
+    # every integral goes through potentials.gauss_legendre; quad is a test oracle.
+    # The transverse correlation is its exact trigonometric interpolant, no spline
+    assert imports_anywhere(path.read_text(), ("scipy.integrate", "scipy.interpolate")) == []
 
 
 def test_a_default_sweep_loads_no_off_sweep_scipy():
@@ -420,12 +421,12 @@ def test_dimension_branches_detects_a_planted_branch():
 
 def test_only_the_rules_whose_mathematics_differ_branch_on_the_dimension():
     # one stencil, summed over the axes, serves every transverse dimension; the
-    # offset rule (signed offset or polar radius) and the correlation
-    # interpolant (a spline or an angular mean) differ, and the constructors
+    # offset rule (signed offset or polar radius) and the correlation (its
+    # trigonometric sum or the sum's angular mean) differ, and the constructors
     # check the range of a dimension or the shape of a table
     sources = {name: (SRC / name).read_text() for name in ("potentials.py", "transverse.py")}
     assert dimension_branches(sources) == [
         "potentials.py: from_table", "potentials.py: from_csv",
         "potentials.py: ScaledInteraction.__post_init__",
         "potentials.py: ConfinementPotential.__post_init__",
-        "transverse.py: ModeCorrelations.interpolant", "transverse.py: offset_rule"]
+        "transverse.py: TransverseMode.correlation", "transverse.py: offset_rule"]

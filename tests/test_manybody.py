@@ -1317,25 +1317,6 @@ def test_build_basis_d_perp_2(basis_2d):
 
 
 
-def test_mirrored_2d_interpolant_equals_full_fit(basis_2d):
-    # the interpolant fits S[a, c, b, d] for a <= c and b <= d only and mirrors
-    # the rest; one bicubic fit per entry, all n^4 of them, gives the same
-    from scipy.interpolate import RectBivariateSpline
-
-    n = basis_2d.m_y
-    corr = transverse.mode_correlations(basis_2d.transverse, n)
-    order = np.argsort(corr.offsets)
-    o = corr.offsets[order]
-    theta = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
-    u = np.linspace(0.0, basis_2d.scaled.range, 9)[:, None]
-    full = np.stack([RectBivariateSpline(o, o, g[order][:, order])
-                     .ev(u * np.cos(theta), u * np.sin(theta)).mean(axis=-1)
-                     for g in corr.values.reshape(n**4, len(o), len(o))])
-    mirrored = corr.interpolant()(u[:, 0])
-    assert mirrored.shape == (n, n, n, n, 9)
-    assert np.max(np.abs(mirrored.reshape(n**4, 9) - full)) <= 1e-15 * np.max(np.abs(full))
-
-
 def test_vq_d_perp_2_against_radial_quadrature(basis_2d):
     # the harmonic ground state has T(rho) = exp(-rho^2/(2 eps^2))/(2 pi eps^2),
     # so V[q, 0, 0, 0, 0] = 2 pi int_0^r What(q, rho) T(rho) rho drho

@@ -1,9 +1,9 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from dimred import harness, potentials, transverse
 from dimred.config import ExperimentConfig
@@ -134,83 +134,104 @@ def _random_mode(dimension, n_y, n_modes, seed):
 
 
 def _assert_rescaled_correlation_exact(mode, u_unit):
-    # a rescaled mode reads its unit mode's interpolant, S^eps(u) = eps^-d S(u/eps);
-    # it matches the interpolant of its own correlations, rescaled twice too
+    # a rescaled mode reads its unit mode's spectrum, S^eps(u) = eps^-d S(u/eps);
+    # it matches the spectrum of its own grid values, rescaled twice too
     for eps in (0.3, 0.05):
         scaled = transverse.rescale(transverse.rescale(mode, 0.5), eps / 0.5)
         assert scaled.unit is mode and scaled.epsilon == pytest.approx(eps, rel=1e-15)
+        alone = dataclasses.replace(scaled, unit=None)
         u = eps * u_unit
         for n in (1, len(mode.modes)):
-            ref = transverse.mode_correlations(scaled, n).interpolant()(u)
+            ref = alone.correlation(u, n)
             got = scaled.correlation(u, n)
-            assert got.shape == ref.shape
+            assert got.shape == ref.shape == (n,) * 4 + u.shape
             assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
+def _trigonometric_sum(mode, u):
+    # sum_k c_k e^(ik.u) over the whole stored spectrum, at offset vectors u (..., d)
+    k, re, im, rows = mode._spectrum
+    phase = np.exp(1j * np.tensordot(k, u, axes=([1], [-1]))).reshape(len(k), -1)
+    return ((re + 1j * im) @ phase).real[rows].reshape(*rows.shape, *u.shape[:-1])
+
+
 def test_mode_correlations_1d_against_direct_sum():
-    mode = _random_mode(1, 40, 3, seed=11)
-    corr = transverse.mode_correlations(mode, 3)
-    n = len(mode.axis)
-    f = (mode.modes[:, None] * mode.modes[None, :]).reshape(9, n)
-    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n     # [k, j] -> j - k
-    ref = mode.weight * np.einsum("pj,qkj->pqk", f, f[:, shift])
-    assert np.max(np.abs(corr.values.reshape(9, 9, n) - ref)) < 1e-12 * np.max(np.abs(ref))
-    # the spline in the signed offset passes through every grid value
-    at = corr.interpolant()
-    assert np.max(np.abs(at(corr.offsets) - corr.values)) < 1e-12 * np.max(np.abs(ref))
+    # at the grid offsets the interpolant is the circular correlation, for an
+    # even grid (whose Nyquist term is its own mirror) and an odd one
+    for n_y in (40, 41):
+        mode = _random_mode(1, n_y, 3, seed=11)
+        f = (mode.modes[:, None] * mode.modes[None, :]).reshape(9, n_y)
+        shift = (np.arange(n_y)[None, :] - np.arange(n_y)[:, None]) % n_y   # [k, j] -> j - k
+        ref = mode.weight * np.einsum("pj,qkj->pqk", f, f[:, shift])
+        got = mode.correlation(transverse.wrapped_offsets(mode.axis), 3)
+        assert np.max(np.abs(got.reshape(9, 9, n_y) - ref)) < 1e-12 * np.max(np.abs(ref))
     _assert_rescaled_correlation_exact(mode, np.linspace(-2.5, 2.5, 11))
 
 
-def _assert_matches_cubic_spline(corr, u):
-    # oracle: scipy's not-a-knot CubicSpline of the same grid values
-    order = np.argsort(corr.offsets)
-    lead = corr.values.shape[:4]
-    oracle = CubicSpline(corr.offsets[order], corr.values.reshape(-1, len(order))[:, order],
-                         axis=1)
-    ref = oracle(u).reshape(*lead, *u.shape)
-    got = corr.interpolant()(u)
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_cubic_spline_against_scipy_on_random_data():
-    rng = np.random.default_rng(5)
-    x = np.sort(rng.uniform(-4.0, 4.0, 57))
-    y = rng.normal(size=(57, 6))
-    # nodes, interior points, and both ends' extrapolating cubics
-    u = np.concatenate([x, rng.uniform(-4.0, 4.0, 300), [-6.0, -4.5, 4.5, 6.0]])
-    ref = CubicSpline(x, y)(u)
-    assert np.max(np.abs(transverse.cubic_spline(x, y)(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
-    mode = _random_mode(1, 81, 3, seed=6)
-    corr = transverse.mode_correlations(mode, 3)
-    _assert_matches_cubic_spline(corr, np.concatenate([corr.offsets, u]))
-
-
-def test_interpolant_matches_cubic_spline_on_the_default_sweep():
-    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parents[1] / "configs"
-                                     / "default.cfg")
-    inputs = harness.sweep_inputs(cfg)
-    mode = inputs.unscaled_mode
-    corr = transverse.mode_correlations(mode, cfg.m_y)
-    _assert_matches_cubic_spline(corr, corr.offsets)
-    # the unit-mode offsets build_basis evaluates: Gauss nodes over the range, / eps
-    assert -np.min(corr.offsets) == pytest.approx(8.0, rel=1e-12)
-    for point in cfg.points():
-        scaled = potentials.scale(inputs.profile, point, d_perp=cfg.d_perp)
-        u, _ = transverse.offset_rule(scaled.range, mode.dimension, 64)
-        _assert_matches_cubic_spline(corr, u / point.epsilon)
-        # |u|/eps peaks at 0.707 (N = 2), far inside the half-span 8: no point
-        # of the sweep reaches the extrapolating end cubics
-        assert np.max(np.abs(u)) / point.epsilon <= 0.71
-
-
 def test_mode_correlations_2d_against_direct_sum():
+    # the 2d spectrum reproduces the circular correlation at every grid offset vector
     mode = _random_mode(2, 16, 2, seed=12)
-    corr = transverse.mode_correlations(mode, 2)
     n = len(mode.axis)
     f = (mode.modes[:, None] * mode.modes[None, :]).reshape(4, n, n)
     shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     shifted = f[:, shift[:, :, None, None], shift[None, None, :, :]]  # (q, k1, j1, k2, j2)
     ref = mode.weight * np.einsum("pab,qkalb->pqkl", f, shifted)
-    assert np.max(np.abs(corr.values.reshape(4, 4, n, n) - ref)) < 1e-12 * np.max(np.abs(ref))
+    o = transverse.wrapped_offsets(mode.axis)
+    got = _trigonometric_sum(mode, np.stack(np.meshgrid(o, o, indexing="ij"), axis=-1))
+    assert np.max(np.abs(got.reshape(4, 4, n, n) - ref)) < 1e-12 * np.max(np.abs(ref))
     _assert_rescaled_correlation_exact(mode, np.linspace(0.0, 2.5, 11))
+
+
+def test_2d_correlation_is_the_angular_mean_of_the_trigonometric_sum():
+    # J0(|k| rho) is the exact mean of e^(ik.u) over the circle |u| = rho; a
+    # 256-angle trapezoid of the same sum resolves it to roundoff
+    mode = _random_mode(2, 16, 2, seed=13)
+    rho = np.linspace(0.0, 2.5, 11)
+    theta = np.linspace(0.0, 2.0 * math.pi, 257)[:-1]
+    u = rho[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    ref = _trigonometric_sum(mode, u).mean(axis=-1)
+    got = mode.correlation(rho, 2)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def _hermite_functions(n, y):
+    # the normalized eigenfunctions of -d^2/dy^2 + y^2, by the three-term recursion
+    psi = [math.pi**-0.25 * np.exp(-y * y / 2.0), math.sqrt(2.0) * y * math.pi**-0.25
+           * np.exp(-y * y / 2.0)]
+    for k in range(2, n):
+        psi.append(math.sqrt(2.0 / k) * y * psi[-1] - math.sqrt((k - 1) / k) * psi[-2])
+    return np.array(psi[:n])
+
+
+def test_correlation_matches_the_harmonic_modes_on_the_default_sweep():
+    # oracle: S from the exact Hermite functions, by a trapezoid sum on a fine
+    # grid (exact to roundoff for a Gaussian decay), at every Gauss offset the
+    # default sweep evaluates.  A mode's sign is a convention, so compare the
+    # entries in which each index appears an even number of times.  The
+    # sixth-order modes' own error is 4.8e-12; a cubic spline of the grid
+    # correlations missed by 6.1e-9
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parents[1] / "configs"
+                                     / "default.cfg")
+    inputs = harness.sweep_inputs(cfg)
+    mode, n = inputs.unscaled_mode, cfg.m_y
+    u = np.concatenate([
+        transverse.offset_rule(potentials.scale(inputs.profile, p, d_perp=1).range, 1, 64)[0]
+        / p.epsilon for p in cfg.points()])
+    got = mode.correlation(u, n)
+    y = np.linspace(-14.0, 14.0, 28001)
+    psi, psi_u = _hermite_functions(n, y), _hermite_functions(n, y[:, None] - u)
+    ref = (y[1] - y[0]) * np.einsum("ay,cy,byu,dyu->acbdu", psi, psi, psi_u, psi_u)
+    idx = np.indices((n,) * 4).reshape(4, -1).T
+    even = np.array([np.all(np.bincount(r, minlength=n) % 2 == 0) for r in idx])
+    err = np.abs(got - ref).reshape(n**4, -1)[even]
+    assert np.max(err) < 1e-11 * np.max(np.abs(ref))
+
+
+def test_2d_correlation_matches_the_harmonic_closed_form():
+    # T(rho) = exp(-rho^2/2)/(2 pi) for the 2d harmonic ground state; on 121^2
+    # points the spectral angular mean is 1.1e-7 off, a bicubic one was 1.1e-6
+    mode = transverse.solve_modes(potentials.harmonic_confinement(dimension=2),
+                                  transverse.TransverseGrid(6.5, 121), 2)
+    rho = np.linspace(0.0, 3.0, 31)
+    ref = np.exp(-rho**2 / 2.0) / (2.0 * math.pi)
+    assert np.max(np.abs(mode.correlation(rho, 1)[0, 0, 0, 0] - ref)) < 3e-7 * ref[0]
