@@ -25,7 +25,8 @@ a radial w, the transverse parity Pi = (-1)^(sum_a n_a p_a)
 Pi), so each (K, Pi) sector is an exact block of H.  ``evolve`` propagates
 each sector above the Krylov floor, and reads its energies, on its own H(t) =
 B + (f(t) - f_B) G, the one home of a field f(t) g (``_sector_hamiltonian``),
-by Lanczos exponentials (``lanczos_expm``; ``expm_multiply`` is a test oracle).
+by Lanczos exponentials (``lanczos_expm``: one Krylov space of up to 128
+vectors per step where that meets the budget; ``expm_multiply`` is a test oracle).
 
 One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
 it lowers each row by each lower set its occupied entries hold and raises
@@ -579,11 +580,13 @@ def _operator(fock: FockBasis, sets: np.ndarray, label: np.ndarray, weights, dia
 
 def one_body_operator(fock: FockBasis, h: np.ndarray) -> sp.csr_matrix:
     """Sparse sum_ab h[a,b] adag_a a_b on the occupation basis: the diagonal
-    from the occupations, the rest in one class of the modes it couples."""
+    from the occupations, the rest, if any, in one class of the modes it couples."""
     off = np.where(np.eye(len(h), dtype=bool), 0.0, h)
     modes = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
-    diag = _row_sums(fock.occupations, np.real(np.diag(h))).astype(complex)
-    return sp.diags(diag, format="csr") + _operator(
+    diag = sp.diags(_row_sums(fock.occupations, np.real(np.diag(h))).astype(complex), format="csr")
+    if not len(modes):
+        return diag
+    return diag + _operator(
         fock, modes[:, None], np.zeros(len(modes), dtype=np.int64),
         lambda c, l: off[np.ix_(c[:, 0], l[:, 0])])
 
@@ -667,18 +670,20 @@ def _real_block_product(hmat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = DEFAULTS.krylov_tol,
-                 m_max: int = 40) -> np.ndarray:
+                 m_max: int = 128) -> np.ndarray:
     """exp(-1j dt H) v for Hermitian H given by its action.
 
-    Each Krylov space (at most m_max vectors) grows until it breaks down or
-    reaches the error budget tol * h / dt for the rest h of the interval, by
-    Saad's a-posteriori estimate, tested at every 4th vector, at a breakdown
-    and at m_max.  If it does not reach it, it advances by the largest
-    h = rest / 2^k it does reach, and the next space starts from the advanced
-    vector: a shorter step reuses the basis.  The vectors are the rows of one
-    (m_max, n) array; each new one is reorthogonalized against all before it
-    by two block classical Gram-Schmidt passes (CGS2).  LAPACK dstev
-    diagonalizes the tridiagonal once per test; every h reuses the last one.
+    Each Krylov space (at most m_max vectors, and never more than len(v))
+    grows until it breaks down or reaches the error budget tol * h / dt for
+    the rest h of the interval, by Saad's a-posteriori estimate, tested at
+    m = 4, 8, 12, 16, then each time the space has grown by a quarter, at a
+    breakdown and at m_max.  If it does not reach it, it advances by the
+    largest h = rest / 2^k it does reach, and the next space starts from the
+    advanced vector.  The vectors are the rows of one (m_max, n) array,
+    touched as far as used; each new one is reorthogonalized against all
+    before it by a block classical Gram-Schmidt pass, and by a second if the
+    first leaves less than 1/sqrt(2) of it (DGKS).  LAPACK dstev diagonalizes
+    the tridiagonal once per test; every h reuses the last one.
     """
     def expm_e1(m, h):
         # exp(-1j h T) e_1 by the last dstev, and whether |beta_m h y_m| is in budget
@@ -687,31 +692,35 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = DEFAULTS.krylov
 
     if np.linalg.norm(v) == 0.0:
         return v.copy()
+    m_max = min(m_max, len(v))
     vecs = np.empty((m_max, len(v)), dtype=complex)
     alphas, betas = np.empty(m_max), np.empty(m_max)
     rest = dt
     while True:
         nrm = np.linalg.norm(v)
         vecs[0] = v / nrm
-        m = 0
+        m, test = 0, 4
         while True:
             w = apply_h(vecs[m])
             alphas[m] = np.real(np.vdot(vecs[m], w))
             w = w - alphas[m] * vecs[m]
             if m:
                 w -= betas[m - 1] * vecs[m - 1]
-            # full reorthogonalization, twice: cheap at these Krylov sizes, prevents ghosts
-            krylov = vecs[:m + 1]
+            # full reorthogonalization, twice where once cancels below 1/sqrt(2) (DGKS)
+            krylov, limit = vecs[:m + 1], np.linalg.norm(w) / math.sqrt(2)
             for _ in range(2):
                 w -= (krylov @ w.conj()).conj() @ krylov
-            betas[m] = np.linalg.norm(w)
+                betas[m] = np.linalg.norm(w)
+                if betas[m] >= limit:
+                    break
             m += 1
-            if m % 4 == 0 or m == m_max or betas[m - 1] < 1e-14:
+            if m == test or m == m_max or betas[m - 1] < 1e-14:
                 evals, evecs, info = dstev(alphas[:m], betas[:max(m - 1, 1)])
                 if info:
                     raise ToleranceError(f"dstev failed on the Lanczos tridiagonal (info = {info})")
                 if m == m_max or expm_e1(m, rest)[1]:
                     break
+                test = m + max(4, m // 4)
             vecs[m] = w / betas[m - 1]
         for k in range(31):
             h = rest / 2**k

@@ -437,6 +437,17 @@ def test_a_row_does_not_depend_on_the_other_points_of_its_sweep(large_n_sweep):
     assert short.rows[0].as_csv() == row.as_csv()
 
 
+def test_large_n_rows_sit_within_1e_10_of_a_tighter_krylov_run(large_n_sweep):
+    # krylov.tol = 1e-10 bounds each step's error; every column stays within
+    # 1e-10 relative of the run at 1e-14, also at N = 255, whose transverse
+    # energies reach 2/eps^2 = 1.3e5 (5e-13 measured, in excited_fraction)
+    env, result = large_n_sweep
+    tight = run_sweep(dataclasses.replace(env, krylov_tol=1e-14))
+    rows, exact = ([[float(x) for x in r.as_csv().split(",")] for r in run.rows]
+                   for run in (result, tight))
+    assert np.all(np.abs(np.subtract(rows, exact)) <= 1e-10 * np.abs(exact))
+
+
 def test_large_n_gamma_matches_its_closed_form(large_n_sweep):
     # Gamma's accuracy is the transverse grid's, not the NLS grid's: at N >= 32
     # the range lies below 2/16 of the NLS spacing, and Gamma still matches 8g's

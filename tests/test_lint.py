@@ -284,10 +284,10 @@ def test_a_failing_hypothesis_test_does_not_end_the_run(tmp_path):
     assert run.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), run.stdout[-2000:]
 
 
-def transverse_setup_calls(sources: dict[str, str]) -> list[str]:
-    """Calls of ``TransverseGrid`` or ``solve_modes``, by bare name or
-    attribute, as ``module.definition: name`` with the enclosing top-level
-    definition (``<module>`` outside one)."""
+def calls_by_definition(sources: dict[str, str], names) -> list[str]:
+    """Calls of any of ``names``, by bare name or attribute, as
+    ``module.definition: name`` with the enclosing top-level definition
+    (``<module>`` outside one)."""
     found = []
     for module, text in sources.items():
         for top in ast.parse(text).body:
@@ -295,10 +295,13 @@ def transverse_setup_calls(sources: dict[str, str]) -> list[str]:
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in ("TransverseGrid", "solve_modes"):
+                if name in names:
                     found.append(f"{module.removesuffix('.py')}."
                                  f"{getattr(top, 'name', '<module>')}: {name}")
     return found
+
+
+TRANSVERSE_SETUP = ("TransverseGrid", "solve_modes")
 
 
 def test_transverse_setup_calls_detects_a_planted_grid():
@@ -309,7 +312,7 @@ def test_transverse_setup_calls_detects_a_planted_grid():
                  "        return transverse.solve_modes(conf, grid, 2)\n\n\n"
                  "GRID = transverse.TransverseGrid(1.0, 17)\n"),
     }
-    assert transverse_setup_calls(sources) == [
+    assert calls_by_definition(sources, TRANSVERSE_SETUP) == [
         "a.f: solve_modes", "a.f: TransverseGrid", "b.K: solve_modes", "b.<module>: TransverseGrid"]
 
 
@@ -317,9 +320,31 @@ def test_only_the_harness_sets_up_a_transverse_grid():
     # the sweep solves on the config's grid (harness.sweep_inputs); verify_all's
     # analytic harmonic check is the only other solve
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert sorted(set(transverse_setup_calls(sources))) == [
+    assert sorted(set(calls_by_definition(sources, TRANSVERSE_SETUP))) == [
         "harness.sweep_inputs: TransverseGrid", "harness.sweep_inputs: solve_modes",
         "harness.verify_all: TransverseGrid", "harness.verify_all: solve_modes"]
+
+
+# the routines that exponentiate or diagonalize a Krylov tridiagonal
+KRYLOV_KERNELS = ("dstev", "eigh_tridiagonal", "expm", "expm_multiply")
+
+
+def test_krylov_kernel_calls_detects_a_planted_exponential():
+    sources = {"a.py": ("from scipy.linalg import expm, eigh_tridiagonal\n\n\n"
+                        "def step(h, v, dt):\n    def inner(t):\n"
+                        "        return eigh_tridiagonal(t, t[1:])\n"
+                        "    return expm(-1j * dt * h) @ v\n\n\n"
+                        "W = scipy.sparse.linalg.expm_multiply(H, V)\n")}
+    assert calls_by_definition(sources, KRYLOV_KERNELS) == [
+        "a.step: eigh_tridiagonal", "a.step: expm", "a.<module>: expm_multiply"]
+
+
+def test_one_lanczos_kernel_exponentiates():
+    # every N-body propagation goes through manybody.lanczos_expm;
+    # expm_multiply is a test oracle
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sorted(set(calls_by_definition(sources, KRYLOV_KERNELS))) == [
+        "manybody.lanczos_expm: dstev"]
 
 
 def widened_occupation_tables(source: str) -> list[str]:

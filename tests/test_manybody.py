@@ -887,7 +887,7 @@ def test_lanczos_matches_scipy_on_random_hermitian():
     mine = manybody.lanczos_expm(lambda x: h @ x, v, 0.7, tol=1e-12)
     ref = expm_multiply(-0.7j * h.tocsc(), v)
     assert np.max(np.abs(mine - ref)) < 1e-9
-    # an interval 40 Krylov vectors cannot cover: substeps reuse each basis
+    # an interval one 128-vector space cannot cover (218 matvecs): substeps reuse each basis
     calls = []
 
     def counted(x):
@@ -897,7 +897,7 @@ def test_lanczos_matches_scipy_on_random_hermitian():
     mine = manybody.lanczos_expm(counted, v, 20.0, tol=1e-10)
     ref = expm_multiply(-20.0j * h.tocsc(), v)
     assert np.max(np.abs(mine - ref)) < 1e-10
-    assert len(calls) < 592           # a fresh basis for every halved step costs 592
+    assert len(calls) < 592           # a fresh 40-vector basis per halved step costs 592
     with pytest.raises(ToleranceError):
         manybody.lanczos_expm(lambda x: h @ x, v, 0.7, m_max=1)
 
@@ -954,11 +954,12 @@ def list_lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = 1e-10,
 
 
 def _random_hermitian_problem():
-    # spectrum in about [-2, 2]: dt = 20 needs more than 40 vectors, so it halves
+    # spectrum in about [-2, 2]: dt = 20 fits in one space of 72 vectors, so a
+    # 40-vector cap makes it halve
     rng = np.random.default_rng(11)
     a = (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))) / math.sqrt(300)
     v = rng.normal(size=300) + 1j * rng.normal(size=300)
-    return (a + a.conj().T) / 2.0, v / np.linalg.norm(v), [0.7, 20.0]
+    return (a + a.conj().T) / 2.0, v / np.linalg.norm(v), [(0.7, 128), (20.0, 128), (20.0, 40)]
 
 
 def _sweep_default_n8_problem():
@@ -969,18 +970,34 @@ def _sweep_default_n8_problem():
     point = env.points()[-1]
     assert point.n_particles == 8
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))
-    return setup.h0, setup.psi0.amplitudes, [env.t_final]
+    return setup.h0, setup.psi0.amplitudes, [(env.t_final, 128)]
+
+
+def stop_size(m: int, m_max: int) -> int:
+    """The first Krylov size >= m at which ``lanczos_expm`` tests its estimate:
+    4, 8, 12, 16, then each time the space has grown by a quarter, and m_max."""
+    test = 4
+    while test < m:
+        test += max(4, test // 4)
+    return min(test, m_max)
+
+
+def test_stop_size_follows_the_schedule():
+    assert [stop_size(m, 128) for m in (1, 4, 5, 16, 17, 21, 59, 113, 128)] == [
+        4, 4, 8, 16, 20, 25, 72, 128, 128]
+    assert stop_size(33, 40) == 38 and stop_size(39, 40) == 40
 
 
 @pytest.mark.parametrize("problem", [_random_hermitian_problem, _sweep_default_n8_problem],
                          ids=["random_hermitian", "sweep_default_n8"])
 def test_block_kernel_matches_list_kernel(problem):
-    # one Krylov array with CGS2 and dstev, its error estimate tested at every
-    # 4th vector, against the list-based kernel that tests it after every
-    # matvec: both meet expm_multiply at the tolerance, and testing less often
-    # costs at most 3 more matvecs per Krylov space
+    # one Krylov array, DGKS-conditional CGS2 and dstev, its error estimate
+    # tested on a schedule, against the list-based kernel that tests it after
+    # every matvec, at the same cap: both meet expm_multiply at the tolerance,
+    # and each block space stops at the schedule's first test at or after the
+    # size the list kernel's space stopped at
     h, v, intervals = problem()
-    for dt in intervals:
+    for dt, m_max in intervals:
         counts, spaces = {"block": 0, "list": 0}, []
 
         def counted(kind):
@@ -989,12 +1006,74 @@ def test_block_kernel_matches_list_kernel(problem):
                 return h @ x
             return apply
 
-        mine = manybody.lanczos_expm(counted("block"), v, dt, tol=1e-10)
-        ref = list_lanczos_expm(counted("list"), v, dt, tol=1e-10, spaces=spaces)
+        mine = manybody.lanczos_expm(counted("block"), v, dt, tol=1e-10, m_max=m_max)
+        ref = list_lanczos_expm(counted("list"), v, dt, tol=1e-10, m_max=m_max, spaces=spaces)
         exact = expm_multiply(-1j * dt * sp.csc_matrix(h), v)
         for kernel in (mine, ref):
             assert np.linalg.norm(kernel - exact) <= 1e-10 * np.linalg.norm(exact), dt
-        assert counts["block"] <= counts["list"] + 3 * len(spaces), (dt, counts, spaces)
+        assert counts["block"] <= sum(stop_size(m, m_max) for m in spaces), (dt, counts, spaces)
+        if m_max == 40:
+            assert len(spaces) > 1, spaces    # the halving path
+
+
+def krylov_inputs(h):
+    """(apply, inputs): H's action that keeps every vector it is applied to."""
+    inputs = []
+
+    def apply(x):
+        inputs.append(x.copy())
+        return h @ x
+    return apply, inputs
+
+
+def test_default_n8_step_is_one_krylov_space():
+    # transverse energies 2/eps^2 = 128 at N = 8: a 40-vector cap takes 7
+    # spaces (280 matvecs), the 128-vector one takes one.  A test after every
+    # matvec stops at 68 vectors, the schedule at 72.  The vectors H is
+    # applied to are orthonormal, so they belong to one space
+    h, v, [(dt, _)] = _sweep_default_n8_problem()
+    apply, inputs = krylov_inputs(h)
+    mine = manybody.lanczos_expm(apply, v, dt, tol=1e-10)
+    q = np.array(inputs)
+    assert len(q) <= 72
+    assert np.max(np.abs(q.conj() @ q.T - np.eye(len(q)))) < 1e-12
+    exact = expm_multiply(-1j * dt * sp.csc_matrix(h), v)
+    assert np.linalg.norm(mine - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_a_stiff_step_keeps_its_krylov_vectors_orthonormal():
+    # eigenvalues in [-1, 1] and one at 1e18, a spread of 1e18, with the
+    # start vector's weight 1e-20 on the stiff one: the Lanczos steps cancel
+    # below 1/sqrt(2) of w, the DGKS test runs the second Gram-Schmidt pass,
+    # and the vectors H is applied to stay orthonormal.  One pass alone lets
+    # them drift, and no halving meets the budget (ToleranceError).  Here
+    # eps |H| dt = 44, so the step's own rounding, not the kernel, bounds how
+    # close it can come to exp(-1j dt H) v; it stays unitary
+    rng = np.random.default_rng(1)
+    lam = np.append(rng.uniform(-1.0, 1.0, 99), 1e18)
+    v = rng.normal(size=100) + 1j * rng.normal(size=100)
+    v[-1] = 1e-20 * np.linalg.norm(v)
+    apply, inputs = krylov_inputs(sp.diags(lam, format="csr"))
+    out = manybody.lanczos_expm(apply, v, 0.2, tol=1e-10)
+    q = np.array(inputs)
+    assert len(q) <= 100
+    assert np.max(np.abs(q.conj() @ q.T - np.eye(len(q)))) < 1e-12
+    assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12 * np.linalg.norm(v)
+
+
+def test_a_space_as_large_as_the_vector_is_exact():
+    # n = 30 < m_max: the cap is n, and a space of n vectors spans everything,
+    # so one space gives the exponential to roundoff
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
+    lam = np.linspace(-1e3, 1e3, 30)
+    h = (q * lam) @ q.conj().T
+    v = rng.normal(size=30) + 1j * rng.normal(size=30)
+    apply, inputs = krylov_inputs(h)
+    mine = manybody.lanczos_expm(apply, v, 5.0, tol=1e-10)
+    exact = q @ (np.exp(-5j * lam) * (q.conj().T @ v))
+    assert len(inputs) <= 30
+    assert np.linalg.norm(mine - exact) <= 1e-10 * np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
