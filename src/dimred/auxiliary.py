@@ -100,12 +100,9 @@ class BallGreenData:
         u_eps = -self.scaled.integral(3) / (4.0 * math.pi) / self.eps
         return np.where(r < self.eps, u - u_eps, 0.0)
 
-    def sup_gradient(self, n_probe: int = 4096) -> float:
+    def sup_gradient(self) -> float:
         rng = self.scaled.range
-        probes = np.concatenate([
-            np.linspace(0.0, rng, n_probe // 2),
-            np.geomspace(rng, self.eps, n_probe // 2),
-        ])
+        probes = np.concatenate([np.linspace(0.0, rng, 2048), np.geomspace(rng, self.eps, 2048)])
         return float(np.max(self.gradient(probes)))
 
     def l2_gradient(self) -> float:
@@ -233,16 +230,16 @@ def gradient_scaling_fit(points, profile) -> ScalingFit:
 # ---------------------------------------------------------------------------
 
 
-def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode,
-            n_samples: int = 513, pad: float = 1.5) -> LineFunction:
-    """w-bar(x) = intint |chi^eps(y1)|^2 |chi^eps(y2)|^2 w(x, y1-y2) dy1 dy2.
+def quasi1d(scaled: ScaledInteraction, tmode: TransverseMode, n_samples: int = 513) -> LineFunction:
+    """w-bar(x) = intint |chi^eps(y1)|^2 |chi^eps(y2)|^2 w(x, y1-y2) dy1 dy2
+    at n_samples points of [-1.5 r, 1.5 r], r the range.
 
     Reduced to int T(u) w(x, u) du over the transverse-offset correlation T,
     by a 64-node `offset_rule` at each x inside the range.
     """
     r = scaled.range
     _require_transverse_match(scaled, tmode)
-    xs = np.linspace(-pad * r, pad * r, n_samples)
+    xs = np.linspace(-1.5 * r, 1.5 * r, n_samples)
     inside = np.abs(xs) < r
     x = xs[inside, None]
     u, uw = offset_rule(np.sqrt(r**2 - x[:, 0] ** 2), tmode.dimension, 64)

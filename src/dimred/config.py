@@ -5,8 +5,10 @@ Dotted keys group settings (sequence.beta, nls.dt, ...).  Lists are
 comma-separated.  Explicit scaling points use ``N:epsilon`` pairs.
 
 ``ExperimentConfig`` is the only object built from config text, and this
-module is the only code that names a key.  The keys are those of the default
-table ``DEFAULT_CONFIG_TEXT`` plus ``sequence.points``; any other key is a
+module is the only code that names a key.  Its fields are the one table of
+keys: each declares the key that sets it and the parser of its value, and
+``FIELD_OF_KEY`` is read from them.  The keys are those of the default table
+``DEFAULT_CONFIG_TEXT`` plus ``sequence.points``; any other key is a
 ConfigError.  A key the text leaves out takes its value from the default
 table, except the ``sequence.*`` keys.  ``ExperimentConfig.points()`` checks
 the sequence and the rate inputs that sequence.beta bounds, so a command that
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -123,71 +125,44 @@ def _pairs(raw: str) -> tuple[tuple[int, float], ...]:
     return tuple(pairs)
 
 
-# key -> (ExperimentConfig field, parser), one entry per key a config may set
-FIELD_OF_KEY = {
-    "sequence.beta": ("beta", _float),
-    "sequence.gamma": ("gamma", _float),
-    "sequence.n_values": ("n_values", _ints),
-    "sequence.points": ("explicit_points", _pairs),
-    "interaction.profile": ("profile_name", str),
-    "interaction.height": ("profile_height", _float),
-    "interaction.radius": ("profile_radius", _float),
-    "confinement.name": ("confinement_name", str),
-    "external.name": ("external_name", str),
-    "manybody.d_perp": ("d_perp", _int),
-    "manybody.m_x": ("m_x", _int),
-    "manybody.m_y": ("m_y", _int),
-    "manybody.max_excitations": ("max_excitations", _int),
-    "manybody.box_length": ("box_length", _float),
-    "manybody.transverse_extent": ("transverse_extent", _float),
-    "manybody.transverse_points": ("transverse_points", _int),
-    "manybody.dim_cap": ("dim_cap", _int),
-    "nls.points": ("nls_points", _int),
-    "nls.dt": ("nls_dt", _float),
-    "manybody.dt": ("manybody_dt", _float),
-    "time.final": ("t_final", _float),
-    "krylov.tol": ("krylov_tol", _float),
-    "rate.xi": ("xi", _float),
-    "rate.beta1": ("beta1", _float),
-    "rate.eta": ("eta", _float),
-    "output.dir": ("output_dir", str),
-    "seed": ("seed", _int),
-}
+def _key(key: str, parse, **default):
+    """A field that config key ``key`` sets, through ``parse``."""
+    return field(metadata={"key": key, "parse": parse}, **default)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Typed view of the sweep configuration."""
+    """Typed view of the sweep configuration, one field per key."""
 
-    profile_name: str
-    profile_height: float
-    profile_radius: float
-    confinement_name: str
-    external_name: str
-    d_perp: int
-    m_x: int
-    m_y: int
-    max_excitations: int
-    box_length: float
-    transverse_extent: float
-    transverse_points: int
-    dim_cap: int
-    nls_points: int
-    nls_dt: float
-    manybody_dt: float
-    t_final: float
-    krylov_tol: float
-    xi: float
-    beta1: float
-    eta: float
-    output_dir: str
-    seed: int
-    config_hash: str            # of the text's own entries, defaults left out
     # the sequence: never defaulted, checked by points()
-    beta: float | None = None
-    gamma: float | None = None
-    n_values: tuple[int, ...] = ()
-    explicit_points: tuple[tuple[int, float], ...] = ()
+    beta: float | None = _key("sequence.beta", _float, default=None)
+    gamma: float | None = _key("sequence.gamma", _float, default=None)
+    n_values: tuple[int, ...] = _key("sequence.n_values", _ints, default=())
+    explicit_points: tuple[tuple[int, float], ...] = _key("sequence.points", _pairs, default=())
+    profile_name: str = _key("interaction.profile", str)
+    profile_height: float = _key("interaction.height", _float)
+    profile_radius: float = _key("interaction.radius", _float)
+    confinement_name: str = _key("confinement.name", str)
+    external_name: str = _key("external.name", str)
+    d_perp: int = _key("manybody.d_perp", _int)
+    m_x: int = _key("manybody.m_x", _int)
+    m_y: int = _key("manybody.m_y", _int)
+    max_excitations: int = _key("manybody.max_excitations", _int)
+    box_length: float = _key("manybody.box_length", _float)
+    transverse_extent: float = _key("manybody.transverse_extent", _float)
+    transverse_points: int = _key("manybody.transverse_points", _int)
+    dim_cap: int = _key("manybody.dim_cap", _int)
+    nls_points: int = _key("nls.points", _int)
+    nls_dt: float = _key("nls.dt", _float)
+    manybody_dt: float = _key("manybody.dt", _float)
+    t_final: float = _key("time.final", _float)
+    krylov_tol: float = _key("krylov.tol", _float)
+    xi: float = _key("rate.xi", _float)
+    beta1: float = _key("rate.beta1", _float)
+    eta: float = _key("rate.eta", _float)
+    output_dir: str = _key("output.dir", str)
+    seed: int = _key("seed", _int)
+    config_hash: str            # of the text's own entries, defaults left out
 
     def __post_init__(self):
         if self.seed < 0:
@@ -235,5 +210,9 @@ class ExperimentConfig:
             return [make_point(n, eps, self.beta) for n, eps in self.explicit_points]
         return [make_point(n, float(n) ** (-self.gamma), self.beta) for n in self.n_values]
 
+
+# key -> (ExperimentConfig field, parser), one entry per key a config may set
+FIELD_OF_KEY = {f.metadata["key"]: (f.name, f.metadata["parse"])
+                for f in fields(ExperimentConfig) if f.metadata}
 
 DEFAULTS = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)

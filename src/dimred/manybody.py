@@ -55,7 +55,7 @@ from scipy.linalg.lapack import dstev
 
 from .config import DEFAULTS
 from .errors import DomainError, InstabilityError, ResolutionError, SizeError, ToleranceError
-from .nls import Trajectory
+from .nls import Trajectory, whole_steps
 from .potentials import ConfinementPotential, ExternalPotential, ScaledInteraction, gauss_legendre
 from .scaling import ScalingPoint
 from .transverse import (TransverseMode, _normalize_and_sign, offset_rule, rescale,
@@ -182,7 +182,7 @@ class ManyBodyState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def product_state(fock: FockBasis, coeffs: np.ndarray, time: float = 0.0) -> ManyBodyState:
+def product_state(fock: FockBasis, coeffs: np.ndarray) -> ManyBodyState:
     """Condensate (phi)^(x N) for a one-body coefficient vector phi.
 
     With an excitation truncation the state is the renormalized restriction.
@@ -210,7 +210,7 @@ def product_state(fock: FockBasis, coeffs: np.ndarray, time: float = 0.0) -> Man
         raise ResolutionError(
             f"excitation truncation retains only {retained**2:.3f} of the product state's weight (< 0.81)"
         )
-    return ManyBodyState(fock, amp / retained, time)
+    return ManyBodyState(fock, amp / retained)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +288,9 @@ class ModeBasis:
         n_aux = max(8 * self.m_x, 1024)
         x = np.arange(n_aux) * self.box_length / n_aux - self.box_length / 2.0
         tau = self.transverse.modes[:self.m_y].reshape(self.m_y, -1)
-        y = self.transverse.axis
-        y1, y2 = ((y, np.zeros_like(y)) if self.transverse.dimension == 1
-                  else (a.ravel() for a in np.meshgrid(y, y, indexing="ij")))
+        # the transverse grid in the (y1, y2) plane, on the line y2 = 0 in 1d
+        axes = [self.transverse.axis] * self.transverse.dimension + [np.zeros(1)]
+        y1, y2 = (a.ravel() for a in np.meshgrid(*axes[:2], indexing="ij"))
         vxy = np.asarray(self.external.profile(x[:, None], y1[None], y2[None]), dtype=float)
         # transverse integral on the grid: (n_aux, My, My)
         v_t = np.einsum("xg,mg,ng->xmn", vxy, tau, tau) * self.transverse.weight
@@ -674,34 +674,36 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = DEFAULTS.krylov
     """exp(-1j dt H) v for Hermitian H given by its action.
 
     Each Krylov space (at most m_max vectors, and never more than len(v))
-    grows until it breaks down or reaches the error budget tol * h / dt for
-    the rest h of the interval, by Saad's a-posteriori estimate, tested at
-    m = 4, 8, 12, 16, then each time the space has grown by a quarter, at a
-    breakdown and at m_max.  If it does not reach it, it advances by the
-    largest h = rest / 2^k it does reach, and the next space starts from the
-    advanced vector.  The vectors are the rows of one (m_max, n) array,
-    touched as far as used; each new one is reorthogonalized against all
-    before it by a block classical Gram-Schmidt pass, and by a second if the
-    first leaves less than 1/sqrt(2) of it (DGKS).  LAPACK dstev diagonalizes
+    grows until it breaks down (beta <= 1e-14 times the largest |H v_j| it has
+    seen, a test free of the scale of H) or reaches the error budget
+    tol * h / dt for the rest h of the interval, by Saad's a-posteriori
+    estimate, tested at m = 4, 8, 12, 16, then each time the space has grown
+    by a quarter, at a breakdown and at m_max.  If it does not reach it, it
+    advances by the largest h = rest / 2^k it does reach, and the next space
+    starts from the advanced vector.  The vectors are the rows of one
+    (m_max, n) array, touched as far as used; each new one is
+    reorthogonalized against all before it by a block classical Gram-Schmidt
+    pass, and by a second if the first leaves less than 1/sqrt(2) of it (DGKS).  LAPACK dstev diagonalizes
     the tridiagonal once per test; every h reuses the last one.
     """
     def expm_e1(m, h):
         # exp(-1j h T) e_1 by the last dstev, and whether |beta_m h y_m| is in budget
         y = evecs @ (np.exp(-1j * h * evals) * evecs[0])
-        return y, betas[m - 1] < 1e-14 or abs(betas[m - 1] * h * y[-1]) < tol * (h / dt)
+        return y, breakdown or abs(betas[m - 1] * h * y[-1]) < tol * (h / dt)
 
     if np.linalg.norm(v) == 0.0:
         return v.copy()
     m_max = min(m_max, len(v))
     vecs = np.empty((m_max, len(v)), dtype=complex)
     alphas, betas = np.empty(m_max), np.empty(m_max)
-    rest = dt
+    rest, h_scale = dt, 0.0
     while True:
         nrm = np.linalg.norm(v)
         vecs[0] = v / nrm
         m, test = 0, 4
         while True:
             w = apply_h(vecs[m])
+            h_scale = max(h_scale, np.linalg.norm(w))
             alphas[m] = np.real(np.vdot(vecs[m], w))
             w = w - alphas[m] * vecs[m]
             if m:
@@ -714,7 +716,8 @@ def lanczos_expm(apply_h, v: np.ndarray, dt: float, tol: float = DEFAULTS.krylov
                 if betas[m] >= limit:
                     break
             m += 1
-            if m == test or m == m_max or betas[m - 1] < 1e-14:
+            breakdown = betas[m - 1] <= 1e-14 * h_scale
+            if m == test or m == m_max or breakdown:
                 evals, evecs, info = dstev(alphas[:m], betas[:max(m - 1, 1)])
                 if info:
                     raise ToleranceError(f"dstev failed on the Lanczos tridiagonal (info = {info})")
@@ -780,9 +783,8 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
     out_dt = (t_final - t0) / n_outputs
     steps, step = 1, out_dt
     if basis.time_dependent:
-        steps, step = int(round(out_dt / dt)), dt
-        if abs(steps * dt - out_dt) > 1e-9 * max(1.0, t_final):
-            raise DomainError("each output interval must be a whole number of dt steps")
+        steps, step = whole_steps(out_dt, dt, t_final,
+                                  "each output interval must be a whole number of dt steps"), dt
     psi, energy = np.zeros((n_outputs + 1, fock.dim), dtype=complex), np.zeros(n_outputs + 1)
     psi[0] = state.amplitudes
     blocks = sectors(basis, fock)
@@ -948,9 +950,8 @@ class GridOracle:
         fuses adjacent half-step phases into one full step, a driven one multiplies the
         field-free half phase by u(x1, y1) u(x2, y2), u = e^(-i dt f(t_mid) g / 2), per
         step.  `psi` is kept."""
-        steps = int(round((t_final - t0) / dt)) if dt > 0.0 else 0
-        if steps < 1 or abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, t_final):
-            raise DomainError("grid oracle needs dt > 0 and a positive integer number of steps")
+        steps = whole_steps(t_final - t0, dt, t_final,
+                            "grid oracle needs dt > 0 and a positive integer number of steps")
         px, py = self.axis_propagators(dt)
         static = self.external is None or not self.external.time_dependent
         if static:

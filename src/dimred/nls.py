@@ -65,25 +65,24 @@ class CondensateState:
         band = max(1, m // 10)
         half = m // 2
         lo = half - band // 2
-        tail = c[lo:lo + band] if band > 1 else c[half:half + 1]
+        tail = c[lo:lo + band]
         peak = c.max()
         return float(tail.max() / peak) if peak > 0 else 0.0
 
 
-def normalized(grid: Grid1D, values: np.ndarray, time: float = 0.0) -> CondensateState:
+def normalized(grid: Grid1D, values: np.ndarray) -> CondensateState:
     values = np.asarray(values, dtype=complex)
     nrm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing)
     if nrm == 0:
         raise DomainError("cannot normalize the zero state")
-    return CondensateState(grid, values / nrm, time)
+    return CondensateState(grid, values / nrm)
 
 
-def gaussian_state(grid: Grid1D, width: float = 2.0, center: float = 0.0,
-                   momentum: float = 0.0) -> CondensateState:
+def gaussian_state(grid: Grid1D, width: float = 2.0, momentum: float = 0.0) -> CondensateState:
     if not width > 0.0:
         raise DomainError(f"width must be > 0, got {width}")
     x = grid.x
-    psi = np.exp(-((x - center) ** 2) / (2.0 * width**2)) * np.exp(1j * momentum * x)
+    psi = np.exp(-(x**2) / (2.0 * width**2)) * np.exp(1j * momentum * x)
     return normalized(grid, psi)
 
 
@@ -107,6 +106,15 @@ class Trajectory:
     @property
     def final(self):
         return self.states[-1]
+
+
+def whole_steps(span: float, dt: float, t_final: float, message: str) -> int:
+    """The positive whole number of dt steps in span, to 1e-9 max(1, t_final);
+    else DomainError(message)."""
+    steps = int(round(span / dt)) if dt > 0.0 else 0
+    if steps < 1 or abs(steps * dt - span) > 1e-9 * max(1.0, t_final):
+        raise DomainError(message)
+    return steps
 
 
 def _phase_step(values, v, b, dt_half):
@@ -144,9 +152,8 @@ def _strang(grid, dtype, shape, data, t0, external, b, dt, t_final, n_outputs) -
             f"initial state is under-resolved (spectral tail {tail:.2e} > {SPECTRAL_TAIL_OK})"
         )
     kin = np.exp(-1j * dt * grid.wavenumbers**2)
-    total_steps = int(round((t_final - state.time) / dt))
-    if abs(total_steps * dt - (t_final - state.time)) > 1e-9 * max(1.0, t_final):
-        raise DomainError("t_final - t0 must be an integer number of steps")
+    total_steps = whole_steps(t_final - state.time, dt, t_final,
+                              "t_final - t0 must be an integer number of steps")
     if n_outputs < 1 or total_steps % n_outputs:
         raise DomainError("each output interval must be a whole number of dt steps")
     out_every = total_steps // n_outputs

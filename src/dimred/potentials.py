@@ -117,11 +117,11 @@ def from_table(r_values, w_values, name: str = "table") -> InteractionProfile:
     return InteractionProfile(name, fn, float(r[-1]), tuple(r[1:-1].tolist()))
 
 
-def from_csv(path, name: str | None = None) -> InteractionProfile:
+def from_csv(path) -> InteractionProfile:
     data = np.loadtxt(path, delimiter=",", comments="#")
     if data.ndim != 2 or data.shape[1] < 2:
         raise DomainError(f"csv {path!r} must have columns r, w")
-    return from_table(data[:, 0], data[:, 1], name=name or str(path))
+    return from_table(data[:, 0], data[:, 1], name=str(path))
 
 
 _BUILTIN_PROFILES = {
@@ -231,11 +231,11 @@ def gaussian_well(depth: float = 1.0, width: float = 2.0, tilt: float = 0.0) -> 
     return ExternalPotential("gaussian_well", g, 0.0, grad)
 
 
-def driven_well(depth: float = 1.0, width: float = 2.0, omega: float = 1.0) -> ExternalPotential:
-    """Time-modulated well -depth*(1 + sin(omega t)/2)*exp(-x^2/width^2)."""
+def driven_well(depth: float = 1.0, omega: float = 1.0) -> ExternalPotential:
+    """Time-modulated well -depth*(1 + sin(omega t)/2)*exp(-x^2/4)."""
 
     def g(x, y1, y2):
-        return -depth * np.exp(-(np.asarray(x, dtype=float) / width) ** 2)
+        return -depth * np.exp(-(np.asarray(x, dtype=float) / 2.0) ** 2)
 
     return ExternalPotential("driven_well", g, 0.5 * abs(depth * omega), 0.0,
                              mixed_derivative_sup=0.5 * abs(depth * omega),
@@ -283,12 +283,12 @@ def harmonic_confinement(dimension: int) -> ConfinementPotential:
                                 dimension)
 
 
-def softened_confinement(dimension: int, depth: float = 20.0, width: float = 2.0) -> ConfinementPotential:
-    """Bounded smooth trap depth*(1 - exp(-(r/width)^2)); has bound states below the continuum."""
+def softened_confinement(dimension: int) -> ConfinementPotential:
+    """Bounded smooth trap 20*(1 - exp(-(r/2)^2)); has bound states below the continuum."""
 
     def ev(r):
         r = np.asarray(r, dtype=float)
-        return depth * (1.0 - np.exp(-((r / width) ** 2)))
+        return 20.0 * (1.0 - np.exp(-((r / 2.0) ** 2)))
 
     return ConfinementPotential("softened", ev, dimension)
 

@@ -261,16 +261,15 @@ class RateBridge:
     holds: bool
 
 
-def rate_bridge(gamma: np.ndarray, projector: CondensateProjector,
-                slack: float = 1e-10) -> RateBridge:
+def rate_bridge(gamma: np.ndarray, projector: CondensateProjector) -> RateBridge:
     """alpha_n2 = 1 - <phi, gamma phi>, clamped at 0 against the roundoff of a
     condensed gamma, and Tr|gamma - |phi><phi|| from the one-body density gamma,
-    with the sandwich alpha_n2 <= Tr|.| <= sqrt(8 alpha_n2)."""
+    with the sandwich alpha_n2 <= Tr|.| <= sqrt(8 alpha_n2), to 1e-10."""
     c = projector.coeffs
     a2 = max(1.0 - float(np.real(np.vdot(c, gamma @ c))), 0.0)
     td = trace_distance(gamma, np.outer(c, np.conj(c)))
     upper = math.sqrt(8.0 * a2)
-    holds = (a2 <= td + slack) and (td <= upper + slack)
+    holds = (a2 <= td + 1e-10) and (td <= upper + 1e-10)
     return RateBridge(a2, td, upper, holds)
 
 
@@ -289,11 +288,11 @@ class DenseSystem:
     """
 
     def __init__(self, dx: int, dy: int, n_particles: int, phi_x=None, chi_y=None,
-                 rng: np.random.Generator | None = None, dim_cap: int = 2**22):
+                 rng: np.random.Generator | None = None):
         if dx < 1 or dy < 1 or n_particles < 1:
             raise DomainError("dx, dy, n_particles must be positive")
         d = dx * dy
-        if d**n_particles > dim_cap:
+        if d**n_particles > 2**22:
             raise SizeError(f"tensor space of size {d**n_particles} exceeds the cap")
         rng = rng or np.random.default_rng(0)
         self.dx, self.dy, self.n = dx, dy, n_particles
@@ -318,12 +317,9 @@ class DenseSystem:
 
     # -- states ---------------------------------------------------------
 
-    def random_state(self, rng: np.random.Generator, symmetric: bool = True,
-                     condensate_weight: float = 0.0) -> np.ndarray:
+    def random_state(self, rng: np.random.Generator, condensate_weight: float = 0.0) -> np.ndarray:
         shape = (self.d,) * self.n
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        if symmetric:
-            psi = self.symmetrize(psi)
+        psi = self.symmetrize(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         if condensate_weight > 0.0:
             cond = self.phi
             for _ in range(self.n - 1):

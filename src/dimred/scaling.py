@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InsufficientDataError
 
-#: Default final-value threshold standing in for "-> 0" on finite sequences.
-DEFAULT_LIMIT_THRESHOLD = 0.5
+#: Final-value threshold standing in for "-> 0" on finite sequences.
+LIMIT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,17 @@ class Classification:
     moderately_confining: bool
 
 
-def _tail_converges(values, threshold) -> bool:
+def _tail_converges(values) -> bool:
     decreasing = all(b < a for a, b in zip(values, values[1:]))
-    return decreasing and values[-1] < threshold
+    return decreasing and values[-1] < LIMIT_THRESHOLD
 
 
-def classify(points, threshold: float = DEFAULT_LIMIT_THRESHOLD) -> Classification:
+def classify(points) -> Classification:
     """Finite-sequence proxy for the two limit conditions on scaling points
     that share one beta and increase strictly in N.
 
     A ratio "converges" when it is strictly decreasing across consecutive
-    points and its final value is below ``threshold``.
+    points and its final value is below ``LIMIT_THRESHOLD``.
     """
     points = list(points)
     betas = {p.beta for p in points}
@@ -85,8 +85,8 @@ def classify(points, threshold: float = DEFAULT_LIMIT_THRESHOLD) -> Classificati
         raise InsufficientDataError(
             f"classification needs at least 3 points, got {len(points)}"
         )
-    return Classification(_tail_converges([p.eps2_over_mu for p in points], threshold),
-                          _tail_converges([p.mu_over_eps for p in points], threshold))
+    return Classification(_tail_converges([p.eps2_over_mu for p in points]),
+                          _tail_converges([p.mu_over_eps for p in points]))
 
 
 def power_law_window(beta: float) -> tuple[float, float]:

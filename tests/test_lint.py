@@ -447,10 +447,13 @@ def test_dimension_branches_detects_a_planted_branch():
 def test_only_the_rules_whose_mathematics_differ_branch_on_the_dimension():
     # one stencil, summed over the axes, serves every transverse dimension; the
     # offset rule (signed offset or polar radius) and the correlation (its
-    # trigonometric sum or the sum's angular mean) differ, and the constructors
-    # check the range of a dimension or the shape of a table
-    sources = {name: (SRC / name).read_text() for name in ("potentials.py", "transverse.py")}
+    # trigonometric sum or the sum's angular mean) differ, the constructors
+    # check the range of a dimension or the shape of a table or an input, and
+    # the transverse command names its CSV columns
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert dimension_branches(sources) == [
+        "cli.py: cmd_transverse", "manybody.py: FockBasis.from_rows",
+        "manybody.py: build_grid_matched_basis", "manybody.py: GridOracle.__post_init__",
         "potentials.py: from_table", "potentials.py: from_csv",
         "potentials.py: ScaledInteraction.__post_init__",
         "potentials.py: ConfinementPotential.__post_init__",

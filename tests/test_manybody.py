@@ -860,6 +860,9 @@ def test_time_dependent_steps_use_midpoint_hamiltonian(driven_basis):
     assert np.linalg.norm(traj.final.amplitudes - psi) < 1e-9
     with pytest.raises(DomainError):
         manybody.evolve(state, basis, 0.03, 0.1)            # 3.33 steps
+    for dt in (-0.05, 0.0):         # no positive number of steps
+        with pytest.raises(DomainError):
+            manybody.evolve(state, basis, dt, 0.1)
     # a prebuilt H(t0) serves a driven field as well
     given = manybody.evolve(state, basis, 0.05, 0.1, n_outputs=1, krylov_tol=1e-12,
                             h=manybody.hamiltonian(basis, fock, 0.0))
@@ -1073,6 +1076,22 @@ def test_a_space_as_large_as_the_vector_is_exact():
     mine = manybody.lanczos_expm(apply, v, 5.0, tol=1e-10)
     exact = q @ (np.exp(-5j * lam) * (q.conj().T @ v))
     assert len(inputs) <= 30
+    assert np.linalg.norm(mine - exact) <= 1e-10 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-15, 1e-16, 1e6])
+def test_the_lanczos_step_does_not_depend_on_the_scale_of_h(scale):
+    # exp(-1j dt (s H)) v with dt = 0.5 / s is exp(-0.5j H) v at every s: a
+    # breakdown test on beta in absolute terms stops the space after one
+    # vector once every beta of s H falls under it
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
+    h = (a + a.conj().T) / 2.0
+    h /= np.linalg.norm(h, 2)
+    v = rng.normal(size=50) + 1j * rng.normal(size=50)
+    lam, q = np.linalg.eigh(h)
+    exact = q @ (np.exp(-0.5j * lam) * (q.conj().T @ v))
+    mine = manybody.lanczos_expm(lambda x: scale * (h @ x), v, 0.5 / scale, tol=1e-10)
     assert np.linalg.norm(mine - exact) <= 1e-10 * np.linalg.norm(v)
 
 
