@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from dimred import auxiliary, nls, potentials, scaling, transverse
+from dimred.config import DEFAULTS
 from dimred.errors import DomainError, InsufficientDataError, RegimeError
+from dimred.harness import sweep_inputs
 
 
 def oracle_point():
@@ -343,6 +345,36 @@ def test_gamma_uniform_condensate_flat(tmode_eps):
     res = auxiliary.discrepancy_gamma(sc, cond, tmode_eps)
     spread = np.max(res.gamma.values) - np.min(res.gamma.values)
     assert spread < 1e-10 * max(np.max(np.abs(res.gamma.values)), 1e-300)
+
+
+def test_gamma_of_a_moving_gaussian_against_per_node_interpolation():
+    # the N = 8 point of configs/default.cfg with a non-flat condensate; each
+    # |Phi(x - s)|^2 by direct trigonometric interpolation, one s node at a time
+    inputs = sweep_inputs(DEFAULTS)
+    point = DEFAULTS.points()[-1]
+    assert point.n_particles == 8
+    sc = potentials.scale(inputs.profile, point, d_perp=DEFAULTS.d_perp)
+    tm = transverse.rescale(inputs.unscaled_mode, point.epsilon)
+    grid = nls.Grid1D(DEFAULTS.box_length, DEFAULTS.nls_points)
+    cond = nls.gaussian_state(grid, width=0.6, momentum=3.0)
+    res = auxiliary.discrepancy_gamma(sc, cond, tm)
+
+    n, r = grid.points, sc.range
+    coeff = np.fft.fft(cond.values) / n     # Phi(x_j) = sum_m coeff_m e^(2 pi i m j / n)
+    modes = np.exp(2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    dens0 = np.abs(cond.values) ** 2
+    t0 = float(tm.correlation(0.0, 1)[0, 0, 0, 0])
+    gamma = np.zeros(n)
+    s_nodes, s_weights = potentials.gauss_legendre(-r, r, 24)
+    for s, sw in zip(s_nodes, s_weights):
+        u, uw = transverse.offset_rule(math.sqrt(max(r * r - s * s, 0.0)), 1, 24)
+        wv = uw * sc(np.sqrt(s * s + u**2))
+        shifted = modes @ (coeff * np.exp(-1j * grid.wavenumbers * s))
+        gamma += sw * (np.abs(shifted) ** 2 * np.sum(wv * tm.correlation(u, 1)[0, 0, 0, 0])
+                       - dens0 * np.sum(wv) * t0)
+    gamma *= point.n_particles
+    assert np.ptp(gamma) > 0.5 * np.max(np.abs(gamma))      # far from flat
+    assert np.max(np.abs(res.gamma.values - gamma)) <= 1e-13 * np.max(np.abs(gamma))
 
 
 def test_gamma_decreases_with_mu_at_fixed_eps():

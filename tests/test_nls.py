@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import nls, potentials
-from dimred.errors import DomainError, ResolutionError
+from dimred.errors import DomainError, InstabilityError, ResolutionError
 
 
 @pytest.fixture()
@@ -63,6 +63,58 @@ def test_effective_energy_gaussian_kinetic(grid):
     state = nls.gaussian_state(grid, width=sigma)
     assert nls.effective_energy(state, None, 0.0) == pytest.approx(
         1.0 / (2.0 * sigma**2), rel=1e-8)
+
+
+def _literal_strang(state, external, b, dt, steps, n_outputs):
+    """Half phase, np.fft kinetic step, half phase, at every step, as written;
+    the state at every output."""
+    k, x = state.grid.wavenumbers, state.grid.x
+    u, t, outputs = state.values.copy(), state.time, [(state.time, state.values.copy())]
+    for step in range(1, steps + 1):
+        v = 0.0 if external is None else external.strength(t + 0.5 * dt) * external.profile(
+            x, 0.0, 0.0)
+        u = u * np.exp(-0.5j * dt * (v + b * np.abs(u) ** 2))
+        u = np.fft.ifft(np.exp(-1j * dt * k**2) * np.fft.fft(u))
+        u = u * np.exp(-0.5j * dt * (v + b * np.abs(u) ** 2))
+        t += dt
+        if step % (steps // n_outputs) == 0:
+            outputs.append((t, u.copy()))
+    return outputs
+
+
+@pytest.mark.parametrize("n_outputs", [1, 5])
+@pytest.mark.parametrize("external", [
+    None,
+    potentials.gaussian_well(depth=0.5, width=3.0),
+    potentials.driven_well(depth=1.0, omega=3.0),
+], ids=["no_field", "gaussian_well", "driven_well"])
+def test_evolve_matches_a_literal_strang_loop(grid, external, n_outputs):
+    # the fused phase between kinetic steps against two half phases per step
+    state = nls.gaussian_state(grid, width=2.0, momentum=0.5)
+    traj = nls.evolve(state, external, 1.5, 1e-2, 0.5, n_outputs=n_outputs)
+    ref = _literal_strang(state, external, 1.5, 1e-2, 50, n_outputs)
+    assert len(traj.states) == len(ref) == n_outputs + 1
+    for snap, (t, u) in zip(traj.states, ref):
+        assert snap.time == t
+        assert np.linalg.norm(snap.values - u) <= 1e-13 * np.linalg.norm(u)
+
+
+def _field_infinite_after(t_blow):
+    return dataclasses.replace(potentials.driven_well(),
+                               modulation=lambda t: math.inf if t > t_blow else 1.0)
+
+
+@pytest.mark.parametrize("amplitude, b, external, message", [
+    (10.0, 1e308, None, r"step 1 \(t = 0\.01\)"),      # b |Phi|^2 overflows
+    (1.0, 1.0, _field_infinite_after(0.06), r"step 7 \(t = 0\.07\)"),   # V at t = 0.065
+], ids=["phase_overflow", "field_infinite_at_step_7"])
+def test_a_non_finite_amplitude_raises_with_its_step(grid, amplitude, b, external, message):
+    state = nls.gaussian_state(grid, width=2.0)
+    state = nls.CondensateState(grid, amplitude * state.values)
+    # numpy warns of the overflow first, and the suite makes warnings errors
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError,
+                                                                      match=message):
+        nls.evolve(state, external, b, 1e-2, 0.2, n_outputs=2)
 
 
 def test_strang_self_convergence_order(grid):
