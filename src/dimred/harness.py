@@ -80,6 +80,7 @@ class SweepInputs:
     unscaled_mode: transverse.TransverseMode
     profile: potentials.InteractionProfile
     b_eff: float        # the paper's b = int w * int |chi|^4, free of N and eps
+    sectors: dict = field(default_factory=dict, compare=False)    # ``point_setup``'s plans
 
 
 def sweep_inputs(cfg: ExperimentConfig) -> SweepInputs:
@@ -101,6 +102,7 @@ class PointSetup:
     basis: manybody.ModeBasis
     psi0: manybody.ManyBodyState
     h0: sp.csr_matrix           # H(0)
+    plans: manybody.SectorPlans
 
     def evolve(self, cfg: ExperimentConfig, n_outputs: int) -> manybody.ManyBodyTrajectory:
         return manybody.evolve(self.psi0, self.basis, cfg.manybody_dt, cfg.t_final,
@@ -114,12 +116,20 @@ def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
         point, inputs.confinement, inputs.external, scaled, cfg.m_x, cfg.m_y,
         cfg.box_length, unscaled_mode=inputs.unscaled_mode,
     )
-    full = manybody.FockBasis(basis.n_modes, point.n_particles, cfg.max_excitations, cfg.dim_cap)
-    # keep the sector of the conserved charges that holds the condensate row
-    condensate = full.occupations[:, 0] == point.n_particles
-    fock = full.subset(next(r for r in manybody.sectors(basis, full) if condensate[r].any()))
+    # each N from the cap up has the same rows but for n_0 = N - excitations: one
+    # sector and its plans serve them all, planned where every row holds n_0 >= 2
+    n, cap = point.n_particles, cfg.max_excitations
+    key = n if n < cap else min(cap + 2, 255)
+    if key not in inputs.sectors:
+        full = manybody.FockBasis(basis.n_modes, key, cap, cfg.dim_cap)
+        # keep the sector of the conserved charges that holds the condensate row
+        condensate = full.occupations[:, 0] == key
+        rows = next(r for r in manybody.sectors(basis, full) if condensate[r].any())
+        inputs.sectors[key] = manybody.SectorPlans(basis, full.subset(rows))
+    plans = inputs.sectors[key]
+    fock = plans.fock.with_particles(n)
     psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
-    return PointSetup(basis, psi0, manybody.hamiltonian(basis, fock, 0.0))
+    return PointSetup(basis, psi0, manybody.hamiltonian(basis, fock, 0.0, plans), plans)
 
 
 def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
@@ -143,7 +153,7 @@ def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     # condensate projector at time T from the evolved NLS state; alpha_n2, the
     # trace distance and the excited fraction read the one-body density
     proj = projectors.condensate_projector(basis, phi_t)
-    gamma = manybody.reduced_density(psi_t, 1).matrix
+    gamma = manybody.reduced_density(psi_t, 1, setup.plans).matrix
     bridge = projectors.rate_bridge(gamma, proj)
     a_m = projectors.alpha(psi_t, projectors.make_weight("m", point.n_particles, cfg.xi), proj)
     gap = abs(e_psi_t - e_phi_t)

@@ -28,14 +28,17 @@ B + (f(t) - f_B) G, the one home of a field f(t) g (``_sector_hamiltonian``),
 by Lanczos exponentials (``lanczos_expm``: one Krylov space of up to 128
 vectors per step where that meets the budget; ``expm_multiply`` is a test oracle).
 
-One kernel, ``_ladder``, applies every ladder operator of H and ``_lowered``:
+One kernel, ``_ladder``, plans every ladder operator of H and ``_lowered``:
 it lowers each row by each lower set its occupied entries hold and raises
-each distinct intermediate row once per create set, with a dense weight
-block per class, and yields the elements in batches of LADDER_BATCH_BYTES;
-a field-free block over a third full is summed into a dense array as they
-come (``_operator``).  No kernel widens or copies a whole occupation table:
+each distinct intermediate row once per create set.  Its plan holds no count
+or weight: ``LadderPlan.batches`` reads the counts of the rows it is given and
+the weights, a dense block per class or a sweep's vq indices (``SectorPlans``,
+taken once per sector and replayed at every N from the cap up), in batches of
+LADDER_BATCH_BYTES; a field-free
+block over a third full is summed into a dense array as they come
+(``_operator``).  No kernel widens or copies a whole occupation table:
 on acceptance 7 (18528 x 192) ``FockBasis``, ``product_state``, the largest
-sector block and ``reduced_density`` peak at 4.0, 2.0, 9.3 and 4.6 MB traced.
+sector block and ``reduced_density`` peak at 4.0, 2.0, 9.3 and 4.0 MB traced.
 A ``FockBasis`` is a sorted set of occupation rows: the capped enumeration,
 a (K, Pi) sector of it (``sectors``), or the rows a lowering reaches.
 """
@@ -91,20 +94,25 @@ def _row_sums(occ: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bincount(rows, counts * np.asarray(values, dtype=float)[modes], minlength=len(occ))
 
 
+def _check_particles(n: int) -> int:
+    if not 0 <= n <= 255:    # the rows are uint8
+        raise DomainError(f"n_particles must lie in 0..255, got {n}")
+    return n
+
+
 class FockBasis:
     """A set of occupation rows over M modes, mode 0 distinguished as the
     condensate, held sorted by their bytes (``lookup`` bisects them).
 
     The constructor enumerates the symmetric rows of N particles with at most
     `max_excitations` outside the condensate; ``from_rows`` takes given rows,
-    such as those a lowering reaches, and ``subset`` keeps some rows, such as
-    a (K, Pi) sector (``sectors``).
+    such as those a lowering reaches, ``subset`` keeps some rows, such as a
+    (K, Pi) sector (``sectors``), and ``with_particles`` refills mode 0.
     """
 
     def __init__(self, n_modes: int, n_particles: int,
                  max_excitations: int | None = None, dim_cap: int = DEFAULTS.dim_cap):
-        if not 0 <= n_particles <= 255:    # the rows are uint8
-            raise DomainError(f"n_particles must lie in 0..255, got {n_particles}")
+        _check_particles(n_particles)
         if n_modes < 2:
             raise DomainError(f"need at least 2 modes, got {n_modes}")
         dim = symmetric_dimension(n_modes, n_particles, max_excitations)
@@ -163,6 +171,14 @@ class FockBasis:
         sub = copy.copy(self)
         sub.occupations, sub.dim = self.occupations[rows], len(rows)
         return sub
+
+    def with_particles(self, n_particles: int) -> FockBasis:
+        """These rows, in their order, with mode 0 holding n_particles minus each
+        row's excitations (as many as any row has, at least)."""
+        fock = copy.copy(self)
+        fock.occupations, fock.n_particles = self.occupations.copy(), _check_particles(n_particles)
+        fock.occupations[:, 0] = self.occupations[:, 0].astype(np.int64) + n_particles - self.n_particles
+        return fock
 
     def lookup(self, occ: np.ndarray) -> np.ndarray:
         """Indices of occupation rows; -1 where a row is not in the basis."""
@@ -457,42 +473,101 @@ def build_grid_matched_basis(
 # second-quantized operators
 # ---------------------------------------------------------------------------
 
-def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create: np.ndarray,
-            lower_class: np.ndarray, create_class: np.ndarray, weights):
-    """Nonzero elements of W[c, l] adag_(c_k) ... adag_(c_1) a_(l_j) ... a_(l_1) from
-    `fock` into `target` for every lower set l (a row of `lower`, distinct and
-    ascending) and create set c (a row of `create`) of one class; both class
-    arrays ascend, and W = weights(create sets, lower sets of the class).  A
-    lowering alone (empty create sets) may pass `target` None for the rows it reaches.
+@dataclass(frozen=True)
+class LadderPlan:
+    """The elements of a ladder operator (``_ladder``), free of counts and weights:
+    ``batches`` replays them on rows that differ from its own in mode 0's count
+    alone, whose counts zero the elements they lack."""
+
+    lower: np.ndarray
+    create: np.ndarray
+    target: FockBasis
+    classes: tuple    # (c0, c1, l0, l1): the create and lower sets of each reached class
+    entries: tuple    # (lower set, source row, its part of the flat weight index)
+    raises: tuple     # (create set, target row, its part of the flat weight index)
+    layout: tuple     # (seg, size, skip, ends): the raises by target row, each with its entries
+
+    @property
+    def total(self) -> int:
+        """The number of elements, those of zero weight or count included."""
+        return int(self.layout[1].sum())
+
+    def blocks(self, weights) -> np.ndarray:
+        """weights(create sets, lower sets) of each reached class, raveled and joined."""
+        blocks = [weights(self.create[i:j], self.lower[p:q]) for i, j, p, q in zip(*self.classes)]
+        return (blocks[0].ravel() if len(blocks) == 1
+                else np.concatenate([np.zeros(0, dtype=np.int64)] + [w.ravel() for w in blocks]))
+
+    def batches(self, flat: np.ndarray, source: FockBasis, target: FockBasis | None = None):
+        """(lower set, target row, source row, value) of every element from `source`
+        rows into `target` rows (by default the plan's) in batches of
+        LADDER_BATCH_BYTES: the value is its weight in `flat` (``blocks``) times
+        sqrt(the counts before each annihilation and after each creation), and
+        elements of value zero (a zero weight or a lacking count) are dropped."""
+        (term, src, at_entry), (made, rows, at_raise) = self.entries, self.raises
+        seg, size, skip, ends = self.layout
+        amp_lower = _falling(source.occupations, src, self.lower[term])
+        amp_create = _falling((self.target if target is None else target).occupations, rows,
+                              self.create[made])
+        step, a = max(1, LADDER_BATCH_BYTES // 64), 0    # ~64 B of temporaries per element
+        while a < len(seg):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - size[a] + step, side="right")))
+            pick = np.repeat(seg[a:b], size[a:b])
+            entry = np.arange(ends[a] - size[a], ends[b - 1]) + np.repeat(skip[a:b], size[a:b])
+            value = flat.take(at_entry.take(entry) + at_raise.take(pick)) * (
+                amp_create.take(pick) * amp_lower.take(entry))
+            if not np.all(value):
+                keep = value != 0.0
+                entry, pick, value = entry[keep], pick[keep], value[keep]
+            yield term.take(entry), rows.take(pick), src.take(entry), value
+            a = b
+
+
+def _falling(occ: np.ndarray, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """sqrt(prod_j (n_(s_j) - #{i < j: s_i = s_j})) of each row at its ascending set s:
+    the amplitude of lowering s from the row, or of the raising by s that reaches it."""
+    seen = np.zeros(sets.shape, dtype=np.int64)
+    for j in range(1, sets.shape[1]):
+        seen[:, j] = (seen[:, j - 1] + 1) * (sets[:, j] == sets[:, j - 1])
+    return np.sqrt(np.prod(occ[rows[:, None], sets] - seen, axis=1))
+
+
+def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray,
+            create: np.ndarray | None = None, lower_class=None, create_class=None) -> LadderPlan:
+    """The plan of W[c, l] adag_(c_k) ... adag_(c_1) a_(l_j) ... a_(l_1) from `fock`
+    into `target` for every lower set l (a row of `lower`, distinct and ascending)
+    and create set c (a row of `create`, ascending) of one class; both class
+    arrays ascend.  A lowering alone (no create sets, one class) may pass `target`
+    None for the rows it reaches.
 
     Each source row is lowered by each lower set its occupied entries hold;
     each distinct (class, intermediate row) is raised by every create set of
-    its class, resolved by one lookup.  The amplitude is sqrt(product of the
-    counts before each annihilation and after each creation); zero weights are
-    dropped.  Yields the target and the number of candidates, then (lower set,
-    target row, source row, value) in batches of LADDER_BATCH_BYTES (as are
-    the intermediate rows) by target row, then class, intermediate and source
-    row, an order a block of rows closed under the terms gets alone as in more rows.
+    its class, resolved by one lookup, and meets every entry that reaches it.
+    The elements run by target row, then class, intermediate and source row, an
+    order a block of rows closed under the terms gets alone as in more rows;
+    those of zero weight are kept.
     """
+    if create is None:
+        create, lower_class = np.zeros((1, 0), dtype=np.int64), np.zeros(len(lower), dtype=np.int64)
+        create_class = lower_class[:1]
     m = fock.n_modes
     # step 1: every sorted lower set each source row holds, from the left, as
     # positions `at` in the list of occupied entries (row, mode, count)
     row, mode, count = _nonzero(fock.occupations)
     row_end, at = np.searchsorted(row, row, side="right"), np.arange(len(row))
-    amp_lower, key, left = count.astype(float), mode, count - 1
+    key, left = mode, count - 1
     for _ in range(lower.shape[1] - 1):
         start = at + (left == 0)    # the same entry while it holds a particle, or a later one
         n_next = row_end[at] - start
         prev = np.repeat(np.arange(len(at)), n_next)
         nxt = np.arange(len(prev)) + np.repeat(start - np.cumsum(n_next) + n_next, n_next)
-        before = np.where(nxt == at[prev], left[prev], count[nxt])
-        amp_lower, left = amp_lower[prev] * before, before - 1
+        left = np.where(nxt == at[prev], left[prev], count[nxt]) - 1
         key, at = key[prev] * m + mode[nxt], nxt
     table = np.full(m ** lower.shape[1], -1, dtype=np.int32)
     table[(lower * m ** np.arange(lower.shape[1])[::-1]).sum(axis=1)] = np.arange(len(lower))
     term = table[key]
     held = term >= 0
-    term, src, amp_lower = term[held], row[at[held]], np.sqrt(amp_lower[held])
+    term, src = term[held], row[at[held]]
     # the distinct intermediate rows, in lexicographic order, a batch at a time
     step, found, local = max(1, LADDER_BATCH_BYTES // (2 * m)), [], []
     for a in range(0, max(len(src), 1), step):
@@ -505,19 +580,16 @@ def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create
     mid, mids = back[np.concatenate(local)], mids.view(np.uint8).reshape(-1, m)
     if target is None:
         target = FockBasis.from_rows(mids, fock.n_particles - lower.shape[1])
-    del row, mode, count, row_end, key, left, found, local, rest, back    # else held while yielding
+    del row, mode, count, row_end, key, left, found, local, rest, back    # else held through step 2
     klass = lower_class[term]
     order = np.lexsort((src, mid, klass))
-    term, src, amp_lower, klass, mid = (x[order] for x in (term, src, amp_lower, klass, mid))
+    term, src, klass, mid = (x[order] for x in (term, src, klass, mid))
     first = (np.diff(klass, prepend=-1) != 0) | (np.diff(mid, prepend=-1) != 0)
     group = np.cumsum(first) - 1
-    # the classes reached: their create and lower sets, and their weights
+    # the classes reached, their create and lower sets, and where their weights sit
     reached, at = np.unique(klass[first], return_inverse=True)
     l0, l1 = (np.searchsorted(lower_class, reached, side=s) for s in ("left", "right"))
     c0, c1 = (np.searchsorted(create_class, reached, side=s) for s in ("left", "right"))
-    blocks = [weights(create[i:j], lower[p:q]) for i, j, p, q in zip(c0, c1, l0, l1)]
-    flat = (blocks[0].ravel() if len(blocks) == 1
-            else np.concatenate([np.zeros(0)] + [w.ravel() for w in blocks]))
     width, sizes = l1 - l0, (c1 - c0) * (l1 - l0)
     base = np.cumsum(sizes) - sizes - c0 * width - l0
     # step 2: raise each group by every create set of its class
@@ -525,43 +597,30 @@ def _ladder(fock: FockBasis, target: FockBasis | None, lower: np.ndarray, create
     raised = np.repeat(np.arange(len(at)), n_raise)
     made = np.arange(len(raised)) - np.repeat(np.cumsum(n_raise) - n_raise - c0[at], n_raise)
     occ = mids[mid[first]][raised]
-    amp_create = np.ones(len(raised))
     every = np.arange(len(raised))
     for mode in create[made].T:
         occ[every, mode] += 1
-        amp_create *= occ[every, mode]
     rows = target.lookup(occ).astype(np.int32)
     hit = rows >= 0
-    raised, made, rows, amp_create = raised[hit], made[hit], rows[hit], np.sqrt(amp_create[hit])
-    # the flat weight index: a part per (source, lower set) and one per raise
-    at_entry, at_raise = base[at][group] + term, made * width[at][raised]
+    raised, made, rows = raised[hit], made[hit], rows[hit]
     # each raise meets every (source, lower set) of its group; by target row
     n_entry = np.bincount(group)
     seg = np.argsort(rows, kind="stable")
     size = n_entry[raised[seg]]
     skip = (np.cumsum(n_entry) - n_entry)[raised[seg]] - (np.cumsum(size) - size)
-    ends = np.cumsum(size)
-    yield target, int(ends[-1]) if len(ends) else 0
-    step, a = max(1, LADDER_BATCH_BYTES // 64), 0    # ~64 B of temporaries per element
-    while a < len(seg):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - size[a] + step, side="right")))
-        pick = np.repeat(seg[a:b], size[a:b])
-        entry = np.arange(ends[a] - size[a], ends[b - 1]) + np.repeat(skip[a:b], size[a:b])
-        value = amp_create.take(pick) * amp_lower.take(entry)
-        w = flat.take(at_entry.take(entry) + at_raise.take(pick))
-        if not np.all(w):
-            keep = w != 0.0
-            entry, pick, value, w = entry[keep], pick[keep], value[keep], w[keep]
-        yield term.take(entry), rows.take(pick), src.take(entry), w * value
-        a = b
+    # the flat weight index: a part per (source, lower set) and one per raise; int32,
+    # as a sweep holds its plans
+    parts = ((term, src, base[at][group] + term), (made, rows, made * width[at][raised]),
+             (seg, size, skip, np.cumsum(size)))
+    return LadderPlan(lower, create, target, (c0, c1, l0, l1),
+                      *(tuple(x.astype(np.int32) for x in part) for part in parts))
 
 
-def _operator(fock: FockBasis, sets: np.ndarray, label: np.ndarray, weights, diagonal=None):
-    """Sum of W[c, l] adag_c a_l over the sets c, l of each class, W = weights(sets of
-    the class, same), the sets sorted by their class `label`: sparse, or, for real
-    weights plus a real `diagonal`, a dense float64 array when over a third full."""
-    batches = _ladder(fock, fock, sets, sets, label, label, weights)
-    n, total = fock.dim, next(batches)[1]
+def _operator(fock: FockBasis, plan: LadderPlan, flat: np.ndarray, diagonal=None):
+    """The sum of a plan's elements on fock's rows with the flat weights of its
+    classes (``LadderPlan.batches``): sparse, or, for real weights plus a real
+    `diagonal`, a dense float64 array when over a third full."""
+    batches, n, total = plan.batches(flat, fock, fock), fock.dim, plan.total
     if diagonal is not None and 3 * (total + n) > n * n:
         block = np.diag(diagonal)
         for _, rows, cols, value in batches:    # into the batch's consecutive rows alone
@@ -586,9 +645,23 @@ def one_body_operator(fock: FockBasis, h: np.ndarray) -> sp.csr_matrix:
     diag = sp.diags(_row_sums(fock.occupations, np.real(np.diag(h))).astype(complex), format="csr")
     if not len(modes):
         return diag
-    return diag + _operator(
-        fock, modes[:, None], np.zeros(len(modes), dtype=np.int64),
-        lambda c, l: off[np.ix_(c[:, 0], l[:, 0])])
+    zero = np.zeros(len(modes), dtype=np.int64)
+    plan = _ladder(fock, fock, modes[:, None], modes[:, None], zero, zero)
+    return diag + _operator(fock, plan, plan.blocks(lambda c, l: off[np.ix_(c[:, 0], l[:, 0])]))
+
+
+def _pair_index(basis: ModeBasis, create: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The flat vq index of <ab|w|cd> for every create pair (a, b) (a row) and
+    lower pair (c, d) (a column)."""
+    n, my = basis.m_y, basis.mode_my
+    k_values, k_at = np.unique(basis.mode_kx, return_inverse=True)
+    q = k_values[:, None] - basis.mode_kx
+    q = q % basis.momentum_modulus if basis.momentum_modulus is not None else q + basis.m_x - 1
+    (a, b), (c, d) = create.T, lower.T
+    # its (k_a, c, d) part is read as rows of a small table
+    index = (q[:, c] * n**4 + my[c] * n + my[d])[k_at[a]]
+    index += (my[a] * n**3 + my[b] * n**2)[:, None]
+    return index
 
 
 def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
@@ -596,40 +669,58 @@ def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
     <ab|w|cd> = vq[k_a - k_c, m_a, m_b, m_c, m_d] / L over the distinct
     orderings of (a, b) and (c, d): by <ba|w|dc> = <ab|w|cd> that is
     (<ab|w|cd> + <ab|w|dc> [c != d]) (1 + [a != b])."""
-    n, my = basis.m_y, basis.mode_my
-    k_values, k_at = np.unique(basis.mode_kx, return_inverse=True)
-    q = k_values[:, None] - basis.mode_kx
-    q = q % basis.momentum_modulus if basis.momentum_modulus is not None else q + basis.m_x - 1
-    a, b = pairs.T
-    ab = (my[a] * n**3 + my[b] * n**2)[:, None]
-
-    def gather(c, d, rows):
-        # the flat vq index of these rows; its (k_a, c, d) part is read as rows of a small table
-        index = (q[:, c] * n**4 + my[c] * n + my[d])[k_at[a[rows]]]
-        index += ab[rows]
-        return basis.vq.ravel().take(index) / basis.box_length
-
+    vq, same = basis.vq.ravel(), pairs[:, 0] == pairs[:, 1]
     # a batch of rows at a time: no index or gathered copy spans the whole table
-    same, w = a == b, np.empty((len(a), len(a)), dtype=basis.vq.dtype)
-    step = max(1, LADDER_BATCH_BYTES // (16 * len(a)))
-    for rows in (slice(i, i + step) for i in range(0, len(a), step)):
-        w[rows] = gather(b, a, rows)
+    w = np.empty((len(pairs), len(pairs)), dtype=basis.vq.dtype)
+    step = max(1, LADDER_BATCH_BYTES // (16 * len(pairs)))
+    for rows in (slice(i, i + step) for i in range(0, len(pairs), step)):
+        w[rows] = vq.take(_pair_index(basis, pairs[rows], pairs[:, ::-1])) / basis.box_length
         w[rows, same] = 0.0
-        w[rows] += gather(a, b, rows)
+        w[rows] += vq.take(_pair_index(basis, pairs[rows], pairs)) / basis.box_length
     w[same] *= 0.5
     return w
 
 
-def two_body_operator(basis: ModeBasis, fock: FockBasis, diagonal: np.ndarray | None = None):
-    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis, with
-    one dense weight block per pair class that the rows reach, plus `diagonal` (``_operator``)."""
+def two_body_operator(basis: ModeBasis, fock: FockBasis, diagonal: np.ndarray | None = None,
+                      plans: SectorPlans | None = None):
+    """Sparse 1/2 sum W_abcd adag_a adag_b a_d a_c on the occupation basis, with one
+    dense weight block per pair class that the rows reach, or by the `plans` of
+    rows like fock's (``SectorPlans``), plus `diagonal` (``_operator``)."""
+    if plans is not None:
+        return _operator(fock, plans.pairs, plans.pair_weights(basis), diagonal)
     pairs, label = basis.pair_classes
-    return _operator(fock, pairs, label, lambda c, l: _pair_weights(basis, l), diagonal)
+    plan = _ladder(fock, fock, pairs, pairs, label, label)
+    return _operator(fock, plan, plan.blocks(lambda c, l: _pair_weights(basis, l)), diagonal)
 
 
-def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0) -> sp.csr_matrix:
+def hamiltonian(basis: ModeBasis, fock: FockBasis, t: float = 0.0,
+                plans: SectorPlans | None = None) -> sp.csr_matrix:
     """Sparse H(t) = sum h_ab adag_a a_b + 1/2 sum W_abcd adag_a adag_b a_d a_c."""
-    return one_body_operator(fock, basis.one_body(t)) + two_body_operator(basis, fock)
+    return one_body_operator(fock, basis.one_body(t)) + two_body_operator(basis, fock, plans=plans)
+
+
+class SectorPlans:
+    """The ladder plans of H's pair terms and gamma^(1)'s lowerings on a sector's
+    rows, `fock`, and the vq index of each pair weight: taken where each row
+    holds n_0 >= 2, they serve these rows at any n_0 (``FockBasis.with_particles``)
+    and any pair tensor on `basis`'s modes (``pair_weights``)."""
+
+    def __init__(self, basis: ModeBasis, fock: FockBasis):
+        pairs, label = basis.pair_classes
+        self.fock, self.lowering = fock, _ladder(fock, None, np.arange(fock.n_modes)[:, None])
+        self.pairs = _ladder(fock, fock, pairs, pairs, label, label)
+        # <ab|w|dc> (vq's appended zero where c = d), <ab|w|cd>, and 1/2 where a = b
+        self.pair_terms = [self.pairs.blocks(f) for f in (
+            lambda c, l: np.where(l[:, 0] == l[:, 1], basis.vq.size,
+                                  _pair_index(basis, c, l[:, ::-1])),
+            partial(_pair_index, basis),
+            lambda c, l: np.repeat(np.where(c[:, 0] == c[:, 1], 0.5, 1.0), len(l)))]
+
+    def pair_weights(self, basis: ModeBasis) -> np.ndarray:
+        """The pair plan's flat weights (``_pair_weights``) from basis.vq."""
+        dc, cd, half = self.pair_terms
+        vq = np.append(basis.vq.ravel() / basis.box_length, 0.0)
+        return (vq.take(dc) + vq.take(cd)) * half
 
 
 # ---------------------------------------------------------------------------
@@ -822,21 +913,27 @@ class ReducedDensity:
     matrix: np.ndarray
 
 
-def _lowered(state: ManyBodyState, lower: np.ndarray) -> tuple[FockBasis, np.ndarray]:
+def _lowered(state: ManyBodyState, lower: np.ndarray,
+             plan: LadderPlan | None = None) -> tuple[FockBasis, np.ndarray]:
     """One row per row of `lower` (T, j): the (N-j)-particle vector
-    a_(lower[t, j-1]) ... a_(lower[t, 0]) psi on the rows the lowerings reach."""
-    zero = np.zeros(len(lower), dtype=np.int64)
-    batches = _ladder(state.fock, None, lower, np.zeros((1, 0), dtype=np.int64),
-                      zero, zero[:1], lambda c, l: np.ones((1, len(l))))
-    sub, _ = next(batches)
-    vecs = np.zeros((len(lower), sub.dim), dtype=complex)
+    a_(lower[t, j-1]) ... a_(lower[t, 0]) psi on the rows the lowerings reach,
+    by `plan`, their ``_ladder`` on rows like the state's, if given."""
+    plan = _ladder(state.fock, None, lower) if plan is None else plan
+    batches = list(plan.batches(np.ones(len(lower)), state.fock))
+    reached = np.zeros(plan.target.dim, dtype=bool)
+    for _, rows, _, _ in batches:
+        reached[rows] = True
+    column, vecs = np.cumsum(reached) - 1, np.zeros((len(lower), reached.sum()), dtype=complex)
     for term, rows, cols, amp in batches:
-        vecs[term, rows] = amp * state.amplitudes[cols]
-    return sub, vecs
+        vecs[term, column[rows]] = amp * state.amplitudes[cols]
+    sub = plan.target.subset(np.flatnonzero(reached))
+    return sub.with_particles(state.fock.n_particles - lower.shape[1]), vecs
 
 
-def reduced_density(state: ManyBodyState, k: int = 1) -> ReducedDensity:
-    """gamma^(k), trace-normalized to 1 (k in {1, 2})."""
+def reduced_density(state: ManyBodyState, k: int = 1,
+                    plans: SectorPlans | None = None) -> ReducedDensity:
+    """gamma^(k), trace-normalized to 1 (k in {1, 2}); gamma^(1) by the `plans` of
+    rows like the state's (``SectorPlans``), if given."""
     fock = state.fock
     if k not in (1, 2):
         raise DomainError(f"k must be 1 or 2, got {k}")
@@ -844,7 +941,7 @@ def reduced_density(state: ManyBodyState, k: int = 1) -> ReducedDensity:
         raise DomainError("need at least k particles")
     m = fock.n_modes
     if k == 1:
-        _, vecs = _lowered(state, np.arange(m)[:, None])
+        _, vecs = _lowered(state, np.arange(m)[:, None], plans and plans.lowering)
         gamma = (vecs @ vecs.conj().T) / fock.n_particles
     else:
         n = fock.n_particles

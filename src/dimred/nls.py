@@ -58,8 +58,10 @@ class CondensateState:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing))
 
     def coefficients(self) -> np.ndarray:
-        """DFT coefficients c_k with Phi(x_j) = sum_k c_k e^(i k x_j)."""
-        return np.fft.fft(self.values) / self.grid.points
+        """DFT coefficients c_k with Phi(x_j) = sum_k c_k e^(i k x_j), k the grid's
+        wavenumbers: x_j starts at -L/2, so mode m carries (-1)^m."""
+        m = np.fft.fftfreq(self.grid.points, 1.0 / self.grid.points)
+        return np.fft.fft(self.values) / self.grid.points * (-1.0) ** m
 
     def spectral_tail(self) -> float:
         c = np.abs(self.coefficients())
@@ -163,25 +165,27 @@ def _strang(grid, dtype, shape, data, t0, external, b, dt, t_final, n_outputs) -
     traj = Trajectory()
     traj.record(state)
     values, t = state.values, state.time
-    arg = b * np.abs(values) ** 2     # each step's phase is e^(-i dt/2 (arg + v))
-    for step in range(1, total_steps + 1):
-        v = 0.0 if g is None else external.strength(t + 0.5 * dt) * g
-        values = np.fft.ifft(np.fft.fft(values * np.exp(-0.5j * dt * (arg + v))) * kin)
-        dens = np.abs(values) ** 2
-        t += dt
-        if not math.isfinite(dens.sum()):
-            raise InstabilityError(f"non-finite amplitude at step {step} (t = {t:.6g})")
-        arg = v + b * dens                # this step's closing half
-        if step % out_every == 0:
-            snap = CondensateState(grid, values * np.exp(-0.5j * dt * arg), t)
-            snap.values.flags.writeable = False
-            if snap.spectral_tail() > SPECTRAL_TAIL_BLOWUP:
-                raise ResolutionError(
-                    f"spectral tail exceeded {SPECTRAL_TAIL_BLOWUP} at t = {t:.6g}; "
-                    f"refine the grid"
-                )
-            traj.record(snap)
-        arg += b * dens                   # plus the next step's opening half, less its v
+    # an overflow reads as a non-finite density below, not as numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = b * np.abs(values) ** 2     # each step's phase is e^(-i dt/2 (arg + v))
+        for step in range(1, total_steps + 1):
+            v = 0.0 if g is None else external.strength(t + 0.5 * dt) * g
+            values = np.fft.ifft(np.fft.fft(values * np.exp(-0.5j * dt * (arg + v))) * kin)
+            dens = np.abs(values) ** 2
+            t += dt
+            if not math.isfinite(dens.sum()):
+                raise InstabilityError(f"non-finite amplitude at step {step} (t = {t:.6g})")
+            arg = v + b * dens                # this step's closing half
+            if step % out_every == 0:
+                snap = CondensateState(grid, values * np.exp(-0.5j * dt * arg), t)
+                snap.values.flags.writeable = False
+                if snap.spectral_tail() > SPECTRAL_TAIL_BLOWUP:
+                    raise ResolutionError(
+                        f"spectral tail exceeded {SPECTRAL_TAIL_BLOWUP} at t = {t:.6g}; "
+                        f"refine the grid"
+                    )
+                traj.record(snap)
+            arg += b * dens                   # plus the next step's opening half, less its v
     return traj
 
 

@@ -142,15 +142,10 @@ def basis_mode_projector(n_modes: int, index: int = 0) -> CondensateProjector:
 
 def condensate_projector(basis: ModeBasis, phi: CondensateState) -> CondensateProjector:
     """Projector onto Phi (x) chi^eps_0: Phi's coefficients over the plane
-    waves e^(ikx)/sqrt(L) on the transverse ground modes, normalized.
-
-    The DFT runs over grid indices while the box is centred at 0, so the
-    index-k coefficient picks up (-1)^k relative to the physical wave.
-    """
+    waves e^(ikx)/sqrt(L) on the transverse ground modes, normalized."""
     ground = basis.mode_my == 0
-    k = basis.mode_kx[ground]
     coeffs = np.zeros(basis.n_modes, dtype=complex)
-    coeffs[ground] = (phi.coefficients()[k % phi.grid.points] * (-1.0) ** k
+    coeffs[ground] = (phi.coefficients()[basis.mode_kx[ground] % phi.grid.points]
                       * math.sqrt(basis.box_length))
     nrm = np.linalg.norm(coeffs)
     if nrm == 0:

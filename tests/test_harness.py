@@ -684,3 +684,57 @@ def test_sweep_computes_the_mode_correlations_once(monkeypatch):
     result = harness.run_sweep(env)
     assert result.ok and len(result.rows) == 7
     assert len(calls) == 1
+
+
+def test_sweep_assembles_h0_once_per_point_on_the_state_it_evolves(monkeypatch):
+    # perfbench's tracer reads H(0) from this call for its state oracle: one
+    # manybody.hamiltonian per point, at t = 0, on the fock evolve propagates
+    seen = {"hamiltonian": [], "evolve": []}
+    for name in seen:
+        orig = getattr(manybody, name)
+        monkeypatch.setattr(manybody, name, lambda *args, _orig=orig, _name=name, **kwargs:
+                            seen[_name].append(args) or _orig(*args, **kwargs))
+    result = harness.run_sweep(ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT))
+    assert result.ok and len(result.rows) == 7
+    assert len(seen["hamiltonian"]) == len(seen["evolve"]) == 7
+    for (basis, fock, t, *_), (state, evolved_basis, *_) in zip(seen["hamiltonian"], seen["evolve"]):
+        assert t == 0.0 and fock is state.fock and basis is evolved_basis
+
+
+def test_sweep_plans_each_distinct_sector_once(monkeypatch):
+    # N = 2 lies below the cap of 3 and has its own sector; N = 3 ... 8 share
+    # one, planned at N = 5 where every row holds n_0 >= 2
+    built = []
+    plans = manybody.SectorPlans
+    monkeypatch.setattr(manybody, "SectorPlans",
+                        lambda basis, fock: built.append(fock.n_particles) or plans(basis, fock))
+    assert harness.run_sweep(ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)).ok
+    assert built == [2, 5]
+
+
+def test_one_sector_plan_replays_h0_and_gamma_at_every_n_from_the_cap():
+    # the default family's sector, planned once at N = 5, replayed at N = 3 and 4
+    # (rows with n_0 < 2 lack elements the plan holds) and up to N = 255, gives
+    # the H(0) and gamma^(1) of a fresh _ladder assembly on the N-particle
+    # sector of the capped rows, entry for entry
+    env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT.replace(
+        "sequence.n_values = 2, 3, 4, 5, 6, 7, 8", "sequence.n_values = 3, 4, 5, 8, 128, 255"))
+    inputs, rng = harness.sweep_inputs(env), np.random.default_rng(5)
+    first = None
+    for point in env.points():
+        setup = harness.point_setup(env, point, inputs)
+        first = first or setup.plans
+        assert setup.plans is first and first.fock.n_particles == 5
+        n, basis = point.n_particles, setup.basis
+        full = manybody.FockBasis(basis.n_modes, n, env.max_excitations, env.dim_cap)
+        condensate = full.occupations[:, 0] == n
+        fock = full.subset(next(r for r in manybody.sectors(basis, full) if condensate[r].any()))
+        assert np.array_equal(setup.psi0.fock.occupations, fock.occupations), n
+        fresh = manybody.hamiltonian(basis, fock, 0.0)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(setup.h0, part), getattr(fresh, part)), (n, part)
+        assert fresh.nnz == 7022
+        amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+        state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))
+        assert np.array_equal(manybody.reduced_density(state, 1, first).matrix,
+                              manybody.reduced_density(state, 1).matrix), n

@@ -458,3 +458,13 @@ def test_only_the_rules_whose_mathematics_differ_branch_on_the_dimension():
         "potentials.py: ScaledInteraction.__post_init__",
         "potentials.py: ConfinementPotential.__post_init__",
         "transverse.py: TransverseMode.correlation", "transverse.py: offset_rule"]
+
+
+def test_one_ladder_kernel_plans_every_ladder_operator():
+    # the sector plans, the operators assembled on their own rows (H's pair
+    # terms, the field's one-body terms) and the lowerings; every other
+    # operator replays a plan
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sorted(set(calls_by_definition(sources, ("_ladder",)))) == [
+        "manybody.SectorPlans: _ladder", "manybody._lowered: _ladder",
+        "manybody.one_body_operator: _ladder", "manybody.two_body_operator: _ladder"]

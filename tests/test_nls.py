@@ -111,10 +111,17 @@ def _field_infinite_after(t_blow):
 def test_a_non_finite_amplitude_raises_with_its_step(grid, amplitude, b, external, message):
     state = nls.gaussian_state(grid, width=2.0)
     state = nls.CondensateState(grid, amplitude * state.values)
-    # numpy warns of the overflow first, and the suite makes warnings errors
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError,
-                                                                      match=message):
+    # raised under the suite's warnings-as-errors: no numpy overflow warning comes first
+    with pytest.raises(InstabilityError, match=message):
         nls.evolve(state, external, b, 1e-2, 0.2, n_outputs=2)
+
+
+def test_coefficients_rebuild_the_state_on_its_grid():
+    # Phi(x_j) = sum_k c_k e^(i k x_j) on the grid's own x_j, which start at -L/2
+    grid = nls.Grid1D(2.0 * math.pi, 16)
+    state = nls.gaussian_state(grid, width=0.8, momentum=2.0)
+    rebuilt = np.exp(1j * np.outer(grid.x, grid.wavenumbers)) @ state.coefficients()
+    assert np.max(np.abs(rebuilt - state.values)) < 1e-13
 
 
 def test_strang_self_convergence_order(grid):
