@@ -16,13 +16,13 @@ Transverse energies enter shifted by the ground energy E0/eps^2
 common phase and <H>/N is directly the renormalized energy per particle.
 
 One sparse second-quantized Hamiltonian serves every N; ``GridOracle``, a
-two-particle position-grid split-step solver, validates it (its kinetic step
-is one dense propagator matrix per grid axis; a static field's adjacent
-half-step phases are fused).  Without a field H conserves the total momentum
-K = sum_a n_a k_a (mod n_x on a grid-matched basis) and, for an even trap and
-a radial w, the transverse parity Pi = (-1)^(sum_a n_a p_a)
-(``ModeBasis.mode_parity``; both builders zero the pair elements that change
-Pi), so each (K, Pi) sector is an exact block of H.  ``evolve`` propagates
+two-particle position-grid split-step solver, validates it (in the relative
+frame, one n_x x n_x kinetic block on x1 - x2 per total momentum P, storing only
+the half that exchange symmetry does not fix).  Without a field H conserves
+the total momentum K = sum_a n_a k_a (mod n_x on a grid-matched basis) and,
+for an even trap and a radial w, the transverse parity
+Pi = (-1)^(sum_a n_a p_a) (``ModeBasis.mode_parity``; both builders zero the
+pair elements that change Pi), so each (K, Pi) sector is an exact block of H.  ``evolve`` propagates
 each sector above the Krylov floor, and reads its energies, on its own H(t) =
 B + (f(t) - f_B) G, the one home of a field f(t) g (``_sector_hamiltonian``),
 by Lanczos exponentials (``lanczos_expm``: one Krylov space of up to 128
@@ -1011,8 +1011,7 @@ class GridOracle:
         trap = _periodic_modes(self.confinement, eps, self.n_y, self.y_span)
         self.e0, self.tau = trap.energy0, trap.chi
         v_one = self.confinement.on_grid(self.y / eps) / eps**2 - self.e0
-        dx = _minimal_image(self.x[:, None] - self.x[None, :], self.box_length)
-        dy = _minimal_image(self.y[:, None] - self.y[None, :], self.y_span)
+        dx, dy = _grid_offsets(self.n_x, self.h_x), _grid_offsets(self.n_y, self.h_y)
         rad = np.sqrt(dx[:, None, :, None] ** 2 + dy[None, :, None, :] ** 2)
         # the field-free potential (both traps and w), and one particle's field profile g
         self.v_free = v_one[None, :, None, None] + v_one[None, None, None, :] + self.scaled(rad)
@@ -1036,40 +1035,77 @@ class GridOracle:
         return v
 
     def axis_propagators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Dense F^-1 e^(-i dt k^2) F on x and on y; e^(-i dt K) applies one per axis."""
-        return tuple(np.fft.ifft(np.exp(-1j * dt * k2)[:, None]
-                                 * np.fft.fft(np.eye(k2.size), axis=0), axis=0)
-                     for k2 in (self.kx2, self.ky2))
+        """e^(-i dt K) in the relative frame: the stack over total momentum P of
+        Q_P = F^-1 e^(-i dt (kx^2[k] + kx^2[P - k])) F on r, and F^-1 e^(-i dt ky^2) F on y."""
+        k = np.arange(self.n_x)
+        pair = np.exp(-1j * dt * (self.kx2 + self.kx2[(k[:, None] - k) % self.n_x]))
+        qp = np.fft.ifft(pair[:, :, None] * np.fft.fft(np.eye(self.n_x), axis=0), axis=1)
+        py = np.fft.ifft(np.exp(-1j * dt * self.ky2)[:, None]
+                         * np.fft.fft(np.eye(self.n_y), axis=0), axis=0)
+        return qp, py
 
     def evolve(self, psi: np.ndarray, dt: float, t_final: float, t0: float = 0.0) -> np.ndarray:
-        """Strang steps e^(-i dt V/2) e^(-i dt K) e^(-i dt V/2) with V at each midpoint and
-        e^(-i dt K) as one matrix product per axis with ``axis_propagators``; a static field
-        fuses adjacent half-step phases into one full step, a driven one multiplies the
-        field-free half phase by u(x1, y1) u(x2, y2), u = e^(-i dt f(t_mid) g / 2), per
-        step.  `psi` is kept."""
+        """Strang steps e^(-i dt V/2) e^(-i dt K) e^(-i dt V/2), V at each midpoint and adjacent
+        half phases fused, on each nonzero exchange sector sigma = +-1 of `psi` in the relative
+        frame G(P, r, y1, y2), the DFT over X of psi(X + r, y1, X, y2).  There e^(-i dt K) is
+        ``axis_propagators``: Q_P on r, batched over P, and one product per y axis.  As
+        G(P, r, y1, y2) = sigma e^(2 pi i P r / n_x) G(P, n_x - r, y2, y1), r <= n_x / 2 is
+        stored and the rest rebuilt before each r product.  A V that the data show does not
+        depend on X multiplies in P space, a field's in X space; a driven field multiplies the
+        field-free phase by u(x1, y1) u(x2, y2), u = e^(-i dt f(t_mid) g / 2).  `psi` is kept."""
         steps = whole_steps(t_final - t0, dt, t_final,
                             "grid oracle needs dt > 0 and a positive integer number of steps")
-        px, py = self.axis_propagators(dt)
+        n, n_y, h = self.n_x, self.n_y, self.n_x // 2 + 1
+        qp, py = self.axis_propagators(dt)
+        fx, k = np.fft.fft(np.eye(n), axis=0), np.arange(n)   # the DFT over X, ifx its inverse
+        ifx = fx.conj() / n
+        x1, x2 = (k[:, None] + k) % n, k[:, None]             # (X, r) holds x1 = X + r, x2 = X
         static = self.external is None or not self.external.time_dependent
-        if static:
-            half = np.exp(-0.5j * dt * self.potential(t0))
-            full = half * half
-        else:
-            free_half = np.exp(-0.5j * dt * self.v_free)
-        for s in range(steps):
+        v = (self.potential(t0) if static else self.v_free)[x1[:, :h], :, x2, :]
+        if np.all(v == v[:1]):
+            v = v[:1]
+        half = np.exp(-0.5j * dt * v).reshape(len(v), -1)
+        full = half * half
+        g = np.empty((n, n, n_y, n_y), dtype=complex)         # (P, r, y1, y2)
+        head = g.reshape(n, -1)[:, :h * n_y * n_y]            # its stored r < h
+        o = np.empty((n_y, n_y, n, h), dtype=complex)         # (y1, y2, P, r)
+        a, b, in_x = np.empty((3, n, h * n_y * n_y), dtype=complex)
+
+        def kick(src, s):
+            """head = src times e^(-i dt V/2) of steps s - 1 and s, those in [0, steps)."""
+            p = half if s in (0, steps) else full
+            if static and len(p) == 1:
+                return np.multiply(src, p, out=head)
+            np.multiply(np.matmul(ifx, src, out=in_x), p, out=in_x)
             if not static:
-                u = np.exp(-0.5j * dt * self.external.strength(t0 + (s + 0.5) * dt) * self.field)
-                half = free_half * np.multiply.outer(u, u)
-            if s == 0 or not static:
-                psi = psi * half
-            for prop in (px, py, px, py):   # contract the leading axis, append it as the last
-                psi = psi.reshape(len(prop), -1).T @ prop.T
-            psi = psi.reshape(self.kin.shape)
-            psi *= full if static and s < steps - 1 else half
-            if (s % 200 == 0 or s == steps - 1) and not np.all(np.isfinite(psi.view(float))):
-                raise InstabilityError(
-                    f"grid oracle produced non-finite values at t = {t0 + (s + 1) * dt:.6g}")
-        return psi
+                w = np.exp(-0.5j * dt * self.field * sum(self.external.strength(
+                    t0 + (j + 0.5) * dt) for j in (s - 1, s) if 0 <= j < steps))
+                in_x.reshape(n, h, n_y, n_y)[...] *= w[x1[:, :h], :, None] * w[:, None, None, :]
+            return np.matmul(fx, in_x, out=head)
+
+        out = np.zeros(psi.shape, dtype=complex)
+        for sigma in (1, -1):
+            part = 0.5 * (psi + sigma * psi.transpose(2, 3, 0, 1))
+            if not part.any():
+                continue
+            c = np.ones((n, n), dtype=complex)                # G over all r from its stored half
+            c[:, h:] = sigma * np.exp(2j * math.pi * np.outer(k, k[h:]) / n)
+            mt = (qp[:, :h, :] * c[:, None, :]).transpose(0, 2, 1).copy()
+            kick(fx @ part[x1[:, :h], :, x2, :].reshape(n, -1), 0)
+            for s in range(steps):
+                g[:, h:] = g[:, n - h:0:-1].swapaxes(2, 3)
+                np.matmul(g.reshape(n, n, -1).transpose(0, 2, 1), mt,
+                          out=o.reshape(-1, n, h).transpose(1, 0, 2))
+                # contract y1, then y2, each the leading axis, appended as the last
+                np.matmul(o.reshape(n_y, -1).T, py.T, out=a.reshape(-1, n_y))
+                np.matmul(a.reshape(n_y, -1).T, py.T, out=b.reshape(-1, n_y))
+                kick(b, s + 1)
+                if (s % 200 == 0 or s == steps - 1) and not np.all(np.isfinite(head)):
+                    raise InstabilityError(
+                        f"grid oracle produced non-finite values at t = {t0 + (s + 1) * dt:.6g}")
+            g[:, h:] = g[:, n - h:0:-1].swapaxes(2, 3)
+            out[x1, :, x2, :] += (ifx @ (g * c[:, :, None, None]).reshape(n, -1)).reshape(g.shape)
+        return out
 
     def gamma1(self, psi: np.ndarray) -> np.ndarray:
         """One-particle density matrix in an orthonormal grid basis; trace 1."""
@@ -1079,8 +1115,10 @@ class GridOracle:
         return gamma / np.real(np.trace(gamma))
 
 
-def _minimal_image(delta: np.ndarray, span: float) -> np.ndarray:
-    return (delta + span / 2.0) % span - span / 2.0
+def _grid_offsets(n: int, step: float) -> np.ndarray:
+    """x_i - x_j on a periodic grid, minimal image, from the index difference (i - j) mod n."""
+    i = np.arange(n)
+    return ((i[:, None] - i + n // 2) % n - n // 2) * step
 
 
 def modes_on_grid(basis: ModeBasis, oracle: GridOracle) -> np.ndarray:

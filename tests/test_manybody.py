@@ -1257,17 +1257,36 @@ def _literal_strang(oracle, psi, dt, steps):
     return psi
 
 
-@pytest.mark.parametrize("field", ["bump", "driven_well"])
-def test_grid_oracle_evolve_matches_literal_strang_loop(oracle_pair, field):
-    # the half-step phase is cached: once for a static field, once per step
-    # for a driven one; the caller's psi stays as it was
+def _oracle_in_field(oracle_pair, field, n_x=None, n_y=None):
+    """The fixture's oracle (or its sc and box on an n_x x n_y grid) with `field` applied:
+    "bump" is the interaction alone, otherwise a static or driven well."""
     point, sc, _, oracle = oracle_pair
-    if field == "driven_well":
-        conf = potentials.harmonic_confinement(dimension=1)
-        ext = potentials.external_by_name("driven_well", depth=0.5, omega=4.0)
-        oracle = manybody.GridOracle(point, conf, sc, L, oracle.n_x, oracle.n_y,
-                                     oracle.y_span, external=ext)
-    psi0 = oracle.product_state(np.exp(-oracle.x**2 / 2.0) * np.exp(0.5j * oracle.x))
+    external = {"bump": None, "gaussian_well": potentials.gaussian_well(depth=0.5),
+                "driven_well": potentials.external_by_name("driven_well", depth=0.5, omega=4.0)}
+    if field == "bump" and n_x is None:
+        return oracle
+    conf = potentials.harmonic_confinement(dimension=1)
+    return manybody.GridOracle(point, conf, sc, L, n_x or oracle.n_x, n_y or oracle.n_y,
+                               oracle.y_span, external=external[field])
+
+
+@pytest.mark.parametrize("field, state, grid", [
+    pytest.param("bump", "product", None, id="bump"),
+    pytest.param("driven_well", "product", None, id="driven_well"),
+    pytest.param("gaussian_well", "product", None, id="gaussian_well"),
+    *(pytest.param(field, "random", grid, id=f"{field}-random{'-9x8' if grid else ''}")
+      for grid in (None, (9, 8)) for field in ("bump", "gaussian_well", "driven_well"))])
+def test_grid_oracle_evolve_matches_literal_strang_loop(oracle_pair, field, state, grid):
+    # the half-step phase is cached: once for a static field, once per step
+    # for a driven one; the caller's psi stays as it was.  A random psi is not
+    # exchange symmetric, so both exchange sectors run; an odd n_x has no
+    # self-paired r = n_x / 2 slice
+    oracle = _oracle_in_field(oracle_pair, field, *(grid or ()))
+    if state == "product":
+        psi0 = oracle.product_state(np.exp(-oracle.x**2 / 2.0) * np.exp(0.5j * oracle.x))
+    else:
+        rng = np.random.default_rng(11)
+        psi0 = rng.normal(size=oracle.kin.shape) + 1j * rng.normal(size=oracle.kin.shape)
     before = psi0.copy()
     psi_t = oracle.evolve(psi0, 5e-3, 0.1)
     assert np.array_equal(psi0, before)
@@ -1278,12 +1297,7 @@ def test_grid_oracle_evolve_matches_literal_strang_loop(oracle_pair, field):
 def test_grid_oracle_evolve_composes_over_a_split_span(oracle_pair, field):
     # the fused static phases end in a half step and a nonzero t0 shifts the
     # driven midpoints, so two legs [0, T] and [T, 2T] equal one run to 2T
-    point, sc, _, oracle = oracle_pair
-    if field == "driven_well":
-        conf = potentials.harmonic_confinement(dimension=1)
-        ext = potentials.external_by_name("driven_well", depth=0.5, omega=4.0)
-        oracle = manybody.GridOracle(point, conf, sc, L, oracle.n_x, oracle.n_y,
-                                     oracle.y_span, external=ext)
+    oracle = _oracle_in_field(oracle_pair, field)
     psi0 = oracle.product_state(np.exp(-oracle.x**2 / 2.0) * np.exp(0.5j * oracle.x))
     once = oracle.evolve(psi0, 5e-3, 0.1)
     twice = oracle.evolve(oracle.evolve(psi0, 5e-3, 0.05), 5e-3, 0.1, t0=0.05)
@@ -1301,21 +1315,35 @@ def test_grid_oracle_evolve_rejects_empty_span_and_bad_step(oracle_pair):
 
 @pytest.mark.parametrize("n_x, n_y", [(16, 12), (10, 8)])
 def test_grid_oracle_axis_propagators_are_the_kinetic_step(n_x, n_y):
-    # n_x != n_y and both even (a Nyquist row on each axis); with V = 0 one
-    # evolve step is the four per-axis products alone
+    # n_x != n_y and both even (a Nyquist row on each axis): each total
+    # momentum's Q_P on r and the y matrix are unitary, and with V = 0 one
+    # evolve step, both exchange sectors of a random psi, is the FFT kinetic step
     point = scaling.make_point(2, 0.5, 0.5)
     conf = potentials.harmonic_confinement(dimension=1)
     sc = potentials.scale(potentials.uniform_ball(height=0.0), point, d_perp=1)
     oracle = manybody.GridOracle(point, conf, sc, L, n_x, n_y, 6.0)
     dt = 0.05
-    for prop, n in zip(oracle.axis_propagators(dt), (n_x, n_y)):
-        assert prop.shape == (n, n)
-        assert np.max(np.abs(prop.conj().T @ prop - np.eye(n))) <= 1e-14
+    qp, py = oracle.axis_propagators(dt)
+    assert qp.shape == (n_x, n_x, n_x) and py.shape == (n_y, n_y)
+    assert np.max(np.abs(qp.conj().transpose(0, 2, 1) @ qp - np.eye(n_x))) <= 1e-14
+    assert np.max(np.abs(py.conj().T @ py - np.eye(n_y))) <= 1e-14
     rng = np.random.default_rng(7)
     psi = rng.normal(size=oracle.kin.shape) + 1j * rng.normal(size=oracle.kin.shape)
     oracle.potential = lambda t: np.zeros(oracle.kin.shape)
     ref = np.fft.ifftn(np.exp(-1j * dt * oracle.kin) * np.fft.fftn(psi))
     assert np.max(np.abs(oracle.evolve(psi, dt, dt) - ref)) <= 1e-13
+
+
+def test_grid_oracle_field_free_potential_is_invariant_under_a_joint_x_roll(oracle_pair):
+    # the offsets come from index differences, so without a field V is exactly
+    # a function of (x1 - x2, y1, y2) and exchange symmetric: evolve then
+    # multiplies its phase in total-momentum space.  A well breaks the roll.
+    oracle = oracle_pair[3]
+    v = oracle.potential(0.0)
+    assert all(np.array_equal(np.roll(v, s, axis=(0, 2)), v) for s in range(oracle.n_x))
+    assert np.array_equal(v.transpose(2, 3, 0, 1), v)
+    w = _oracle_in_field(oracle_pair, "gaussian_well").potential(0.0)
+    assert not np.array_equal(np.roll(w, 1, axis=(0, 2)), w)
 
 
 def test_grid_oracle_is_second_order():
