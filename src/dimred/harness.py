@@ -1,13 +1,14 @@
 """Convergence-sweep experiments and the cross-module verification battery.
 
 A sweep walks a scaling sequence: at each point it prepares the product
-condensate, evolves the N-body state and the effective equation to the same
-time, and records the trace distance to the evolved condensate together with
-the counting functionals, the energy gap, and the theoretical rate.  The
-effective equation has the paper's b, free of N and eps, so it is integrated
-once per sweep: ``nls.evolve``'s memo serves every later point.  Rows go
-to CSV atomically (temp file + rename) with the config hash in the header;
-identical config + seed reproduces the file byte for byte.
+condensate on its sector's rows, evolves the N-body state there under the H(t)
+that ``manybody.evolve`` builds from the sector's plans, and the effective
+equation to the same time, and records the trace distance to the evolved
+condensate together with the counting functionals, the energy gap, and the
+theoretical rate.  The effective equation has the paper's b, free of N and eps,
+so it is integrated once per sweep: ``nls.evolve``'s memo serves every later
+point.  Rows go to CSV atomically (temp file + rename) with the config hash in
+the header; identical config + seed reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -97,16 +98,15 @@ def sweep_inputs(cfg: ExperimentConfig) -> SweepInputs:
 
 @dataclass(frozen=True)
 class PointSetup:
-    """The N-body problem of one scaling point, started from the condensate."""
+    """One scaling point's N-body problem: the condensate on its sector's rows, and their plans."""
 
     basis: manybody.ModeBasis
     psi0: manybody.ManyBodyState
-    h0: sp.csr_matrix           # H(0)
     plans: manybody.SectorPlans
 
     def evolve(self, cfg: ExperimentConfig, n_outputs: int) -> manybody.ManyBodyTrajectory:
         return manybody.evolve(self.psi0, self.basis, cfg.manybody_dt, cfg.t_final,
-                               n_outputs=n_outputs, krylov_tol=cfg.krylov_tol, h=self.h0)
+                               n_outputs=n_outputs, krylov_tol=cfg.krylov_tol, plans=self.plans)
 
 
 def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
@@ -129,7 +129,7 @@ def point_setup(cfg: ExperimentConfig, point: scaling.ScalingPoint,
     plans = inputs.sectors[key]
     fock = plans.fock.with_particles(n)
     psi0 = manybody.product_state(fock, np.eye(fock.n_modes)[0])
-    return PointSetup(basis, psi0, manybody.hamiltonian(basis, fock, 0.0, plans), plans)
+    return PointSetup(basis, psi0, plans)
 
 
 def run_point(cfg: ExperimentConfig, point: scaling.ScalingPoint,

@@ -23,18 +23,19 @@ the total momentum K = sum_a n_a k_a (mod n_x on a grid-matched basis) and,
 for an even trap and a radial w, the transverse parity
 Pi = (-1)^(sum_a n_a p_a) (``ModeBasis.mode_parity``; both builders zero the
 pair elements that change Pi), so each (K, Pi) sector is an exact block of H.  ``evolve`` propagates
-each sector above the Krylov floor, and reads its energies, on its own H(t) =
+each block above the Krylov floor, and reads its energies, on its own H(t) =
 B + (f(t) - f_B) G, the one home of a field f(t) g (``_sector_hamiltonian``),
 by Lanczos exponentials (``lanczos_expm``: one Krylov space of up to 128
 vectors per step where that meets the budget; ``expm_multiply`` is a test oracle).
+A block is a sweep point's sector, by its ``SectorPlans``, or else a sector of the state.
 
 One kernel, ``_ladder``, plans every ladder operator of H and ``_lowered``:
 it lowers each row by each lower set its occupied entries hold and raises
 each distinct intermediate row once per create set.  Its plan holds no count
 or weight: ``LadderPlan.batches`` reads the counts of the rows it is given and
 the weights, a dense block per class or a sweep's vq indices (``SectorPlans``,
-taken once per sector and replayed at every N from the cap up), in batches of
-LADDER_BATCH_BYTES; a field-free
+taken once per sector and replayed at every N from the cap up), both read by
+one 1/2 W rule (``_half_w``), in batches of LADDER_BATCH_BYTES; a field-free
 block over a third full is summed into a dense array as they come
 (``_operator``).  No kernel widens or copies a whole occupation table:
 on acceptance 7 (18528 x 192) ``FockBasis``, ``product_state``, the largest
@@ -495,8 +496,7 @@ class LadderPlan:
     def blocks(self, weights) -> np.ndarray:
         """weights(create sets, lower sets) of each reached class, raveled and joined."""
         blocks = [weights(self.create[i:j], self.lower[p:q]) for i, j, p, q in zip(*self.classes)]
-        return (blocks[0].ravel() if len(blocks) == 1
-                else np.concatenate([np.zeros(0, dtype=np.int64)] + [w.ravel() for w in blocks]))
+        return np.concatenate([w.ravel() for w in blocks] or [np.zeros(0, np.int64)])
 
     def batches(self, flat: np.ndarray, source: FockBasis, target: FockBasis | None = None):
         """(lower set, target row, source row, value) of every element from `source`
@@ -664,20 +664,24 @@ def _pair_index(basis: ModeBasis, create: np.ndarray, lower: np.ndarray) -> np.n
     return index
 
 
+def _half_w(dc: np.ndarray, cd: np.ndarray, c_is_d: np.ndarray, a_is_b: np.ndarray) -> np.ndarray:
+    """1/2 W_abcd, in place of <ab|w|dc>, from it and <ab|w|cd>: W_abcd sums <ab|w|cd>
+    over the distinct orderings of (a, b) and (c, d), so by <ba|w|dc> = <ab|w|cd>
+    it is (<ab|w|dc> [c != d] + <ab|w|cd>) (1 + [a != b])."""
+    np.copyto(dc, 0.0, where=c_is_d)
+    return np.multiply(np.add(dc, cd, out=dc), np.where(a_is_b, 0.5, 1.0), out=dc)
+
+
 def _pair_weights(basis: ModeBasis, pairs: np.ndarray) -> np.ndarray:
-    """1/2 W[(a, b), (c, d)] over the pairs of one class, W_abcd the sum of
-    <ab|w|cd> = vq[k_a - k_c, m_a, m_b, m_c, m_d] / L over the distinct
-    orderings of (a, b) and (c, d): by <ba|w|dc> = <ab|w|cd> that is
-    (<ab|w|cd> + <ab|w|dc> [c != d]) (1 + [a != b])."""
+    """1/2 W[(a, b), (c, d)] (``_half_w``) over the pairs of one class from vq / L."""
     vq, same = basis.vq.ravel(), pairs[:, 0] == pairs[:, 1]
     # a batch of rows at a time: no index or gathered copy spans the whole table
     w = np.empty((len(pairs), len(pairs)), dtype=basis.vq.dtype)
     step = max(1, LADDER_BATCH_BYTES // (16 * len(pairs)))
     for rows in (slice(i, i + step) for i in range(0, len(pairs), step)):
         w[rows] = vq.take(_pair_index(basis, pairs[rows], pairs[:, ::-1])) / basis.box_length
-        w[rows, same] = 0.0
-        w[rows] += vq.take(_pair_index(basis, pairs[rows], pairs)) / basis.box_length
-    w[same] *= 0.5
+        _half_w(w[rows], vq.take(_pair_index(basis, pairs[rows], pairs)) / basis.box_length,
+                same, same[rows, None])
     return w
 
 
@@ -709,18 +713,17 @@ class SectorPlans:
         pairs, label = basis.pair_classes
         self.fock, self.lowering = fock, _ladder(fock, None, np.arange(fock.n_modes)[:, None])
         self.pairs = _ladder(fock, fock, pairs, pairs, label, label)
-        # <ab|w|dc> (vq's appended zero where c = d), <ab|w|cd>, and 1/2 where a = b
+        # the vq indices of <ab|w|dc> and <ab|w|cd>, whether c = d and whether a = b
         self.pair_terms = [self.pairs.blocks(f) for f in (
-            lambda c, l: np.where(l[:, 0] == l[:, 1], basis.vq.size,
-                                  _pair_index(basis, c, l[:, ::-1])),
-            partial(_pair_index, basis),
-            lambda c, l: np.repeat(np.where(c[:, 0] == c[:, 1], 0.5, 1.0), len(l)))]
+            lambda c, l: _pair_index(basis, c, l[:, ::-1]), partial(_pair_index, basis),
+            lambda c, l: np.tile(l[:, 0] == l[:, 1], len(c)),
+            lambda c, l: np.repeat(c[:, 0] == c[:, 1], len(l)))]
 
     def pair_weights(self, basis: ModeBasis) -> np.ndarray:
-        """The pair plan's flat weights (``_pair_weights``) from basis.vq."""
-        dc, cd, half = self.pair_terms
-        vq = np.append(basis.vq.ravel() / basis.box_length, 0.0)
-        return (vq.take(dc) + vq.take(cd)) * half
+        """The pair plan's flat weights (``_half_w``) from basis.vq."""
+        dc, cd, c_is_d, a_is_b = self.pair_terms
+        vq = basis.vq.ravel() / basis.box_length
+        return _half_w(vq.take(dc), vq.take(cd), c_is_d, a_is_b)
 
 
 # ---------------------------------------------------------------------------
@@ -740,18 +743,12 @@ def sectors(basis: ModeBasis, fock: FockBasis) -> list:
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
-def _sector_block(basis: ModeBasis, fock: FockBasis, rows: np.ndarray, h: sp.spmatrix | None):
-    """H on the given rows: cut from a prebuilt `h`, or else assembled on them
-    alone without the field.  A real block over a third full is a dense float64
-    array, into which an assembled one is summed batch by batch (``_operator``):
+def _sector_block(basis: ModeBasis, fock: FockBasis, rows: np.ndarray):
+    """H without the field on the given rows, assembled on them alone: a real block over a
+    third full is a dense float64 array, summed batch by batch (``_operator``);
     acceptance 7's largest, 604 rows, peaks at 7.7 MB traced, 17.0 through CSR."""
-    if h is None:
-        sector = fock.subset(rows)
-        return two_body_operator(basis, sector, _row_sums(sector.occupations, basis.energies))
-    block = h[rows][:, rows]
-    if 3 * block.nnz > len(rows) ** 2 and not np.any(block.data.imag):
-        return block.real.toarray()
-    return block
+    sector = fock.subset(rows)
+    return two_body_operator(basis, sector, _row_sums(sector.occupations, basis.energies))
 
 
 def _real_block_product(hmat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -836,35 +833,37 @@ class ManyBodyTrajectory(Trajectory):
     energies: list = field(default_factory=list)    # <H(t)>/N per state (``evolve``)
 
 
-def _sector_hamiltonian(basis: ModeBasis, fock: FockBasis, rows: np.ndarray, h, t0: float):
-    """(t, x) -> H(t) x on one sector's rows, H(t) = B + (f(t) - f_B) G: B its block
-    (``_sector_block``) with the field at f_B (f(t0) cut from h = H(t0), 0
-    assembled) and G its field operator, built only if B lacks f(t) g at some t."""
-    block = _sector_block(basis, fock, rows, h)
+def _sector_hamiltonian(basis: ModeBasis, fock: FockBasis, rows: np.ndarray, t0: float, plans):
+    """(t, x) -> H(t) x on one block's rows, H(t) = B + (f(t) - f_B) G: B is H(t0) by
+    `plans`, those of fock's rows, all of them (f_B = f(t0)), or without plans the
+    rows' field-free block (``_sector_block``, f_B = 0); G, their field operator,
+    is built only if B lacks f(t) g at some t."""
+    block = hamiltonian(basis, fock, t0, plans) if plans else _sector_block(basis, fock, rows)
     apply = block.dot if sp.issparse(block) else partial(_real_block_product, block)
-    if basis.external is None or (h is not None and not basis.time_dependent):
+    if basis.external is None or (plans and not basis.time_dependent):
         return lambda t, x: apply(x)
     f, g = basis.external.strength, one_body_operator(fock.subset(rows), basis.field_matrix)
-    f_block = 0.0 if h is None else f(t0)
+    f_block = f(t0) if plans else 0.0
     return lambda t, x: apply(x) + (f(t) - f_block) * g.dot(x)
 
 
 def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
            n_outputs: int = 5, krylov_tol: float = DEFAULTS.krylov_tol,
-           h: sp.spmatrix | None = None) -> ManyBodyTrajectory:
+           plans: SectorPlans | None = None) -> ManyBodyTrajectory:
     """Propagate under H(t), recording n_outputs + 1 equally spaced states and
     their energies <psi, H(t) psi>/(N <psi, psi>) from the H(t) they propagate with.
 
-    Each (K, Pi) sector of psi (``sectors``) runs through all outputs on its own
-    H(t) (``_sector_hamiltonian``; `h` = H(t0), t0 the state time, if given), one
-    Krylov step per interval, or midpoint-frozen steps of dt (whole per
-    interval) in a time-dependent field.
+    Given the `plans` of psi's rows (``SectorPlans``), as at a sweep point, they
+    are one block, else each (K, Pi) sector of psi (``sectors``) is one.  Each
+    block runs through all outputs on its own H(t) (``_sector_hamiltonian``; t0
+    the state time), one Krylov step per interval, or midpoint-frozen steps of
+    dt (whole per interval) in a time-dependent field.
 
-    The Krylov budget krylov_tol ||psi|| covers the whole state: a sector of
-    norm <= krylov_tol ||psi|| / sqrt(S), S the sector count, is neither built
+    The Krylov budget krylov_tol ||psi|| covers the whole state: a block of
+    norm <= krylov_tol ||psi|| / sqrt(S), S the block count, is neither built
     nor propagated, reads zero later and adds nothing to the energies.  Blocks
-    conserve sector norms, so the dropped norm (``dropped_norm``) is that of
-    those sectors, <= krylov_tol ||psi||.
+    conserve their norms, so the dropped norm (``dropped_norm``) is that of
+    those blocks, <= krylov_tol ||psi||.
     """
     if t_final <= state.time:
         raise DomainError("t_final must exceed the state time")
@@ -878,11 +877,11 @@ def evolve(state: ManyBodyState, basis: ModeBasis, dt: float, t_final: float,
                                   "each output interval must be a whole number of dt steps"), dt
     psi, energy = np.zeros((n_outputs + 1, fock.dim), dtype=complex), np.zeros(n_outputs + 1)
     psi[0] = state.amplitudes
-    blocks = sectors(basis, fock)
+    blocks = [np.arange(fock.dim)] if plans else sectors(basis, fock)
     norms = np.array([np.linalg.norm(psi[0, rows]) for rows in blocks])
     kept = norms > krylov_tol * state.norm / math.sqrt(len(blocks))
     for rows in (rows for rows, keep in zip(blocks, kept) if keep):
-        h_at = _sector_hamiltonian(basis, fock, rows, h, t0)
+        h_at = _sector_hamiltonian(basis, fock, rows, t0, plans)
         for j in range(n_outputs + 1):
             t, v = t0 + j * out_dt, psi[j, rows]
             energy[j] += np.vdot(v, h_at(t, v)).real

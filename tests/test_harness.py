@@ -182,6 +182,11 @@ def test_sweep_csv_deterministic(tmp_path, fast_result):
     assert head == f"# config_hash={env.config_hash}"
 
 
+def planned_h0(setup):
+    """H(0) on a point's sector rows from its plans, as ``PointSetup.evolve`` builds it."""
+    return manybody.hamiltonian(setup.basis, setup.psi0.fock, 0.0, setup.plans)
+
+
 def test_default_sweep_states_match_expm_multiply():
     # the Krylov propagator of every default-sweep point against scipy's
     env = ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)
@@ -189,7 +194,7 @@ def test_default_sweep_states_match_expm_multiply():
     for point in env.points():
         setup = harness.point_setup(env, point, inputs)
         psi_t = setup.evolve(env, 1).final.amplitudes
-        ref = expm_multiply(-1j * env.t_final * setup.h0.tocsc(), setup.psi0.amplitudes)
+        ref = expm_multiply(-1j * env.t_final * planned_h0(setup).tocsc(), setup.psi0.amplitudes)
         assert np.linalg.norm(psi_t - ref) < 1e-10, point.n_particles
 
 
@@ -268,7 +273,7 @@ def test_default_points_run_in_their_momentum_sector():
         h_full = manybody.hamiltonian(setup.basis, full).tocsr()
         rows = full.lookup(setup.psi0.fock.occupations)
         rest = np.setdiff1d(np.arange(full.dim), rows)
-        assert np.array_equal(setup.h0.toarray(), h_full[rows][:, rows].toarray()), n
+        assert np.array_equal(planned_h0(setup).toarray(), h_full[rows][:, rows].toarray()), n
         assert h_full[rest][:, rows].count_nonzero() == 0, n
         assert setup.psi0.amplitudes.shape == (setup.psi0.fock.dim,)
         # psi0 lies in the sector: the condensate on all capped rows loses nothing there
@@ -687,8 +692,9 @@ def test_sweep_computes_the_mode_correlations_once(monkeypatch):
 
 
 def test_sweep_assembles_h0_once_per_point_on_the_state_it_evolves(monkeypatch):
-    # perfbench's tracer reads H(0) from this call for its state oracle: one
-    # manybody.hamiltonian per point, at t = 0, on the fock evolve propagates
+    # perfbench's tracer reads H(0) for its state oracle from the one
+    # manybody.hamiltonian call evolve makes per point, at t = 0, on the fock
+    # it propagates
     seen = {"hamiltonian": [], "evolve": []}
     for name in seen:
         orig = getattr(manybody, name)
@@ -712,6 +718,16 @@ def test_sweep_plans_each_distinct_sector_once(monkeypatch):
     assert built == [2, 5]
 
 
+def test_sweep_splits_sectors_only_when_it_plans_one(monkeypatch):
+    # N = 2 and N = 5 each plan a sector from the capped rows; evolve takes
+    # each point's rows, already one sector, as its one block
+    split, sectors = [], manybody.sectors
+    monkeypatch.setattr(manybody, "sectors",
+                        lambda basis, fock: split.append(fock.n_particles) or sectors(basis, fock))
+    assert harness.run_sweep(ExperimentConfig.from_text(DEFAULT_CONFIG_TEXT)).ok
+    assert split == [2, 5]
+
+
 def test_one_sector_plan_replays_h0_and_gamma_at_every_n_from_the_cap():
     # the default family's sector, planned once at N = 5, replayed at N = 3 and 4
     # (rows with n_0 < 2 lack elements the plan holds) and up to N = 255, gives
@@ -730,9 +746,9 @@ def test_one_sector_plan_replays_h0_and_gamma_at_every_n_from_the_cap():
         condensate = full.occupations[:, 0] == n
         fock = full.subset(next(r for r in manybody.sectors(basis, full) if condensate[r].any()))
         assert np.array_equal(setup.psi0.fock.occupations, fock.occupations), n
-        fresh = manybody.hamiltonian(basis, fock, 0.0)
+        planned, fresh = planned_h0(setup), manybody.hamiltonian(basis, fock, 0.0)
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(setup.h0, part), getattr(fresh, part)), (n, part)
+            assert np.array_equal(getattr(planned, part), getattr(fresh, part)), (n, part)
         assert fresh.nnz == 7022
         amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps))

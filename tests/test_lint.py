@@ -468,3 +468,13 @@ def test_one_ladder_kernel_plans_every_ladder_operator():
     assert sorted(set(calls_by_definition(sources, ("_ladder",)))) == [
         "manybody.SectorPlans: _ladder", "manybody._lowered: _ladder",
         "manybody.one_body_operator: _ladder", "manybody.two_body_operator: _ladder"]
+
+
+def test_a_sweep_point_builds_h_in_evolve_alone():
+    # evolve assembles a sweep point's H(0) from the sector's plans
+    # (_sector_hamiltonian); renormalized_energy and verify_all's partition
+    # check are the other callers, so no harness code builds it beside evolve
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sorted(set(calls_by_definition(sources, ("hamiltonian",)))) == [
+        "harness.verify_all: hamiltonian", "manybody._sector_hamiltonian: hamiltonian",
+        "manybody.renormalized_energy: hamiltonian"]

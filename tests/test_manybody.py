@@ -521,17 +521,23 @@ def _default_sweep(external="zero"):
     return [harness.point_setup(env, point, inputs) for point in env.points()]
 
 
+def planned_h0(setup):
+    """H(0) on a sweep point's sector rows from its plans, as its ``evolve`` builds it."""
+    return manybody.hamiltonian(setup.basis, setup.psi0.fock, 0.0, setup.plans)
+
+
 def test_hamiltonian_matches_reference_kernel_on_default_sectors():
     # every sweep_default point, N = 2..8, in its (K, Pi) sector
     for setup in _default_sweep():
-        assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.psi0.fock))
+        assert_matches_reference(planned_h0(setup),
+                                 reference_hamiltonian(setup.basis, setup.psi0.fock))
 
 
 def test_hamiltonian_matches_reference_kernel_on_capped_well_basis():
     # the static well breaks translation invariance: all 3654 capped rows at N = 8
     setup = _default_sweep("gaussian_well")[-1]
     assert setup.psi0.fock.dim == 3654 and setup.psi0.fock.n_particles == 8
-    assert_matches_reference(setup.h0, reference_hamiltonian(setup.basis, setup.psi0.fock))
+    assert_matches_reference(planned_h0(setup), reference_hamiltonian(setup.basis, setup.psi0.fock))
 
 
 def test_hamiltonian_matches_reference_kernel_on_grid_matched_pairs(pair_hamiltonians):
@@ -646,28 +652,22 @@ def test_pair_path_matches_sparse_path_evolution(setup):
     assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
-def test_prebuilt_hamiltonian_gives_same_evolution(setup):
-    _, _, _, _, basis = setup
-    fock = manybody.FockBasis(basis.n_modes, 3)
-    h = manybody.hamiltonian(basis, fock)
-    built = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1)
-    given = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1, h=h)
-    assert np.array_equal(built.final.amplitudes, given.final.amplitudes)
-
-
 @pytest.mark.parametrize("which", ["continuum", "grid_matched"])
-def test_prebuilt_hamiltonian_used_at_two_particles(pair_hamiltonians, which, monkeypatch):
-    # a given h is cut into the sector blocks, so none is assembled, and the
-    # blocks assembled alone give the same state
+def test_sector_plans_used_at_two_particles(pair_hamiltonians, which, monkeypatch):
+    # given the plans of the rows, evolve propagates them as one block, so it
+    # neither splits them into sectors nor assembles a sector block, and the
+    # sector blocks assembled alone give the same state
     basis, fock, h = pair_hamiltonians(which)
     blocks = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1).final
     e_blocks = manybody.renormalized_energy(blocks, basis)
+    plans = manybody.SectorPlans(basis, fock)
 
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("a sector block assembled although h was given")
+    def no_split(*args, **kwargs):
+        raise AssertionError("rows split into sectors although their plans were given")
 
-    monkeypatch.setattr(manybody, "two_body_operator", no_assembly)
-    given = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1, h=h).final
+    monkeypatch.setattr(manybody, "sectors", no_split)
+    monkeypatch.setattr(manybody, "_sector_block", no_split)
+    given = manybody.evolve(condensed(fock), basis, 0.01, 0.3, n_outputs=1, plans=plans).final
     direct = expm_multiply(-1j * 0.3 * h.tocsc(), condensed(fock).amplitudes)
     assert np.linalg.norm(given.amplitudes - direct) < 1e-9
     assert np.linalg.norm(given.amplitudes - blocks.amplitudes) < 1e-9
@@ -743,7 +743,7 @@ def test_pair_blocks_match_sparse_hamiltonian(pair_hamiltonians, which):
         assert len(set(k_row[rows])) == 1 and len(set(pi_row[rows])) == 1
         ref = h[rows][:, rows].toarray()
         # vq is real and an N = 2 block is full, so it is a dense float64 array
-        block = manybody._sector_block(basis, fock, rows, None)
+        block = manybody._sector_block(basis, fock, rows)
         assert block.dtype == np.float64 and block.flags.c_contiguous
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
         frob += np.sum(np.abs(ref) ** 2)
@@ -863,9 +863,9 @@ def test_time_dependent_steps_use_midpoint_hamiltonian(driven_basis):
     for dt in (-0.05, 0.0):         # no positive number of steps
         with pytest.raises(DomainError):
             manybody.evolve(state, basis, dt, 0.1)
-    # a prebuilt H(t0) serves a driven field as well
+    # the rows' plans, H(t0) from them, serve a driven field as well
     given = manybody.evolve(state, basis, 0.05, 0.1, n_outputs=1, krylov_tol=1e-12,
-                            h=manybody.hamiltonian(basis, fock, 0.0))
+                            plans=manybody.SectorPlans(basis, fock))
     assert np.max(np.abs(given.final.amplitudes - traj.final.amplitudes)) < 1e-13
 
 
@@ -973,7 +973,7 @@ def _sweep_default_n8_problem():
     point = env.points()[-1]
     assert point.n_particles == 8
     setup = harness.point_setup(env, point, harness.sweep_inputs(env))
-    return setup.h0, setup.psi0.amplitudes, [(env.t_final, 128)]
+    return planned_h0(setup), setup.psi0.amplitudes, [(env.t_final, 128)]
 
 
 def stop_size(m: int, m_max: int) -> int:
@@ -1541,17 +1541,18 @@ def test_field_profile_evaluated_once_per_basis(setup, field):
                          ids=["driven_well", "off_centre", "static_well", "no_field"])
 def test_evolve_energies_and_states_against_fresh_hamiltonians(setup, field, prebuilt):
     # evolve's one H(t) = B + (f(t) - f_B) G, from t0 = 0.1 with or without
-    # h = H(t0): at every output the energy against <psi, H(t) psi>/N with
-    # H(t) assembled afresh, and the state against expm_multiply with a fresh
-    # H at each step's midpoint.  A random state fills every field-free sector.
+    # prebuilt plans of the rows (B = H(t0) by them, all rows one block): at
+    # every output the energy against <psi, H(t) psi>/N with H(t) assembled
+    # afresh, and the state against expm_multiply with a fresh H at each
+    # step's midpoint.  A random state fills every field-free sector.
     point, conf, unscaled, sc, _ = setup
     basis = manybody.build_basis(point, conf, field, sc, 5, 3, L, unscaled_mode=unscaled)
     fock = manybody.FockBasis(basis.n_modes, 3, max_excitations=2)
     rng = np.random.default_rng(7)
     amps = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
     state = manybody.ManyBodyState(fock, amps / np.linalg.norm(amps), 0.1)
-    h = manybody.hamiltonian(basis, fock, 0.1) if prebuilt else None
-    traj = manybody.evolve(state, basis, 0.05, 0.3, n_outputs=2, krylov_tol=1e-12, h=h)
+    plans = manybody.SectorPlans(basis, fock) if prebuilt else None
+    traj = manybody.evolve(state, basis, 0.05, 0.3, n_outputs=2, krylov_tol=1e-12, plans=plans)
     assert len(manybody.sectors(basis, fock)) == (1 if field else 18)
     assert traj.dropped_norm == 0.0 and len(traj.energies) == 3
     step = 0.05 if basis.time_dependent else 0.1
@@ -1696,7 +1697,7 @@ def _assert_sector_blocks_match_csr(basis, fock, rel):
         sector = fock.subset(rows)
         ref = manybody.one_body_operator(sector, basis.one_body()) + \
             manybody.two_body_operator(basis, sector)
-        block = manybody._sector_block(basis, fock, rows, None)
+        block = manybody._sector_block(basis, fock, rows)
         full = 3 * ref.nnz > len(rows) ** 2 and not np.any(ref.data.imag)
         assert isinstance(block, np.ndarray) == full
         if full:
@@ -1769,7 +1770,7 @@ def test_fock_kernel_peaks_at_a_small_multiple_of_what_it_returns(acceptance_7_s
     build = {
         "FockBasis": lambda: manybody.FockBasis(192, 2, dim_cap=10**5).occupations,
         "product_state": lambda: manybody.product_state(fock, coeffs).amplitudes,
-        "sector_block": lambda: manybody._sector_block(basis, fock, rows, None),
+        "sector_block": lambda: manybody._sector_block(basis, fock, rows),
         "reduced_density": lambda: manybody.reduced_density(state, 1).matrix,
     }[kernel]
     result, peak = _traced_peak(build)
